@@ -2,8 +2,9 @@
 
 Pauli-string operator algebra, the frustration-free chain / torus /
 plaquette model builders with their conserved checks, thermal input
-states, step-doubled unitary schedule evolution, and the sector-resolved
-spectrum and error-channel analysis used to size temperature thresholds.
+states, unitary schedule evolution by a step-doubled fourth-order Magnus
+integrator, and the sector-resolved spectrum and error-channel analysis
+used to size temperature thresholds.
 """
 
 from .pauli import OperatorSum, PauliString, commutator_terms, commutes, multiply, to_dense

@@ -14,6 +14,7 @@ phase-flip error used for fault-tolerance budgeting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -38,6 +39,7 @@ __all__ = [
     "CLASS_LABELS",
     "ErrorChannelReport",
     "ThresholdBracketError",
+    "NumericalCheckError",
     "SectorSpectrumTable",
     "tomography_basis",
     "plaquette_hamiltonian",
@@ -74,6 +76,10 @@ _DIAGONAL_REP = 5
 
 class ThresholdBracketError(ValueError):
     """The error stays below target across the bracket (threshold above it)."""
+
+
+class NumericalCheckError(linalg.ConvergenceError):
+    """A computed quantity failed a sanity check that exact numerics obey."""
 
 
 def _class_rep(e: int) -> int:
@@ -164,7 +170,7 @@ def error_tomography(rho: DensityMatrix) -> ErrorChannelReport:
     basis, labels = tomography_basis()
     weights = np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho.matrix, basis))
     if weights.min() < -1e-8:
-        raise ValueError(f"state has negative basis weight {weights.min():.3e}")
+        raise NumericalCheckError(f"state has negative basis weight {weights.min():.3e}")
     weights = np.clip(weights, 0.0, None)
     raw = {label: float(w) for label, w in zip(labels, weights)}
     class_probs = {rep: raw[(rep, 1)] for rep in CLASS_REPS}
@@ -235,6 +241,7 @@ def _sector_labels(spectrum: linalg.Spectrum, w_dense: np.ndarray, rtol: float =
     Levels whose expectation is not clean (mixed degenerate blocks) are
     re-resolved by diagonalizing the check within the block; the check
     commutes with the Hamiltonian, so this always separates exactly.
+    ``spectrum`` itself is left unchanged.
     """
     values = spectrum.values
     vectors = spectrum.vectors
@@ -250,8 +257,7 @@ def _sector_labels(spectrum: linalg.Spectrum, w_dense: np.ndarray, rtol: float =
         if stop - start == 1:
             expect = float(np.real(m[0, 0]))
         else:
-            sub_vals, sub_vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-            vectors[:, start:stop] = block @ sub_vecs
+            sub_vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
             expect = None
             for i, v in enumerate(sub_vals):
                 labels[start + i] = 1 if v > 0 else -1
@@ -328,19 +334,15 @@ def spectrum_path(
     return SectorSpectrumTable("time", ts, energies, sectors, gap_g, gap_s, couplings=lams)
 
 
-_UNITARY_CACHE: dict[tuple, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _rampdown_unitary(
     lambda0: float, tau: float, J: float, tol: float, static: Optional[OperatorSum] = None
 ) -> np.ndarray:
-    """Cached propagator of the uniform rampdown (independent of T)."""
-    key = (float(lambda0), float(tau), float(J), float(tol), static)
-    if key not in _UNITARY_CACHE:
-        schedule = linear_rampdown(lambda0, tau)
-        builder = lambda lam: plaquette_hamiltonian(J, lam, static)
-        _UNITARY_CACHE[key] = schedule_unitary(builder, schedule, tol)
-    return _UNITARY_CACHE[key]
+    """Cached, read-only propagator of the uniform rampdown (independent of T)."""
+    builder = lambda lam: plaquette_hamiltonian(J, lam, static)
+    u = schedule_unitary(builder, linear_rampdown(lambda0, tau), tol)
+    u.flags.writeable = False
+    return u
 
 
 def run_point(
@@ -380,10 +382,11 @@ def threshold_temperature(
     """Highest temperature with total phase-flip error at the target.
 
     ``tau=None`` evaluates the no-evolution pipeline.  The error is
-    checked to be nondecreasing on a coarse sample of the bracket first.
-    Returns None when the error exceeds the target over the whole
-    bracket (threshold, if any, below the bracket); raises when the
-    bracket does not straddle the target from below.
+    checked to be nondecreasing on a coarse sample of the bracket first
+    (NumericalCheckError otherwise).  Returns None when the error
+    exceeds the target over the whole bracket (threshold, if any, below
+    the bracket); raises when the bracket does not straddle the target
+    from below.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 <= lo < hi):
@@ -402,7 +405,7 @@ def threshold_temperature(
     slack = 1e-6
     for a, b in zip(samples, samples[1:]):
         if b < a - slack:
-            raise ValueError("error is not monotone over the bracket")
+            raise NumericalCheckError("error is not monotone over the bracket")
     if samples[0] > target:
         return None
     if samples[-1] < target:

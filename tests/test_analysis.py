@@ -7,7 +7,10 @@ from clusterprep.analysis import (
     CLASS_LABELS,
     CLASS_REPS,
     ErrorChannelReport,
+    NumericalCheckError,
     ThresholdBracketError,
+    _rampdown_unitary,
+    _sector_labels,
     chain_sector_gap,
     error_tomography,
     ghz_fidelity,
@@ -23,8 +26,8 @@ from clusterprep.analysis import (
     total_phase_flip_error,
 )
 from clusterprep.evolve import linear_rampdown, sequential_switchoff
-from clusterprep.linalg import eigh
-from clusterprep.models import build_chain_1d, plaquette_ring_term
+from clusterprep.linalg import ConvergenceError, eigh
+from clusterprep.models import build_chain_1d, plaquette_ring_term, stabilizer_3d_local
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
 from clusterprep.thermal import DensityMatrix
 
@@ -99,6 +102,17 @@ def test_tomography_rejects_wrong_dimension():
         error_tomography(DensityMatrix.from_matrix(np.eye(4) / 4.0))
 
 
+def test_tomography_negative_weight_is_a_numerical_failure():
+    # a Hermitian unit-trace matrix with weight -0.1 on the (z1, +) basis state
+    basis, _ = tomography_basis()
+    weights = np.full(16, 1.1 / 15.0)
+    weights[2] = -0.1
+    rho = DensityMatrix.from_matrix((basis * weights) @ basis.conj().T, check=False)
+    assert issubclass(NumericalCheckError, ConvergenceError)
+    with pytest.raises(NumericalCheckError, match="negative basis weight"):
+        error_tomography(rho)
+
+
 def test_sector_projectors_resolve_identity():
     p_plus, p_minus = sector_projectors()
     np.testing.assert_allclose(p_plus + p_minus, np.eye(16), atol=0)
@@ -121,6 +135,15 @@ def test_spectrum_scan_at_zero_coupling():
     assert np.sum(sectors == 1) == 8 and np.sum(sectors == -1) == 8
     # the degenerate ground doublet splits into one level per sector
     assert sorted(sectors[:2]) == [-1, 1]
+
+
+def test_sector_labels_leave_the_spectrum_unchanged():
+    # at zero coupling every level sits in a degenerate block with mixed sectors
+    spec = eigh(to_dense(plaquette_hamiltonian(1.0, 0.0)))
+    before = spec.vectors.copy()
+    labels = _sector_labels(spec, to_dense(stabilizer_3d_local()))
+    assert np.sum(labels == 1) == 8 and np.sum(labels == -1) == 8
+    np.testing.assert_array_equal(spec.vectors, before)
 
 
 def test_spectrum_scan_gap_columns():
@@ -199,6 +222,18 @@ def test_run_point_is_deterministic_and_cached():
     a = run_point(0.37, 1.7, 0.5, tol=1e-6)
     b = run_point(0.37, 1.7, 0.5, tol=1e-6)
     assert a == b  # frozen dataclass, field-for-field identical
+
+
+def test_rampdown_propagator_cache_is_bounded_and_read_only():
+    assert _rampdown_unitary.cache_info().maxsize == 64
+    run_point(0.21, 1.3, 0.4, tol=1e-6)
+    hits = _rampdown_unitary.cache_info().hits
+    run_point(0.55, 1.3, 0.4, tol=1e-6)  # another temperature, same schedule
+    assert _rampdown_unitary.cache_info().hits == hits + 1
+    u = _rampdown_unitary(1.3, 0.4, 1.0, 1e-6, None)
+    assert _rampdown_unitary.cache_info().hits == hits + 2
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 0] = 0.0
 
 
 def test_no_evolution_static_ring_matches_default():

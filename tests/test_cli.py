@@ -7,12 +7,15 @@ to cover the module entry point.
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from clusterprep import cli, pham
+from clusterprep import analysis, cli, pham
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term
 from clusterprep.pauli import OperatorSum, PauliString
 
@@ -312,12 +315,25 @@ def test_phase_diagram_bracket_flag():
     assert code == 2
 
 
+def test_phase_diagram_non_monotone_error_is_numerical_failure(monkeypatch):
+    # an error that falls with temperature fails the monotonicity check
+    monkeypatch.setattr(analysis, "run_point", lambda T, *args: SimpleNamespace(e_zeta=1.0 / (1.0 + T)))
+    code, out, err = run_cli("phase-diagram", "--lambda0-grid", "2.5", "--tau", "5")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: error is not monotone" in err
+
+
 def test_module_entry_point_subprocess():
+    # the child imports the same package tree as this process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "clusterprep.cli", "--version"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert "clusterprep" in proc.stdout

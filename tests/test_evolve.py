@@ -1,12 +1,16 @@
 """Schedules and step-doubled propagation.
 
-The integrator tests lean on two oracles: constant schedules against the
-eigendecomposition exponential, and conservation laws (trace, purity,
+The integrator tests lean on three oracles: constant schedules against
+the eigendecomposition exponential, time-dependent schedules against
+scipy's DOP853 integrator, and conservation laws (trace, purity,
 check-sector weights) that the exact dynamics obeys identically.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from clusterprep.evolve import (
     PiecewiseLinear,
@@ -194,6 +198,71 @@ def test_propagator_commutes_with_check_sectors():
     u = schedule_unitary(builder, linear_rampdown(2.0, 1.0), tol=1e-8)
     w = to_dense(stabilizer_3d_local())
     assert np.abs(u @ w - w @ u).max() <= 1e-8
+
+
+def dop853_propagator(couplings, knots):
+    """U(t, 0) at each knot by DOP853, restarted at every knot.
+
+    ``couplings(t)`` gives the four couplings; the Hamiltonian is rebuilt
+    from the model at every evaluation, independently of the integrator's
+    affine decomposition.
+    """
+
+    def rhs(t, y):
+        h = to_dense(build_plaquette_3d(1.0, couplings(t))[1])
+        return (-1j * (h @ y.reshape(16, 16))).ravel()
+
+    u = np.eye(16, dtype=complex)
+    out = [u]
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        sol = solve_ivp(rhs, (t0, t1), u.ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
+        assert sol.success
+        u = sol.y[:, -1].reshape(16, 16)
+        out.append(u)
+    return out
+
+
+def test_rampdown_matches_dop853_oracle_at_sample_times():
+    ts = [0.0, 0.3, 0.65, 1.0]
+    ref = dop853_propagator(lambda t: np.full(4, 2.0 * (1.0 - t)), ts)
+    u_final, snaps = schedule_unitary(plaquette_builder(), linear_rampdown(2.0, 1.0), tol=1e-8, sample_times=ts)
+    assert [t for t, _ in snaps] == ts
+    for (_, u), u_ref in zip(snaps, ref):
+        assert np.abs(u - u_ref).max() <= 2.5e-9
+    assert np.abs(u_final - ref[-1]).max() <= 2.5e-9
+
+
+def test_sequential_switchoff_matches_dop853_oracle_across_kinks():
+    lam, tau_each, order = 1.5, 0.25, (2, 4, 1, 3)
+
+    def couplings(t):
+        out = np.zeros(4)
+        for k, spin in enumerate(order):
+            frac = min(max((t - k * tau_each) / tau_each, 0.0), 1.0)
+            out[spin - 1] = lam * (1.0 - frac)
+        return out
+
+    ref = dop853_propagator(couplings, [0.0, 0.25, 0.5, 0.75, 1.0])
+    u = schedule_unitary(plaquette_builder(), sequential_switchoff(lam, tau_each, order), tol=1e-8)
+    assert np.abs(u - ref[-1]).max() <= 2.5e-9
+
+
+def test_non_affine_builder_is_rejected():
+    squared = lambda lam: build_plaquette_3d(1.0, np.asarray(lam) ** 2)[1]
+    with pytest.raises(ValueError, match="not affine"):
+        schedule_unitary(squared, linear_rampdown(1.0, 1.0), tol=1e-6)
+
+
+def test_long_tight_propagation_has_bounded_peak_memory():
+    # thousands of steps per pass; only batching keeps the step
+    # exponentials from being held all at once
+    tracemalloc.start()
+    try:
+        schedule_unitary(plaquette_builder(), linear_rampdown(2.5, 10.0), tol=1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_per_spin_schedule_drives_separate_couplings():
