@@ -3,8 +3,9 @@
 Pauli-string operator algebra, the frustration-free chain / torus /
 plaquette model builders with their conserved checks, thermal input
 states, unitary schedule evolution by a step-doubled fourth-order Magnus
-integrator, and the sector-resolved spectrum and error-channel analysis
-used to size temperature thresholds.
+integrator (run in the sector blocks of the conserved checks, with
+matrix-product Taylor step exponentials), and the sector-resolved
+spectrum and error-channel analysis used to size temperature thresholds.
 """
 
 from .pauli import OperatorSum, PauliString, commutator_terms, commutes, multiply, to_dense

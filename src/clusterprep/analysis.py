@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import linalg
+from .linalg import NumericalCheckError
 from .evolve import Schedule, linear_rampdown, schedule_unitary
 from .models import (
     build_chain_1d,
@@ -78,10 +79,6 @@ class ThresholdBracketError(ValueError):
     """The error stays below target across the bracket (threshold above it)."""
 
 
-class NumericalCheckError(linalg.ConvergenceError):
-    """A computed quantity failed a sanity check that exact numerics obey."""
-
-
 def _class_rep(e: int) -> int:
     return min(e & 0xF, (~e) & 0xF)
 
@@ -96,28 +93,26 @@ def ghz_states() -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-_BASIS_CACHE: Optional[tuple[np.ndarray, tuple[tuple[int, int], ...]]] = None
-
-
+@functools.cache
 def tomography_basis() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """Orthonormal 16-column basis with (class rep, sector) column labels.
 
     Column for (e, s) is the state ``(|e> + s|~e>)/sqrt(2)``; columns run
-    over CLASS_REPS, + sector before - sector for each class.
+    over CLASS_REPS, + sector before - sector for each class.  The basis
+    is built once and returned read-only.
     """
-    global _BASIS_CACHE
-    if _BASIS_CACHE is None:
-        cols = []
-        labels = []
-        for rep in CLASS_REPS:
-            for sector in (1, -1):
-                v = np.zeros(16, dtype=complex)
-                v[rep] = 1.0 / math.sqrt(2.0)
-                v[(~rep) & 0xF] = sector / math.sqrt(2.0)
-                cols.append(v)
-                labels.append((rep, sector))
-        _BASIS_CACHE = (np.stack(cols, axis=1), tuple(labels))
-    return _BASIS_CACHE
+    cols = []
+    labels = []
+    for rep in CLASS_REPS:
+        for sector in (1, -1):
+            v = np.zeros(16, dtype=complex)
+            v[rep] = 1.0 / math.sqrt(2.0)
+            v[(~rep) & 0xF] = sector / math.sqrt(2.0)
+            cols.append(v)
+            labels.append((rep, sector))
+    basis = np.stack(cols, axis=1)
+    basis.flags.writeable = False
+    return basis, tuple(labels)
 
 
 def sector_projectors() -> tuple[np.ndarray, np.ndarray]:
@@ -235,40 +230,6 @@ class SectorSpectrumTable:
                 )
 
 
-def _sector_labels(spectrum: linalg.Spectrum, w_dense: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """Check-sector label per level, resolving degenerate blocks.
-
-    Levels whose expectation is not clean (mixed degenerate blocks) are
-    re-resolved by diagonalizing the check within the block; the check
-    commutes with the Hamiltonian, so this always separates exactly.
-    ``spectrum`` itself is left unchanged.
-    """
-    values = spectrum.values
-    vectors = spectrum.vectors
-    scale = max(1.0, float(np.abs(values).max()))
-    labels = np.zeros(values.shape[0], dtype=int)
-    start = 0
-    while start < len(values):
-        stop = start + 1
-        while stop < len(values) and values[stop] - values[stop - 1] <= rtol * scale:
-            stop += 1
-        block = vectors[:, start:stop]
-        m = block.conj().T @ w_dense @ block
-        if stop - start == 1:
-            expect = float(np.real(m[0, 0]))
-        else:
-            sub_vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-            expect = None
-            for i, v in enumerate(sub_vals):
-                labels[start + i] = 1 if v > 0 else -1
-        if expect is not None:
-            labels[start] = 1 if expect > 0 else -1
-            if abs(expect) < 1.0 - 1e-6:
-                raise ValueError("level has mixed check sector outside a degenerate block")
-        start = stop
-    return labels
-
-
 def plaquette_hamiltonian(J: float, lam, static: Optional[OperatorSum] = None) -> OperatorSum:
     """Ring-plus-fields plaquette, with the ring replaceable by ``static``."""
     if static is None:
@@ -281,10 +242,24 @@ def plaquette_hamiltonian(J: float, lam, static: Optional[OperatorSum] = None) -
 def _labeled_plaquette_spectrum(
     J: float, lam, static: Optional[OperatorSum] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    spec = linalg.eigh(to_dense(plaquette_hamiltonian(J, lam, static)))
-    w = to_dense(stabilizer_3d_local())
-    labels = _sector_labels(spec, w)
-    return spec.values, labels
+    """Ascending levels with their check-sector labels.
+
+    H is diagonalized separately on the + and - columns of the
+    tomography basis, and the two sector spectra are merged by energy,
+    the - sector first on exact ties.  A Hamiltonian with weight between
+    the sectors above rounding level (a ``static`` part that breaks the
+    check) raises ValueError.
+    """
+    basis, labels = tomography_basis()
+    signs = np.array([sector for _, sector in labels])
+    h = to_dense(plaquette_hamiltonian(J, lam, static))
+    minus, plus = basis[:, signs == -1].real, basis[:, signs == 1].real
+    leak = float(np.abs(plus.T @ h @ minus).max())
+    if leak > 1e-12 * max(1.0, float(np.abs(h).max())):
+        raise ValueError(f"Hamiltonian has mixed check sector (off-block residual {leak:.3e})")
+    values = np.concatenate([np.linalg.eigvalsh(cols.T @ h @ cols) for cols in (minus, plus)])
+    order = np.argsort(values, kind="stable")
+    return values[order], np.repeat([-1, 1], 8)[order]
 
 
 def _gaps(values: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -358,7 +333,10 @@ def run_point(
     u = _rampdown_unitary(lambda0, tau, J, tol, static)
     rho_tau = u @ rho0.matrix @ u.conj().T
     rho_tau = 0.5 * (rho_tau + rho_tau.conj().T)
-    final = DensityMatrix.from_matrix(rho_tau, check=True, atol=max(1e-10, 4.0 * tol))
+    try:
+        final = DensityMatrix.from_matrix(rho_tau, check=True, atol=max(1e-10, 4.0 * tol))
+    except ValueError as exc:
+        raise NumericalCheckError(f"evolved state failed its check: {exc}") from exc
     return error_tomography(final)
 
 

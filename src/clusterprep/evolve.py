@@ -6,23 +6,34 @@ builder callback is decomposed once into that form (and rejected if it
 is not affine), after which every Magnus term is a linear combination of
 H0, the H_mu and their commutators, fixed for the whole run.
 
+The builder's conserved Pauli checks are found symbolically from its
+terms (`pauli.conserved_checks`), and H0 and the Magnus generators are
+rotated once into the joint eigenbasis of those checks.  With k checks
+the propagator is integrated as 2^k sector blocks of size dim / 2^k on
+one batch axis (one full block when there are none); a generator with
+weight outside the blocks is a numerical failure.
+
 Propagation uses the fourth-order Gauss-Legendre Magnus integrator
 (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470
 (2009), arXiv:0810.5488), applied to the whole propagator so the
 spectral weights of the initial mixture ride along unchanged.  Each
-step takes the exact exponential of its Hermitian Magnus term, so the
-propagator is unitary to rounding at any step size.  Steps are
-processed in batches of bounded size: one batched ``eigh`` gives all
-step exponentials of a batch, which are then multiplied in a fixed
-pairwise tree order, so results are deterministic for identical inputs
-and peak memory does not grow with the step count.
+step exponential is a truncated Taylor series with scaling and
+squaring, evaluated with matrix products only (Paterson-Stockmeyer),
+with degree and squarings chosen per batch so the truncation error is
+below unit roundoff (after Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+31 (2009)).  Steps are processed in batches of bounded size and
+multiplied in a fixed pairwise tree order, so results are deterministic
+for identical inputs and peak memory does not grow with the step count.
 
 Step size is controlled by step doubling, starting from duration/64:
 the run is repeated at half the step until halving changes no tracked
 entry by more than the goal (tol/4 on propagator entries, or tol on the
-evolved density matrix), and the finer run is returned.  Integration is
-split at schedule kinks and at requested sample times, which keeps the
-scheme at full order on each smooth piece.
+evolved density matrix), and the finer run is returned.  Entries are
+compared in the original basis.  A run that would exceed a fixed total
+step budget raises ConvergenceError before the pass starts, and a final
+propagator that is not unitary to 1e-10 raises NumericalCheckError.
+Integration is split at schedule kinks and at requested sample times,
+which keeps the scheme at full order on each smooth piece.
 """
 
 from __future__ import annotations
@@ -32,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConvergenceError
-from .pauli import to_dense
+from .linalg import ConvergenceError, NumericalCheckError
+from .pauli import OperatorSum, PauliString, conserved_checks, to_dense
 from .thermal import DensityMatrix
 
 __all__ = [
@@ -46,11 +57,19 @@ __all__ = [
 ]
 
 _BASE_STEP_FRACTION = 1.0 / 64.0
-_MAX_HALVINGS = 22
+# total steps over all passes of one step-doubling run; the heaviest
+# in-repo run (tau = 10, tol = 1e-10) takes 8128, 32x under it
+_MAX_STEPS = 1 << 18
 # complex entries per batched array: bounds peak memory independently of
-# the step count (256 steps of a 16x16 propagator, 1 MB per array)
+# the step count (512 steps of two 8x8 sector blocks, 1 MB per array)
 _BATCH_ENTRIES = 1 << 16
 _GL_OFFSET = math.sqrt(3.0) / 6.0
+_UNIT_ROUNDOFF = 2.0**-53
+_MAX_TAYLOR_DEGREE = 18
+# off-block entries of the rotated generators, relative to their largest
+# entry, above which a check counts as broken
+_ROUNDING_RTOL = 1e-12
+_UNITARITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -166,26 +185,25 @@ def sequential_switchoff(lambda_init: float, tau_each: float, order: tuple[int, 
     return Schedule(total, tuple(channels))
 
 
-def _probe_affine(builder) -> tuple[np.ndarray, np.ndarray]:
+def _probe_affine(builder) -> tuple[np.ndarray, np.ndarray, list[PauliString]]:
     """Decompose builder(lam) as H0 + sum_mu lam_mu * H_mu.
 
-    Returns ``(H0, stack of H_mu)``.  Every model here is affine in its
-    couplings; the decomposition is verified at a generic probe point,
-    and a builder that fails the check is rejected with ValueError.
+    Returns ``(H0, stack of H_mu, conserved checks)``.  Every model here
+    is affine in its couplings; the decomposition is verified at a
+    generic probe point, and a builder that fails the check is rejected
+    with ValueError.  The checks are Pauli strings that commute with
+    every term the builder produced, found symbolically.
     """
-    h0 = to_dense(builder(np.zeros(4)))
-    parts = []
-    for mu in range(4):
-        unit = np.zeros(4)
-        unit[mu] = 1.0
-        parts.append(to_dense(builder(unit)) - h0)
+    units = np.eye(4)
     probe = np.array([0.37, 1.21, 0.53, 0.89])
+    ops = [builder(lam) for lam in (np.zeros(4), *units, probe)]
+    h0, *ends, actual = (to_dense(op) for op in ops)
+    parts = [end - h0 for end in ends]
     expected = h0 + sum(probe[mu] * parts[mu] for mu in range(4))
-    actual = to_dense(builder(probe))
     scale = max(1.0, float(np.abs(actual).max()))
     if np.abs(expected - actual).max() > 1e-12 * scale:
         raise ValueError("builder is not affine in the four couplings")
-    return h0.astype(complex), np.stack([p.astype(complex) for p in parts])
+    return h0.astype(complex), np.stack([p.astype(complex) for p in parts]), conserved_checks(ops)
 
 
 def _magnus_generators(h0: np.ndarray, parts: np.ndarray) -> np.ndarray:
@@ -199,13 +217,95 @@ def _magnus_generators(h0: np.ndarray, parts: np.ndarray) -> np.ndarray:
     return np.concatenate([parts, np.stack(brackets)])
 
 
+def _sector_basis(checks: list[PauliString], dim: int) -> np.ndarray:
+    """Unitary whose columns run through the joint eigenspaces of the checks.
+
+    The eigenvalues of sum_j 2^j W_j label the 2^k sign patterns of k
+    commuting checks W_j without ties, so its ascending eigenvectors
+    come grouped into 2^k sectors of dim / 2^k columns each.  With no
+    checks the basis is the identity.
+    """
+    if not checks:
+        return np.eye(dim, dtype=complex)
+    label = sum((2.0**j) * to_dense(OperatorSum(c.n_qubits, [(1.0, c)])) for j, c in enumerate(checks))
+    return np.linalg.eigh(label)[1].astype(complex)
+
+
+def _sector_blocks(mats: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Diagonal blocks of v^dagger M v for a stack of matrices M.
+
+    Returns shape (len(mats), n_blocks, d, d); raises NumericalCheckError
+    when the entries outside those blocks are above rounding level, i.e.
+    when some M does not conserve the checks behind v.
+    """
+    d = v.shape[0] // n_blocks
+    rotated = v.conj().T @ mats @ v
+    inside = np.kron(np.eye(n_blocks, dtype=bool), np.ones((d, d), dtype=bool))
+    leak = float(np.abs(rotated[:, ~inside]).max(initial=0.0))
+    if leak > _ROUNDING_RTOL * max(1.0, float(np.abs(rotated).max())):
+        raise NumericalCheckError(f"generators leak out of the check sectors ({leak:.3e})")
+    return np.stack([rotated[:, a * d : (a + 1) * d, a * d : (a + 1) * d] for a in range(n_blocks)], axis=1)
+
+
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """Cheapest (degree m, squarings s) whose truncation error is below 2^-53.
+
+    With theta = norm / 2^s, the Taylor remainder of exp is bounded by
+    theta^(m+1) / (m+1)! / (1 - theta/(m+2)); the cost counts the
+    matrix products of Paterson-Stockmeyer evaluation plus squarings.
+    """
+    best = None
+    for m in range(1, _MAX_TAYLOR_DEGREE + 1):
+        s = 0
+        while True:
+            theta = math.ldexp(norm, -s)
+            if theta < m + 2 and theta ** (m + 1) / math.factorial(m + 1) / (1.0 - theta / (m + 2)) <= _UNIT_ROUNDOFF:
+                break
+            s += 1
+        p = math.isqrt(m - 1) + 1
+        cost = p - 1 + m // p + s
+        if best is None or cost < best[0]:
+            best = (cost, m, s)
+    return best[1], best[2]
+
+
+def _expm_taylor(a: np.ndarray) -> np.ndarray:
+    """exp(A) for a stack of square matrices, by matrix products only.
+
+    The degree and the number of squarings come from the largest 1-norm
+    in the stack (_taylor_plan); the truncated series of A / 2^s is
+    evaluated by Paterson-Stockmeyer (powers A^0..A^(p-1), Horner in
+    A^p) and then squared s times.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise NumericalCheckError("step generator is not finite")
+    m, s = _taylor_plan(norm)
+    if s:
+        a = a * math.ldexp(1.0, -s)
+    p = math.isqrt(m - 1) + 1
+    powers = np.empty((p + 1, *a.shape), dtype=a.dtype)
+    powers[0] = np.eye(a.shape[-1])
+    powers[1] = a
+    for i in range(2, p + 1):
+        powers[i] = powers[i - 1] @ a
+    coeffs = [1.0 / math.factorial(i) for i in range(m + 1)] + [0.0] * p
+    top = m // p
+    out = np.tensordot(coeffs[top * p : top * p + p], powers[:p], axes=1)
+    for j in range(top - 1, -1, -1):
+        out = out @ powers[p] + np.tensordot(coeffs[j * p : j * p + p], powers[:p], axes=1)
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def _step_exponentials(h0, gens, schedule: Schedule, starts: np.ndarray, hs: float) -> np.ndarray:
     """exp(Omega) of the fourth-order Magnus step [s, s + hs] for each start s.
 
     With H1, H2 at the Gauss-Legendre nodes, Omega = -iK for the
     Hermitian K = hs/2 (H1 + H2) - i sqrt(3) hs^2/12 [H2, H1], formed
-    from the node couplings and the generators of _magnus_generators;
-    exp(-iK) = V diag(exp(-iw)) V^dagger from one batched eigh.
+    from the node couplings and the generators of _magnus_generators
+    (sector blocks, so K has shape (steps, n_blocks, d, d)).
     """
     lam1 = schedule.coupling_matrix(starts + (0.5 - _GL_OFFSET) * hs)
     lam2 = schedule.coupling_matrix(starts + (0.5 + _GL_OFFSET) * hs)
@@ -213,8 +313,7 @@ def _step_exponentials(h0, gens, schedule: Schedule, starts: np.ndarray, hs: flo
     pairs = (lam2[:, :, None] * lam1[:, None, :]).reshape(len(starts), -1)
     coeffs = np.concatenate([(0.5 * hs) * (lam1 + lam2), c * (lam2 - lam1), c * pairs], axis=1)
     k = hs * h0 + (coeffs @ gens.reshape(gens.shape[0], -1)).reshape(-1, *h0.shape)
-    w, v = np.linalg.eigh(k)
-    return (v * np.exp(-1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return _expm_taylor(-1j * k)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -226,14 +325,21 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _integrate(h0, gens, schedule: Schedule, boundaries: list[float], h: float) -> list[np.ndarray]:
-    """Magnus sweep over each smooth segment; returns U at every boundary."""
-    dim = h0.shape[0]
-    batch = max(1, _BATCH_ENTRIES // (dim * dim))
-    u = np.eye(dim, dtype=complex)
-    snapshots = [u]
-    for t0, t1 in zip(boundaries[:-1], boundaries[1:]):
-        n_steps = max(1, int(math.ceil((t1 - t0) / h - 1e-9)))
+def _step_counts(boundaries: list[float], h: float) -> list[int]:
+    """Steps per smooth segment at nominal step h."""
+    return [max(1, int(math.ceil((t1 - t0) / h - 1e-9))) for t0, t1 in zip(boundaries[:-1], boundaries[1:])]
+
+
+def _integrate(h0, gens, schedule: Schedule, boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
+    """Magnus sweep over each smooth segment, ``counts`` steps each.
+
+    Works on the sector blocks: returns the (n_blocks, d, d) blocks of U
+    at every boundary after the first.
+    """
+    batch = max(1, _BATCH_ENTRIES // h0.size)
+    u = np.broadcast_to(np.eye(h0.shape[-1], dtype=complex), h0.shape)
+    snapshots = []
+    for t0, t1, n_steps in zip(boundaries[:-1], boundaries[1:], counts):
         hs = (t1 - t0) / n_steps
         for done in range(0, n_steps, batch):
             starts = t0 + hs * np.arange(done, min(done + batch, n_steps))
@@ -247,7 +353,9 @@ def _converged_propagators(builder, schedule: Schedule, tol: float, sample_times
 
     Tracks the density matrix entries when ``rho0`` is given, otherwise
     the propagator entries (against tol/4, a stand-in bound that keeps
-    any evolved state within tol).
+    any evolved state within tol).  Integration runs in the sector
+    blocks of the builder's conserved checks; every comparison and every
+    returned snapshot is in the original basis.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive")
@@ -255,8 +363,7 @@ def _converged_propagators(builder, schedule: Schedule, tol: float, sample_times
     for t in samples:
         if t < -1e-12 or t > schedule.duration * (1 + 1e-12) + 1e-12:
             raise ValueError("sample time outside schedule duration")
-    h0, parts = _probe_affine(builder)
-    gens = _magnus_generators(h0, parts)
+    h0, parts, checks = _probe_affine(builder)
     dim = h0.shape[0]
     if rho0 is not None and rho0.shape[0] != dim:
         raise ValueError("state dimension does not match builder output")
@@ -267,6 +374,15 @@ def _converged_propagators(builder, schedule: Schedule, tol: float, sample_times
     if schedule.duration == 0.0:
         eye = np.eye(dim, dtype=complex)
         return boundaries, [eye.copy() for _ in boundaries]
+    v = _sector_basis(checks, dim)
+    blocks = _sector_blocks(np.concatenate([h0[None], _magnus_generators(h0, parts)]), v, 1 << len(checks))
+    h0, gens = blocks[0], blocks[1:]
+    vb = v.reshape(dim, len(h0), -1).transpose(1, 0, 2)
+
+    def propagators(counts):
+        # U = sum over sectors of V_s u_s V_s^dagger; U(0) stays exactly the identity
+        snaps = _integrate(h0, gens, schedule, boundaries, counts)
+        return [np.eye(dim, dtype=complex)] + [(vb @ u @ vb.conj().transpose(0, 2, 1)).sum(axis=0) for u in snaps]
 
     def tracked(snapshots):
         if rho0 is None:
@@ -275,18 +391,26 @@ def _converged_propagators(builder, schedule: Schedule, tol: float, sample_times
 
     goal = tol if rho0 is not None else 0.25 * tol
     h = schedule.duration * _BASE_STEP_FRACTION
-    prev_tracked = tracked(_integrate(h0, gens, schedule, boundaries, h))
-    for _ in range(_MAX_HALVINGS):
-        h *= 0.5
-        cur = _integrate(h0, gens, schedule, boundaries, h)
+    spent = 0
+    prev_tracked = None
+    while True:
+        counts = _step_counts(boundaries, h)
+        spent += sum(counts)
+        if spent > _MAX_STEPS:
+            raise ConvergenceError(f"step-doubling did not reach tolerance within {_MAX_STEPS} steps")
+        cur = propagators(counts)
         cur_tracked = tracked(cur)
-        err = max(
-            float(np.abs(a - b).max()) for a, b in zip(prev_tracked, cur_tracked)
-        )
-        if err <= goal:
-            return boundaries, cur
+        if prev_tracked is not None:
+            err = max(float(np.abs(a - b).max()) for a, b in zip(prev_tracked, cur_tracked))
+            if err <= goal:
+                break
         prev_tracked = cur_tracked
-    raise ConvergenceError("step-doubling did not reach tolerance (step-size underflow)")
+        h *= 0.5
+    u = cur[-1]
+    defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
+    if defect > _UNITARITY_ATOL:
+        raise NumericalCheckError(f"propagator is not unitary (defect {defect:.3e})")
+    return boundaries, cur
 
 
 def schedule_unitary(builder, schedule: Schedule, tol: float = 1e-8, sample_times=None):
@@ -318,8 +442,10 @@ def propagate(builder, schedule: Schedule, rho0: DensityMatrix, tol: float = 1e-
 
     def wrap(u):
         rho = u @ rho_mat @ u.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        return DensityMatrix.from_matrix(rho, check=True, atol=atol)
+        try:
+            return DensityMatrix.from_matrix(0.5 * (rho + rho.conj().T), check=True, atol=atol)
+        except ValueError as exc:
+            raise NumericalCheckError(f"evolved state failed its check: {exc}") from exc
 
     final = wrap(snapshots[-1])
     if sample_times is None:

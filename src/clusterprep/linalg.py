@@ -14,13 +14,17 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Spectrum", "ConvergenceError", "eigh", "expm_scaled", "lanczos_lowest", "DENSE_DIM_LIMIT"]
+__all__ = ["Spectrum", "ConvergenceError", "NumericalCheckError", "eigh", "expm_scaled", "lanczos_lowest", "DENSE_DIM_LIMIT"]
 
 DENSE_DIM_LIMIT = 1 << 12
 
 
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance."""
+
+
+class NumericalCheckError(ConvergenceError):
+    """A computed quantity failed a sanity check that exact numerics obey."""
 
 
 @dataclass(frozen=True)

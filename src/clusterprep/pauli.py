@@ -30,6 +30,7 @@ __all__ = [
     "multiply",
     "commutator_terms",
     "commutator_is_zero",
+    "conserved_checks",
     "to_dense",
     "string_matrix",
     "operator_matvec",
@@ -266,6 +267,70 @@ def commutator_is_zero(a: OperatorSum, b: OperatorSum) -> tuple[bool, float]:
     terms = commutator_terms(a, b)
     residual = float(sum(abs(c) for c, _ in terms))
     return residual == 0.0, residual
+
+
+def _gf2_null_space(rows: Iterable[int], width: int) -> list[int]:
+    """Basis of the GF(2) null space of bit-vector rows of ``width`` bits.
+
+    Rows are brought to reduced echelon form (each pivot bit set in its
+    own row only); one null vector per free bit, in ascending bit order.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        for bit, pivot_row in pivots.items():
+            if (row >> bit) & 1:
+                row ^= pivot_row
+        if not row:
+            continue
+        lead = row.bit_length() - 1
+        for bit, pivot_row in pivots.items():
+            if (pivot_row >> lead) & 1:
+                pivots[bit] = pivot_row ^ row
+        pivots[lead] = row
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = 1 << free
+        for bit, pivot_row in pivots.items():
+            if (pivot_row >> free) & 1:
+                vec |= 1 << bit
+        basis.append(vec)
+    return basis
+
+
+def conserved_checks(ops: Sequence[OperatorSum]) -> list[PauliString]:
+    """Independent, mutually commuting Pauli strings that commute with every term.
+
+    A string (a, b) commutes with a term (x, z) iff a.z + b.x = 0 mod 2,
+    so the strings commuting with all terms of ``ops`` are the GF(2)
+    null space of the terms' symplectic (z | x) rows.  A symplectic
+    Gram-Schmidt pass over that null space splits it into anticommuting
+    pairs and a center; the center plus one string of each pair is a
+    maximal commuting set.  Each returned string is conserved by any
+    real combination of ``ops``.
+    """
+    if not ops:
+        raise ValueError("need at least one operator")
+    n = ops[0].n_qubits
+    if any(op.n_qubits != n for op in ops):
+        raise ValueError("qubit count mismatch")
+    mask = (1 << n) - 1
+
+    def anticommute(u: int, w: int) -> int:
+        return ((u & mask & (w >> n)).bit_count() + ((u >> n) & w & mask).bit_count()) & 1
+
+    rows = {s.z | (s.x << n) for op in ops for _, s in op.terms}
+    rest = _gf2_null_space(sorted(rows), 2 * n)
+    kept = []
+    while rest:
+        v = rest.pop(0)
+        partner = next((i for i, w in enumerate(rest) if anticommute(v, w)), None)
+        if partner is not None:
+            w = rest.pop(partner)
+            rest = [u ^ (w if anticommute(u, v) else 0) ^ (v if anticommute(u, w) else 0) for u in rest]
+        kept.append(v)
+    return [PauliString(n, v & mask, v >> n) for v in kept]
 
 
 def _parity(values: np.ndarray) -> np.ndarray:

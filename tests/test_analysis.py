@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from clusterprep.analysis import (
     CLASS_LABELS,
@@ -10,7 +11,6 @@ from clusterprep.analysis import (
     NumericalCheckError,
     ThresholdBracketError,
     _rampdown_unitary,
-    _sector_labels,
     chain_sector_gap,
     error_tomography,
     ghz_fidelity,
@@ -49,6 +49,13 @@ def test_basis_is_orthonormal_and_labeled():
     reps = [rep for rep, _ in labels]
     assert reps == [rep for rep in CLASS_REPS for _ in (0, 1)]
     assert set(CLASS_LABELS) == set(CLASS_REPS)
+
+
+def test_tomography_basis_is_cached_and_read_only():
+    basis, labels = tomography_basis()
+    assert tomography_basis()[0] is basis
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 0.0
 
 
 def test_tomography_completeness_random_states():
@@ -137,13 +144,28 @@ def test_spectrum_scan_at_zero_coupling():
     assert sorted(sectors[:2]) == [-1, 1]
 
 
-def test_sector_labels_leave_the_spectrum_unchanged():
-    # at zero coupling every level sits in a degenerate block with mixed sectors
-    spec = eigh(to_dense(plaquette_hamiltonian(1.0, 0.0)))
-    before = spec.vectors.copy()
-    labels = _sector_labels(spec, to_dense(stabilizer_3d_local()))
-    assert np.sum(labels == 1) == 8 and np.sum(labels == -1) == 8
-    np.testing.assert_array_equal(spec.vectors, before)
+@pytest.mark.parametrize("lam", [0.005, 0.01])
+def test_sector_labels_follow_energy_order_near_zero_coupling(lam):
+    # the two lowest levels are split by less than 1e-8 here, the lower
+    # one in the + sector; each sector's levels must match scipy there
+    h = to_dense(plaquette_hamiltonian(1.0, lam))
+    reference = {}
+    for sector, projector in zip((1, -1), sector_projectors()):
+        cols = scipy.linalg.orth(projector)
+        reference[sector] = scipy.linalg.eigvalsh(cols.T @ h @ cols)
+    assert reference[1][0] < reference[-1][0]
+    table = spectrum_scan(1.0, [lam])
+    energies, sectors = table.energies[0], table.sectors[0]
+    assert sectors[0] == 1
+    for sector in (1, -1):
+        assert np.abs(energies[sectors == sector] - reference[sector]).max() <= 1e-12
+    assert abs(table.gap_sector[0] - (reference[1][1] - reference[1][0])) <= 1e-12
+
+
+def test_spectrum_of_a_check_breaking_static_part_is_rejected():
+    static = plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
+    with pytest.raises(ValueError, match="mixed check sector"):
+        spectrum_scan(1.0, [0.5], static=static)
 
 
 def test_spectrum_scan_gap_columns():

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from clusterprep import analysis, cli, pham
@@ -324,16 +325,41 @@ def test_phase_diagram_non_monotone_error_is_numerical_failure(monkeypatch):
     assert "numerical failure: error is not monotone" in err
 
 
-def test_module_entry_point_subprocess():
+def test_sweep_failed_state_check_is_numerical_failure(monkeypatch):
+    # a non-unitary propagator leaves a final state with trace 4
+    monkeypatch.setattr(analysis, "_rampdown_unitary", lambda *args: 2.0 * np.eye(16, dtype=complex))
+    code, out, err = run_cli("sweep", *SWEEP_ARGS, "--workers", "1")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: evolved state failed its check" in err
+
+
+def _package_env():
     # the child imports the same package tree as this process
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only oracle; the runtime depends on numpy alone
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, clusterprep.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "clusterprep.cli", "--version"],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=_package_env(),
     )
     assert proc.returncode == 0
     assert "clusterprep" in proc.stdout

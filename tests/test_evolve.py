@@ -10,8 +10,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
+from clusterprep import evolve
+from clusterprep.analysis import plaquette_hamiltonian
 from clusterprep.evolve import (
     PiecewiseLinear,
     Schedule,
@@ -20,9 +23,9 @@ from clusterprep.evolve import (
     schedule_unitary,
     sequential_switchoff,
 )
-from clusterprep.linalg import expm_scaled
-from clusterprep.models import build_plaquette_3d, stabilizer_3d_local
-from clusterprep.pauli import to_dense
+from clusterprep.linalg import ConvergenceError, NumericalCheckError, expm_scaled
+from clusterprep.models import build_plaquette_3d, plaquette_ring_term, stabilizer_3d_local
+from clusterprep.pauli import OperatorSum, PauliString, to_dense
 from clusterprep.thermal import DensityMatrix, gibbs_state
 
 
@@ -200,16 +203,16 @@ def test_propagator_commutes_with_check_sectors():
     assert np.abs(u @ w - w @ u).max() <= 1e-8
 
 
-def dop853_propagator(couplings, knots):
+def dop853_propagator(couplings, knots, model=plaquette_builder()):
     """U(t, 0) at each knot by DOP853, restarted at every knot.
 
     ``couplings(t)`` gives the four couplings; the Hamiltonian is rebuilt
-    from the model at every evaluation, independently of the integrator's
-    affine decomposition.
+    by ``model`` at every evaluation, independently of the integrator's
+    affine decomposition and sector blocks.
     """
 
     def rhs(t, y):
-        h = to_dense(build_plaquette_3d(1.0, couplings(t))[1])
+        h = to_dense(model(couplings(t)))
         return (-1j * (h @ y.reshape(16, 16))).ravel()
 
     u = np.eye(16, dtype=complex)
@@ -251,6 +254,80 @@ def test_non_affine_builder_is_rejected():
     squared = lambda lam: build_plaquette_3d(1.0, np.asarray(lam) ** 2)[1]
     with pytest.raises(ValueError, match="not affine"):
         schedule_unitary(squared, linear_rampdown(1.0, 1.0), tol=1e-6)
+
+
+def test_plaquette_builder_conserves_exactly_the_xxxx_check():
+    _, _, checks = evolve._probe_affine(plaquette_builder())
+    assert [c.letters for c in checks] == ["XXXX"]
+
+
+def test_check_breaking_static_part_runs_as_one_block_and_matches_dop853():
+    static = plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
+    builder = lambda lam: plaquette_hamiltonian(1.0, lam, static)
+    assert evolve._probe_affine(builder)[2] == []
+    ts = [0.0, 0.5, 1.0]
+    ref = dop853_propagator(lambda t: np.full(4, 2.0 * (1.0 - t)), ts, model=builder)
+    u_final, snaps = schedule_unitary(builder, linear_rampdown(2.0, 1.0), tol=1e-8, sample_times=ts)
+    for (_, u), u_ref in zip(snaps, ref):
+        assert np.abs(u - u_ref).max() <= 2.5e-9
+    assert np.abs(u_final - ref[-1]).max() <= 2.5e-9
+
+
+@pytest.mark.parametrize("norm", np.geomspace(1e-3, 4.0, 8))
+def test_taylor_exponential_matches_scipy_expm(norm):
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((6, 2, 8, 8)) + 1j * rng.standard_normal((6, 2, 8, 8))
+    k = a + a.conj().swapaxes(-1, -2)
+    # 1-norms spread over two decades below the largest, which is `norm`
+    k *= np.geomspace(1e-2, 1.0, 12).reshape(6, 2, 1, 1) / np.abs(k).sum(axis=-2).max(axis=-1)[..., None, None]
+    k *= norm
+    out = evolve._expm_taylor(-1j * k)
+    ref = np.array([scipy.linalg.expm(-1j * m) for m in k.reshape(-1, 8, 8)]).reshape(out.shape)
+    assert np.abs(out - ref).max() <= 1e-13
+    defect = np.abs(out.conj().swapaxes(-1, -2) @ out - np.eye(8)).max()
+    assert defect <= 1e-14
+
+
+def test_generators_that_leave_the_sectors_are_a_numerical_failure():
+    v = evolve._sector_basis([PauliString.from_label("XXXX")], 16)
+    mats = np.stack([to_dense(stabilizer_3d_local()), to_dense(OperatorSum(4, [(1.0, PauliString.from_label("ZIII"))]))])
+    with pytest.raises(NumericalCheckError, match="leak out of the check sectors"):
+        evolve._sector_blocks(mats.astype(complex), v, 2)
+    blocks = evolve._sector_blocks(mats[:1].astype(complex), v, 2)
+    assert blocks.shape == (1, 2, 8, 8)
+    np.testing.assert_allclose(blocks[0, 0], -np.eye(8), atol=1e-14)
+    np.testing.assert_allclose(blocks[0, 1], np.eye(8), atol=1e-14)
+
+
+def test_non_unitary_propagator_is_a_numerical_failure(monkeypatch):
+    integrate = evolve._integrate
+    monkeypatch.setattr(evolve, "_integrate", lambda *args: [1.001 * u for u in integrate(*args)])
+    with pytest.raises(NumericalCheckError, match="not unitary"):
+        schedule_unitary(plaquette_builder(), linear_rampdown(1.0, 1.0), tol=1e-6)
+
+
+def test_failed_state_check_in_propagate_is_a_numerical_failure(monkeypatch):
+    eye = np.eye(16, dtype=complex)
+    monkeypatch.setattr(evolve, "_converged_propagators", lambda *args, **kwargs: ([0.0, 1.0], [eye, 2.0 * eye]))
+    with pytest.raises(NumericalCheckError, match="failed its check"):
+        propagate(plaquette_builder(), linear_rampdown(1.0, 1.0), thermal_input(1.0, 0.5), tol=1e-8)
+
+
+def test_step_budget_stops_before_a_pass_would_exceed_it(monkeypatch):
+    budget = 1000
+    passes = []
+    integrate = evolve._integrate
+
+    def counted(h0, gens, schedule, boundaries, counts):
+        passes.append(sum(counts))
+        assert sum(passes) <= budget
+        return integrate(h0, gens, schedule, boundaries, counts)
+
+    monkeypatch.setattr(evolve, "_MAX_STEPS", budget)
+    monkeypatch.setattr(evolve, "_integrate", counted)
+    with pytest.raises(ConvergenceError, match="within 1000 steps"):
+        schedule_unitary(plaquette_builder(), linear_rampdown(2.5, 10.0), tol=1e-15)
+    assert passes == [64, 128, 256, 512]
 
 
 def test_long_tight_propagation_has_bounded_peak_memory():

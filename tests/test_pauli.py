@@ -15,6 +15,7 @@ from clusterprep.pauli import (
     commutator_is_zero,
     commutator_terms,
     commutes,
+    conserved_checks,
     multiply,
     operator_matvec,
     string_matrix,
@@ -253,3 +254,33 @@ def test_operator_matvec_rejects_wrong_length():
     op = OperatorSum(2, [(1.0, PauliString.from_label("ZZ"))])
     with pytest.raises(ValueError):
         operator_matvec(op)(np.zeros(3))
+
+
+# ------------------------------------------------------- conserved checks
+
+def test_conserved_checks_commute_with_every_term_and_each_other():
+    # the ZZ ring alone keeps XXXX and every even Z string: a maximal
+    # commuting set of the centralizer <XXXX, Z1, ..., Z4> has four members
+    ring = OperatorSum(4, [(-1.0, PauliString.from_label(l)) for l in ("ZZII", "IZZI", "IIZZ", "ZIIZ")])
+    checks = conserved_checks([ring])
+    assert len(checks) == 4
+    for c in checks:
+        assert all(commutes(c, s) for _, s in ring.terms)
+        assert all(commutes(c, other) for other in checks)
+    # independent over GF(2): no nonempty subset multiplies to the identity
+    for subset in range(1, 1 << len(checks)):
+        x = z = 0
+        for i, c in enumerate(checks):
+            if (subset >> i) & 1:
+                x, z = x ^ c.x, z ^ c.z
+        assert (x, z) != (0, 0)
+
+
+def test_conserved_checks_of_a_transverse_field_ring():
+    fields = OperatorSum(4, [(-0.7, PauliString.from_label(l)) for l in ("XIII", "IXII", "IIXI", "IIIX")])
+    ring = OperatorSum(4, [(-1.0, PauliString.from_label(l)) for l in ("ZZII", "IZZI", "IIZZ", "ZIIZ")])
+    assert [c.letters for c in conserved_checks([ring, fields])] == ["XXXX"]
+    broken = ring + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
+    assert conserved_checks([broken, fields]) == []
+    with pytest.raises(ValueError, match="qubit count"):
+        conserved_checks([ring, OperatorSum(2, [(1.0, PauliString.from_label("XX"))])])
