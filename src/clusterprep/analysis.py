@@ -253,6 +253,7 @@ def _labeled_plaquette_spectrum(
     basis, labels = tomography_basis()
     signs = np.array([sector for _, sector in labels])
     h = to_dense(plaquette_hamiltonian(J, lam, static))
+    # the basis entries are real (+-1/sqrt(2)), so real sector blocks suffice for a real H
     minus, plus = basis[:, signs == -1].real, basis[:, signs == 1].real
     leak = float(np.abs(plus.T @ h @ minus).max())
     if leak > 1e-12 * max(1.0, float(np.abs(h).max())):
