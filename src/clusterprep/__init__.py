@@ -8,9 +8,9 @@ matrix-product Taylor step exponentials), and the sector-resolved
 spectrum and error-channel analysis used to size temperature thresholds.
 """
 
-from .pauli import OperatorSum, PauliString, commutator_terms, commutes, multiply, to_dense
+from .pauli import OperatorSum, PauliString, commutator_terms, commutes, multiply, taper, to_dense
 from .pham import OperatorDocument, PhamError, parse, parse_document, serialize
-from .linalg import ConvergenceError, Spectrum, eigh, expm_scaled, lanczos_lowest
+from .linalg import ConvergenceError, Spectrum, eigh
 from .models import (
     ModelInstance,
     build_chain_1d,
@@ -57,6 +57,7 @@ __all__ = [
     "multiply",
     "commutes",
     "commutator_terms",
+    "taper",
     "to_dense",
     "PhamError",
     "OperatorDocument",
@@ -66,8 +67,6 @@ __all__ = [
     "ConvergenceError",
     "Spectrum",
     "eigh",
-    "expm_scaled",
-    "lanczos_lowest",
     "ModelInstance",
     "build_chain_1d",
     "build_lattice_2d",

@@ -28,11 +28,10 @@ from .models import (
     build_chain_1d,
     build_plaquette_3d,
     plaquette_field_term,
-    plaquette_ring_term,
     stabilizer_3d_local,
     stabilizers_1d,
 )
-from .pauli import OperatorSum, operator_matvec, to_dense
+from .pauli import OperatorSum, check_frame, taper, to_dense
 from .thermal import DensityMatrix, gibbs_state
 
 __all__ = [
@@ -239,33 +238,46 @@ def plaquette_hamiltonian(J: float, lam, static: Optional[OperatorSum] = None) -
     return static + plaquette_field_term(lam)
 
 
-def _labeled_plaquette_spectrum(
-    J: float, lam, static: Optional[OperatorSum] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending levels with their check-sector labels.
+def _check_frame_parts(J: float, static: Optional[OperatorSum]) -> np.ndarray:
+    """H0 and the four unit field parts as (5, 2, 8, 8) sector blocks, - sector first.
 
-    H is diagonalized separately on the + and - columns of the
-    tomography basis, and the two sector spectra are merged by energy,
-    the - sector first on exact ties.  A Hamiltonian with weight between
-    the sectors above rounding level (a ``static`` part that breaks the
-    check) raises ValueError.
+    Each part is taken symbolically into the frame where the XXXX check
+    is Z on the top spin (`pauli.check_frame`), so its dense matrix is
+    block diagonal, the + sector block in the upper left.  A ``static``
+    part that breaks the check raises ValueError.
     """
-    basis, labels = tomography_basis()
-    signs = np.array([sector for _, sector in labels])
-    h = to_dense(plaquette_hamiltonian(J, lam, static))
-    # the basis entries are real (+-1/sqrt(2)), so real sector blocks suffice for a real H
-    minus, plus = basis[:, signs == -1].real, basis[:, signs == 1].real
-    leak = float(np.abs(plus.T @ h @ minus).max())
-    if leak > 1e-12 * max(1.0, float(np.abs(h).max())):
-        raise ValueError(f"Hamiltonian has mixed check sector (off-block residual {leak:.3e})")
-    values = np.concatenate([np.linalg.eigvalsh(cols.T @ h @ cols) for cols in (minus, plus)])
-    order = np.argsort(values, kind="stable")
-    return values[order], np.repeat([-1, 1], 8)[order]
+    check = stabilizer_3d_local().terms[0][1]
+    h0 = plaquette_hamiltonian(J, 0.0, static)
+    try:
+        parts = [check_frame(h0, [check])]
+    except ValueError as exc:
+        raise ValueError(f"Hamiltonian has mixed check sector: {exc}") from exc
+    parts += [check_frame(plaquette_field_term(np.eye(4)[mu]), [check]) for mu in range(4)]
+    dense = np.stack([to_dense(p) for p in parts])
+    return np.stack([dense[:, 8:, 8:], dense[:, :8, :8]], axis=1)
 
 
-def _gaps(values: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    plus = values[labels == 1]
-    return float(values[1] - values[0]), float(plus[1] - plus[0])
+def _plaquette_spectra(
+    J: float, couplings: np.ndarray, static: Optional[OperatorSum]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Levels, sector labels and gaps at each row of per-spin couplings.
+
+    Both check sectors of every row are diagonalized in one batched
+    ``eigvalsh`` over (rows, 2, 8, 8) blocks, and each row's levels are
+    merged by energy, the - sector first on exact ties.
+    """
+    if np.any(couplings < 0) or not np.all(np.isfinite(couplings)):
+        raise ValueError("couplings must be finite and >= 0")
+    parts = _check_frame_parts(J, static)
+    h = np.repeat(parts[0][None], couplings.shape[0], axis=0)
+    for mu in range(4):
+        h += couplings[:, mu, None, None, None] * parts[1 + mu]
+    values = np.linalg.eigvalsh(h).reshape(couplings.shape[0], 16)
+    order = np.argsort(values, axis=1, kind="stable")
+    energies = np.take_along_axis(values, order, axis=1)
+    sectors = np.repeat([-1, 1], 8)[order]
+    plus = values[:, 8:]
+    return energies, sectors, energies[:, 1] - energies[:, 0], plus[:, 1] - plus[:, 0]
 
 
 def spectrum_scan(J: float, lambda_grid, static: Optional[OperatorSum] = None) -> SectorSpectrumTable:
@@ -273,18 +285,8 @@ def spectrum_scan(J: float, lambda_grid, static: Optional[OperatorSum] = None) -
     grid = np.asarray(list(lambda_grid), dtype=float)
     if grid.size == 0:
         raise ValueError("empty coupling grid")
-    if np.any(grid < 0) or not np.all(np.isfinite(grid)):
-        raise ValueError("couplings must be finite and >= 0")
-    energies = np.zeros((grid.size, 16))
-    sectors = np.zeros((grid.size, 16), dtype=int)
-    gap_g = np.zeros(grid.size)
-    gap_s = np.zeros(grid.size)
-    for i, lam in enumerate(grid):
-        values, labels = _labeled_plaquette_spectrum(J, float(lam), static)
-        energies[i] = values
-        sectors[i] = labels
-        gap_g[i], gap_s[i] = _gaps(values, labels)
-    return SectorSpectrumTable("lambda", grid, energies, sectors, gap_g, gap_s)
+    spectra = _plaquette_spectra(J, np.repeat(grid[:, None], 4, axis=1), static)
+    return SectorSpectrumTable("lambda", grid, *spectra)
 
 
 def spectrum_path(
@@ -298,16 +300,7 @@ def spectrum_path(
         raise ValueError("need at least two samples")
     ts = np.linspace(0.0, schedule.duration, samples)
     lams = schedule.coupling_matrix(ts)
-    energies = np.zeros((samples, 16))
-    sectors = np.zeros((samples, 16), dtype=int)
-    gap_g = np.zeros(samples)
-    gap_s = np.zeros(samples)
-    for i in range(samples):
-        values, labels = _labeled_plaquette_spectrum(J, lams[i], static)
-        energies[i] = values
-        sectors[i] = labels
-        gap_g[i], gap_s[i] = _gaps(values, labels)
-    return SectorSpectrumTable("time", ts, energies, sectors, gap_g, gap_s, couplings=lams)
+    return SectorSpectrumTable("time", ts, *_plaquette_spectra(J, lams, static), couplings=lams)
 
 
 @functools.lru_cache(maxsize=64)
@@ -407,26 +400,14 @@ def threshold_temperature(
 def chain_sector_gap(N: int, J: float, lam: float, n_levels: int = 2, seed: int = 7) -> np.ndarray:
     """Lowest levels of the 1D chain inside the all-checks +1 sector.
 
-    Projects a random block onto the joint +1 eigenspace of the N
-    conserved checks (dimension 2**N), restricts the Hamiltonian there,
-    and diagonalizes the restriction.  Matrix-free, so N = 6 (4096-dim)
-    stays cheap.
+    The chain is tapered exactly onto the joint +1 eigenspace of its N
+    conserved checks (`pauli.taper`), leaving an N-qubit operator that
+    is diagonalized densely; N above ``pauli.DENSE_QUBIT_LIMIT`` raises
+    ValueError.  ``n_levels`` must lie in 1..2**N.  ``seed`` has no
+    effect and is kept only so that callers passing it keep working.
     """
+    if not 1 <= n_levels <= 1 << N:
+        raise ValueError(f"n_levels must lie in 1..{1 << N}")
     inst, ham = build_chain_1d(N, J, lam)
-    stabs = stabilizers_1d(inst)
-    dim = 1 << inst.n_qubits
-    r = 1 << N
-    rng = np.random.default_rng(seed)
-    block = rng.standard_normal((dim, r + 10))
-    for stab in stabs:
-        mv = operator_matvec(stab)
-        block = 0.5 * (block + mv(block))
-    u, s, _ = np.linalg.svd(block, full_matrices=False)
-    rank = int(np.sum(s > 1e-8 * s[0]))
-    if rank != r:
-        raise linalg.ConvergenceError(f"projected basis rank {rank}, expected {r}")
-    basis = u[:, :r]
-    hmv = operator_matvec(ham)
-    h_small = basis.conj().T @ hmv(basis)
-    values = np.linalg.eigvalsh(0.5 * (h_small + h_small.conj().T))
-    return values[:n_levels]
+    checks = [stab.terms[0][1] for stab in stabilizers_1d(inst)]
+    return np.linalg.eigvalsh(to_dense(taper(ham, checks, [1] * N)))[:n_levels]

@@ -1,20 +1,18 @@
-"""Dense Hermitian eigensolvers, scaled exponentials, and matrix-free Lanczos.
+"""Dense Hermitian eigensolver and the package's numerical error types.
 
-The dense path wraps LAPACK (Householder reduction plus implicit-shift
+`eigh` wraps LAPACK (Householder reduction plus implicit-shift
 iteration) and post-processes eigenvectors into a reproducible gauge.
-The Lanczos path is written out here: full reorthogonalization against
-the running Krylov basis, deflation of converged vectors so degenerate
-multiplets are recovered, and seeded restarts on breakdown.
+Restrictions to conserved-check sectors are exact and symbolic
+(`pauli.taper`), so every solve here is dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-__all__ = ["Spectrum", "ConvergenceError", "NumericalCheckError", "eigh", "expm_scaled", "lanczos_lowest", "DENSE_DIM_LIMIT"]
+__all__ = ["Spectrum", "ConvergenceError", "NumericalCheckError", "eigh", "DENSE_DIM_LIMIT"]
 
 DENSE_DIM_LIMIT = 1 << 12
 
@@ -88,101 +86,3 @@ def eigh(h: np.ndarray, check: bool = True) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
     return Spectrum(values, _canonical_columns(vectors))
-
-
-def expm_scaled(h: np.ndarray, s: complex) -> np.ndarray:
-    """exp(s*h) for Hermitian h via its eigendecomposition.
-
-    Unitary for purely imaginary s, positive definite for real s.
-    """
-    spec = eigh(h)
-    weights = np.exp(s * spec.values)
-    return (spec.vectors * weights) @ spec.vectors.conj().T
-
-
-def _lanczos_single(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    rng: np.random.Generator,
-    deflate: list[np.ndarray],
-    tol: float,
-    max_iter: int,
-) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair orthogonal to the deflated vectors."""
-    subspace_dim = dim - len(deflate)
-    for _restart in range(6):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        for q in deflate:
-            v -= q * (q.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            continue
-        v /= norm
-        basis = [v]
-        alphas: list[float] = []
-        betas: list[float] = []
-        theta_prev = None
-        for it in range(min(max_iter, subspace_dim)):
-            w = matvec(basis[-1])
-            alpha = float(np.real(np.vdot(basis[-1], w)))
-            alphas.append(alpha)
-            w = w - alpha * basis[-1]
-            if betas:
-                w = w - betas[-1] * basis[-2]
-            # full reorthogonalization, twice, against deflated + Krylov
-            for _ in range(2):
-                for q in deflate:
-                    w -= q * (q.conj() @ w)
-                for q in basis:
-                    w -= q * (q.conj() @ w)
-            beta = float(np.linalg.norm(w))
-            t = np.diag(alphas)
-            if betas:
-                off = np.array(betas)
-                t = t + np.diag(off, 1) + np.diag(off, -1)
-            theta, svecs = np.linalg.eigh(t)
-            scale = max(1.0, float(np.abs(theta).max()))
-            resid = beta * abs(svecs[-1, 0])
-            exhausted = len(basis) >= subspace_dim
-            if resid <= tol * scale or (beta <= 1e-13 * scale and theta_prev is not None) or exhausted:
-                ritz = np.zeros(dim, dtype=complex)
-                for coeff, q in zip(svecs[:, 0], basis):
-                    ritz += coeff * q
-                ritz /= np.linalg.norm(ritz)
-                return float(theta[0]), ritz
-            if beta <= 1e-13 * scale:
-                break  # breakdown before anything converged: restart
-            theta_prev = theta[0]
-            basis.append(w / beta)
-            betas.append(beta)
-        else:
-            raise ConvergenceError("Lanczos did not converge within iteration budget")
-    raise ConvergenceError("Lanczos restarted repeatedly without progress")
-
-
-def lanczos_lowest(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    k: int,
-    seed: int,
-    tol: float = 1e-11,
-    max_iter: int = 600,
-) -> np.ndarray:
-    """Lowest k eigenvalues of a Hermitian operator given only its action.
-
-    Degenerate multiplets are recovered by deflating each converged Ritz
-    vector and rerunning on the orthogonal complement, so e.g. a doubly
-    degenerate ground level is reported twice.  Deterministic for a fixed
-    seed.
-    """
-    if not 1 <= k <= dim:
-        raise ValueError("need 1 <= k <= dim")
-    rng = np.random.default_rng(seed)
-    found: list[float] = []
-    vectors: list[np.ndarray] = []
-    for _ in range(k):
-        value, vector = _lanczos_single(matvec, dim, rng, vectors, tol, max_iter)
-        found.append(value)
-        vectors.append(vector)
-    order = np.argsort(found, kind="stable")
-    return np.array([found[i] for i in order])

@@ -15,12 +15,21 @@ cancellations in commutators are exact rather than approximate.
 Basis-state indexing is little-endian: basis state ``|b>`` has qubit q
 in ``|1>`` iff bit q of ``b`` is set, and ``|0>`` is the +1 eigenstate
 of Z.
+
+Conserved checks are found and fixed with the same GF(2) algebra:
+`conserved_checks` finds them from an operator's terms, `check_frame`
+rewrites an operator in a Clifford frame where each check is a
+single-qubit Z, and `taper` fixes those qubits to given signs, which
+restricts the operator to a check sector exactly, on fewer qubits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+import functools
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -31,9 +40,9 @@ __all__ = [
     "commutator_terms",
     "commutator_is_zero",
     "conserved_checks",
+    "check_frame",
+    "taper",
     "to_dense",
-    "string_matrix",
-    "operator_matvec",
     "COEFF_CUTOFF",
     "DENSE_QUBIT_LIMIT",
 ]
@@ -299,6 +308,37 @@ def _gf2_null_space(rows: Iterable[int], width: int) -> list[int]:
     return basis
 
 
+def _anticommute(u: int, w: int, n: int) -> int:
+    """Symplectic product of two strings encoded as ``x | z << n``."""
+    mask = (1 << n) - 1
+    return ((u & mask & (w >> n)).bit_count() + ((u >> n) & w & mask).bit_count()) & 1
+
+
+def _symplectic_pairs(vectors: Sequence[int], n: int) -> list[tuple[int, Optional[int]]]:
+    """Symplectic Gram-Schmidt pass over strings encoded as ``x | z << n``.
+
+    Vectors are taken in order; each either finds an anticommuting
+    partner among the rest (the pair is split off and the rest made to
+    commute with both) or commutes with all of them (a center vector).
+    Returns ``(vector, partner or None)`` in that order.
+    """
+    rest = list(vectors)
+    out = []
+    while rest:
+        v = rest.pop(0)
+        partner = next((i for i, w in enumerate(rest) if _anticommute(v, w, n)), None)
+        w = None
+        if partner is not None:
+            w = rest.pop(partner)
+            rest = [u ^ (w if _anticommute(u, v, n) else 0) ^ (v if _anticommute(u, w, n) else 0) for u in rest]
+        out.append((v, w))
+    return out
+
+
+def _string(v: int, n: int) -> PauliString:
+    return PauliString(n, v & ((1 << n) - 1), v >> n)
+
+
 def conserved_checks(ops: Sequence[OperatorSum]) -> list[PauliString]:
     """Independent, mutually commuting Pauli strings that commute with every term.
 
@@ -315,39 +355,104 @@ def conserved_checks(ops: Sequence[OperatorSum]) -> list[PauliString]:
     n = ops[0].n_qubits
     if any(op.n_qubits != n for op in ops):
         raise ValueError("qubit count mismatch")
-    mask = (1 << n) - 1
-
-    def anticommute(u: int, w: int) -> int:
-        return ((u & mask & (w >> n)).bit_count() + ((u >> n) & w & mask).bit_count()) & 1
-
     rows = {s.z | (s.x << n) for op in ops for _, s in op.terms}
-    rest = _gf2_null_space(sorted(rows), 2 * n)
-    kept = []
-    while rest:
-        v = rest.pop(0)
-        partner = next((i for i, w in enumerate(rest) if anticommute(v, w)), None)
-        if partner is not None:
-            w = rest.pop(partner)
-            rest = [u ^ (w if anticommute(u, v) else 0) ^ (v if anticommute(u, w) else 0) for u in rest]
-        kept.append(v)
-    return [PauliString(n, v & mask, v >> n) for v in kept]
+    return [_string(v, n) for v, _ in _symplectic_pairs(_gf2_null_space(sorted(rows), 2 * n), n)]
+
+
+def _product(strings: Iterable[PauliString], n: int) -> PauliString:
+    """Exact ordered product, the identity for no strings."""
+    return functools.reduce(multiply, strings, PauliString(n))
+
+
+def check_frame(op: OperatorSum, checks: Sequence[PauliString]) -> OperatorSum:
+    """``op`` in a Clifford frame where check j acts as Z on qubit n - k + j.
+
+    The k checks must be independent, mutually commuting and phase-free,
+    and every term of ``op`` must commute with all of them (ValueError
+    otherwise).  A symplectic Gram-Schmidt pass over the checks'
+    centralizer gives logical pairs (Xbar_l, Zbar_l), which map to
+    (X_l, Z_l) on the low n - k qubits.  Each term is factored exactly
+    as i^m (product of checks) Xbar^b Zbar^c and maps to i^m Z^a X^b
+    Z^c, so the map is conjugation by a Clifford and involves no
+    rounding.  The image's dense matrix is block diagonal: the block at
+    offset 2^(n-k) * a belongs to the sign pattern where check j has
+    eigenvalue (-1)^(bit j of a) (Bravyi, Gambetta, Mezzacapo & Temme,
+    arXiv:1701.08213).
+    """
+    n, k = op.n_qubits, len(checks)
+    if any(c.n_qubits != n for c in checks):
+        raise ValueError("qubit count mismatch")
+    if any(c.phase for c in checks):
+        raise ValueError("checks must be phase-free")
+    for c1, c2 in itertools.combinations(checks, 2):
+        if not commutes(c1, c2):
+            raise ValueError(f"checks {c1.letters} and {c2.letters} anticommute")
+    # reduced echelon form of the checks; each row carries the mask of checks it combines
+    pivots: dict[int, tuple[int, int]] = {}
+    for j, check in enumerate(checks):
+        v, combo = check.x | (check.z << n), 1 << j
+        for bit, (row, used) in pivots.items():
+            if (v >> bit) & 1:
+                v, combo = v ^ row, combo ^ used
+        if not v:
+            raise ValueError(f"check {checks[j].letters} depends on the others")
+        lead = v.bit_length() - 1
+        for bit, (row, used) in pivots.items():
+            if (row >> lead) & 1:
+                pivots[bit] = (row ^ v, used ^ combo)
+        pivots[lead] = (v, combo)
+    centralizer = _gf2_null_space([c.z | (c.x << n) for c in checks], 2 * n)
+    logicals = [(_string(v, n), _string(w, n)) for v, w in _symplectic_pairs(centralizer, n) if w is not None]
+    low = n - k
+    terms = []
+    for coeff, s in op.terms:
+        broken = next((c for c in checks if not commutes(s, c)), None)
+        if broken is not None:
+            raise ValueError(f"term {s.letters} does not commute with check {broken.letters}")
+        b = sum(1 << l for l, (_, zbar) in enumerate(logicals) if not commutes(s, zbar))
+        c = sum(1 << l for l, (xbar, _) in enumerate(logicals) if not commutes(s, xbar))
+        logical = _product(
+            [xbar for l, (xbar, _) in enumerate(logicals) if (b >> l) & 1]
+            + [zbar for l, (_, zbar) in enumerate(logicals) if (c >> l) & 1],
+            n,
+        )
+        rest = (s.x ^ logical.x) | ((s.z ^ logical.z) << n)
+        a = 0
+        for bit, (row, used) in pivots.items():
+            if (rest >> bit) & 1:
+                rest, a = rest ^ row, a ^ used
+        # s = i^-q (checks in a) * logical, with q the phase of that product
+        q = multiply(_product([checks[j] for j in range(k) if (a >> j) & 1], n), logical).phase
+        image = _product([PauliString(n, 0, a << low), PauliString(n, b), PauliString(n, 0, c)], n)
+        terms.append((coeff, PauliString(n, image.x, image.z, image.phase - q)))
+    return OperatorSum(n, terms)
+
+
+def taper(op: OperatorSum, checks: Sequence[PauliString], signs: Sequence[int]) -> OperatorSum:
+    """``op`` restricted to the joint eigenspace where check j has eigenvalue signs[j].
+
+    Exact and symbolic: `check_frame` turns each check into a Z on one
+    of the top k qubits, which are then fixed to their signs.  The
+    result acts on n - k qubits and has the spectrum of ``op`` in that
+    sector.
+    """
+    k = len(checks)
+    if len(signs) != k or any(sign not in (1, -1) for sign in signs):
+        raise ValueError("need one sign, +1 or -1, per check")
+    low = op.n_qubits - k
+    if low < 1:
+        raise ValueError("the checks leave no qubit to taper to")
+    terms = []
+    for coeff, s in check_frame(op, checks).terms:
+        a = s.z >> low
+        sign = math.prod(signs[j] for j in range(k) if (a >> j) & 1)
+        terms.append((sign * coeff, PauliString(low, s.x, s.z & ((1 << low) - 1))))
+    return OperatorSum(low, terms)
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
     """Bit-parity (popcount mod 2) of each entry of an integer array."""
     return np.bitwise_count(values).astype(np.int64) & 1
-
-
-def string_matrix(p: PauliString) -> np.ndarray:
-    """Dense complex matrix of a single Pauli string, phase included."""
-    dim = 1 << p.n_qubits
-    cols = np.arange(dim, dtype=np.int64)
-    rows = cols ^ p.x
-    vals = p.phase_value() * (1j) ** ((p.x & p.z).bit_count())
-    signs = 1.0 - 2.0 * _parity(cols & p.z)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, cols] = vals * signs
-    return mat
 
 
 def to_dense(op: OperatorSum, max_qubits: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
@@ -374,38 +479,3 @@ def to_dense(op: OperatorSum, max_qubits: int = DENSE_QUBIT_LIMIT) -> np.ndarray
         signs = 1.0 - 2.0 * _parity(cols & s.z)
         mat[rows, cols] += factor * signs
     return mat
-
-
-def operator_matvec(op: OperatorSum) -> Callable[[np.ndarray], np.ndarray]:
-    """Matrix-free application of an operator sum to state vectors.
-
-    The returned callable accepts a vector of length 2**n (or a matrix of
-    column vectors) and applies the operator without densifying it.
-    """
-    dim = 1 << op.n_qubits
-    cols = np.arange(dim, dtype=np.int64)
-    prepared = []
-    real = True
-    for coeff, s in op.terms:
-        rows = cols ^ s.x
-        factor = coeff * (1j) ** ((s.x & s.z).bit_count())
-        if factor.imag != 0.0:
-            real = False
-        vals = factor * (1.0 - 2.0 * _parity(cols & s.z))
-        prepared.append((rows, vals))
-    if real:
-        prepared = [(rows, vals.real) for rows, vals in prepared]
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if v.shape[0] != dim:
-            raise ValueError("vector length does not match qubit count")
-        out = np.zeros(v.shape, dtype=np.result_type(v.dtype, prepared[0][1].dtype if prepared else float))
-        for rows, vals in prepared:
-            if v.ndim == 1:
-                out[rows] += vals * v
-            else:
-                out[rows] += vals[:, None] * v
-        return out
-
-    return matvec

@@ -1,8 +1,12 @@
 """Error-channel tomography, sector-labeled spectra, and thresholds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from clusterprep.analysis import (
     CLASS_LABELS,
@@ -25,9 +29,9 @@ from clusterprep.analysis import (
     tomography_basis,
     total_phase_flip_error,
 )
-from clusterprep.evolve import linear_rampdown, sequential_switchoff
+from clusterprep.evolve import PiecewiseLinear, Schedule, linear_rampdown, sequential_switchoff
 from clusterprep.linalg import ConvergenceError, eigh
-from clusterprep.models import build_chain_1d, plaquette_ring_term, stabilizer_3d_local
+from clusterprep.models import build_chain_1d, plaquette_ring_term, stabilizer_3d_local, stabilizers_1d
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
 from clusterprep.thermal import DensityMatrix
 
@@ -198,6 +202,24 @@ def test_spectrum_path_endpoints_match_scan():
     assert np.abs(table.energies[-1] - scan.energies[1]).max() == 0.0
 
 
+def test_spectrum_path_rows_match_scipy_per_sector():
+    # four couplings that differ at every sample time
+    ends = ((2.0, 0.0), (1.5, 0.3), (0.4, 1.2), (0.0, 0.9))
+    sched = Schedule(1.0, tuple(
+        (f"lambda{mu + 1}", PiecewiseLinear((0.0, 1.0), ends[mu])) for mu in range(4)
+    ))
+    table = spectrum_path(sched, samples=7)
+    projectors = dict(zip((1, -1), sector_projectors()))
+    for lams, energies, sectors in zip(table.couplings, table.energies, table.sectors):
+        assert len(set(lams.tolist())) == 4
+        h = to_dense(plaquette_hamiltonian(1.0, lams))
+        for sector, projector in projectors.items():
+            cols = scipy.linalg.orth(projector)
+            reference = scipy.linalg.eigvalsh(cols.T @ h @ cols)
+            assert np.abs(energies[sectors == sector] - reference).max() <= 1e-12
+    assert np.all(np.diff(table.energies, axis=1) >= 0)
+
+
 def test_staged_switchoff_keeps_sector_gap_open():
     for order, expected in (((1, 2, 3, 4), 2.387873), ((1, 3, 2, 4), 1.656854)):
         sched = sequential_switchoff(2.0, 1.0, order)
@@ -332,6 +354,66 @@ def test_chain_sector_gap_trend():
         gaps.append(float(lo[1] - lo[0]))
     np.testing.assert_allclose(gaps, [1.629778, 1.622828], atol=1e-5)
     assert gaps[1] < gaps[0]
+
+
+_SPARSE_LETTERS = {
+    "I": scipy.sparse.identity(2, format="csr"),
+    "X": scipy.sparse.csr_matrix([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": scipy.sparse.csr_matrix([[0.0, -1.0j], [1.0j, 0.0]]),
+    "Z": scipy.sparse.csr_matrix([[1.0, 0.0], [0.0, -1.0]]),
+}
+
+
+def sparse_matrix(op: OperatorSum):
+    """Sparse Kronecker-product oracle, qubit 0 on the least significant bit."""
+    total = None
+    for coeff, s in op.terms:
+        mat = scipy.sparse.identity(1, format="csr")
+        for letter in s.letters:
+            mat = scipy.sparse.kron(_SPARSE_LETTERS[letter], mat, format="csr")
+        total = coeff * mat if total is None else total + coeff * mat
+    return total
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_chain_sector_gap_matches_penalized_eigsh(N):
+    # H + c sum_j (1 - S_j)/2 shifts each violated check by c, above the
+    # spectral width of H, so its lowest levels are the +1-sector ones
+    lam = 0.2
+    inst, ham = build_chain_1d(N, 1.0, lam)
+    h = sparse_matrix(ham)
+    eye = scipy.sparse.identity(h.shape[0], format="csr")
+    penalty = 2.0 * (N + 2 * N * lam) + 1.0
+    pen = h + penalty * sum(0.5 * (eye - sparse_matrix(stab)) for stab in stabilizers_1d(inst))
+    # two spare Lanczos levels: a degenerate pair at the edge of the window can lose a member
+    values = scipy.sparse.linalg.eigsh(pen, k=4, which="SA", tol=1e-13, return_eigenvectors=False)
+    reference = np.sort(values.real)[:2]
+    assert np.abs(chain_sector_gap(N, 1.0, lam) - reference).max() <= 1e-9
+
+
+def test_chain_sector_gap_seed_has_no_effect():
+    a = chain_sector_gap(5, 1.0, 0.3, n_levels=8, seed=1)
+    b = chain_sector_gap(5, 1.0, 0.3, n_levels=8, seed=2)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_chain_sector_gap_level_count_validation():
+    assert chain_sector_gap(3, 1.0, 0.1, n_levels=8).shape == (8,)
+    for bad in (0, 9):
+        with pytest.raises(ValueError, match="n_levels"):
+            chain_sector_gap(3, 1.0, 0.1, n_levels=bad)
+
+
+def test_chain_sector_gap_refuses_beyond_the_dense_limit():
+    # 13 tapered qubits: refused before any 2^13 x 2^13 matrix exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds limit"):
+            chain_sector_gap(13, 1.0, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_report_is_frozen():

@@ -161,6 +161,15 @@ def test_spectrum_static_replacement_matches_builtin(tmp_path):
     assert base.splitlines()[1:] == swapped.splitlines()[1:]
 
 
+def test_spectrum_of_a_check_breaking_operator_file_is_usage_error(tmp_path):
+    broken = tmp_path / "broken.pham"
+    extra = OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
+    broken.write_text(pham.serialize(plaquette_ring_term(1.0) + extra))
+    code, out, err = run_cli("spectrum", "--lambda-grid", "0:1:3", "--hamiltonian", str(broken))
+    assert code == 2 and out == ""
+    assert "mixed check sector" in err
+
+
 # ------------------------------------------------------------------ evolve
 
 EVOLVE_ARGS = ("--T", "0.5", "--lambda0", "1.0", "--tau", "0.5", "--tol", "1e-6", "--samples", "3")

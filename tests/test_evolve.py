@@ -23,10 +23,11 @@ from clusterprep.evolve import (
     schedule_unitary,
     sequential_switchoff,
 )
-from clusterprep.linalg import ConvergenceError, NumericalCheckError, expm_scaled
+from clusterprep.linalg import ConvergenceError, NumericalCheckError
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term, stabilizer_3d_local
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
 from clusterprep.thermal import DensityMatrix, gibbs_state
+from oracles import expm_scaled
 
 
 def plaquette_builder(J=1.0):

@@ -1,12 +1,11 @@
-"""Eigensolver, exponential, and Lanczos tests against independent oracles."""
+"""Eigensolver tests against independent oracles, and checks of the exponential oracle."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from clusterprep.linalg import ConvergenceError, Spectrum, eigh, expm_scaled, lanczos_lowest
-from clusterprep.models import build_chain_1d, plaquette_ring_term
-from clusterprep.pauli import OperatorSum, PauliString, operator_matvec, to_dense
+from clusterprep.linalg import ConvergenceError, Spectrum, eigh
+from oracles import expm_scaled
 
 
 def random_hermitian(rng, dim: int, complex_entries: bool = True) -> np.ndarray:
@@ -85,62 +84,6 @@ def test_expm_scaled_unitary_for_imaginary_argument():
     h = random_hermitian(rng, 16)
     u = expm_scaled(h, -0.37j)
     assert np.abs(u @ u.conj().T - np.eye(16)).max() <= 1e-10
-
-
-def test_lanczos_single_qubit():
-    op = OperatorSum(1, [(1.0, PauliString.from_label("Z"))])
-    values = lanczos_lowest(operator_matvec(op), 2, k=1, seed=0)
-    np.testing.assert_allclose(values, [-1.0], atol=1e-10)
-
-
-def test_lanczos_recovers_degenerate_ground_pair():
-    # the four-spin ZZ ring has a doubly degenerate ground level at -4J
-    ring = plaquette_ring_term(1.0)
-    values = lanczos_lowest(operator_matvec(ring), 16, k=2, seed=1)
-    np.testing.assert_allclose(values, [-4.0, -4.0], atol=1e-9)
-
-
-def test_lanczos_matches_dense_on_chain():
-    _, ham = build_chain_1d(5, 1.0, 0.3)
-    dim = 1 << 10
-    values = lanczos_lowest(operator_matvec(ham), dim, k=2, seed=2)
-    dense = np.linalg.eigvalsh(to_dense(ham))
-    np.testing.assert_allclose(values, dense[:2], atol=1e-8)
-
-
-def test_lanczos_random_operators_match_dense():
-    rng = np.random.default_rng(77)
-    mask = (1 << 5) - 1
-    for _ in range(50):
-        terms = []
-        for _ in range(6):
-            x = int(rng.integers(0, mask + 1))
-            z = int(rng.integers(0, mask + 1))
-            if x or z:
-                terms.append((float(rng.normal()), PauliString(5, x, z)))
-        op = OperatorSum(5, terms)
-        if op.n_terms == 0:
-            continue
-        values = lanczos_lowest(operator_matvec(op), 32, k=3, seed=int(rng.integers(1 << 30)))
-        dense = np.linalg.eigvalsh(to_dense(op))
-        assert np.abs(values - dense[:3]).max() <= 1e-8
-
-
-def test_lanczos_k_validation():
-    op = OperatorSum(1, [(1.0, PauliString.from_label("Z"))])
-    mv = operator_matvec(op)
-    with pytest.raises(ValueError):
-        lanczos_lowest(mv, 2, k=0, seed=0)
-    with pytest.raises(ValueError):
-        lanczos_lowest(mv, 2, k=3, seed=0)
-
-
-def test_lanczos_deterministic_for_fixed_seed():
-    _, ham = build_chain_1d(3, 1.0, 0.2)
-    mv = operator_matvec(ham)
-    a = lanczos_lowest(mv, 64, k=2, seed=9)
-    b = lanczos_lowest(mv, 64, k=2, seed=9)
-    np.testing.assert_array_equal(a, b)
 
 
 def test_convergence_error_is_runtime_error():

@@ -7,18 +7,26 @@ here are equalities, not tolerances.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from clusterprep.models import (
+    build_chain_1d,
+    build_lattice_2d,
+    build_plaquette_3d,
+    stabilizer_3d_local,
+    stabilizers_1d,
+)
 from clusterprep.pauli import (
     COEFF_CUTOFF,
     OperatorSum,
     PauliString,
+    check_frame,
     commutator_is_zero,
     commutator_terms,
     commutes,
     conserved_checks,
     multiply,
-    operator_matvec,
-    string_matrix,
+    taper,
     to_dense,
 )
 
@@ -35,6 +43,16 @@ def kron_matrix(label: str) -> np.ndarray:
     for letter in label:  # qubit 0 leftmost in the label
         out = np.kron(_ONE_QUBIT[letter], out)
     return out
+
+
+def string_matrix(p: PauliString) -> np.ndarray:
+    """Dense matrix of one Pauli string, phase included, from its bit masks."""
+    dim = 1 << p.n_qubits
+    cols = np.arange(dim, dtype=np.int64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(cols & p.z) & 1)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[cols ^ p.x, cols] = p.phase_value() * (1j) ** ((p.x & p.z).bit_count()) * signs
+    return mat
 
 
 def random_string(rng, n: int) -> PauliString:
@@ -237,25 +255,6 @@ def test_to_dense_qubit_limit():
     to_dense(op, max_qubits=13)  # explicit override is allowed
 
 
-def test_operator_matvec_matches_dense(seed=7):
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        op = OperatorSum(n, [(float(rng.normal()), random_string(rng, n)) for _ in range(6)])
-        mv = operator_matvec(op)
-        dense = to_dense(op)
-        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        np.testing.assert_allclose(mv(v), dense @ v, atol=1e-12)
-        block = rng.standard_normal((1 << n, 3))
-        np.testing.assert_allclose(mv(block), dense @ block, atol=1e-12)
-
-
-def test_operator_matvec_rejects_wrong_length():
-    op = OperatorSum(2, [(1.0, PauliString.from_label("ZZ"))])
-    with pytest.raises(ValueError):
-        operator_matvec(op)(np.zeros(3))
-
-
 # ------------------------------------------------------- conserved checks
 
 def test_conserved_checks_commute_with_every_term_and_each_other():
@@ -284,3 +283,85 @@ def test_conserved_checks_of_a_transverse_field_ring():
     assert conserved_checks([broken, fields]) == []
     with pytest.raises(ValueError, match="qubit count"):
         conserved_checks([ring, OperatorSum(2, [(1.0, PauliString.from_label("XX"))])])
+
+
+# ------------------------------------------------------------- tapering
+
+def kron_dense(op: OperatorSum) -> np.ndarray:
+    return sum(c * kron_matrix(s.letters) for c, s in op.terms)
+
+
+def projected_levels(op: OperatorSum, checks, signs) -> np.ndarray:
+    """Levels of op on an orthonormal basis of the checks' joint eigenspace."""
+    h = kron_dense(op)
+    projector = np.eye(h.shape[0])
+    for check, sign in zip(checks, signs):
+        projector = projector @ (0.5 * (np.eye(h.shape[0]) + sign * kron_matrix(check.letters)))
+    cols = scipy.linalg.orth(projector)
+    return scipy.linalg.eigvalsh(cols.conj().T @ h @ cols)
+
+
+def chain_checks(N: int, lam: float):
+    inst, ham = build_chain_1d(N, 1.0, lam)
+    return ham, [stab.terms[0][1] for stab in stabilizers_1d(inst)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["chain3", "chain4", "plaquette+", "plaquette-"],
+)
+def test_taper_matches_projected_oracle(case):
+    if case.startswith("chain"):
+        N = int(case[-1])
+        op, checks = chain_checks(N, 0.3)
+        signs = [1] * N
+    else:
+        op = build_plaquette_3d(1.0, [0.3, 0.7, 1.1, 0.2])[1]
+        checks = [stabilizer_3d_local().terms[0][1]]
+        signs = [1 if case.endswith("+") else -1]
+    tapered = taper(op, checks, signs)
+    assert tapered.n_qubits == op.n_qubits - len(checks)
+    scale = sum(abs(c) for c, _ in op.terms)
+    reference = projected_levels(op, checks, signs)
+    assert np.abs(np.linalg.eigvalsh(to_dense(tapered)) - reference).max() <= 1e-12 * scale
+
+
+def test_check_frame_turns_each_check_into_a_top_z():
+    op, checks = chain_checks(4, 0.3)
+    n, k = op.n_qubits, len(checks)
+    for j, check in enumerate(checks):
+        image = check_frame(OperatorSum(n, [(1.0, check)]), checks)
+        assert image.terms == ((1.0, PauliString(n, 0, 1 << (n - k + j))),)
+    # conjugation by a Clifford: the full spectrum is unchanged
+    frame = check_frame(op, checks)
+    np.testing.assert_allclose(
+        np.linalg.eigvalsh(to_dense(frame)), np.linalg.eigvalsh(to_dense(op)), atol=1e-12
+    )
+
+
+def test_torus_tapers_symbolically_to_twelve_qubits():
+    _, ham, stabs = build_lattice_2d(2, 2, 1.0, 0.5)
+    checks = [stab.terms[0][1] for stab in stabs]
+    tapered = taper(ham, checks, [1] * 4)
+    assert ham.n_qubits == 16 and tapered.n_qubits == 12
+    # every term survives: distinct strings have distinct logical parts here
+    assert tapered.n_terms == ham.n_terms
+
+
+def test_taper_rejects_dependent_and_anticommuting_checks():
+    ring = OperatorSum(4, [(-1.0, PauliString.from_label(l)) for l in ("ZZII", "IZZI", "IIZZ", "ZIIZ")])
+    zz = [PauliString.from_label(l) for l in ("ZZII", "IZZI", "ZIZI")]
+    with pytest.raises(ValueError, match="depends on the others"):
+        taper(ring, zz, [1, 1, 1])
+    with pytest.raises(ValueError, match="anticommute"):
+        taper(ring, [PauliString.from_label("XXXX"), PauliString.from_label("ZIII")], [1, 1])
+    with pytest.raises(ValueError, match="phase-free"):
+        taper(ring, [PauliString.from_label("ZZII", phase=2)], [1])
+    with pytest.raises(ValueError, match="one sign"):
+        taper(ring, [PauliString.from_label("ZZII")], [1, 1])
+
+
+def test_taper_rejects_a_term_that_breaks_a_check():
+    broken = build_plaquette_3d(1.0, 0.5)[1] + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
+    with pytest.raises(ValueError, match="ZIII does not commute with check XXXX"):
+        taper(broken, [PauliString.from_label("XXXX")], [1])
