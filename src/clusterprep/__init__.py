@@ -2,7 +2,7 @@
 
 Pauli-string operator algebra, the frustration-free chain / torus /
 plaquette model builders with their conserved checks, thermal input
-states, unitary schedule evolution by a step-doubled fourth-order Magnus
+states, unitary schedule evolution by a step-doubled sixth-order Magnus
 integrator (run in the sector blocks of the conserved checks, with
 matrix-product Taylor step exponentials), and the sector-resolved
 spectrum and error-channel analysis used to size temperature thresholds.
@@ -10,7 +10,7 @@ spectrum and error-channel analysis used to size temperature thresholds.
 
 from .pauli import OperatorSum, PauliString, commutator_terms, commutes, multiply, taper, to_dense
 from .pham import OperatorDocument, PhamError, parse, parse_document, serialize
-from .linalg import ConvergenceError, Spectrum, eigh
+from .linalg import ConvergenceError, NumericalCheckError, Spectrum, eigh
 from .models import (
     ModelInstance,
     build_chain_1d,
@@ -65,6 +65,7 @@ __all__ = [
     "parse_document",
     "serialize",
     "ConvergenceError",
+    "NumericalCheckError",
     "Spectrum",
     "eigh",
     "ModelInstance",

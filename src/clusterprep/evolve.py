@@ -3,27 +3,28 @@
 Schedules are piecewise-linear coupling trajectories.  The Hamiltonian
 is affine in the four couplings, H(lam) = H0 + sum_mu lam_mu H_mu; the
 builder callback is decomposed once into that form (and rejected if it
-is not affine), after which every Magnus term is a linear combination of
-H0, the H_mu and their commutators, fixed for the whole run.
+is not affine).
 
 The builder's conserved Pauli checks are found symbolically from its
-terms (`pauli.conserved_checks`), and H0 and the Magnus generators are
-rotated once into the joint eigenbasis of those checks.  With k checks
-the propagator is integrated as 2^k sector blocks of size dim / 2^k on
-one batch axis (one full block when there are none); a generator with
-weight outside the blocks is a numerical failure.
+terms (`pauli.conserved_checks`), and H0 and the H_mu are rotated once
+into the joint eigenbasis of those checks.  With k checks the
+propagator is integrated as 2^k sector blocks of size dim / 2^k on one
+batch axis (one full block when there are none); a part with weight
+outside the blocks is a numerical failure.
 
-Propagation uses the fourth-order Gauss-Legendre Magnus integrator
-(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470
-(2009), arXiv:0810.5488), applied to the whole propagator so the
-spectral weights of the initial mixture ride along unchanged.  Each
-step exponential is a truncated Taylor series with scaling and
-squaring, evaluated with matrix products only (Paterson-Stockmeyer),
-with degree and squarings chosen per batch so the truncation error is
-below unit roundoff (after Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
-31 (2009)).  Steps are processed in batches of bounded size and
-multiplied in a fixed pairwise tree order, so results are deterministic
-for identical inputs and peak memory does not grow with the step count.
+Propagation uses the sixth-order Magnus integrator (Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488) on the whole
+propagator, so the spectral weights of the initial mixture ride along
+unchanged.  H(t) is linear on each smooth piece of the schedule, so a
+step's exponent is a quadratic in the step index with coefficients
+formed once per piece.  Each step exponential is a truncated Taylor
+series with scaling and squaring, evaluated with matrix products only
+(Paterson-Stockmeyer), with degree and squarings chosen per batch so
+the truncation error is below unit roundoff (after Al-Mohy & Higham,
+SIAM J. Matrix Anal. Appl. 31 (2009)).  Steps are processed in batches
+of bounded size and multiplied in a fixed pairwise tree order, so
+results are deterministic for identical inputs and peak memory does not
+grow with the step count.
 
 Step size is controlled by step doubling, starting from duration/64:
 the run is repeated at half the step until halving changes no tracked
@@ -58,15 +59,14 @@ __all__ = [
 
 _BASE_STEP_FRACTION = 1.0 / 64.0
 # total steps over all passes of one step-doubling run; the heaviest
-# in-repo run (tau = 10, tol = 1e-10) takes 8128, 32x under it
+# in-repo run (tau = 40, tol = 1e-10, in the tests) takes 8128, 32x under it
 _MAX_STEPS = 1 << 18
 # complex entries per batched array: bounds peak memory independently of
 # the step count (512 steps of two 8x8 sector blocks, 1 MB per array)
 _BATCH_ENTRIES = 1 << 16
-_GL_OFFSET = math.sqrt(3.0) / 6.0
 _UNIT_ROUNDOFF = 2.0**-53
 _MAX_TAYLOR_DEGREE = 18
-# off-block entries of the rotated generators, relative to their largest
+# off-block entries of the rotated H0 and parts, relative to their largest
 # entry, above which a check counts as broken
 _ROUNDING_RTOL = 1e-12
 _UNITARITY_ATOL = 1e-10
@@ -206,17 +206,6 @@ def _probe_affine(builder) -> tuple[np.ndarray, np.ndarray, list[PauliString]]:
     return h0.astype(complex), np.stack([p.astype(complex) for p in parts]), conserved_checks(ops)
 
 
-def _magnus_generators(h0: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """The matrices H_mu, [H_mu, H0] and [H_mu, H_nu], stacked in that order.
-
-    With H = H0 + sum_mu a_mu H_mu and H' = H0 + sum_mu b_mu H_mu,
-    [H, H'] = sum_mu (a_mu - b_mu) [H_mu, H0] + sum_mu,nu a_mu b_nu [H_mu, H_nu],
-    so every Magnus term is H0 plus a linear combination of these.
-    """
-    brackets = [p @ h0 - h0 @ p for p in parts] + [p @ q - q @ p for p in parts for q in parts]
-    return np.concatenate([parts, np.stack(brackets)])
-
-
 def _sector_basis(checks: list[PauliString], dim: int) -> np.ndarray:
     """Unitary whose columns run through the joint eigenspaces of the checks.
 
@@ -243,7 +232,7 @@ def _sector_blocks(mats: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray
     inside = np.kron(np.eye(n_blocks, dtype=bool), np.ones((d, d), dtype=bool))
     leak = float(np.abs(rotated[:, ~inside]).max(initial=0.0))
     if leak > _ROUNDING_RTOL * max(1.0, float(np.abs(rotated).max())):
-        raise NumericalCheckError(f"generators leak out of the check sectors ({leak:.3e})")
+        raise NumericalCheckError(f"Hamiltonian parts leak out of the check sectors ({leak:.3e})")
     return np.stack([rotated[:, a * d : (a + 1) * d, a * d : (a + 1) * d] for a in range(n_blocks)], axis=1)
 
 
@@ -299,21 +288,32 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_exponentials(h0, gens, schedule: Schedule, starts: np.ndarray, hs: float) -> np.ndarray:
-    """exp(Omega) of the fourth-order Magnus step [s, s + hs] for each start s.
+def _magnus_exponents(h0, parts, schedule: Schedule, boundaries: list[float], counts: list[int]) -> np.ndarray:
+    """Sixth-order Magnus exponents M0 + s M1 + s^2 M2 of step s, per segment.
 
-    With H1, H2 at the Gauss-Legendre nodes, Omega = -iK for the
-    Hermitian K = hs/2 (H1 + H2) - i sqrt(3) hs^2/12 [H2, H1], formed
-    from the node couplings and the generators of _magnus_generators
-    (sector blocks, so K has shape (steps, n_blocks, d, d)).
+    A = -iH is linear on a segment, so alpha1 = h A(midpoint of step s)
+    is a + s b with constant alpha2 = b = h^2 dA/dt, and D = [a, b] for
+    every s.  The exponent alpha1 - D/12 + [alpha1, [alpha1, D]]/720 -
+    [b, D]/240 (Blanes et al. 2009 with alpha3 = 0) then expands exactly
+    into the three coefficients, returned as (segments, 3, n_blocks, d, d).
+    Commutators of sector-block matrices stay in the blocks.
     """
-    lam1 = schedule.coupling_matrix(starts + (0.5 - _GL_OFFSET) * hs)
-    lam2 = schedule.coupling_matrix(starts + (0.5 + _GL_OFFSET) * hs)
-    c = -1j * math.sqrt(3.0) * hs * hs / 12.0
-    pairs = (lam2[:, :, None] * lam1[:, None, :]).reshape(len(starts), -1)
-    coeffs = np.concatenate([(0.5 * hs) * (lam1 + lam2), c * (lam2 - lam1), c * pairs], axis=1)
-    k = hs * h0 + (coeffs @ gens.reshape(gens.shape[0], -1)).reshape(-1, *h0.shape)
-    return _expm_taylor(-1j * k)
+    t = np.array(boundaries)
+    lam = schedule.coupling_matrix(t)
+    slope = np.diff(lam, axis=0) / np.diff(t)[:, None]
+    h = (np.diff(t) / np.array(counts))[:, None]
+    a = -1j * h[..., None, None] * (h0 + np.tensordot(lam[:-1] + 0.5 * h * slope, parts, axes=1))
+    b = -1j * h[..., None, None] ** 2 * np.tensordot(slope, parts, axes=1)
+
+    def bracket(x, y):
+        return x @ y - y @ x
+
+    d = bracket(a, b)
+    ad, bd = bracket(a, d), bracket(b, d)
+    m0 = a - d / 12.0 + bracket(a, ad) / 720.0 - bd / 240.0
+    m1 = b + (bracket(b, ad) + bracket(a, bd)) / 720.0
+    m2 = bracket(b, bd) / 720.0
+    return np.stack([m0, m1, m2], axis=1)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -330,7 +330,7 @@ def _step_counts(boundaries: list[float], h: float) -> list[int]:
     return [max(1, int(math.ceil((t1 - t0) / h - 1e-9))) for t0, t1 in zip(boundaries[:-1], boundaries[1:])]
 
 
-def _integrate(h0, gens, schedule: Schedule, boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
+def _integrate(h0, parts, schedule: Schedule, boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
     """Magnus sweep over each smooth segment, ``counts`` steps each.
 
     Works on the sector blocks: returns the (n_blocks, d, d) blocks of U
@@ -339,11 +339,10 @@ def _integrate(h0, gens, schedule: Schedule, boundaries: list[float], counts: li
     batch = max(1, _BATCH_ENTRIES // h0.size)
     u = np.broadcast_to(np.eye(h0.shape[-1], dtype=complex), h0.shape)
     snapshots = []
-    for t0, t1, n_steps in zip(boundaries[:-1], boundaries[1:], counts):
-        hs = (t1 - t0) / n_steps
+    for (m0, m1, m2), n_steps in zip(_magnus_exponents(h0, parts, schedule, boundaries, counts), counts):
         for done in range(0, n_steps, batch):
-            starts = t0 + hs * np.arange(done, min(done + batch, n_steps))
-            u = _ordered_product(_step_exponentials(h0, gens, schedule, starts, hs)) @ u
+            s = np.arange(done, min(done + batch, n_steps), dtype=float).reshape(-1, 1, 1, 1)
+            u = _ordered_product(_expm_taylor(m0 + s * (m1 + s * m2))) @ u
         snapshots.append(u)
     return snapshots
 
@@ -375,13 +374,13 @@ def _converged_propagators(builder, schedule: Schedule, tol: float, sample_times
         eye = np.eye(dim, dtype=complex)
         return boundaries, [eye.copy() for _ in boundaries]
     v = _sector_basis(checks, dim)
-    blocks = _sector_blocks(np.concatenate([h0[None], _magnus_generators(h0, parts)]), v, 1 << len(checks))
-    h0, gens = blocks[0], blocks[1:]
+    blocks = _sector_blocks(np.concatenate([h0[None], parts]), v, 1 << len(checks))
+    h0, parts = blocks[0], blocks[1:]
     vb = v.reshape(dim, len(h0), -1).transpose(1, 0, 2)
 
     def propagators(counts):
         # U = sum over sectors of V_s u_s V_s^dagger; U(0) stays exactly the identity
-        snaps = _integrate(h0, gens, schedule, boundaries, counts)
+        snaps = _integrate(h0, parts, schedule, boundaries, counts)
         return [np.eye(dim, dtype=complex)] + [(vb @ u @ vb.conj().transpose(0, 2, 1)).sum(axis=0) for u in snaps]
 
     def tracked(snapshots):

@@ -96,13 +96,13 @@ def _parse_term(raw: str, line: str, lineno: int, declared: int) -> tuple[float,
         _fail(f"bad coefficient {coeff_text!r}", lineno, offset)
     if not math.isfinite(coeff):
         _fail(f"non-finite coefficient {coeff_text!r}", lineno, offset)
-    factors = tail.split()
+    factors = list(re.finditer(r"\S+", tail))
     if not factors:
         star_col = offset + line.index("*")
         _fail("term has no factors", lineno, star_col)
     ops: dict[int, str] = {}
-    for token in factors:
-        col = offset + line.index(token)
+    for factor in factors:
+        token, col = factor.group(), offset + len(head) + 1 + factor.start()
         m = _FACTOR_RE.match(token)
         if m is None:
             _fail(f"bad factor {token!r}", lineno, col)

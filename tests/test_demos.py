@@ -28,3 +28,13 @@ def test_chain_gap_scaling_demo():
     gaps = [float(row[3]) for row in rows]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert abs(gaps[-1] - 1.2) / 1.2 <= 0.01
+
+
+def test_rampdown_run_demo():
+    proc = run_demo("rampdown_run.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines() if line[:5].strip().replace(".", "").isdigit()]
+    assert [float(row[0]) for row in rows] == [1.0, 2.0, 5.0, 10.0, 20.0]
+    # slower ramps leave less residual error
+    e_zeta = [float(row[2]) for row in rows]
+    assert all(b < a for a, b in zip(e_zeta, e_zeta[1:]))

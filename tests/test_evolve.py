@@ -314,32 +314,82 @@ def test_failed_state_check_in_propagate_is_a_numerical_failure(monkeypatch):
         propagate(plaquette_builder(), linear_rampdown(1.0, 1.0), thermal_input(1.0, 0.5), tol=1e-8)
 
 
-def test_step_budget_stops_before_a_pass_would_exceed_it(monkeypatch):
-    budget = 1000
+def recorded_passes(monkeypatch) -> list[int]:
+    """Steps of every pass handed to ``_integrate``, as the run goes."""
     passes = []
     integrate = evolve._integrate
 
-    def counted(h0, gens, schedule, boundaries, counts):
+    def counted(h0, parts, schedule, boundaries, counts):
         passes.append(sum(counts))
-        assert sum(passes) <= budget
-        return integrate(h0, gens, schedule, boundaries, counts)
+        return integrate(h0, parts, schedule, boundaries, counts)
 
-    monkeypatch.setattr(evolve, "_MAX_STEPS", budget)
     monkeypatch.setattr(evolve, "_integrate", counted)
+    return passes
+
+
+def test_step_budget_stops_before_a_pass_would_exceed_it(monkeypatch):
+    budget = 1000
+    passes = recorded_passes(monkeypatch)
+    monkeypatch.setattr(evolve, "_MAX_STEPS", budget)
     with pytest.raises(ConvergenceError, match="within 1000 steps"):
         schedule_unitary(plaquette_builder(), linear_rampdown(2.5, 10.0), tol=1e-15)
+    assert sum(passes) <= budget
     assert passes == [64, 128, 256, 512]
 
 
-def test_long_tight_propagation_has_bounded_peak_memory():
-    # thousands of steps per pass; only batching keeps the step
-    # exponentials from being held all at once
+def test_rampdown_converges_in_four_passes(monkeypatch):
+    # sixth order: the 256 -> 512 comparison already meets tol/4 = 2.5e-9
+    passes = recorded_passes(monkeypatch)
+    schedule_unitary(plaquette_builder(), linear_rampdown(2.5, 10.0), tol=1e-8)
+    assert passes == [64, 128, 256, 512]
+
+
+def fixed_step_unitary(monkeypatch, schedule: Schedule, n: int) -> np.ndarray:
+    """U from n nominal steps: one doubling round from n/2, with a tolerance any pair meets."""
+    monkeypatch.setattr(evolve, "_BASE_STEP_FRACTION", 2.0 / n)
+    return schedule_unitary(plaquette_builder(), schedule, tol=1e3)
+
+
+def staggered_switchoff(lams, ends, duration) -> tuple[Schedule, object]:
+    """Spin i ramps from lams[i] to 0 over [0, ends[i]]: distinct slopes on every segment."""
+    channels = []
+    for i, (lam, end) in enumerate(zip(lams, ends)):
+        times, values = ((0.0, end, duration), (lam, 0.0, 0.0)) if end < duration else ((0.0, end), (lam, 0.0))
+        channels.append((f"lambda{i + 1}", PiecewiseLinear(times, values)))
+
+    def couplings(t):
+        return np.array([lam * max(0.0, 1.0 - t / end) for lam, end in zip(lams, ends)])
+
+    return Schedule(duration, tuple(channels)), couplings
+
+
+def test_rampdown_error_falls_at_sixth_order(monkeypatch):
+    ref = dop853_propagator(lambda t: np.full(4, 2.5 * (1.0 - t / 10.0)), [0.0, 10.0])[-1]
+    errors = [np.abs(fixed_step_unitary(monkeypatch, linear_rampdown(2.5, 10.0), n) - ref).max() for n in (64, 128)]
+    # sixth order gives 2^6 = 64 per halving (measured 66), fourth order 16
+    assert errors[0] / errors[1] >= 40
+
+
+def test_staggered_switchoff_error_falls_at_sixth_order(monkeypatch):
+    sched, couplings = staggered_switchoff((1.5, 2.0, 1.2, 2.5), (1.6, 2.4, 3.2, 4.0), 4.0)
+    ref = dop853_propagator(couplings, [0.0, 1.6, 2.4, 3.2, 4.0])[-1]
+    errors = [np.abs(fixed_step_unitary(monkeypatch, sched, n) - ref).max() for n in (64, 128)]
+    # measured 60 (4.7e-9 and 7.8e-11, well above the oracle's error)
+    assert errors[0] / errors[1] >= 40
+
+
+def test_long_tight_propagation_has_bounded_peak_memory(monkeypatch):
+    # the final pass spans several batches; only batching keeps its step
+    # exponentials from being held all at once (unbatched peak: 64 MiB)
+    passes = recorded_passes(monkeypatch)
     tracemalloc.start()
     try:
-        schedule_unitary(plaquette_builder(), linear_rampdown(2.5, 10.0), tol=1e-10)
+        schedule_unitary(plaquette_builder(), linear_rampdown(2.5, 40.0), tol=1e-10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    steps_per_batch = evolve._BATCH_ENTRIES // (2 * 8 * 8)  # two 8x8 sector blocks per step
+    assert passes[-1] >= 4 * steps_per_batch
     assert peak <= 16 * 2**20
 
 

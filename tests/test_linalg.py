@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from clusterprep.linalg import ConvergenceError, Spectrum, eigh
+import clusterprep
+from clusterprep.linalg import ConvergenceError, NumericalCheckError, Spectrum, eigh
 from oracles import expm_scaled
 
 
@@ -88,3 +89,9 @@ def test_expm_scaled_unitary_for_imaginary_argument():
 
 def test_convergence_error_is_runtime_error():
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+def test_numerical_check_error_is_exported_from_the_package():
+    # the exit-3 failure that library callers catch, next to ConvergenceError
+    assert clusterprep.NumericalCheckError is NumericalCheckError
+    assert {"ConvergenceError", "NumericalCheckError"} <= set(clusterprep.__all__)

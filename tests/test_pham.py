@@ -84,6 +84,8 @@ def test_error_positions():
     expect_error("qubits 2\n1 * W0", 2, 5, "bad factor")
     expect_error("qubits 2\n1 * X9", 2, 5, "outside declared width")
     expect_error("qubits 2\n1 * X0 Z0", 2, 8, "repeated within one term")
+    expect_error("qubits 12\n1 * Z1 Z1", 2, 8, "repeated within one term")
+    expect_error("qubits 12\n1.5 * Z10 Z1 Z1", 2, 14, "repeated within one term")
 
 
 def test_error_reports_later_line():
