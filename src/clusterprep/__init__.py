@@ -39,6 +39,7 @@ from .analysis import (
     error_tomography,
     ghz_fidelity,
     no_evolution_point,
+    plaquette_parts,
     run_point,
     sector_projectors,
     spectrum_path,
@@ -97,6 +98,7 @@ __all__ = [
     "spectrum_path",
     "run_point",
     "no_evolution_point",
+    "plaquette_parts",
     "threshold_temperature",
     "chain_sector_gap",
 ]

@@ -43,6 +43,7 @@ __all__ = [
     "SectorSpectrumTable",
     "tomography_basis",
     "plaquette_hamiltonian",
+    "plaquette_parts",
     "sector_projectors",
     "ghz_fidelity",
     "error_tomography",
@@ -72,6 +73,7 @@ CLASS_LABELS = {
 _SINGLE_REPS = (1, 2, 4, 7)
 _ADJACENT_REPS = (3, 6)
 _DIAGONAL_REP = 5
+_THRESHOLD_ERROR_TOL = 1e-4  # largest |error - target| accepted at a bisected threshold
 
 
 class ThresholdBracketError(ValueError):
@@ -238,6 +240,11 @@ def plaquette_hamiltonian(J: float, lam, static: Optional[OperatorSum] = None) -
     return static + plaquette_field_term(lam)
 
 
+def plaquette_parts(J: float, static: Optional[OperatorSum] = None) -> tuple[OperatorSum, tuple[OperatorSum, ...]]:
+    """The plaquette as H0 + sum_mu lam_mu H_mu: ``(h0, parts)``, with the four unit fields -X_mu as parts."""
+    return plaquette_hamiltonian(J, 0.0, static), tuple(plaquette_field_term(e) for e in np.eye(4))
+
+
 def _check_frame_parts(J: float, static: Optional[OperatorSum]) -> np.ndarray:
     """H0 and the four unit field parts as (5, 2, 8, 8) sector blocks, - sector first.
 
@@ -247,12 +254,12 @@ def _check_frame_parts(J: float, static: Optional[OperatorSum]) -> np.ndarray:
     part that breaks the check raises ValueError.
     """
     check = stabilizer_3d_local().terms[0][1]
-    h0 = plaquette_hamiltonian(J, 0.0, static)
+    h0, fields = plaquette_parts(J, static)
     try:
         parts = [check_frame(h0, [check])]
     except ValueError as exc:
         raise ValueError(f"Hamiltonian has mixed check sector: {exc}") from exc
-    parts += [check_frame(plaquette_field_term(np.eye(4)[mu]), [check]) for mu in range(4)]
+    parts += [check_frame(field, [check]) for field in fields]
     dense = np.stack([to_dense(p) for p in parts])
     return np.stack([dense[:, 8:, 8:], dense[:, :8, :8]], axis=1)
 
@@ -308,8 +315,7 @@ def _rampdown_unitary(
     lambda0: float, tau: float, J: float, tol: float, static: Optional[OperatorSum] = None
 ) -> np.ndarray:
     """Cached, read-only propagator of the uniform rampdown (independent of T)."""
-    builder = lambda lam: plaquette_hamiltonian(J, lam, static)
-    u = schedule_unitary(builder, linear_rampdown(lambda0, tau), tol)
+    u = schedule_unitary(*plaquette_parts(J, static), linear_rampdown(lambda0, tau), tol)
     u.flags.writeable = False
     return u
 
@@ -348,7 +354,6 @@ def threshold_temperature(
     target: float = 0.03,
     bracket: tuple[float, float] = (1e-3, 3.0),
     tol: float = 1e-8,
-    e_tol: float = 1e-4,
     static: Optional[OperatorSum] = None,
 ) -> Optional[float]:
     """Highest temperature with total phase-flip error at the target.
@@ -358,7 +363,8 @@ def threshold_temperature(
     (NumericalCheckError otherwise).  Returns None when the error
     exceeds the target over the whole bracket (threshold, if any, below
     the bracket); raises when the bracket does not straddle the target
-    from below.
+    from below.  The bisected temperature must reproduce the target
+    error to within 1e-4 (ConvergenceError otherwise).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 <= lo < hi):
@@ -392,7 +398,7 @@ def threshold_temperature(
         if t_hi - t_lo <= 1e-9 * max(1.0, t_hi):
             break
     t_star = 0.5 * (t_lo + t_hi)
-    if abs(err(t_star) - target) > e_tol:
+    if abs(err(t_star) - target) > _THRESHOLD_ERROR_TOL:
         raise linalg.ConvergenceError("bisection did not pin the target error")
     return float(t_star)
 

@@ -311,17 +311,10 @@ def _header_comment(ns: argparse.Namespace, opts: list[_Opt]) -> str:
     return f"# clusterprep {__version__} {ns.command} " + " ".join(parts)
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _csv_text(header: str, columns: tuple[str, ...], rows) -> str:
+    """CSV lines; every cell is a Python float, int or None (written empty)."""
     lines = [header, ",".join(columns)]
-    lines.extend(",".join(_cell(c) for c in row) for row in rows)
+    lines.extend(",".join("" if c is None else repr(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -415,10 +408,9 @@ _EVOLVE_COLUMNS = ("t", "lambda", "fidelity", "w_plus", "w_minus")
 def _cmd_evolve(ns: argparse.Namespace) -> int:
     static = _load_operator(ns.hamiltonian)
     schedule = linear_rampdown(ns.lambda0, ns.tau)
-    builder = lambda lam: analysis.plaquette_hamiltonian(ns.J, lam, static)
-    rho0 = gibbs_state(builder(np.full(4, ns.lambda0)), ns.T)
+    rho0 = gibbs_state(analysis.plaquette_hamiltonian(ns.J, ns.lambda0, static), ns.T)
     ts = np.linspace(0.0, ns.tau, ns.samples)
-    final, snaps = propagate(builder, schedule, rho0, ns.tol, sample_times=ts)
+    final, snaps = propagate(*analysis.plaquette_parts(ns.J, static), schedule, rho0, ns.tol, sample_times=ts)
     p_plus, p_minus = analysis.sector_projectors()
     rows = []
     for t, dm in snaps:

@@ -1,13 +1,13 @@
 """Coupling schedules and unitary propagation of mixed states.
 
 Schedules are piecewise-linear coupling trajectories.  The Hamiltonian
-is affine in the four couplings, H(lam) = H0 + sum_mu lam_mu H_mu; the
-builder callback is decomposed once into that form (and rejected if it
-is not affine).
+is given in its affine form, H(lam) = H0 + sum_mu lam_mu H_mu: the
+propagators take H0 and one part H_mu per coupling column of the
+schedule, as `OperatorSum`s, and make one dense matrix of each.
 
-The builder's conserved Pauli checks are found symbolically from its
-terms (`pauli.conserved_checks`), and H0 and the H_mu are rotated once
-into the joint eigenbasis of those checks.  With k checks the
+The conserved Pauli checks are found symbolically from the terms of H0
+and the H_mu (`pauli.conserved_checks`), and the matrices are rotated
+once into the joint eigenbasis of those checks.  With k checks the
 propagator is integrated as 2^k sector blocks of size dim / 2^k on one
 batch axis (one full block when there are none); a part with weight
 outside the blocks is a numerical failure.
@@ -185,27 +185,6 @@ def sequential_switchoff(lambda_init: float, tau_each: float, order: tuple[int, 
     return Schedule(total, tuple(channels))
 
 
-def _probe_affine(builder) -> tuple[np.ndarray, np.ndarray, list[PauliString]]:
-    """Decompose builder(lam) as H0 + sum_mu lam_mu * H_mu.
-
-    Returns ``(H0, stack of H_mu, conserved checks)``.  Every model here
-    is affine in its couplings; the decomposition is verified at a
-    generic probe point, and a builder that fails the check is rejected
-    with ValueError.  The checks are Pauli strings that commute with
-    every term the builder produced, found symbolically.
-    """
-    units = np.eye(4)
-    probe = np.array([0.37, 1.21, 0.53, 0.89])
-    ops = [builder(lam) for lam in (np.zeros(4), *units, probe)]
-    h0, *ends, actual = (to_dense(op) for op in ops)
-    parts = [end - h0 for end in ends]
-    expected = h0 + sum(probe[mu] * parts[mu] for mu in range(4))
-    scale = max(1.0, float(np.abs(actual).max()))
-    if np.abs(expected - actual).max() > 1e-12 * scale:
-        raise ValueError("builder is not affine in the four couplings")
-    return h0.astype(complex), np.stack([p.astype(complex) for p in parts]), conserved_checks(ops)
-
-
 def _sector_basis(checks: list[PauliString], dim: int) -> np.ndarray:
     """Unitary whose columns run through the joint eigenspaces of the checks.
 
@@ -347,14 +326,14 @@ def _integrate(h0, parts, schedule: Schedule, boundaries: list[float], counts: l
     return snapshots
 
 
-def _converged_propagators(builder, schedule: Schedule, tol: float, sample_times, rho0=None):
+def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: float, sample_times, rho0=None):
     """Step-doubled Magnus until halving moves no tracked entry more than tol.
 
     Tracks the density matrix entries when ``rho0`` is given, otherwise
     the propagator entries (against tol/4, a stand-in bound that keeps
     any evolved state within tol).  Integration runs in the sector
-    blocks of the builder's conserved checks; every comparison and every
-    returned snapshot is in the original basis.
+    blocks of the checks conserved by H0 and the parts; every comparison
+    and every returned snapshot is in the original basis.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive")
@@ -362,10 +341,15 @@ def _converged_propagators(builder, schedule: Schedule, tol: float, sample_times
     for t in samples:
         if t < -1e-12 or t > schedule.duration * (1 + 1e-12) + 1e-12:
             raise ValueError("sample time outside schedule duration")
-    h0, parts, checks = _probe_affine(builder)
-    dim = h0.shape[0]
+    columns = schedule.coupling_vector(0.0).size
+    if len(parts) != columns:
+        raise ValueError(f"schedule drives {columns} couplings but {len(parts)} Hamiltonian parts were given")
+    ops = [h0, *parts]
+    checks = conserved_checks(ops)  # ValueError when a part's qubit count differs from h0's
+    dense = np.stack([to_dense(op) for op in ops]).astype(complex)
+    dim = dense.shape[-1]
     if rho0 is not None and rho0.shape[0] != dim:
-        raise ValueError("state dimension does not match builder output")
+        raise ValueError("state dimension does not match the Hamiltonian")
     boundary_set = {0.0, schedule.duration}
     boundary_set.update(b for b in schedule.breakpoints() if 0.0 < b < schedule.duration)
     boundary_set.update(samples)
@@ -374,13 +358,12 @@ def _converged_propagators(builder, schedule: Schedule, tol: float, sample_times
         eye = np.eye(dim, dtype=complex)
         return boundaries, [eye.copy() for _ in boundaries]
     v = _sector_basis(checks, dim)
-    blocks = _sector_blocks(np.concatenate([h0[None], parts]), v, 1 << len(checks))
-    h0, parts = blocks[0], blocks[1:]
-    vb = v.reshape(dim, len(h0), -1).transpose(1, 0, 2)
+    blocks = _sector_blocks(dense, v, 1 << len(checks))
+    vb = v.reshape(dim, blocks.shape[1], -1).transpose(1, 0, 2)
 
     def propagators(counts):
         # U = sum over sectors of V_s u_s V_s^dagger; U(0) stays exactly the identity
-        snaps = _integrate(h0, parts, schedule, boundaries, counts)
+        snaps = _integrate(blocks[0], blocks[1:], schedule, boundaries, counts)
         return [np.eye(dim, dtype=complex)] + [(vb @ u @ vb.conj().transpose(0, 2, 1)).sum(axis=0) for u in snaps]
 
     def tracked(snapshots):
@@ -412,13 +395,14 @@ def _converged_propagators(builder, schedule: Schedule, tol: float, sample_times
     return boundaries, cur
 
 
-def schedule_unitary(builder, schedule: Schedule, tol: float = 1e-8, sample_times=None):
-    """Propagator U(t, 0) of the schedule, to entrywise tolerance tol/4.
+def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e-8, sample_times=None):
+    """Propagator U(t, 0) of H0 + sum_mu lam_mu(t) H_mu, to entrywise tolerance tol/4.
 
+    ``parts`` holds one H_mu per coupling column of the schedule.
     Returns the final U, or ``(U_final, [(t, U_t), ...])`` when sample
     times are requested.
     """
-    boundaries, snapshots = _converged_propagators(builder, schedule, tol, sample_times)
+    boundaries, snapshots = _converged_propagators(h0, parts, schedule, tol, sample_times)
     if sample_times is None:
         return snapshots[-1]
     wanted = sorted(set(float(t) for t in sample_times))
@@ -426,8 +410,8 @@ def schedule_unitary(builder, schedule: Schedule, tol: float = 1e-8, sample_time
     return snapshots[-1], [(t, by_time[t]) for t in wanted]
 
 
-def propagate(builder, schedule: Schedule, rho0: DensityMatrix, tol: float = 1e-8, sample_times=None):
-    """Evolve a mixed state through a schedule.
+def propagate(h0: OperatorSum, parts, schedule: Schedule, rho0: DensityMatrix, tol: float = 1e-8, sample_times=None):
+    """Evolve a mixed state under H0 + sum_mu lam_mu(t) H_mu through a schedule.
 
     The initial mixture is carried as exact spectral weights on evolving
     pure states (the propagator acts on the whole eigenbasis at once),
@@ -436,7 +420,7 @@ def propagate(builder, schedule: Schedule, rho0: DensityMatrix, tol: float = 1e-
     when sample times are requested.
     """
     rho_mat = rho0.matrix
-    boundaries, snapshots = _converged_propagators(builder, schedule, tol, sample_times, rho0=rho_mat)
+    boundaries, snapshots = _converged_propagators(h0, parts, schedule, tol, sample_times, rho0=rho_mat)
     atol = max(1e-10, 4.0 * tol)
 
     def wrap(u):

@@ -149,7 +149,11 @@ def _facing(mu: int) -> int:
 def build_lattice_2d(
     L1: int, L2: int, J: float, lam: float
 ) -> tuple[ModelInstance, OperatorSum, list[OperatorSum]]:
-    """Torus of L1 x L2 four-spin logical qubits, with its check operators."""
+    """Torus of L1 x L2 four-spin logical qubits, with its check operators.
+
+    At extent 2 the XX bond from (j, mu) to the facing spin at j + 2e
+    wraps onto site j itself, outside the 2D gap formula's window.
+    """
     if L1 < 2 or L2 < 2:
         raise ValueError("torus needs L1 >= 2 and L2 >= 2 to place all bonds")
     _check_couplings(J, lam)
@@ -267,7 +271,11 @@ def cz_conjugate(op: OperatorSum, bonds: Sequence[tuple[int, int]]) -> OperatorS
 
 
 def gap_closed_form(kind: str, J: float, lam: float) -> float:
-    """Known gap of each model family in its stated validity window."""
+    """Known gap of each model family in its stated validity window.
+
+    The 2D window needs torus extents of 3 or more: at L = 2 the XX bond
+    to j + 2e wraps onto the site itself, and the gap goes as lam^2.
+    """
     if not (math.isfinite(J) and J > 0):
         raise ValueError("J must be positive and finite")
     if not (math.isfinite(lam) and lam >= 0):

@@ -12,6 +12,8 @@ from .pauli import OperatorSum, to_dense
 
 __all__ = ["DensityMatrix", "gibbs_state"]
 
+_DEGENERACY_RTOL = 1e-9  # width of the T = 0 ground space, relative to max(1, |E0|)
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -49,21 +51,22 @@ class DensityMatrix:
         return float(np.trace(observable @ self.matrix).real)
 
 
-def gibbs_state(h, T: float, max_qubits: int = 12, degeneracy_rtol: float = 1e-9) -> DensityMatrix:
+def gibbs_state(h, T: float) -> DensityMatrix:
     """exp(-h/T) / Z, stabilized by shifting out the ground energy.
 
-    ``h`` is an OperatorSum or a dense Hermitian matrix.  T = 0 returns
-    the uniform mixture over the (numerically degenerate) ground space;
-    degeneracy is decided relative to ``degeneracy_rtol``.  Temperatures
-    are in energy units (Boltzmann constant absorbed).
+    ``h`` is an OperatorSum of at most ``pauli.DENSE_QUBIT_LIMIT``
+    qubits or a dense Hermitian matrix.  T = 0 returns the uniform
+    mixture over the (numerically degenerate) ground space: levels
+    within 1e-9 of the ground energy, relative to max(1, |E0|).
+    Temperatures are in energy units (Boltzmann constant absorbed).
     """
     if not T >= 0:
         raise ValueError("temperature must be >= 0")
-    mat = to_dense(h, max_qubits) if isinstance(h, OperatorSum) else np.asarray(h)
+    mat = to_dense(h) if isinstance(h, OperatorSum) else np.asarray(h)
     spec = linalg.eigh(mat)
     shifted = spec.values - spec.values[0]
     if T == 0.0:
-        tol = degeneracy_rtol * max(1.0, abs(float(spec.values[0])))
+        tol = _DEGENERACY_RTOL * max(1.0, abs(float(spec.values[0])))
         weights = (shifted <= tol).astype(float)
     else:
         weights = np.exp(-shifted / T)

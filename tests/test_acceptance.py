@@ -17,6 +17,7 @@ from clusterprep import cli
 from clusterprep.analysis import (
     error_tomography,
     no_evolution_point,
+    plaquette_parts,
     run_point,
     spectrum_path,
     spectrum_scan,
@@ -103,20 +104,21 @@ def test_acceptance_04_chain_sector_gap_approaches_closed_form():
 
 def test_acceptance_05_propagation_matches_oracles_and_conserves():
     t0 = time.perf_counter()
-    builder = lambda lam: build_plaquette_3d(1.0, lam)[1]
+    h0, parts = plaquette_parts(1.0)
+    hamiltonian = lambda lam: build_plaquette_3d(1.0, lam)[1]
 
     # constant coupling against the eigendecomposition exponential
     tau, lam = 0.9, 1.1
     const = Schedule(tau, (("lambda", PiecewiseLinear((0.0, tau), (lam, lam))),))
-    rho0 = gibbs_state(builder(np.full(4, lam)), 0.7)
-    evolved = propagate(builder, const, rho0, tol=1e-10)
-    u = expm_scaled(to_dense(builder(np.full(4, lam))), -1j * tau)
+    rho0 = gibbs_state(hamiltonian(lam), 0.7)
+    evolved = propagate(h0, parts, const, rho0, tol=1e-10)
+    u = expm_scaled(to_dense(hamiltonian(lam)), -1j * tau)
     assert np.abs(evolved.matrix - u @ rho0.matrix @ u.conj().T).max() <= 1e-8
 
     # conservation along the production rampdown
-    rho0 = gibbs_state(builder(np.full(4, 2.5)), 0.5)
+    rho0 = gibbs_state(hamiltonian(2.5), 0.5)
     ts = np.linspace(0.0, 10.0, 12)
-    _, snaps = propagate(builder, linear_rampdown(2.5, 10.0), rho0, tol=1e-8, sample_times=ts)
+    _, snaps = propagate(h0, parts, linear_rampdown(2.5, 10.0), rho0, tol=1e-8, sample_times=ts)
     w = to_dense(stabilizer_3d_local())
     p_plus = 0.5 * (np.eye(16) + w)
     purity0, w0 = rho0.purity(), rho0.expectation(p_plus)

@@ -21,6 +21,7 @@ from clusterprep.analysis import (
     ghz_states,
     no_evolution_point,
     plaquette_hamiltonian,
+    plaquette_parts,
     run_point,
     sector_projectors,
     spectrum_path,
@@ -241,6 +242,18 @@ def test_plaquette_hamiltonian_static_replacement():
     narrow = OperatorSum(3, [(1.0, PauliString.from_label("ZZI"))])
     with pytest.raises(ValueError, match="four spins"):
         plaquette_hamiltonian(1.0, 0.7, static=narrow)
+
+
+@pytest.mark.parametrize(
+    "static", [None, plaquette_ring_term(0.8) + OperatorSum(4, [(0.3, PauliString.from_label("XXXX"))])]
+)
+def test_plaquette_parts_rebuild_the_hamiltonian(static):
+    h0, parts = plaquette_parts(1.3, static)
+    assert h0 == plaquette_hamiltonian(1.3, 0.0, static)
+    assert len(parts) == 4
+    for lam in ([0.0, 0.0, 0.0, 0.0], [0.37, 1.21, 0.53, 0.89], [2.5, 2.5, 2.5, 2.5]):
+        affine = to_dense(h0) + sum(c * to_dense(p) for c, p in zip(lam, parts))
+        assert np.abs(affine - to_dense(plaquette_hamiltonian(1.3, lam, static))).max() <= 1e-14
 
 
 # ------------------------------------------------------------- pipelines

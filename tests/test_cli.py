@@ -320,6 +320,34 @@ def test_phase_diagram_thresholds_and_empty_cells():
     assert "no threshold in bracket for no-evolution" in err
 
 
+def plain_cells(text: str) -> list:
+    return [cell for line in data_lines(text) if not line.startswith("#") for cell in line.split(",")]
+
+
+def is_plain_literal(cell: str) -> bool:
+    if cell.lstrip("-").isdigit():
+        return cell == str(int(cell))
+    try:
+        return cell == repr(float(cell))
+    except ValueError:
+        return False
+
+
+def test_csv_cells_are_empty_or_plain_literals():
+    # a numpy scalar reaching the writer would print as np.float64(...)
+    outputs = [
+        run_cli("spectrum", "--lambda-grid", "0:1.5:4"),
+        run_cli("spectrum", "--path", "sequential", "--lambda-init", "2", "--samples", "5"),
+        run_cli("evolve", *EVOLVE_ARGS),
+        run_cli("sweep", *SWEEP_ARGS),
+        run_cli("phase-diagram", "--lambda0-grid", "2.5", "--tau", "5", "--no-evolution"),
+    ]
+    assert all(code == 0 for code, _, _ in outputs)
+    cells = [cell for _, out, _ in outputs for cell in plain_cells(out)]
+    assert "" in cells  # the unevolved threshold below the bracket
+    assert [cell for cell in cells if cell and not is_plain_literal(cell)] == []
+
+
 def test_phase_diagram_bracket_flag():
     code, _, _ = run_cli("phase-diagram", "--lambda0-grid", "1", "--tau", "1", "--T-bracket", "2:1")
     assert code == 2

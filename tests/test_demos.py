@@ -38,3 +38,48 @@ def test_rampdown_run_demo():
     # slower ramps leave less residual error
     e_zeta = [float(row[2]) for row in rows]
     assert all(b < a for a, b in zip(e_zeta, e_zeta[1:]))
+
+
+def test_conserved_checks_demo():
+    proc = run_demo("conserved_checks.py")
+    assert proc.returncode == 0, proc.stderr
+    checks = [line for line in proc.stdout.splitlines() if line.strip().startswith("check[")]
+    assert len(checks) == 5 + 4 + 1 + 1
+    assert all(line.endswith(" ok") for line in checks)
+    broken = next(line for line in proc.stdout.splitlines() if line.startswith("broken operator residual"))
+    assert float(broken.split("=")[1].split()[0]) != 0.0
+
+
+def test_plaquette_gap_scan_demo():
+    proc = run_demo("plaquette_gap_scan.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines() if line[:1].isdigit()]
+    assert len(rows) == 9
+    # gap_global against the closed form, both as printed
+    assert all(row[4] == row[6] for row in rows)
+
+
+def test_staged_switchoff_demo():
+    proc = run_demo("staged_switchoff.py")
+    assert proc.returncode == 0, proc.stderr
+    paths = [line.split() for line in proc.stdout.splitlines() if line.strip().startswith("whole path")]
+    assert len(paths) == 3  # one per switch-off order
+    for words in paths:
+        sector_gap, global_gap = float(words[5].rstrip(",")), float(words[-1])
+        assert sector_gap > 0.0 and global_gap == 0.0
+
+
+def test_threshold_map_demo():
+    proc = run_demo("threshold_map.py")
+    assert proc.returncode == 0, proc.stderr
+    stars = {}
+    for line in proc.stdout.splitlines():
+        words = line.split()
+        if len(words) > 2 and words[0].replace(".", "").isdigit():
+            # no threshold in the bracket means below it: lower than any found
+            star = float("-inf") if words[2] == "none" else float(words[2])
+            stars.setdefault(float(words[0]), []).append((float(words[1]), star))
+    assert sorted(stars) == [1.5, 2.5]
+    for rows in stars.values():
+        assert [tau for tau, _ in rows] == [2.0, 5.0, 10.0]
+        assert all(b >= a for (_, a), (_, b) in zip(rows, rows[1:]))

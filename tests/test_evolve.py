@@ -14,7 +14,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from clusterprep import evolve
-from clusterprep.analysis import plaquette_hamiltonian
+from clusterprep.analysis import plaquette_hamiltonian, plaquette_parts
 from clusterprep.evolve import (
     PiecewiseLinear,
     Schedule,
@@ -25,13 +25,12 @@ from clusterprep.evolve import (
 )
 from clusterprep.linalg import ConvergenceError, NumericalCheckError
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term, stabilizer_3d_local
-from clusterprep.pauli import OperatorSum, PauliString, to_dense
+from clusterprep.pauli import OperatorSum, PauliString, conserved_checks, to_dense
 from clusterprep.thermal import DensityMatrix, gibbs_state
 from oracles import expm_scaled
 
 
-def plaquette_builder(J=1.0):
-    return lambda lam: build_plaquette_3d(J, lam)[1]
+PLAQUETTE = plaquette_parts(1.0)
 
 
 def thermal_input(lam0: float, T: float, J=1.0) -> DensityMatrix:
@@ -125,10 +124,9 @@ def test_coupling_matrix_shapes_and_names():
 
 def test_constant_schedule_matches_exponential_oracle():
     tau, lam = 0.7, 1.3
-    builder = plaquette_builder()
     rho0 = thermal_input(lam, 0.5)
-    final = propagate(builder, constant_schedule(lam, tau), rho0, tol=1e-10)
-    u = expm_scaled(to_dense(builder(np.full(4, lam))), -1j * tau)
+    final = propagate(*PLAQUETTE, constant_schedule(lam, tau), rho0, tol=1e-10)
+    u = expm_scaled(to_dense(build_plaquette_3d(1.0, lam)[1]), -1j * tau)
     oracle = u @ rho0.matrix @ u.conj().T
     assert np.abs(final.matrix - oracle).max() <= 1e-8
 
@@ -136,16 +134,15 @@ def test_constant_schedule_matches_exponential_oracle():
 def test_zero_duration_returns_input():
     sched = Schedule(0.0, (("lambda", PiecewiseLinear((0.0,), (1.0,))),))
     rho0 = thermal_input(1.0, 0.3)
-    final = propagate(plaquette_builder(), sched, rho0, tol=1e-8)
+    final = propagate(*PLAQUETTE, sched, rho0, tol=1e-8)
     assert np.abs(final.matrix - rho0.matrix).max() <= 1e-14
 
 
 def test_conserved_quantities_along_rampdown():
-    builder = plaquette_builder()
     rho0 = thermal_input(2.5, 0.5)
     sched = linear_rampdown(2.5, 10.0)
     ts = np.linspace(0.0, 10.0, 11)
-    final, snaps = propagate(builder, sched, rho0, tol=1e-8, sample_times=ts)
+    final, snaps = propagate(*PLAQUETTE, sched, rho0, tol=1e-8, sample_times=ts)
     w = to_dense(stabilizer_3d_local())
     p_plus = 0.5 * (np.eye(16) + w)
     w0 = rho0.expectation(p_plus)
@@ -159,35 +156,32 @@ def test_conserved_quantities_along_rampdown():
 
 def test_infidelity_decreases_with_ramp_duration():
     # slower ramps leave less weight outside the target state
-    builder = plaquette_builder()
     rho0 = thermal_input(2.5, 0.0)
     plus = np.zeros(16)
     plus[0] = plus[15] = 1 / np.sqrt(2)
     infidelity = []
     for tau in (5.0, 7.0, 10.0, 20.0):
-        final = propagate(builder, linear_rampdown(2.5, tau), rho0, tol=1e-8)
+        final = propagate(*PLAQUETTE, linear_rampdown(2.5, tau), rho0, tol=1e-8)
         infidelity.append(1.0 - float(np.real(plus @ final.matrix @ plus)))
     assert all(b < a for a, b in zip(infidelity, infidelity[1:]))
     assert infidelity[0] < 5e-3  # tau = 5 is already nearly adiabatic
 
 
 def test_propagate_validation():
-    builder = plaquette_builder()
     rho0 = thermal_input(1.0, 0.5)
     sched = linear_rampdown(1.0, 1.0)
     with pytest.raises(ValueError, match="tolerance"):
-        propagate(builder, sched, rho0, tol=0.0)
+        propagate(*PLAQUETTE, sched, rho0, tol=0.0)
     with pytest.raises(ValueError, match="sample time"):
-        propagate(builder, sched, rho0, tol=1e-8, sample_times=[2.0])
+        propagate(*PLAQUETTE, sched, rho0, tol=1e-8, sample_times=[2.0])
     wrong = DensityMatrix.from_matrix(np.eye(4) / 4.0)
     with pytest.raises(ValueError, match="dimension"):
-        propagate(builder, sched, wrong, tol=1e-8)
+        propagate(*PLAQUETTE, sched, wrong, tol=1e-8)
 
 
 def test_schedule_unitary_is_unitary_and_samples():
-    builder = plaquette_builder()
     sched = linear_rampdown(1.5, 2.0)
-    u_final, snaps = schedule_unitary(builder, sched, tol=1e-8, sample_times=[0.0, 1.0, 2.0])
+    u_final, snaps = schedule_unitary(*PLAQUETTE, sched, tol=1e-8, sample_times=[0.0, 1.0, 2.0])
     assert np.abs(u_final @ u_final.conj().T - np.eye(16)).max() <= 1e-10
     times = [t for t, _ in snaps]
     assert times == [0.0, 1.0, 2.0]
@@ -198,13 +192,12 @@ def test_schedule_unitary_is_unitary_and_samples():
 def test_propagator_commutes_with_check_sectors():
     # the conserved check commutes with every instantaneous Hamiltonian,
     # so it must commute with the full propagator too
-    builder = plaquette_builder()
-    u = schedule_unitary(builder, linear_rampdown(2.0, 1.0), tol=1e-8)
+    u = schedule_unitary(*PLAQUETTE, linear_rampdown(2.0, 1.0), tol=1e-8)
     w = to_dense(stabilizer_3d_local())
     assert np.abs(u @ w - w @ u).max() <= 1e-8
 
 
-def dop853_propagator(couplings, knots, model=plaquette_builder()):
+def dop853_propagator(couplings, knots, model=lambda lam: build_plaquette_3d(1.0, lam)[1]):
     """U(t, 0) at each knot by DOP853, restarted at every knot.
 
     ``couplings(t)`` gives the four couplings; the Hamiltonian is rebuilt
@@ -229,7 +222,7 @@ def dop853_propagator(couplings, knots, model=plaquette_builder()):
 def test_rampdown_matches_dop853_oracle_at_sample_times():
     ts = [0.0, 0.3, 0.65, 1.0]
     ref = dop853_propagator(lambda t: np.full(4, 2.0 * (1.0 - t)), ts)
-    u_final, snaps = schedule_unitary(plaquette_builder(), linear_rampdown(2.0, 1.0), tol=1e-8, sample_times=ts)
+    u_final, snaps = schedule_unitary(*PLAQUETTE, linear_rampdown(2.0, 1.0), tol=1e-8, sample_times=ts)
     assert [t for t, _ in snaps] == ts
     for (_, u), u_ref in zip(snaps, ref):
         assert np.abs(u - u_ref).max() <= 2.5e-9
@@ -247,28 +240,35 @@ def test_sequential_switchoff_matches_dop853_oracle_across_kinks():
         return out
 
     ref = dop853_propagator(couplings, [0.0, 0.25, 0.5, 0.75, 1.0])
-    u = schedule_unitary(plaquette_builder(), sequential_switchoff(lam, tau_each, order), tol=1e-8)
+    u = schedule_unitary(*PLAQUETTE, sequential_switchoff(lam, tau_each, order), tol=1e-8)
     assert np.abs(u - ref[-1]).max() <= 2.5e-9
 
 
-def test_non_affine_builder_is_rejected():
-    squared = lambda lam: build_plaquette_3d(1.0, np.asarray(lam) ** 2)[1]
-    with pytest.raises(ValueError, match="not affine"):
-        schedule_unitary(squared, linear_rampdown(1.0, 1.0), tol=1e-6)
+def test_parts_must_match_the_schedule_and_h0():
+    h0, parts = PLAQUETTE
+    sched = linear_rampdown(1.0, 1.0)
+    with pytest.raises(ValueError, match="4 couplings but 3 Hamiltonian parts"):
+        schedule_unitary(h0, parts[:3], sched, tol=1e-6)
+    with pytest.raises(ValueError, match="4 couplings but 5 Hamiltonian parts"):
+        schedule_unitary(h0, (*parts, parts[0]), sched, tol=1e-6)
+    wide = OperatorSum(5, [(-1.0, PauliString.from_label("XIIII"))])
+    with pytest.raises(ValueError, match="qubit count"):
+        schedule_unitary(h0, (*parts[:3], wide), sched, tol=1e-6)
 
 
 def test_plaquette_builder_conserves_exactly_the_xxxx_check():
-    _, _, checks = evolve._probe_affine(plaquette_builder())
-    assert [c.letters for c in checks] == ["XXXX"]
+    h0, parts = PLAQUETTE
+    assert [c.letters for c in conserved_checks([h0, *parts])] == ["XXXX"]
 
 
 def test_check_breaking_static_part_runs_as_one_block_and_matches_dop853():
     static = plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
-    builder = lambda lam: plaquette_hamiltonian(1.0, lam, static)
-    assert evolve._probe_affine(builder)[2] == []
+    h0, parts = plaquette_parts(1.0, static)
+    assert conserved_checks([h0, *parts]) == []
     ts = [0.0, 0.5, 1.0]
-    ref = dop853_propagator(lambda t: np.full(4, 2.0 * (1.0 - t)), ts, model=builder)
-    u_final, snaps = schedule_unitary(builder, linear_rampdown(2.0, 1.0), tol=1e-8, sample_times=ts)
+    model = lambda lam: plaquette_hamiltonian(1.0, lam, static)
+    ref = dop853_propagator(lambda t: np.full(4, 2.0 * (1.0 - t)), ts, model=model)
+    u_final, snaps = schedule_unitary(h0, parts, linear_rampdown(2.0, 1.0), tol=1e-8, sample_times=ts)
     for (_, u), u_ref in zip(snaps, ref):
         assert np.abs(u - u_ref).max() <= 2.5e-9
     assert np.abs(u_final - ref[-1]).max() <= 2.5e-9
@@ -304,14 +304,14 @@ def test_non_unitary_propagator_is_a_numerical_failure(monkeypatch):
     integrate = evolve._integrate
     monkeypatch.setattr(evolve, "_integrate", lambda *args: [1.001 * u for u in integrate(*args)])
     with pytest.raises(NumericalCheckError, match="not unitary"):
-        schedule_unitary(plaquette_builder(), linear_rampdown(1.0, 1.0), tol=1e-6)
+        schedule_unitary(*PLAQUETTE, linear_rampdown(1.0, 1.0), tol=1e-6)
 
 
 def test_failed_state_check_in_propagate_is_a_numerical_failure(monkeypatch):
     eye = np.eye(16, dtype=complex)
     monkeypatch.setattr(evolve, "_converged_propagators", lambda *args, **kwargs: ([0.0, 1.0], [eye, 2.0 * eye]))
     with pytest.raises(NumericalCheckError, match="failed its check"):
-        propagate(plaquette_builder(), linear_rampdown(1.0, 1.0), thermal_input(1.0, 0.5), tol=1e-8)
+        propagate(*PLAQUETTE, linear_rampdown(1.0, 1.0), thermal_input(1.0, 0.5), tol=1e-8)
 
 
 def recorded_passes(monkeypatch) -> list[int]:
@@ -332,7 +332,7 @@ def test_step_budget_stops_before_a_pass_would_exceed_it(monkeypatch):
     passes = recorded_passes(monkeypatch)
     monkeypatch.setattr(evolve, "_MAX_STEPS", budget)
     with pytest.raises(ConvergenceError, match="within 1000 steps"):
-        schedule_unitary(plaquette_builder(), linear_rampdown(2.5, 10.0), tol=1e-15)
+        schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-15)
     assert sum(passes) <= budget
     assert passes == [64, 128, 256, 512]
 
@@ -340,14 +340,14 @@ def test_step_budget_stops_before_a_pass_would_exceed_it(monkeypatch):
 def test_rampdown_converges_in_four_passes(monkeypatch):
     # sixth order: the 256 -> 512 comparison already meets tol/4 = 2.5e-9
     passes = recorded_passes(monkeypatch)
-    schedule_unitary(plaquette_builder(), linear_rampdown(2.5, 10.0), tol=1e-8)
+    schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-8)
     assert passes == [64, 128, 256, 512]
 
 
 def fixed_step_unitary(monkeypatch, schedule: Schedule, n: int) -> np.ndarray:
     """U from n nominal steps: one doubling round from n/2, with a tolerance any pair meets."""
     monkeypatch.setattr(evolve, "_BASE_STEP_FRACTION", 2.0 / n)
-    return schedule_unitary(plaquette_builder(), schedule, tol=1e3)
+    return schedule_unitary(*PLAQUETTE, schedule, tol=1e3)
 
 
 def staggered_switchoff(lams, ends, duration) -> tuple[Schedule, object]:
@@ -384,7 +384,7 @@ def test_long_tight_propagation_has_bounded_peak_memory(monkeypatch):
     passes = recorded_passes(monkeypatch)
     tracemalloc.start()
     try:
-        schedule_unitary(plaquette_builder(), linear_rampdown(2.5, 40.0), tol=1e-10)
+        schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 40.0), tol=1e-10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -395,7 +395,6 @@ def test_long_tight_propagation_has_bounded_peak_memory(monkeypatch):
 
 def test_per_spin_schedule_drives_separate_couplings():
     sched = sequential_switchoff(2.0, 0.25, (4, 3, 2, 1))
-    builder = plaquette_builder()
     rho0 = thermal_input(2.0, 0.2)
-    final = propagate(builder, sched, rho0, tol=1e-6)
+    final = propagate(*PLAQUETTE, sched, rho0, tol=1e-6)
     assert abs(final.trace() - 1.0) <= 1e-6
