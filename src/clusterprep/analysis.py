@@ -10,6 +10,14 @@ across two check sectors.  Class weights map onto an error channel of
 single and correlated phase flips on the four logical neighbors of the
 plaquette; the channel's headline figure is the weighted total
 phase-flip error used for fault-tolerance budgeting.
+
+The cooled state is a Boltzmann mixture of the eigenstates at the
+initial coupling, and every basis weight is linear in the state.  So
+each (lambda0, tau) pipeline is read out once: the weight of every
+evolved eigenstate on every basis state, and its error, are cached, and
+the report or the error at any temperature is a weighted sum of them.
+`run_point`, `no_evolution_point` and `threshold_temperature` all read
+from that cache.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .models import (
     stabilizers_1d,
 )
 from .pauli import OperatorSum, check_frame, taper, to_dense
-from .thermal import DensityMatrix, gibbs_state
+from .thermal import DensityMatrix, thermal_weights
 
 __all__ = [
     "CLASS_REPS",
@@ -163,11 +171,16 @@ def error_tomography(rho: DensityMatrix) -> ErrorChannelReport:
     """
     if rho.matrix.shape != (16, 16):
         raise ValueError("tomography expects a four-spin state")
-    basis, labels = tomography_basis()
+    basis, _ = tomography_basis()
     weights = np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho.matrix, basis))
     if weights.min() < -1e-8:
         raise NumericalCheckError(f"state has negative basis weight {weights.min():.3e}")
-    weights = np.clip(weights, 0.0, None)
+    return _channel_report(np.clip(weights, 0.0, None))
+
+
+def _channel_report(weights: np.ndarray) -> ErrorChannelReport:
+    """The error channel of the sixteen tomography basis weights."""
+    _, labels = tomography_basis()
     raw = {label: float(w) for label, w in zip(labels, weights)}
     class_probs = {rep: raw[(rep, 1)] for rep in CLASS_REPS}
     for rep in CLASS_REPS:
@@ -310,14 +323,52 @@ def spectrum_path(
     return SectorSpectrumTable("time", ts, *_plaquette_spectra(J, lams, static), couplings=lams)
 
 
+@dataclass(frozen=True)
+class _Readout:
+    """Error channel of one (lambda0, tau) pipeline at every temperature.
+
+    ``energies`` are the levels at lambda0, ascending, with eigenvectors
+    |k>; ``W[i, k] = |<b_i|U|k>|^2`` is the weight that the evolved
+    eigenstate U|k> puts on tomography basis state b_i; ``e[k]`` is the
+    total phase-flip error of U|k> alone.  The cooled state is
+    sum_k w_k(T) |k><k| (`thermal.thermal_weights`), so its basis weights
+    after the ramp are ``W @ w(T)`` and its error is ``e @ w(T)``.
+    """
+
+    energies: np.ndarray
+    W: np.ndarray
+    e: np.ndarray
+
+    def report(self, T: float) -> ErrorChannelReport:
+        return _channel_report(self.W @ thermal_weights(self.energies, T))
+
+    def e_zeta(self, T: float) -> float:
+        return float(self.e @ thermal_weights(self.energies, T))
+
+
 @functools.lru_cache(maxsize=64)
-def _rampdown_unitary(
-    lambda0: float, tau: float, J: float, tol: float, static: Optional[OperatorSum] = None
-) -> np.ndarray:
-    """Cached, read-only propagator of the uniform rampdown (independent of T)."""
-    u = schedule_unitary(*plaquette_parts(J, static), linear_rampdown(lambda0, tau), tol)
-    u.flags.writeable = False
-    return u
+def _readout(
+    lambda0: float, tau: Optional[float], J: float, tol: float, static: Optional[OperatorSum] = None
+) -> _Readout:
+    """Cached, read-only readout of the rampdown over tau (none for ``tau=None``).
+
+    W must be doubly stochastic: its rows and columns sum to 1 within
+    max(1e-10, 4 tol), which holds when U is unitary (NumericalCheckError
+    otherwise).
+    """
+    spec = linalg.eigh(to_dense(plaquette_hamiltonian(J, lambda0, static)))
+    vectors = spec.vectors
+    if tau is not None:
+        vectors = schedule_unitary(*plaquette_parts(J, static), linear_rampdown(lambda0, tau), tol) @ vectors
+    basis, _ = tomography_basis()
+    W = np.abs(basis.conj().T @ vectors) ** 2
+    defect = max(np.abs(W.sum(axis=0) - 1.0).max(), np.abs(W.sum(axis=1) - 1.0).max())
+    if defect > max(1e-10, 4.0 * tol):
+        raise NumericalCheckError(f"evolved state failed its check: readout sums miss 1 by {defect:.3e}")
+    e = np.array([_channel_report(unit).e_zeta for unit in np.eye(16)]) @ W
+    for array in (spec.values, W, e):
+        array.flags.writeable = False
+    return _Readout(spec.values, W, e)
 
 
 def run_point(
@@ -328,23 +379,21 @@ def run_point(
     tol: float = 1e-8,
     static: Optional[OperatorSum] = None,
 ) -> ErrorChannelReport:
-    """Cool at the initial coupling, ramp it down, read out error classes."""
-    rho0 = gibbs_state(plaquette_hamiltonian(J, lambda0, static), T)
-    u = _rampdown_unitary(lambda0, tau, J, tol, static)
-    rho_tau = u @ rho0.matrix @ u.conj().T
-    rho_tau = 0.5 * (rho_tau + rho_tau.conj().T)
-    try:
-        final = DensityMatrix.from_matrix(rho_tau, check=True, atol=max(1e-10, 4.0 * tol))
-    except ValueError as exc:
-        raise NumericalCheckError(f"evolved state failed its check: {exc}") from exc
-    return error_tomography(final)
+    """Cool at the initial coupling, ramp it down, read out error classes.
+
+    The readout of each (lambda0, tau, J, tol, static) is cached, so
+    other temperatures on the same schedule reuse its propagator and
+    eigenpairs.
+    """
+    return _readout(lambda0, tau, J, tol, static).report(T)
 
 
 def no_evolution_point(
     T: float, lambda0: float, J: float = 1.0, static: Optional[OperatorSum] = None
 ) -> ErrorChannelReport:
     """Error classes of the cooled state read out with no rampdown at all."""
-    return error_tomography(gibbs_state(plaquette_hamiltonian(J, lambda0, static), T))
+    # with no ramp, tol only sets the readout check's tolerance
+    return _readout(lambda0, None, J, 1e-8, static).report(T)
 
 
 def threshold_temperature(
@@ -358,36 +407,36 @@ def threshold_temperature(
 ) -> Optional[float]:
     """Highest temperature with total phase-flip error at the target.
 
-    ``tau=None`` evaluates the no-evolution pipeline.  The error is
-    checked to be nondecreasing on a coarse sample of the bracket first
-    (NumericalCheckError otherwise).  Returns None when the error
-    exceeds the target over the whole bracket (threshold, if any, below
-    the bracket); raises when the bracket does not straddle the target
-    from below.  The bisected temperature must reproduce the target
-    error to within 1e-4 (ConvergenceError otherwise).
+    ``tau=None`` evaluates the no-evolution pipeline.  The error at each
+    temperature is read from the cached per-eigenstate errors (see
+    `run_point`), so the search integrates at most one propagator.
+
+    Nine probes spread over the bracket settle the search first: it
+    returns None when every probe is above the target (the threshold,
+    if any, lies below the bracket) and raises ThresholdBracketError
+    when every probe is below it.  Otherwise the probes straddle the
+    target, and they must be nondecreasing (a dip beyond 1e-6 raises
+    NumericalCheckError, since it could move the crossing).  The
+    bisected temperature must reproduce the target error to within
+    1e-4 (ConvergenceError otherwise).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 <= lo < hi):
         raise ValueError("bracket must satisfy 0 <= lo < hi")
-
-    def err(T: float) -> float:
-        if tau is None:
-            return no_evolution_point(T, lambda0, J, static).e_zeta
-        return run_point(T, lambda0, tau, J, tol, static).e_zeta
-
+    err = _readout(lambda0, tau, J, tol, static).e_zeta
     probes = np.geomspace(max(lo, 1e-12), hi, 9)
     probes[0], probes[-1] = lo, hi
     samples = [err(float(T)) for T in probes]
+    if min(samples) > target:
+        return None
+    if max(samples) < target:
+        raise ThresholdBracketError("error stays below target across the bracket")
     # flat stretches at low T sit on the diabatic floor; only dips beyond
     # integrator noise count as genuine non-monotonicity
     slack = 1e-6
     for a, b in zip(samples, samples[1:]):
         if b < a - slack:
             raise NumericalCheckError("error is not monotone over the bracket")
-    if samples[0] > target:
-        return None
-    if samples[-1] < target:
-        raise ThresholdBracketError("error stays below target across the bracket")
     t_lo, t_hi = lo, hi
     for _ in range(200):
         mid = 0.5 * (t_lo + t_hi)

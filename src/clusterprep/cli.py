@@ -484,12 +484,14 @@ def _cmd_phase_diagram(ns: argparse.Namespace) -> int:
             )
         return t_star
 
+    # the no-evolution threshold does not depend on tau: one search per lambda0
+    unevolved = {lam0: threshold(lam0, None, "no-evolution") for lam0 in lam0s} if ns.no_evolution else None
     rows = []
     for tau in taus:
         for lam0 in lam0s:
             row = [tau, lam0, threshold(lam0, tau, f"tau={_fmt_value(tau)}")]
-            if ns.no_evolution:
-                row.append(threshold(lam0, None, "no-evolution"))
+            if unevolved is not None:
+                row.append(unevolved[lam0])
             rows.append(tuple(row))
     header = _header_comment(ns, _PHASE_OPTS)
     _emit(ns.output, _csv_text(header, columns, rows))

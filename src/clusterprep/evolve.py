@@ -215,21 +215,37 @@ def _sector_blocks(mats: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray
     return np.stack([rotated[:, a * d : (a + 1) * d, a * d : (a + 1) * d] for a in range(n_blocks)], axis=1)
 
 
+def _admissible_theta(m: int) -> float:
+    """Largest double theta < m + 2 whose degree-m Taylor remainder bound
+    theta^(m+1) / (m+1)! / (1 - theta/(m+2)) is at most 2^-53.
+
+    The bound grows with theta, so bisection over doubles finds it.
+    """
+    lo, hi = 0.0, float(m + 2)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if mid ** (m + 1) / math.factorial(m + 1) / (1.0 - mid / (m + 2)) <= _UNIT_ROUNDOFF:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+_ADMISSIBLE_THETA = {m: _admissible_theta(m) for m in range(1, _MAX_TAYLOR_DEGREE + 1)}
+
+
 def _taylor_plan(norm: float) -> tuple[int, int]:
     """Cheapest (degree m, squarings s) whose truncation error is below 2^-53.
 
-    With theta = norm / 2^s, the Taylor remainder of exp is bounded by
-    theta^(m+1) / (m+1)! / (1 - theta/(m+2)); the cost counts the
-    matrix products of Paterson-Stockmeyer evaluation plus squarings.
+    Degree m needs the fewest squarings s with norm / 2^s at most its
+    admissible theta (tabled at import); the cost counts the matrix
+    products of Paterson-Stockmeyer evaluation plus squarings.
     """
+    mantissa, exponent = math.frexp(norm)
     best = None
-    for m in range(1, _MAX_TAYLOR_DEGREE + 1):
-        s = 0
-        while True:
-            theta = math.ldexp(norm, -s)
-            if theta < m + 2 and theta ** (m + 1) / math.factorial(m + 1) / (1.0 - theta / (m + 2)) <= _UNIT_ROUNDOFF:
-                break
-            s += 1
+    for m, theta in _ADMISSIBLE_THETA.items():
+        # fewest s with norm / 2^s <= theta, read off the binary exponents
+        t_mantissa, t_exponent = math.frexp(theta)
+        s = 0 if norm <= theta else exponent - t_exponent + (mantissa > t_mantissa)
         p = math.isqrt(m - 1) + 1
         cost = p - 1 + m // p + s
         if best is None or cost < best[0]:

@@ -10,7 +10,7 @@ import numpy as np
 from . import linalg
 from .pauli import OperatorSum, to_dense
 
-__all__ = ["DensityMatrix", "gibbs_state"]
+__all__ = ["DensityMatrix", "gibbs_state", "thermal_weights"]
 
 _DEGENERACY_RTOL = 1e-9  # width of the T = 0 ground space, relative to max(1, |E0|)
 
@@ -51,25 +51,34 @@ class DensityMatrix:
         return float(np.trace(observable @ self.matrix).real)
 
 
-def gibbs_state(h, T: float) -> DensityMatrix:
-    """exp(-h/T) / Z, stabilized by shifting out the ground energy.
+def thermal_weights(energies: np.ndarray, T: float) -> np.ndarray:
+    """Occupation of each level of an ascending spectrum at temperature T.
 
-    ``h`` is an OperatorSum of at most ``pauli.DENSE_QUBIT_LIMIT``
-    qubits or a dense Hermitian matrix.  T = 0 returns the uniform
-    mixture over the (numerically degenerate) ground space: levels
-    within 1e-9 of the ground energy, relative to max(1, |E0|).
-    Temperatures are in energy units (Boltzmann constant absorbed).
+    T > 0 gives Boltzmann weights exp(-(E_k - E_0)/T), normalized.  T = 0
+    gives the uniform mixture over the (numerically degenerate) ground
+    space: levels within 1e-9 of the ground energy, relative to
+    max(1, |E0|).  Temperatures are in energy units (Boltzmann constant
+    absorbed).
     """
     if not T >= 0:
         raise ValueError("temperature must be >= 0")
-    mat = to_dense(h) if isinstance(h, OperatorSum) else np.asarray(h)
-    spec = linalg.eigh(mat)
-    shifted = spec.values - spec.values[0]
+    shifted = energies - energies[0]
     if T == 0.0:
-        tol = _DEGENERACY_RTOL * max(1.0, abs(float(spec.values[0])))
+        tol = _DEGENERACY_RTOL * max(1.0, abs(float(energies[0])))
         weights = (shifted <= tol).astype(float)
     else:
         weights = np.exp(-shifted / T)
-    weights = weights / weights.sum()
-    rho = (spec.vectors * weights) @ spec.vectors.conj().T
+    return weights / weights.sum()
+
+
+def gibbs_state(h, T: float) -> DensityMatrix:
+    """exp(-h/T) / Z over the eigenbasis of h, with `thermal_weights`.
+
+    ``h`` is an OperatorSum of at most ``pauli.DENSE_QUBIT_LIMIT``
+    qubits or a dense Hermitian matrix; T = 0 gives the uniform mixture
+    over the ground space.
+    """
+    mat = to_dense(h) if isinstance(h, OperatorSum) else np.asarray(h)
+    spec = linalg.eigh(mat)
+    rho = (spec.vectors * thermal_weights(spec.values, T)) @ spec.vectors.conj().T
     return DensityMatrix.from_matrix(rho, check=False)

@@ -8,13 +8,14 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from clusterprep import analysis
 from clusterprep.analysis import (
     CLASS_LABELS,
     CLASS_REPS,
     ErrorChannelReport,
     NumericalCheckError,
     ThresholdBracketError,
-    _rampdown_unitary,
+    _readout,
     chain_sector_gap,
     error_tomography,
     ghz_fidelity,
@@ -30,11 +31,11 @@ from clusterprep.analysis import (
     tomography_basis,
     total_phase_flip_error,
 )
-from clusterprep.evolve import PiecewiseLinear, Schedule, linear_rampdown, sequential_switchoff
+from clusterprep.evolve import PiecewiseLinear, Schedule, linear_rampdown, schedule_unitary, sequential_switchoff
 from clusterprep.linalg import ConvergenceError, eigh
 from clusterprep.models import build_chain_1d, plaquette_ring_term, stabilizer_3d_local, stabilizers_1d
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
-from clusterprep.thermal import DensityMatrix
+from clusterprep.thermal import DensityMatrix, gibbs_state
 
 
 def random_density_matrix(rng, dim=16) -> DensityMatrix:
@@ -282,15 +283,59 @@ def test_run_point_is_deterministic_and_cached():
 
 
 def test_rampdown_propagator_cache_is_bounded_and_read_only():
-    assert _rampdown_unitary.cache_info().maxsize == 64
+    # the readout holds the propagator's work: one per (lambda0, tau) across T
+    assert _readout.cache_info().maxsize == 64
     run_point(0.21, 1.3, 0.4, tol=1e-6)
-    hits = _rampdown_unitary.cache_info().hits
+    hits = _readout.cache_info().hits
     run_point(0.55, 1.3, 0.4, tol=1e-6)  # another temperature, same schedule
-    assert _rampdown_unitary.cache_info().hits == hits + 1
-    u = _rampdown_unitary(1.3, 0.4, 1.0, 1e-6, None)
-    assert _rampdown_unitary.cache_info().hits == hits + 2
-    with pytest.raises(ValueError, match="read-only"):
-        u[0, 0] = 0.0
+    assert _readout.cache_info().hits == hits + 1
+    readout = _readout(1.3, 0.4, 1.0, 1e-6, None)
+    assert _readout.cache_info().hits == hits + 2
+    for array in (readout.energies, readout.W, readout.e):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def assert_same_report(report, oracle, atol):
+    for field in ("fidelity", "p_z", "p_c1", "p_c2", "e_zeta", "w_minus"):
+        assert abs(getattr(report, field) - getattr(oracle, field)) <= atol, field
+    for mine, theirs in ((report.class_probs, oracle.class_probs), (report.raw, oracle.raw)):
+        assert mine.keys() == theirs.keys()
+        assert max(abs(mine[k] - theirs[k]) for k in mine) <= atol
+
+
+@pytest.mark.parametrize("tau", [None, 2.0, 10.0])
+@pytest.mark.parametrize("lambda0", [0.3, 2.5])
+def test_readout_matches_the_density_matrix_path(lambda0, tau):
+    h = plaquette_hamiltonian(1.0, lambda0)
+    u = np.eye(16) if tau is None else schedule_unitary(*plaquette_parts(1.0), linear_rampdown(lambda0, tau), 1e-8)
+    readout = _readout(lambda0, tau, 1.0, 1e-8, None)
+    for T in (0.0, 1e-3, 0.37, 3.0):
+        rho = gibbs_state(h, T).matrix
+        oracle = error_tomography(DensityMatrix(u @ rho @ u.conj().T))
+        report = no_evolution_point(T, lambda0) if tau is None else run_point(T, lambda0, tau)
+        assert_same_report(report, oracle, 1e-12)
+        assert abs(readout.e_zeta(T) - oracle.e_zeta) <= 1e-12
+
+
+def test_readout_keeps_the_degenerate_ground_space_at_zero_temperature():
+    h = plaquette_hamiltonian(1.0, 1e-3)
+    levels = np.linalg.eigvalsh(to_dense(h))
+    assert levels[1] - levels[0] <= 1e-9  # the T = 0 state mixes a degenerate ground space
+    assert_same_report(no_evolution_point(0.0, 1e-3), error_tomography(gibbs_state(h, 0.0)), 1e-12)
+
+
+@pytest.fixture
+def fresh_readouts():
+    _readout.cache_clear()
+    yield
+    _readout.cache_clear()
+
+
+def test_non_unitary_propagator_fails_the_readout_check(monkeypatch, fresh_readouts):
+    monkeypatch.setattr(analysis, "schedule_unitary", lambda *args: 2.0 * np.eye(16, dtype=complex))
+    with pytest.raises(NumericalCheckError, match="evolved state failed its check"):
+        _readout(1.3, 0.4, 1.0, 1e-6, None)
 
 
 def test_no_evolution_static_ring_matches_default():
@@ -321,6 +366,13 @@ def test_threshold_below_bracket_returns_none():
     # cooled at strong coupling the unevolved state is far from the
     # target everywhere, so no temperature in the bracket qualifies
     assert threshold_temperature(2.5, tau=None, bracket=(1e-5, 3.0)) is None
+
+
+@pytest.mark.parametrize("lambda0", [2.6, 2.7, 2.8])
+def test_threshold_far_above_target_ignores_a_sub_micro_dip(lambda0):
+    # the unevolved error dips by about 1e-6 between probes here, but every
+    # probe is near 0.66, far above the target, so no crossing can move
+    assert threshold_temperature(lambda0, tau=None) is None
 
 
 def test_threshold_above_bracket_raises():

@@ -353,18 +353,40 @@ def test_phase_diagram_bracket_flag():
     assert code == 2
 
 
+def test_phase_diagram_computes_each_no_evolution_threshold_once():
+    code, out, err = run_cli("phase-diagram", "--lambda0-grid", "1.5,2.5", "--tau", "2,5", "--no-evolution")
+    assert code == 0
+    assert len(data_lines(out)) == 4
+    for lam0 in ("1.5", "2.5"):
+        assert err.count(f"no threshold in bracket for no-evolution lambda0={lam0}\n") == 1
+
+
+def test_phase_diagram_survives_a_dip_far_above_the_target():
+    code, out, err = run_cli("phase-diagram", "--lambda0-grid", "2.6", "--tau", "3", "--no-evolution")
+    assert code == 0
+    assert data_lines(out) == ["3.0,2.6,,"]
+
+
 def test_phase_diagram_non_monotone_error_is_numerical_failure(monkeypatch):
-    # an error that falls with temperature fails the monotonicity check
-    monkeypatch.setattr(analysis, "run_point", lambda T, *args: SimpleNamespace(e_zeta=1.0 / (1.0 + T)))
+    # an error that falls with temperature across the target fails the monotonicity check
+    falling = SimpleNamespace(e_zeta=lambda T: 0.06 / (1.0 + T))
+    monkeypatch.setattr(analysis, "_readout", lambda *args: falling)
     code, out, err = run_cli("phase-diagram", "--lambda0-grid", "2.5", "--tau", "5")
     assert code == 3
     assert out == ""
     assert "numerical failure: error is not monotone" in err
 
 
-def test_sweep_failed_state_check_is_numerical_failure(monkeypatch):
-    # a non-unitary propagator leaves a final state with trace 4
-    monkeypatch.setattr(analysis, "_rampdown_unitary", lambda *args: 2.0 * np.eye(16, dtype=complex))
+@pytest.fixture
+def fresh_readouts():
+    analysis._readout.cache_clear()
+    yield
+    analysis._readout.cache_clear()
+
+
+def test_sweep_failed_state_check_is_numerical_failure(monkeypatch, fresh_readouts):
+    # a non-unitary propagator gives readout weights that sum to 4
+    monkeypatch.setattr(analysis, "schedule_unitary", lambda *args: 2.0 * np.eye(16, dtype=complex))
     code, out, err = run_cli("sweep", *SWEEP_ARGS, "--workers", "1")
     assert code == 3
     assert out == ""

@@ -6,6 +6,7 @@ scipy's DOP853 integrator, and conservation laws (trace, purity,
 check-sector weights) that the exact dynamics obeys identically.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from clusterprep.linalg import ConvergenceError, NumericalCheckError
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term, stabilizer_3d_local
 from clusterprep.pauli import OperatorSum, PauliString, conserved_checks, to_dense
 from clusterprep.thermal import DensityMatrix, gibbs_state
-from oracles import expm_scaled
+from oracles import expm_scaled, taylor_plan
 
 
 PLAQUETTE = plaquette_parts(1.0)
@@ -287,6 +288,19 @@ def test_taylor_exponential_matches_scipy_expm(norm):
     assert np.abs(out - ref).max() <= 1e-13
     defect = np.abs(out.conj().swapaxes(-1, -2) @ out - np.eye(8)).max()
     assert defect <= 1e-14
+
+
+def test_tabled_taylor_plan_matches_the_degree_loop():
+    norms = [0.0, *np.geomspace(1e-6, 1e3, 4001)]
+    # each degree's admissible theta scaled by powers of two is a boundary
+    # between squaring counts; take it and both neighbouring doubles
+    for theta in evolve._ADMISSIBLE_THETA.values():
+        for k in range(-40, 40):
+            edge = math.ldexp(theta, k)
+            if 1e-6 <= edge <= 1e3:
+                norms += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    mismatches = [n for n in map(float, norms) if evolve._taylor_plan(n) != taylor_plan(n)]
+    assert mismatches == []
 
 
 def test_generators_that_leave_the_sectors_are_a_numerical_failure():

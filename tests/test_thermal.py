@@ -6,7 +6,7 @@ import pytest
 from clusterprep.linalg import eigh
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
-from clusterprep.thermal import DensityMatrix, gibbs_state
+from clusterprep.thermal import DensityMatrix, gibbs_state, thermal_weights
 
 
 def test_two_level_boltzmann_weights():
@@ -36,6 +36,15 @@ def test_zero_temperature_degenerate_ground_space():
     expected[0, 0] = expected[15, 15] = 0.5
     np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
     assert rho.purity() == pytest.approx(0.5, abs=1e-12)
+
+
+def test_thermal_weights_ground_space_width_and_boltzmann_ratio():
+    # levels within 1e-9 max(1, |E0|) of the ground energy share the weight
+    np.testing.assert_array_equal(thermal_weights(np.array([-1.0, -1.0 + 5e-10, -1.0 + 2e-9]), 0.0), [0.5, 0.5, 0.0])
+    np.testing.assert_array_equal(thermal_weights(np.array([-100.0, -100.0 + 5e-8, -100.0 + 2e-7]), 0.0), [0.5, 0.5, 0.0])
+    np.testing.assert_allclose(thermal_weights(np.array([0.0, np.log(3.0)]), 1.0), [0.75, 0.25], atol=1e-15)
+    with pytest.raises(ValueError, match=">= 0"):
+        thermal_weights(np.zeros(2), float("nan"))
 
 
 def test_zero_temperature_unique_ground_state():
