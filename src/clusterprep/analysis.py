@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -230,18 +230,6 @@ class SectorSpectrumTable:
 
     def min_gap_sector(self) -> float:
         return float(self.gap_sector.min())
-
-    def rows(self) -> Iterable[tuple]:
-        for i in range(self.n_points):
-            for level in range(self.n_levels):
-                yield (
-                    float(self.axis[i]),
-                    level,
-                    float(self.energies[i, level]),
-                    int(self.sectors[i, level]),
-                    float(self.gap_global[i]),
-                    float(self.gap_sector[i]),
-                )
 
 
 def plaquette_hamiltonian(J: float, lam, static: Optional[OperatorSum] = None) -> OperatorSum:

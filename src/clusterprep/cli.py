@@ -2,11 +2,13 @@
 evolution, parameter sweeps, and threshold phase diagrams as CSV artifacts.
 
 Determinism contract: identical flags produce byte-identical CSVs.  Row
-order is fixed by sorting grid values, floats are written with their
-shortest round-trip representation, and every CSV starts with a header
+order is fixed by sorting grid values, and every CSV starts with a header
 comment recording the tool version and the semantic parameter set (the
 output path and worker count are deliberately left out, so worker count
-never changes the artifact).
+never changes the artifact).  Each command hands `_csv_text` its columns
+as lists of cells formatted by one rule (`_cells`): ``repr`` of a Python
+float or int, which is its shortest round-trip form, and an empty cell
+for None.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3
 numerical failure.
@@ -311,10 +313,15 @@ def _header_comment(ns: argparse.Namespace, opts: list[_Opt]) -> str:
     return f"# clusterprep {__version__} {ns.command} " + " ".join(parts)
 
 
-def _csv_text(header: str, columns: tuple[str, ...], rows) -> str:
-    """CSV lines; every cell is a Python float, int or None (written empty)."""
-    lines = [header, ",".join(columns)]
-    lines.extend(",".join("" if c is None else repr(c) for c in row) for row in rows)
+def _cells(values) -> list[str]:
+    """The cell rule: ``repr`` of each Python float or int, and "" for None."""
+    return ["" if v is None else repr(v) for v in values]
+
+
+def _csv_text(header: str, names: tuple[str, ...], columns) -> str:
+    """CSV text from ``columns``: one list of cells formatted by `_cells` per name, all of one length."""
+    lines = [header, ",".join(names)]
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -397,8 +404,16 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
             raise _UsageError("--path sequential requires --lambda-init")
         schedule = sequential_switchoff(ns.lambda_init, ns.tau_each, ns.order)
         table = analysis.spectrum_path(schedule, ns.J, ns.samples, static)
-    header = _header_comment(ns, _SPECTRUM_OPTS)
-    _emit(ns.output, _csv_text(header, _SPECTRUM_COLUMNS, table.rows()))
+    # each energy and each point value is formatted once; point values repeat over the levels
+    levels = table.n_levels
+    axis, gap_global, gap_sector = (
+        [cell for cell in _cells(values.tolist()) for _ in range(levels)]
+        for values in (table.axis, table.gap_global, table.gap_sector)
+    )
+    sector = dict(zip((1, -1), _cells((1, -1))))
+    energy, level = _cells(table.energies.ravel().tolist()), _cells(range(levels)) * table.n_points
+    columns = (axis, level, energy, [sector[s] for s in table.sectors.ravel().tolist()], gap_global, gap_sector)
+    _emit(ns.output, _csv_text(_header_comment(ns, _SPECTRUM_OPTS), _SPECTRUM_COLUMNS, columns))
     return 0
 
 
@@ -411,21 +426,16 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
     rho0 = gibbs_state(analysis.plaquette_hamiltonian(ns.J, ns.lambda0, static), ns.T)
     ts = np.linspace(0.0, ns.tau, ns.samples)
     final, snaps = propagate(*analysis.plaquette_parts(ns.J, static), schedule, rho0, ns.tol, sample_times=ts)
-    p_plus, p_minus = analysis.sector_projectors()
-    rows = []
-    for t, dm in snaps:
-        rows.append(
-            (
-                t,
-                float(schedule.coupling_vector(t)[0]),
-                analysis.ghz_fidelity(dm),
-                float(np.real(np.trace(p_plus @ dm.matrix))),
-                float(np.real(np.trace(p_minus @ dm.matrix))),
-            )
-        )
+    times, states = zip(*snaps)
+    columns = (
+        times,
+        [float(schedule.coupling_vector(t)[0]) for t in times],
+        [analysis.ghz_fidelity(dm) for dm in states],
+        *([float(np.real(np.trace(p @ dm.matrix))) for dm in states] for p in analysis.sector_projectors()),
+    )
     report = analysis.error_tomography(final)
     header = _header_comment(ns, _EVOLVE_OPTS)
-    _emit(ns.output, _csv_text(header, _EVOLVE_COLUMNS, rows))
+    _emit(ns.output, _csv_text(header, _EVOLVE_COLUMNS, map(_cells, columns)))
     prefix = "# " if ns.output is None else ""
     for key in ("fidelity", "p_z", "p_c1", "p_c2", "w_minus", "e_zeta"):
         print(f"{prefix}{key} = {getattr(report, key)!r}")
@@ -459,16 +469,16 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             results = list(pool.map(_sweep_group, groups))
     rows = [row for group_rows in results for row in group_rows]
     header = _header_comment(ns, _SWEEP_OPTS)
-    _emit(ns.output, _csv_text(header, _SWEEP_COLUMNS, rows))
+    _emit(ns.output, _csv_text(header, _SWEEP_COLUMNS, map(_cells, zip(*rows))))
     return 0
 
 
 def _cmd_phase_diagram(ns: argparse.Namespace) -> int:
     taus = sorted(ns.tau)
     lam0s = sorted(ns.lambda0_grid)
-    columns = ("tau", "lambda0", "T_star")
+    names = ("tau", "lambda0", "T_star")
     if ns.no_evolution:
-        columns = columns + ("T_star_no_evolution",)
+        names = names + ("T_star_no_evolution",)
 
     def threshold(lam0: float, tau: Optional[float], what: str):
         try:
@@ -494,7 +504,7 @@ def _cmd_phase_diagram(ns: argparse.Namespace) -> int:
                 row.append(unevolved[lam0])
             rows.append(tuple(row))
     header = _header_comment(ns, _PHASE_OPTS)
-    _emit(ns.output, _csv_text(header, columns, rows))
+    _emit(ns.output, _csv_text(header, names, map(_cells, zip(*rows))))
     return 0
 
 

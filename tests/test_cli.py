@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 from clusterprep import analysis, cli, pham
+from clusterprep.evolve import linear_rampdown, propagate, sequential_switchoff
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term
 from clusterprep.pauli import OperatorSum, PauliString
+from clusterprep.thermal import gibbs_state
 
 
 def run_cli(*argv):
@@ -119,6 +121,12 @@ def test_spectrum_grid_row_count():
     rows = data_lines(out)
     assert len(rows) == 6 * 16
     assert out.splitlines()[1] == "lambda_or_time,level,energy,sector,gap_global,gap_sector"
+
+
+def test_spectrum_first_row_is_level_zero_at_zero_coupling():
+    code, out, _ = run_cli("spectrum", "--lambda-grid", "0:2.5:11")
+    assert code == 0
+    assert data_lines(out)[0].startswith("0.0,0,")
 
 
 def test_spectrum_requires_exactly_one_source():
@@ -346,6 +354,78 @@ def test_csv_cells_are_empty_or_plain_literals():
     cells = [cell for _, out, _ in outputs for cell in plain_cells(out)]
     assert "" in cells  # the unevolved threshold below the bracket
     assert [cell for cell in cells if cell and not is_plain_literal(cell)] == []
+
+
+def spectrum_rows(table):
+    for i in range(table.n_points):
+        for level in range(table.n_levels):
+            yield (
+                float(table.axis[i]),
+                level,
+                float(table.energies[i, level]),
+                int(table.sectors[i, level]),
+                float(table.gap_global[i]),
+                float(table.gap_sector[i]),
+            )
+
+
+def sweep_rows():
+    # the SWEEP_ARGS grid in sorted order
+    for tau in (0.5, 1.0):
+        for T in (0.1, 0.5):
+            r = analysis.run_point(T, 1.0, tau, 1.0, 1e-6)
+            channel = (r.fidelity, r.p_z, r.p_c1, r.p_c2, r.w_minus, r.e_zeta)
+            yield (tau, 1.0, T, *map(float, channel))
+
+
+def phase_rows():
+    def t_star(tau):
+        t = analysis.threshold_temperature(2.5, tau, 1.0, 0.03, (1e-3, 3.0), 1e-8)
+        return None if t is None else float(t)
+
+    unevolved = t_star(None)
+    assert unevolved is None  # below the bracket, so the row ends in an empty cell
+    yield (5.0, 2.5, t_star(5.0), unevolved)
+
+
+def evolve_rows():
+    # the EVOLVE_ARGS run
+    schedule = linear_rampdown(1.0, 0.5)
+    rho0 = gibbs_state(analysis.plaquette_hamiltonian(1.0, 1.0), 0.5)
+    _, snaps = propagate(*analysis.plaquette_parts(1.0), schedule, rho0, 1e-6, sample_times=np.linspace(0.0, 0.5, 3))
+    projectors = analysis.sector_projectors()
+    for t, dm in snaps:
+        weights = (float(np.real(np.trace(p @ dm.matrix))) for p in projectors)
+        yield (float(t), float(schedule.coupling_vector(t)[0]), float(analysis.ghz_fidelity(dm)), *weights)
+
+
+SPECTRUM = "lambda_or_time,level,energy,sector,gap_global,gap_sector"
+BYTE_CASES = {
+    "grid": (("spectrum", "--lambda-grid", "0:2.5:41"), SPECTRUM,
+             lambda: spectrum_rows(analysis.spectrum_scan(1.0, np.linspace(0.0, 2.5, 41)))),
+    "sequential": (("spectrum", "--path", "sequential", "--lambda-init", "2", "--order", "3,1,4,2", "--samples", "33"),
+                   SPECTRUM,
+                   lambda: spectrum_rows(analysis.spectrum_path(sequential_switchoff(2.0, 1.0, (3, 1, 4, 2)), 1.0, 33))),
+    "rampdown": (("spectrum", "--path", "rampdown", "--lambda0", "2.5", "--samples", "21"), SPECTRUM,
+                 lambda: spectrum_rows(analysis.spectrum_path(linear_rampdown(2.5, 1.0), 1.0, 21))),
+    "sweep": (("sweep", *SWEEP_ARGS), "tau,lambda0,T,fidelity,p_z,p_c1,p_c2,w_minus,e_zeta", sweep_rows),
+    "phase-diagram": (("phase-diagram", "--lambda0-grid", "2.5", "--tau", "5", "--no-evolution"),
+                      "tau,lambda0,T_star,T_star_no_evolution", phase_rows),
+    "evolve": (("evolve", *EVOLVE_ARGS), "t,lambda,fidelity,w_plus,w_minus", evolve_rows),
+}
+
+
+@pytest.mark.parametrize("case", BYTE_CASES)
+def test_csv_bytes_match_the_per_row_formatter(case, tmp_path):
+    argv, names, rows = BYTE_CASES[case]
+    target = tmp_path / "out.csv"
+    assert run_cli(*argv, "--output", str(target))[0] == 0
+    text = target.read_bytes().decode()
+    header = text.splitlines()[0]
+    assert header.startswith(f"# clusterprep {cli.__version__} {argv[0]} ")
+    lines = [",".join("" if c is None else repr(c) for c in row) for row in rows()]
+    # split on newlines is lossless; a list keeps pytest's failure report short
+    assert text.split("\n") == [header, names, *lines, ""]
 
 
 def test_phase_diagram_bracket_flag():
