@@ -2,7 +2,7 @@
 
 Pauli-string operator algebra, the frustration-free chain / torus /
 plaquette model builders with their conserved checks, thermal input
-states, unitary schedule evolution by a step-doubled sixth-order Magnus
+states, unitary schedule evolution by a step-doubled eighth-order Magnus
 integrator (run in the sector blocks of the conserved checks, with
 matrix-product Taylor step exponentials), and the sector-resolved
 spectrum and error-channel analysis used to size temperature thresholds.

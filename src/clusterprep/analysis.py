@@ -241,8 +241,12 @@ def plaquette_hamiltonian(J: float, lam, static: Optional[OperatorSum] = None) -
     return static + plaquette_field_term(lam)
 
 
+@functools.lru_cache(maxsize=64)
 def plaquette_parts(J: float, static: Optional[OperatorSum] = None) -> tuple[OperatorSum, tuple[OperatorSum, ...]]:
-    """The plaquette as H0 + sum_mu lam_mu H_mu: ``(h0, parts)``, with the four unit fields -X_mu as parts."""
+    """The plaquette as H0 + sum_mu lam_mu H_mu: ``(h0, parts)``, with the four unit fields -X_mu as parts.
+
+    Cached: equal arguments return the same immutable operators.
+    """
     return plaquette_hamiltonian(J, 0.0, static), tuple(plaquette_field_term(e) for e in np.eye(4))
 
 
@@ -334,6 +338,14 @@ class _Readout:
         return float(self.e @ thermal_weights(self.energies, T))
 
 
+@functools.cache
+def _basis_errors() -> np.ndarray:
+    """Read-only e_zeta of each of the sixteen tomography basis states alone."""
+    e = np.array([_channel_report(unit).e_zeta for unit in np.eye(16)])
+    e.flags.writeable = False
+    return e
+
+
 @functools.lru_cache(maxsize=64)
 def _readout(
     lambda0: float, tau: Optional[float], J: float, tol: float, static: Optional[OperatorSum] = None
@@ -353,7 +365,7 @@ def _readout(
     defect = max(np.abs(W.sum(axis=0) - 1.0).max(), np.abs(W.sum(axis=1) - 1.0).max())
     if defect > max(1e-10, 4.0 * tol):
         raise NumericalCheckError(f"evolved state failed its check: readout sums miss 1 by {defect:.3e}")
-    e = np.array([_channel_report(unit).e_zeta for unit in np.eye(16)]) @ W
+    e = _basis_errors() @ W
     for array in (spec.values, W, e):
         array.flags.writeable = False
     return _Readout(spec.values, W, e)

@@ -462,10 +462,12 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     if size > ns.cap:
         raise _UsageError(f"grid has {size} points, above the cap of {ns.cap}")
     groups = [(tau, lam0, tuple(temps), ns.J, ns.tol) for tau in taus for lam0 in lam0s]
-    if ns.workers == 1:
+    # the pool starts all its workers at once, so start no more than there are groups
+    workers = min(ns.workers, len(groups))
+    if workers == 1:
         results = [_sweep_group(g) for g in groups]
     else:
-        with ProcessPoolExecutor(max_workers=ns.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_group, groups))
     rows = [row for group_rows in results for row in group_rows]
     header = _header_comment(ns, _SWEEP_OPTS)

@@ -3,7 +3,8 @@
 Schedules are piecewise-linear coupling trajectories.  The Hamiltonian
 is given in its affine form, H(lam) = H0 + sum_mu lam_mu H_mu: the
 propagators take H0 and one part H_mu per coupling column of the
-schedule, as `OperatorSum`s, and make one dense matrix of each.
+schedule, as `OperatorSum`s, and make one dense matrix of each, once
+per (H0, parts): the sector frame below is cached.
 
 The conserved Pauli checks are found symbolically from the terms of H0
 and the H_mu (`pauli.conserved_checks`), and the matrices are rotated
@@ -12,12 +13,14 @@ propagator is integrated as 2^k sector blocks of size dim / 2^k on one
 batch axis (one full block when there are none); a part with weight
 outside the blocks is a numerical failure.
 
-Propagation uses the sixth-order Magnus integrator (Blanes, Casas,
-Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488) on the whole
-propagator, so the spectral weights of the initial mixture ride along
-unchanged.  H(t) is linear on each smooth piece of the schedule, so a
-step's exponent is a quadratic in the step index with coefficients
-formed once per piece.  Each step exponential is a truncated Taylor
+Propagation uses the eighth-order Magnus integrator (Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
+Phil. Trans. R. Soc. A 357 (1999)) on the whole propagator, so the
+spectral weights of the initial mixture ride along unchanged.  H(t) is
+linear on each smooth piece of the schedule, so the exponent's nested
+commutators are formed once per piece and propagator, and each pass
+and segment only weights them with scalars: a step's exponent is a
+quartic in the step index.  Each step exponential is a truncated Taylor
 series with scaling and squaring, evaluated with matrix products only
 (Paterson-Stockmeyer), with degree and squarings chosen per batch so
 the truncation error is below unit roundoff (after Al-Mohy & Higham,
@@ -39,6 +42,7 @@ which keeps the scheme at full order on each smooth piece.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,7 +63,7 @@ __all__ = [
 
 _BASE_STEP_FRACTION = 1.0 / 64.0
 # total steps over all passes of one step-doubling run; the heaviest
-# in-repo run (tau = 40, tol = 1e-10, in the tests) takes 8128, 32x under it
+# in-repo run (tau = 40, tol = 1e-10, in the tests) takes 4032, 65x under it
 _MAX_STEPS = 1 << 18
 # complex entries per batched array: bounds peak memory independently of
 # the step count (512 steps of two 8x8 sector blocks, 1 MB per array)
@@ -70,6 +74,11 @@ _MAX_TAYLOR_DEGREE = 18
 # entry, above which a check counts as broken
 _ROUNDING_RTOL = 1e-12
 _UNITARITY_ATOL = 1e-10
+# the power of h and the degree in t of each row of `_magnus_terms`; a
+# step's exponent is a polynomial of degree _STEP_DEGREE in its index
+_TERM_H_POWERS = np.array([1, 1, 3, 5, 5, 5, 7, 7, 7, 7, 7])
+_TERM_T_DEGREES = np.array([0, 1, 0, 0, 1, 2, 0, 1, 2, 3, 4])
+_STEP_DEGREE = int(_TERM_T_DEGREES.max())
 
 
 @dataclass(frozen=True)
@@ -283,32 +292,66 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _magnus_exponents(h0, parts, schedule: Schedule, boundaries: list[float], counts: list[int]) -> np.ndarray:
-    """Sixth-order Magnus exponents M0 + s M1 + s^2 M2 of step s, per segment.
+def _magnus_terms(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Matrix coefficients of the eighth-order Magnus exponent on linear pieces.
 
-    A = -iH is linear on a segment, so alpha1 = h A(midpoint of step s)
-    is a + s b with constant alpha2 = b = h^2 dA/dt, and D = [a, b] for
-    every s.  The exponent alpha1 - D/12 + [alpha1, [alpha1, D]]/720 -
-    [b, D]/240 (Blanes et al. 2009 with alpha3 = 0) then expands exactly
-    into the three coefficients, returned as (segments, 3, n_blocks, d, d).
+    On a piece A(t) = -iH(t) = a0 + t a1 (t from the piece's start), a
+    step of length h centred at t has alpha1 = h A(t), b = h^2 a1 and
+    D = [alpha1, b] = h^3 [a0, a1].  Its exponent (Blanes et al. 2009,
+    eighth order; alpha3 = alpha4 = 0 on a linear piece) is
+
+        alpha1 - D/12 + [alpha1, [alpha1, D]]/720 - [b, D]/240
+        - [alpha1, [alpha1, [alpha1, [alpha1, D]]]]/30240
+        - [alpha1, [b, [alpha1, D]]]/30240 + [b, [alpha1, [alpha1, D]]]/7560
+        - [b, [b, D]]/6720,
+
+    a sum of h^w times polynomials in t whose coefficients are nested
+    brackets of a0 and a1.  For a0 and a1 of shape (pieces, ..., d, d)
+    returns those coefficients as (pieces, 11, ..., d, d), row r being
+    the t^_TERM_T_DEGREES[r] coefficient of the h^_TERM_H_POWERS[r] term.
     Commutators of sector-block matrices stay in the blocks.
     """
-    t = np.array(boundaries)
-    lam = schedule.coupling_matrix(t)
-    slope = np.diff(lam, axis=0) / np.diff(t)[:, None]
-    h = (np.diff(t) / np.array(counts))[:, None]
-    a = -1j * h[..., None, None] * (h0 + np.tensordot(lam[:-1] + 0.5 * h * slope, parts, axes=1))
-    b = -1j * h[..., None, None] ** 2 * np.tensordot(slope, parts, axes=1)
 
     def bracket(x, y):
         return x @ y - y @ x
 
-    d = bracket(a, b)
-    ad, bd = bracket(a, d), bracket(b, d)
-    m0 = a - d / 12.0 + bracket(a, ad) / 720.0 - bd / 240.0
-    m1 = b + (bracket(b, ad) + bracket(a, bd)) / 720.0
-    m2 = bracket(b, bd) / 720.0
-    return np.stack([m0, m1, m2], axis=1)
+    def ad(poly):
+        # [a0 + t a1, poly] for a polynomial in t with coefficients along axis 1
+        out = np.zeros((poly.shape[0], poly.shape[1] + 1, *poly.shape[2:]), dtype=complex)
+        out[:, :-1] += bracket(a0[:, None], poly)
+        out[:, 1:] += bracket(a1[:, None], poly)
+        return out
+
+    b = a1[:, None]
+    c = bracket(a0, a1)[:, None]
+    ac = ad(c)
+    aac = ad(ac)
+    h5 = aac / 720.0
+    h5[:, :1] -= bracket(b, c) / 240.0
+    h7 = -ad(ad(aac)) / 30240.0
+    h7[:, :3] += bracket(b, aac) / 7560.0 - ad(bracket(b, ac)) / 30240.0
+    h7[:, :1] -= bracket(b, bracket(b, c)) / 6720.0
+    return np.concatenate([a0[:, None], b, -c / 12.0, h5, h7], axis=1)
+
+
+def _step_weights(kinks: list[float], boundaries: list[float], counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The piece of each segment, and the scalars that make its step exponents.
+
+    Step s of a segment that starts c0 into its piece, at step h, is
+    centred at t = c + s h with c = c0 + h/2, so term (w, j) of
+    `_magnus_terms` contributes h^w (c + s h)^j = sum_k binom(j, k)
+    h^(w+k) c^(j-k) s^k.  Returns the piece index of each segment and
+    weights of shape (segments, 5, 11): the exponent of step s is
+    sum_k s^k (weights[g, k] @ terms).
+    """
+    start = np.array(boundaries[:-1])
+    # sample times may sit rounding-close outside [0, duration]: the end pieces take them
+    piece = np.clip(np.searchsorted(kinks, start, side="right") - 1, 0, len(kinks) - 2)
+    h = (np.diff(boundaries) / np.array(counts))[:, None, None]
+    c = (start - np.array(kinks)[piece])[:, None, None] + 0.5 * h
+    j, k = _TERM_T_DEGREES, np.arange(_STEP_DEGREE + 1)[:, None]
+    binom = np.vectorize(math.comb)(j, k)  # 0 for k > j
+    return piece, binom * h ** (_TERM_H_POWERS + k) * c ** np.maximum(j - k, 0)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -325,21 +368,50 @@ def _step_counts(boundaries: list[float], h: float) -> list[int]:
     return [max(1, int(math.ceil((t1 - t0) / h - 1e-9))) for t0, t1 in zip(boundaries[:-1], boundaries[1:])]
 
 
-def _integrate(h0, parts, schedule: Schedule, boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
+def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
     """Magnus sweep over each smooth segment, ``counts`` steps each.
 
-    Works on the sector blocks: returns the (n_blocks, d, d) blocks of U
-    at every boundary after the first.
+    ``terms`` are the per-piece `_magnus_terms` of the sector blocks;
+    returns the (n_blocks, d, d) blocks of U at every boundary after the
+    first.  Each batch of steps gets its exponents from one Vandermonde
+    product of the step indices with the segment's coefficients.
     """
-    batch = max(1, _BATCH_ENTRIES // h0.size)
-    u = np.broadcast_to(np.eye(h0.shape[-1], dtype=complex), h0.shape)
+    piece, weights = _step_weights(kinks, boundaries, counts)
+    shape = terms.shape[2:]
+    flat = terms.reshape(*terms.shape[:2], -1)
+    batch = max(1, _BATCH_ENTRIES // flat.shape[-1])
+    u = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape)
     snapshots = []
-    for (m0, m1, m2), n_steps in zip(_magnus_exponents(h0, parts, schedule, boundaries, counts), counts):
+    for p, w, n_steps in zip(piece, weights, counts):
+        coeffs = w @ flat[p]
         for done in range(0, n_steps, batch):
-            s = np.arange(done, min(done + batch, n_steps), dtype=float).reshape(-1, 1, 1, 1)
-            u = _ordered_product(_expm_taylor(m0 + s * (m1 + s * m2))) @ u
+            s = np.arange(done, min(done + batch, n_steps), dtype=float)
+            powers = s[:, None] ** np.arange(_STEP_DEGREE + 1)
+            u = _ordered_product(_expm_taylor((powers @ coeffs).reshape(-1, *shape))) @ u
         snapshots.append(u)
     return snapshots
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_frame(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """H0 and the parts as check-sector blocks, built once per (h0, parts).
+
+    Returns ``(blocks, vb)``, both read-only: blocks of shape
+    (1 + len(parts), n_blocks, d, d), and the sector columns vb of shape
+    (n_blocks, dim, d), which take blocks u_s back to the original basis
+    as sum_s vb_s u_s vb_s^dagger.  Raises ValueError when a part's qubit
+    count differs from h0's (from `conserved_checks`).
+    """
+    ops = [h0, *parts]
+    checks = conserved_checks(ops)
+    dense = np.stack([to_dense(op) for op in ops]).astype(complex)
+    dim = dense.shape[-1]
+    v = _sector_basis(checks, dim)
+    blocks = _sector_blocks(dense, v, 1 << len(checks))
+    vb = np.ascontiguousarray(v.reshape(dim, blocks.shape[1], -1).transpose(1, 0, 2))
+    for array in (blocks, vb):
+        array.flags.writeable = False
+    return blocks, vb
 
 
 def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: float, sample_times, rho0=None):
@@ -360,26 +432,25 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     columns = schedule.coupling_vector(0.0).size
     if len(parts) != columns:
         raise ValueError(f"schedule drives {columns} couplings but {len(parts)} Hamiltonian parts were given")
-    ops = [h0, *parts]
-    checks = conserved_checks(ops)  # ValueError when a part's qubit count differs from h0's
-    dense = np.stack([to_dense(op) for op in ops]).astype(complex)
-    dim = dense.shape[-1]
+    blocks, vb = _sector_frame(h0, tuple(parts))
+    dim = vb.shape[1]
     if rho0 is not None and rho0.shape[0] != dim:
         raise ValueError("state dimension does not match the Hamiltonian")
-    boundary_set = {0.0, schedule.duration}
-    boundary_set.update(b for b in schedule.breakpoints() if 0.0 < b < schedule.duration)
-    boundary_set.update(samples)
-    boundaries = sorted(boundary_set)
+    kinks = [0.0, *(b for b in schedule.breakpoints() if 0.0 < b < schedule.duration), schedule.duration]
+    boundaries = sorted({*kinks, *samples})
     if schedule.duration == 0.0:
         eye = np.eye(dim, dtype=complex)
         return boundaries, [eye.copy() for _ in boundaries]
-    v = _sector_basis(checks, dim)
-    blocks = _sector_blocks(dense, v, 1 << len(checks))
-    vb = v.reshape(dim, blocks.shape[1], -1).transpose(1, 0, 2)
+    # A = -iH = a0 + t a1 on each piece between kinks, t from the piece's start
+    lam = schedule.coupling_matrix(np.array(kinks))
+    slope = np.diff(lam, axis=0) / np.diff(kinks)[:, None]
+    a0 = -1j * (blocks[0] + np.tensordot(lam[:-1], blocks[1:], axes=1))
+    a1 = -1j * np.tensordot(slope, blocks[1:], axes=1)
+    terms = _magnus_terms(a0, a1)
 
     def propagators(counts):
         # U = sum over sectors of V_s u_s V_s^dagger; U(0) stays exactly the identity
-        snaps = _integrate(blocks[0], blocks[1:], schedule, boundaries, counts)
+        snaps = _integrate(terms, kinks, boundaries, counts)
         return [np.eye(dim, dtype=complex)] + [(vb @ u @ vb.conj().transpose(0, 2, 1)).sum(axis=0) for u in snaps]
 
     def tracked(snapshots):

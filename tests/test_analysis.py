@@ -15,6 +15,8 @@ from clusterprep.analysis import (
     ErrorChannelReport,
     NumericalCheckError,
     ThresholdBracketError,
+    _basis_errors,
+    _channel_report,
     _readout,
     chain_sector_gap,
     error_tomography,
@@ -291,6 +293,14 @@ def test_rampdown_propagator_cache_is_bounded_and_read_only():
     for array in (readout.energies, readout.W, readout.e):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+def test_readout_basis_errors_are_cached_and_read_only():
+    e = _basis_errors()
+    assert _basis_errors() is e
+    assert e.tolist() == [_channel_report(unit).e_zeta for unit in np.eye(16)]
+    with pytest.raises(ValueError, match="read-only"):
+        e[0] = 0.0
 
 
 def assert_same_report(report, oracle, atol):

@@ -245,6 +245,31 @@ def test_sweep_byte_identical_across_workers_and_runs(tmp_path):
     assert "workers=" not in a.read_text().splitlines()[0]
 
 
+def test_sweep_pool_is_no_larger_than_its_groups(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        # stands in for the process pool: records its size, maps in-process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, _, _ = run_cli("sweep", "--T", "0.5,0.1", "--lambda0", "1.0", "--tau", "0.5", "--tol", "1e-6", "--workers", "64")
+    assert code == 0 and pools == []  # one (tau, lambda0) group runs in-process
+    code, two_groups, _ = run_cli("sweep", *SWEEP_ARGS, "--workers", "64")
+    assert code == 0 and pools == [2]
+    assert two_groups == run_cli("sweep", *SWEEP_ARGS, "--workers", "1")[1]
+
+
 def test_sweep_cap():
     code, _, err = run_cli("sweep", *SWEEP_ARGS, "--cap", "3")
     assert code == 2

@@ -314,6 +314,21 @@ def test_generators_that_leave_the_sectors_are_a_numerical_failure():
     np.testing.assert_allclose(blocks[0, 1], np.eye(8), atol=1e-14)
 
 
+def test_sector_frame_is_built_once_per_parts(monkeypatch):
+    dense_calls = []
+    monkeypatch.setattr(evolve, "to_dense", lambda op: dense_calls.append(op) or to_dense(op))
+    evolve._sector_frame.cache_clear()
+    for lam0, tau in ((1.5, 2.0), (2.5, 5.0)):
+        h0, parts = plaquette_parts.__wrapped__(1.0)  # fresh operators, equal to the last ones
+        schedule_unitary(h0, parts, linear_rampdown(lam0, tau), tol=1e-6)
+    info = evolve._sector_frame.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 1, 16)
+    assert len(dense_calls) == 6  # H0, the four parts and the check label, once
+    for array in evolve._sector_frame(h0, parts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_non_unitary_propagator_is_a_numerical_failure(monkeypatch):
     integrate = evolve._integrate
     monkeypatch.setattr(evolve, "_integrate", lambda *args: [1.001 * u for u in integrate(*args)])
@@ -333,9 +348,9 @@ def recorded_passes(monkeypatch) -> list[int]:
     passes = []
     integrate = evolve._integrate
 
-    def counted(h0, parts, schedule, boundaries, counts):
+    def counted(terms, kinks, boundaries, counts):
         passes.append(sum(counts))
-        return integrate(h0, parts, schedule, boundaries, counts)
+        return integrate(terms, kinks, boundaries, counts)
 
     monkeypatch.setattr(evolve, "_integrate", counted)
     return passes
@@ -351,11 +366,23 @@ def test_step_budget_stops_before_a_pass_would_exceed_it(monkeypatch):
     assert passes == [64, 128, 256, 512]
 
 
-def test_rampdown_converges_in_four_passes(monkeypatch):
-    # sixth order: the 256 -> 512 comparison already meets tol/4 = 2.5e-9
+def test_rampdown_converges_in_three_passes(monkeypatch):
+    # eighth order: the 128 -> 256 comparison already meets tol/4 = 2.5e-9
     passes = recorded_passes(monkeypatch)
     schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-8)
-    assert passes == [64, 128, 256, 512]
+    assert passes == [64, 128, 256]
+
+
+def test_sweep_grid_pass_counts(monkeypatch):
+    # the benchmark's sweep grid at tol 1e-8: 2496 steps in all (4800 at sixth order)
+    passes = recorded_passes(monkeypatch)
+    expected = {2.0: [64, 128], 5.0: [64, 128], 10.0: [64, 128, 256]}
+    for tau, want in expected.items():
+        for lam0 in (1.5, 2.0, 2.5):
+            passes.clear()
+            schedule_unitary(*PLAQUETTE, linear_rampdown(lam0, tau), tol=1e-8)
+            assert passes == want, (tau, lam0)
+    assert 3 * sum(map(sum, expected.values())) == 2496
 
 
 def fixed_step_unitary(monkeypatch, schedule: Schedule, n: int) -> np.ndarray:
@@ -377,19 +404,79 @@ def staggered_switchoff(lams, ends, duration) -> tuple[Schedule, object]:
     return Schedule(duration, tuple(channels)), couplings
 
 
-def test_rampdown_error_falls_at_sixth_order(monkeypatch):
+def test_rampdown_error_falls_at_eighth_order(monkeypatch):
     ref = dop853_propagator(lambda t: np.full(4, 2.5 * (1.0 - t / 10.0)), [0.0, 10.0])[-1]
-    errors = [np.abs(fixed_step_unitary(monkeypatch, linear_rampdown(2.5, 10.0), n) - ref).max() for n in (64, 128)]
-    # sixth order gives 2^6 = 64 per halving (measured 66), fourth order 16
-    assert errors[0] / errors[1] >= 40
+    errors = [np.abs(fixed_step_unitary(monkeypatch, linear_rampdown(2.5, 10.0), n) - ref).max() for n in (32, 64)]
+    # eighth order gives 2^8 = 256 per halving, sixth order 64; measured 404
+    # (2.8e-5 and 6.9e-8, the oracle's own error is about 2e-11)
+    assert errors[0] / errors[1] >= 160
 
 
-def test_staggered_switchoff_error_falls_at_sixth_order(monkeypatch):
+def test_staggered_switchoff_error_falls_at_eighth_order(monkeypatch):
     sched, couplings = staggered_switchoff((1.5, 2.0, 1.2, 2.5), (1.6, 2.4, 3.2, 4.0), 4.0)
     ref = dop853_propagator(couplings, [0.0, 1.6, 2.4, 3.2, 4.0])[-1]
-    errors = [np.abs(fixed_step_unitary(monkeypatch, sched, n) - ref).max() for n in (64, 128)]
-    # measured 60 (4.7e-9 and 7.8e-11, well above the oracle's error)
-    assert errors[0] / errors[1] >= 40
+    errors = [np.abs(fixed_step_unitary(monkeypatch, sched, n) - ref).max() for n in (20, 40)]
+    # measured 282 (4.9e-7 and 1.7e-9; the oracle's own error is about 5e-12,
+    # which 64 and 128 steps already reach)
+    assert errors[0] / errors[1] >= 160
+
+
+def random_hermitian(rng, d: int) -> np.ndarray:
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.25 * (a + a.conj().T)
+
+
+def direct_exponent(a: np.ndarray, a1: np.ndarray, h: float) -> np.ndarray:
+    """The eighth-order exponent from alpha1 = h A(t_m) and b = h^2 dA/dt, bracket by bracket."""
+
+    def br(x, y):
+        return x @ y - y @ x
+
+    alpha, b = h * a, h * h * a1
+    d = br(alpha, b)
+    return (
+        alpha - d / 12 + br(alpha, br(alpha, d)) / 720 - br(b, d) / 240
+        - br(alpha, br(alpha, br(alpha, br(alpha, d)))) / 30240 - br(alpha, br(b, br(alpha, d))) / 30240
+        + br(b, br(alpha, br(alpha, d))) / 7560 - br(b, br(b, d)) / 6720
+    )
+
+
+def test_step_quartic_matches_the_direct_exponent():
+    rng = np.random.default_rng(5)
+    # two pieces of two sector blocks each; segments split the pieces unevenly
+    a0 = -1j * np.array([[random_hermitian(rng, 4) for _ in range(2)] for _ in range(2)])
+    a1 = -1j * np.array([[random_hermitian(rng, 4) for _ in range(2)] for _ in range(2)])
+    kinks, boundaries, counts = [0.0, 1.5, 4.0], [0.0, 0.7, 1.5, 2.2, 4.0], [3, 5, 4, 6]
+    terms = evolve._magnus_terms(a0, a1)
+    piece, weights = evolve._step_weights(kinks, boundaries, counts)
+    assert piece.tolist() == [0, 0, 1, 1]
+    for g, n_steps in enumerate(counts):
+        h = (boundaries[g + 1] - boundaries[g]) / n_steps
+        coeffs = np.tensordot(weights[g], terms[piece[g]], axes=1)
+        for s in range(n_steps):
+            t_mid = boundaries[g] - kinks[piece[g]] + (s + 0.5) * h
+            a = a0[piece[g]] + t_mid * a1[piece[g]]
+            quartic = sum(s**k * coeffs[k] for k in range(5))
+            assert np.abs(quartic - direct_exponent(a, a1[piece[g]], h)).max() <= 1e-13
+
+
+def test_one_step_error_falls_at_ninth_power():
+    # local error of an eighth-order step is O(h^9): 512 per halving of h
+    rng = np.random.default_rng(11)
+    h0, h1 = random_hermitian(rng, 6), random_hermitian(rng, 6)
+    terms = evolve._magnus_terms(-1j * h0[None], -1j * h1[None])
+    errors = []
+    for h in (0.8, 0.4, 0.2):
+        t0 = 0.3  # the step starts inside its piece
+        _, weights = evolve._step_weights([0.0, 2.0], [t0, t0 + h], [1])
+        step = scipy.linalg.expm(np.tensordot(weights[0, 0], terms[0], axes=1))
+        ref = solve_ivp(
+            lambda t, y: (-1j * (h0 + t * h1) @ y.reshape(6, 6)).ravel(),
+            (t0, t0 + h), np.eye(6, dtype=complex).ravel(), method="DOP853", rtol=1e-13, atol=1e-15,
+        ).y[:, -1].reshape(6, 6)
+        errors.append(np.abs(step - ref).max())
+    # measured 926 and 759 (2.2e-4, 2.4e-7, 3.1e-10); a sixth-order step gives about 128
+    assert errors[0] / errors[1] >= 300 and errors[1] / errors[2] >= 300
 
 
 def test_long_tight_propagation_has_bounded_peak_memory(monkeypatch):
