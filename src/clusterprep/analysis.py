@@ -39,7 +39,7 @@ from .models import (
     stabilizer_3d_local,
     stabilizers_1d,
 )
-from .pauli import OperatorSum, check_frame, taper, to_dense
+from .pauli import OperatorSum, check_blocks, taper, to_dense
 from .thermal import DensityMatrix, thermal_weights
 
 __all__ = [
@@ -250,37 +250,24 @@ def plaquette_parts(J: float, static: Optional[OperatorSum] = None) -> tuple[Ope
     return plaquette_hamiltonian(J, 0.0, static), tuple(plaquette_field_term(e) for e in np.eye(4))
 
 
-def _check_frame_parts(J: float, static: Optional[OperatorSum]) -> np.ndarray:
-    """H0 and the four unit field parts as (5, 2, 8, 8) sector blocks, - sector first.
-
-    Each part is taken symbolically into the frame where the XXXX check
-    is Z on the top spin (`pauli.check_frame`), so its dense matrix is
-    block diagonal, the + sector block in the upper left.  A ``static``
-    part that breaks the check raises ValueError.
-    """
-    check = stabilizer_3d_local().terms[0][1]
-    h0, fields = plaquette_parts(J, static)
-    try:
-        parts = [check_frame(h0, [check])]
-    except ValueError as exc:
-        raise ValueError(f"Hamiltonian has mixed check sector: {exc}") from exc
-    parts += [check_frame(field, [check]) for field in fields]
-    dense = np.stack([to_dense(p) for p in parts])
-    return np.stack([dense[:, 8:, 8:], dense[:, :8, :8]], axis=1)
-
-
 def _plaquette_spectra(
     J: float, couplings: np.ndarray, static: Optional[OperatorSum]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levels, sector labels and gaps at each row of per-spin couplings.
 
-    Both check sectors of every row are diagonalized in one batched
-    ``eigvalsh`` over (rows, 2, 8, 8) blocks, and each row's levels are
-    merged by energy, the - sector first on exact ties.
+    Both XXXX check sectors of every row (`pauli.check_blocks`; a
+    ``static`` part that breaks the check raises ValueError) are
+    diagonalized in one batched ``eigvalsh`` over (rows, 2, 8, 8) blocks,
+    - sector first, and each row's levels are merged by energy, the -
+    sector first on exact ties.
     """
     if np.any(couplings < 0) or not np.all(np.isfinite(couplings)):
         raise ValueError("couplings must be finite and >= 0")
-    parts = _check_frame_parts(J, static)
+    h0, fields = plaquette_parts(J, static)
+    try:
+        parts = check_blocks([h0, *fields], [stabilizer_3d_local().terms[0][1]])[:, ::-1]
+    except ValueError as exc:
+        raise ValueError(f"Hamiltonian has mixed check sector: {exc}") from exc
     h = np.repeat(parts[0][None], couplings.shape[0], axis=0)
     for mu in range(4):
         h += couplings[:, mu, None, None, None] * parts[1 + mu]

@@ -7,11 +7,12 @@ schedule, as `OperatorSum`s, and make one dense matrix of each, once
 per (H0, parts): the sector frame below is cached.
 
 The conserved Pauli checks are found symbolically from the terms of H0
-and the H_mu (`pauli.conserved_checks`), and the matrices are rotated
-once into the joint eigenbasis of those checks.  With k checks the
-propagator is integrated as 2^k sector blocks of size dim / 2^k on one
-batch axis (one full block when there are none); a part with weight
-outside the blocks is a numerical failure.
+and the H_mu (`pauli.conserved_checks`), and H0 and the parts are
+taken exactly into the Clifford frame where each check is one Z, as the
+spectra are (`pauli.check_blocks`).  With k checks the propagator is
+integrated as 2^k sector blocks of size dim / 2^k on one batch axis (one
+full block when there are none), and the frame's basis
+(`pauli.check_basis`) takes them back to the original basis.
 
 Propagation uses the eighth-order Magnus integrator (Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ConvergenceError, NumericalCheckError
-from .pauli import OperatorSum, PauliString, conserved_checks, to_dense
+from .pauli import OperatorSum, check_basis, check_blocks, conserved_checks
 from .thermal import DensityMatrix
 
 __all__ = [
@@ -70,9 +71,6 @@ _MAX_STEPS = 1 << 18
 _BATCH_ENTRIES = 1 << 16
 _UNIT_ROUNDOFF = 2.0**-53
 _MAX_TAYLOR_DEGREE = 18
-# off-block entries of the rotated H0 and parts, relative to their largest
-# entry, above which a check counts as broken
-_ROUNDING_RTOL = 1e-12
 _UNITARITY_ATOL = 1e-10
 # the power of h and the degree in t of each row of `_magnus_terms`; a
 # step's exponent is a polynomial of degree _STEP_DEGREE in its index
@@ -194,36 +192,6 @@ def sequential_switchoff(lambda_init: float, tau_each: float, order: tuple[int, 
     return Schedule(total, tuple(channels))
 
 
-def _sector_basis(checks: list[PauliString], dim: int) -> np.ndarray:
-    """Unitary whose columns run through the joint eigenspaces of the checks.
-
-    The eigenvalues of sum_j 2^j W_j label the 2^k sign patterns of k
-    commuting checks W_j without ties, so its ascending eigenvectors
-    come grouped into 2^k sectors of dim / 2^k columns each.  With no
-    checks the basis is the identity.
-    """
-    if not checks:
-        return np.eye(dim, dtype=complex)
-    label = sum((2.0**j) * to_dense(OperatorSum(c.n_qubits, [(1.0, c)])) for j, c in enumerate(checks))
-    return np.linalg.eigh(label)[1].astype(complex)
-
-
-def _sector_blocks(mats: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Diagonal blocks of v^dagger M v for a stack of matrices M.
-
-    Returns shape (len(mats), n_blocks, d, d); raises NumericalCheckError
-    when the entries outside those blocks are above rounding level, i.e.
-    when some M does not conserve the checks behind v.
-    """
-    d = v.shape[0] // n_blocks
-    rotated = v.conj().T @ mats @ v
-    inside = np.kron(np.eye(n_blocks, dtype=bool), np.ones((d, d), dtype=bool))
-    leak = float(np.abs(rotated[:, ~inside]).max(initial=0.0))
-    if leak > _ROUNDING_RTOL * max(1.0, float(np.abs(rotated).max())):
-        raise NumericalCheckError(f"Hamiltonian parts leak out of the check sectors ({leak:.3e})")
-    return np.stack([rotated[:, a * d : (a + 1) * d, a * d : (a + 1) * d] for a in range(n_blocks)], axis=1)
-
-
 def _admissible_theta(m: int) -> float:
     """Largest double theta < m + 2 whose degree-m Taylor remainder bound
     theta^(m+1) / (m+1)! / (1 - theta/(m+2)) is at most 2^-53.
@@ -282,11 +250,12 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
     powers[1] = a
     for i in range(2, p + 1):
         powers[i] = powers[i - 1] @ a
-    coeffs = [1.0 / math.factorial(i) for i in range(m + 1)] + [0.0] * p
+    coeffs = np.array([1.0 / math.factorial(i) for i in range(m + 1)] + [0.0] * p)
+    low = powers[:p].reshape(p, -1)
     top = m // p
-    out = np.tensordot(coeffs[top * p : top * p + p], powers[:p], axes=1)
+    out = (coeffs[top * p : top * p + p] @ low).reshape(a.shape)
     for j in range(top - 1, -1, -1):
-        out = out @ powers[p] + np.tensordot(coeffs[j * p : j * p + p], powers[:p], axes=1)
+        out = out @ powers[p] + (coeffs[j * p : j * p + p] @ low).reshape(a.shape)
     for _ in range(s):
         out = out @ out
     return out
@@ -396,19 +365,18 @@ def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], c
 def _sector_frame(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> tuple[np.ndarray, np.ndarray]:
     """H0 and the parts as check-sector blocks, built once per (h0, parts).
 
-    Returns ``(blocks, vb)``, both read-only: blocks of shape
-    (1 + len(parts), n_blocks, d, d), and the sector columns vb of shape
-    (n_blocks, dim, d), which take blocks u_s back to the original basis
-    as sum_s vb_s u_s vb_s^dagger.  Raises ValueError when a part's qubit
-    count differs from h0's (from `conserved_checks`).
+    Returns ``(blocks, vb)``, both read-only: the (1 + len(parts),
+    n_blocks, d, d) `pauli.check_blocks` of the checks they conserve,
+    and the sector columns vb of shape (n_blocks, dim, d) of
+    `pauli.check_basis`, which take blocks u_s back to the original
+    basis as sum_s vb_s u_s vb_s^dagger.  Raises ValueError when a
+    part's qubit count differs from h0's (from `conserved_checks`).
     """
     ops = [h0, *parts]
     checks = conserved_checks(ops)
-    dense = np.stack([to_dense(op) for op in ops]).astype(complex)
-    dim = dense.shape[-1]
-    v = _sector_basis(checks, dim)
-    blocks = _sector_blocks(dense, v, 1 << len(checks))
-    vb = np.ascontiguousarray(v.reshape(dim, blocks.shape[1], -1).transpose(1, 0, 2))
+    blocks = check_blocks(ops, checks).astype(complex)
+    v = check_basis(h0.n_qubits, checks)
+    vb = np.ascontiguousarray(v.reshape(v.shape[0], blocks.shape[1], -1).transpose(1, 0, 2))
     for array in (blocks, vb):
         array.flags.writeable = False
     return blocks, vb

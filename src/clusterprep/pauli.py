@@ -19,8 +19,9 @@ of Z.
 Conserved checks are found and fixed with the same GF(2) algebra:
 `conserved_checks` finds them from an operator's terms, `check_frame`
 rewrites an operator in a Clifford frame where each check is a
-single-qubit Z, and `taper` fixes those qubits to given signs, which
-restricts the operator to a check sector exactly, on fewer qubits.
+single-qubit Z (its dense sector blocks are `check_blocks`, its dense
+basis `check_basis`), and `taper` fixes those qubits to given signs,
+which restricts the operator to a check sector exactly, on fewer qubits.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ __all__ = [
     "commutator_is_zero",
     "conserved_checks",
     "check_frame",
+    "check_blocks",
+    "check_basis",
     "taper",
     "to_dense",
     "COEFF_CUTOFF",
@@ -81,8 +84,8 @@ class PauliString:
         return cls(n_qubits)
 
     @classmethod
-    def from_label(cls, label: str, phase: int = 0) -> "PauliString":
-        """Build from a letter string, qubit 0 leftmost (e.g. ``"XIZY"``)."""
+    def from_label(cls, label: Sequence[str], phase: int = 0) -> "PauliString":
+        """Build from a string or list of letters, qubit 0 leftmost (e.g. ``"XIZY"``)."""
         x = z = 0
         for q, letter in enumerate(label):
             try:
@@ -96,18 +99,12 @@ class PauliString:
     @classmethod
     def from_ops(cls, n_qubits: int, ops: Mapping[int, str], phase: int = 0) -> "PauliString":
         """Build from a ``{qubit: letter}`` mapping, identities elsewhere."""
-        x = z = 0
+        label = ["I"] * n_qubits
         for q, letter in ops.items():
             if not 0 <= q < n_qubits:
                 raise ValueError(f"qubit index {q} outside 0..{n_qubits - 1}")
-            bx, bz = _BITS[letter]
-            if bx == 0 and bz == 0:
-                continue
-            if (x >> q) & 1 or (z >> q) & 1:
-                raise ValueError(f"qubit {q} assigned twice")
-            x |= bx << q
-            z |= bz << q
-        return cls(n_qubits, x, z, phase)
+            label[q] = letter
+        return cls.from_label(label, phase)
 
     @property
     def letters(self) -> str:
@@ -364,6 +361,33 @@ def _product(strings: Iterable[PauliString], n: int) -> PauliString:
     return functools.reduce(multiply, strings, PauliString(n))
 
 
+def _frame(checks: Sequence[PauliString], n: int):
+    """The validated checks' echelon rows, each with the checks it combines, and logical pairs."""
+    if any(c.n_qubits != n for c in checks):
+        raise ValueError("qubit count mismatch")
+    if any(c.phase for c in checks):
+        raise ValueError("checks must be phase-free")
+    for c1, c2 in itertools.combinations(checks, 2):
+        if not commutes(c1, c2):
+            raise ValueError(f"checks {c1.letters} and {c2.letters} anticommute")
+    pivots: dict[int, tuple[int, int]] = {}
+    for j, check in enumerate(checks):
+        v, combo = check.x | (check.z << n), 1 << j
+        for bit, (row, used) in pivots.items():
+            if (v >> bit) & 1:
+                v, combo = v ^ row, combo ^ used
+        if not v:
+            raise ValueError(f"check {checks[j].letters} depends on the others")
+        lead = v.bit_length() - 1
+        for bit, (row, used) in pivots.items():
+            if (row >> lead) & 1:
+                pivots[bit] = (row ^ v, used ^ combo)
+        pivots[lead] = (v, combo)
+    centralizer = _gf2_null_space([c.z | (c.x << n) for c in checks], 2 * n)
+    logicals = [(_string(v, n), _string(w, n)) for v, w in _symplectic_pairs(centralizer, n) if w is not None]
+    return pivots, logicals
+
+
 def check_frame(op: OperatorSum, checks: Sequence[PauliString]) -> OperatorSum:
     """``op`` in a Clifford frame where check j acts as Z on qubit n - k + j.
 
@@ -380,29 +404,7 @@ def check_frame(op: OperatorSum, checks: Sequence[PauliString]) -> OperatorSum:
     arXiv:1701.08213).
     """
     n, k = op.n_qubits, len(checks)
-    if any(c.n_qubits != n for c in checks):
-        raise ValueError("qubit count mismatch")
-    if any(c.phase for c in checks):
-        raise ValueError("checks must be phase-free")
-    for c1, c2 in itertools.combinations(checks, 2):
-        if not commutes(c1, c2):
-            raise ValueError(f"checks {c1.letters} and {c2.letters} anticommute")
-    # reduced echelon form of the checks; each row carries the mask of checks it combines
-    pivots: dict[int, tuple[int, int]] = {}
-    for j, check in enumerate(checks):
-        v, combo = check.x | (check.z << n), 1 << j
-        for bit, (row, used) in pivots.items():
-            if (v >> bit) & 1:
-                v, combo = v ^ row, combo ^ used
-        if not v:
-            raise ValueError(f"check {checks[j].letters} depends on the others")
-        lead = v.bit_length() - 1
-        for bit, (row, used) in pivots.items():
-            if (row >> lead) & 1:
-                pivots[bit] = (row ^ v, used ^ combo)
-        pivots[lead] = (v, combo)
-    centralizer = _gf2_null_space([c.z | (c.x << n) for c in checks], 2 * n)
-    logicals = [(_string(v, n), _string(w, n)) for v, w in _symplectic_pairs(centralizer, n) if w is not None]
+    pivots, logicals = _frame(checks, n)
     low = n - k
     terms = []
     for coeff, s in op.terms:
@@ -423,9 +425,49 @@ def check_frame(op: OperatorSum, checks: Sequence[PauliString]) -> OperatorSum:
                 rest, a = rest ^ row, a ^ used
         # s = i^-q (checks in a) * logical, with q the phase of that product
         q = multiply(_product([checks[j] for j in range(k) if (a >> j) & 1], n), logical).phase
-        image = _product([PauliString(n, 0, a << low), PauliString(n, b), PauliString(n, 0, c)], n)
-        terms.append((coeff, PauliString(n, image.x, image.z, image.phase - q)))
+        # the image Z^a X^b Z^c: X Z = -iY on each qubit where b and c overlap
+        terms.append((coeff, PauliString(n, b, (a << low) | c, -(b & c).bit_count() - q)))
     return OperatorSum(n, terms)
+
+
+def check_blocks(ops: Sequence[OperatorSum], checks: Sequence[PauliString]) -> np.ndarray:
+    """Diagonal blocks of each ``to_dense(check_frame(op, checks))``: (len(ops), 2^k, d, d).
+
+    Block a belongs to the sign pattern where check j has eigenvalue
+    (-1)^(bit j of a), so the all-+1 sector comes first.
+    """
+    dense = np.stack([to_dense(check_frame(op, checks)) for op in ops])
+    d = dense.shape[-1] >> len(checks)
+    return np.stack([dense[:, a * d : (a + 1) * d, a * d : (a + 1) * d] for a in range(1 << len(checks))], axis=1)
+
+
+def check_basis(n_qubits: int, checks: Sequence[PauliString]) -> np.ndarray:
+    """Unitary V whose column i is the state that `check_frame` maps to |i>.
+
+    So V^dagger to_dense(op) V has the diagonal blocks of `check_blocks`.
+    V is fixed up to a phase per check sector, which cancels in
+    V_a u V_a^dagger.  Column 0 is the joint +1 eigenstate of the checks
+    and the Zbar_l; column b + 2^(n-k) a applies Xbar^b, then D^a, where
+    destabilizer D_j anticommutes with check j only among the checks
+    and logicals.  Entries are exact up to column 0's normalization.
+    """
+    n = n_qubits
+    _, logicals = _frame(checks, n)
+    xbars, zbars = [xbar for xbar, _ in logicals], [zbar for _, zbar in logicals]
+    # (z | x) rows; a null vector (x | z | t) with t = 1 anticommutes with row j only
+    rows = [s.z | (s.x << n) for s in [*checks, *xbars, *zbars]]
+    destabilizers = []
+    for j in range(len(checks)):
+        null = _gf2_null_space([row | ((r == j) << 2 * n) for r, row in enumerate(rows)], 2 * n + 1)
+        destabilizers.append(_string(next(v for v in null if v >> 2 * n) ^ (1 << 2 * n), n))
+    dense = [to_dense(OperatorSum(n, [(1.0, s)])) for s in [*checks, *zbars, *xbars, *destabilizers]]
+    # prod (I + g) over the n stabilizers is 2^n |psi><psi|, in small exact integers
+    proj = functools.reduce(lambda m, g: m + g @ m, dense[:n], np.eye(1 << n, dtype=complex))
+    psi = proj[:, np.abs(proj).sum(axis=0).argmax()]
+    basis = (psi / np.linalg.norm(psi))[:, None]
+    for g in dense[n:]:
+        basis = np.concatenate([basis, g @ basis], axis=1)
+    return basis
 
 
 def taper(op: OperatorSum, checks: Sequence[PauliString], signs: Sequence[int]) -> OperatorSum:

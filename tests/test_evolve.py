@@ -26,7 +26,7 @@ from clusterprep.evolve import (
 )
 from clusterprep.linalg import ConvergenceError, NumericalCheckError
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term, stabilizer_3d_local
-from clusterprep.pauli import OperatorSum, PauliString, conserved_checks, to_dense
+from clusterprep.pauli import OperatorSum, PauliString, check_basis, check_blocks, conserved_checks, to_dense
 from clusterprep.thermal import DensityMatrix, gibbs_state
 from oracles import expm_scaled, taylor_plan
 
@@ -303,27 +303,29 @@ def test_tabled_taylor_plan_matches_the_degree_loop():
     assert mismatches == []
 
 
-def test_generators_that_leave_the_sectors_are_a_numerical_failure():
-    v = evolve._sector_basis([PauliString.from_label("XXXX")], 16)
-    mats = np.stack([to_dense(stabilizer_3d_local()), to_dense(OperatorSum(4, [(1.0, PauliString.from_label("ZIII"))]))])
-    with pytest.raises(NumericalCheckError, match="leak out of the check sectors"):
-        evolve._sector_blocks(mats.astype(complex), v, 2)
-    blocks = evolve._sector_blocks(mats[:1].astype(complex), v, 2)
-    assert blocks.shape == (1, 2, 8, 8)
-    np.testing.assert_allclose(blocks[0, 0], -np.eye(8), atol=1e-14)
-    np.testing.assert_allclose(blocks[0, 1], np.eye(8), atol=1e-14)
+def test_commuting_static_part_runs_as_one_by_one_blocks():
+    h0, parts = plaquette_parts(1.0, OperatorSum(4, [(1.0, PauliString.from_label("XIII"))]))
+    checks = conserved_checks([h0, *parts])
+    assert [c.letters for c in checks] == ["XIII", "IXII", "IIXI", "IIIX"]
+    blocks, vb = evolve._sector_frame(h0, parts)
+    assert blocks.shape == (5, 16, 1, 1) and vb.shape == (16, 16, 1)
+    # every term commutes, so U = exp(-i (tau H0 + int lam dt sum_mu H_mu)), with tau = int lam dt = 1
+    exact = scipy.linalg.expm(-1j * to_dense(h0 + parts[0] + parts[1] + parts[2] + parts[3]))
+    u = schedule_unitary(h0, parts, linear_rampdown(2.0, 1.0))
+    assert np.abs(u - exact).max() <= 1e-12
 
 
 def test_sector_frame_is_built_once_per_parts(monkeypatch):
-    dense_calls = []
-    monkeypatch.setattr(evolve, "to_dense", lambda op: dense_calls.append(op) or to_dense(op))
+    builds = []
+    monkeypatch.setattr(evolve, "check_blocks", lambda ops, checks: builds.append("blocks") or check_blocks(ops, checks))
+    monkeypatch.setattr(evolve, "check_basis", lambda n, checks: builds.append("basis") or check_basis(n, checks))
     evolve._sector_frame.cache_clear()
     for lam0, tau in ((1.5, 2.0), (2.5, 5.0)):
         h0, parts = plaquette_parts.__wrapped__(1.0)  # fresh operators, equal to the last ones
         schedule_unitary(h0, parts, linear_rampdown(lam0, tau), tol=1e-6)
     info = evolve._sector_frame.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 1, 16)
-    assert len(dense_calls) == 6  # H0, the four parts and the check label, once
+    assert builds == ["blocks", "basis"]  # H0 and the four parts are framed once
     for array in evolve._sector_frame(h0, parts):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from clusterprep.analysis import plaquette_parts
 from clusterprep.models import (
     build_chain_1d,
     build_lattice_2d,
@@ -20,6 +21,8 @@ from clusterprep.pauli import (
     COEFF_CUTOFF,
     OperatorSum,
     PauliString,
+    check_basis,
+    check_blocks,
     check_frame,
     commutator_is_zero,
     commutator_terms,
@@ -133,6 +136,12 @@ def test_pauli_string_validation():
     with pytest.raises(ValueError):
         PauliString.from_ops(2, {3: "X"})
     assert PauliString(1, 1, 0, phase=7).phase == 3  # folded mod 4
+
+
+@pytest.mark.parametrize("build", [lambda: PauliString.from_label("XW"), lambda: PauliString.from_ops(4, {0: "W"})])
+def test_unknown_letter_is_a_value_error_from_label_and_ops(build):
+    with pytest.raises(ValueError, match="unknown Pauli letter 'W'"):
+        build()
 
 
 def test_from_label_letters_round_trip():
@@ -337,6 +346,50 @@ def test_check_frame_turns_each_check_into_a_top_z():
     np.testing.assert_allclose(
         np.linalg.eigvalsh(to_dense(frame)), np.linalg.eigvalsh(to_dense(op)), atol=1e-12
     )
+
+
+def test_check_blocks_split_the_sectors_and_refuse_a_broken_check():
+    xxxx = [PauliString.from_label("XXXX")]
+    blocks = check_blocks([stabilizer_3d_local()], xxxx)
+    assert blocks.shape == (1, 2, 8, 8)
+    np.testing.assert_array_equal(blocks[0, 0], np.eye(8))  # the + sector first
+    np.testing.assert_array_equal(blocks[0, 1], -np.eye(8))
+    z0 = OperatorSum(4, [(1.0, PauliString.from_label("ZIII"))])
+    with pytest.raises(ValueError, match="ZIII does not commute with check XXXX"):
+        check_blocks([stabilizer_3d_local(), z0], xxxx)
+
+
+def basis_cases():
+    """Seeded random sums on 2 to 6 qubits (0 to n checks), the plaquette and two chains,
+    with their conserved checks; and checks XX, YY, whose +1 state has no weight on |00>."""
+    rng = np.random.default_rng(11)
+    for n in range(2, 7):
+        for n_terms in (0, 1, 2, n, 2 * n, 4 * n):
+            terms = [(rng.normal(), PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))) for _ in range(n_terms)]
+            yield [OperatorSum(n, terms[::2]), OperatorSum(n, terms[1::2])], None
+    h0, parts = plaquette_parts(1.0)
+    yield [h0, *parts], None
+    for N in (3, 4):
+        yield [chain_checks(N, 0.3)[0]], None
+    xx_yy = [PauliString.from_label("XX"), PauliString.from_label("YY")]
+    yield [OperatorSum(2, [(1.0, xx_yy[0]), (2.0, xx_yy[1]), (3.0, PauliString.from_label("ZZ"))])], xx_yy
+
+
+def test_check_basis_takes_each_op_to_its_check_blocks():
+    seen = set()
+    for ops, checks in basis_cases():
+        n = ops[0].n_qubits
+        checks = checks or conserved_checks(ops)
+        seen.add((n, len(checks)))
+        v = check_basis(n, checks)
+        assert np.abs(v.conj().T @ v - np.eye(1 << n)).max() <= 1e-13
+        blocks = check_blocks(ops, checks)
+        d = blocks.shape[-1]
+        for op, op_blocks in zip(ops, blocks):
+            framed = v.conj().T @ to_dense(op) @ v
+            for a, block in enumerate(op_blocks):
+                assert np.abs(framed[a * d : (a + 1) * d, a * d : (a + 1) * d] - block).max() <= 1e-13
+    assert {(n, k) for n in range(2, 7) for k in (0, n)} <= seen
 
 
 def test_torus_tapers_symbolically_to_twelve_qubits():
