@@ -1,11 +1,12 @@
 """Adiabatic preparation of cluster states from two-body spin models.
 
 Pauli-string operator algebra, the frustration-free chain / torus /
-plaquette model builders with their conserved checks, thermal input
-states, unitary schedule evolution by a step-doubled eighth-order Magnus
-integrator (run in the sector blocks of the conserved checks, with
-matrix-product Taylor step exponentials), and the sector-resolved
-spectrum and error-channel analysis used to size temperature thresholds.
+plaquette model builders with their conserved checks, Boltzmann
+occupations of the cooled levels, schedule propagators from a
+step-doubled eighth-order Magnus integrator (run in the sector blocks
+of the conserved checks, with matrix-product Taylor step exponentials),
+and the sector-resolved spectrum and per-eigenstate error-channel
+readout used to size temperature thresholds.
 """
 
 from .pauli import OperatorSum, PauliString, commutator_terms, commutes, multiply, taper, to_dense
@@ -18,17 +19,14 @@ from .models import (
     build_plaquette_3d,
     cz_conjugate,
     gap_closed_form,
-    logical_x,
-    logical_z,
     stabilizer_3d_local,
     stabilizers_1d,
 )
-from .thermal import DensityMatrix, gibbs_state
+from .thermal import DensityMatrix
 from .evolve import (
     PiecewiseLinear,
     Schedule,
     linear_rampdown,
-    propagate,
     schedule_unitary,
     sequential_switchoff,
 )
@@ -36,12 +34,10 @@ from .analysis import (
     ErrorChannelReport,
     SectorSpectrumTable,
     chain_sector_gap,
-    error_tomography,
-    ghz_fidelity,
     no_evolution_point,
     plaquette_parts,
+    rampdown_series,
     run_point,
-    sector_projectors,
     spectrum_path,
     spectrum_scan,
     threshold_temperature,
@@ -77,26 +73,20 @@ __all__ = [
     "stabilizer_3d_local",
     "cz_conjugate",
     "gap_closed_form",
-    "logical_x",
-    "logical_z",
     "DensityMatrix",
-    "gibbs_state",
     "PiecewiseLinear",
     "Schedule",
     "linear_rampdown",
     "sequential_switchoff",
     "schedule_unitary",
-    "propagate",
     "ErrorChannelReport",
     "SectorSpectrumTable",
     "tomography_basis",
-    "sector_projectors",
-    "ghz_fidelity",
-    "error_tomography",
     "total_phase_flip_error",
     "spectrum_scan",
     "spectrum_path",
     "run_point",
+    "rampdown_series",
     "no_evolution_point",
     "plaquette_parts",
     "threshold_temperature",

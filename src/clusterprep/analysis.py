@@ -17,7 +17,8 @@ each (lambda0, tau) pipeline is read out once: the weight of every
 evolved eigenstate on every basis state, and its error, are cached, and
 the report or the error at any temperature is a weighted sum of them.
 `run_point`, `no_evolution_point` and `threshold_temperature` all read
-from that cache.
+from that cache, and `rampdown_series` reads each sample time of one
+ramp the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .models import (
     stabilizers_1d,
 )
 from .pauli import OperatorSum, check_blocks, taper, to_dense
-from .thermal import DensityMatrix, thermal_weights
+from .thermal import thermal_weights
 
 __all__ = [
     "CLASS_REPS",
@@ -52,13 +53,11 @@ __all__ = [
     "tomography_basis",
     "plaquette_hamiltonian",
     "plaquette_parts",
-    "sector_projectors",
-    "ghz_fidelity",
-    "error_tomography",
     "total_phase_flip_error",
     "spectrum_scan",
     "spectrum_path",
     "run_point",
+    "rampdown_series",
     "no_evolution_point",
     "threshold_temperature",
     "chain_sector_gap",
@@ -92,16 +91,6 @@ def _class_rep(e: int) -> int:
     return min(e & 0xF, (~e) & 0xF)
 
 
-def ghz_states() -> tuple[np.ndarray, np.ndarray]:
-    """The two parity-split maximally correlated four-spin states."""
-    plus = np.zeros(16, dtype=complex)
-    minus = np.zeros(16, dtype=complex)
-    plus[0] = plus[15] = 1.0 / math.sqrt(2.0)
-    minus[0] = 1.0 / math.sqrt(2.0)
-    minus[15] = -1.0 / math.sqrt(2.0)
-    return plus, minus
-
-
 @functools.cache
 def tomography_basis() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """Orthonormal 16-column basis with (class rep, sector) column labels.
@@ -122,18 +111,6 @@ def tomography_basis() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     basis = np.stack(cols, axis=1)
     basis.flags.writeable = False
     return basis, tuple(labels)
-
-
-def sector_projectors() -> tuple[np.ndarray, np.ndarray]:
-    """Projectors onto the +1 and -1 eigenspaces of the plaquette check."""
-    w = to_dense(stabilizer_3d_local())
-    eye = np.eye(16)
-    return 0.5 * (eye + w), 0.5 * (eye - w)
-
-
-def ghz_fidelity(rho: DensityMatrix) -> float:
-    plus, _ = ghz_states()
-    return float(np.real(plus.conj() @ rho.matrix @ plus))
 
 
 @dataclass(frozen=True)
@@ -160,22 +137,6 @@ class ErrorChannelReport:
 def total_phase_flip_error(p_z: float, p_c1: float, p_c2: float) -> float:
     """Weighted total phase-flip error of the extracted channel."""
     return p_z + 4.0 * p_c1 + 2.0 * p_c2
-
-
-def error_tomography(rho: DensityMatrix) -> ErrorChannelReport:
-    """Decompose a four-spin state into the eight error classes.
-
-    The minus-sector weight of each class is reassigned to that class
-    combined with one extra single flip, spread uniformly over the four
-    neighbors (the minus outcome signals one unlocatable phase flip).
-    """
-    if rho.matrix.shape != (16, 16):
-        raise ValueError("tomography expects a four-spin state")
-    basis, _ = tomography_basis()
-    weights = np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho.matrix, basis))
-    if weights.min() < -1e-8:
-        raise NumericalCheckError(f"state has negative basis weight {weights.min():.3e}")
-    return _channel_report(np.clip(weights, 0.0, None))
 
 
 def _channel_report(weights: np.ndarray) -> ErrorChannelReport:
@@ -333,29 +294,34 @@ def _basis_errors() -> np.ndarray:
     return e
 
 
-@functools.lru_cache(maxsize=64)
-def _readout(
-    lambda0: float, tau: Optional[float], J: float, tol: float, static: Optional[OperatorSum] = None
-) -> _Readout:
-    """Cached, read-only readout of the rampdown over tau (none for ``tau=None``).
+def _readout_of(energies: np.ndarray, vectors: np.ndarray, u: Optional[np.ndarray], tol: float) -> _Readout:
+    """Read-only readout of eigenstates ``vectors`` evolved by ``u`` (none for ``u=None``).
 
     W must be doubly stochastic: its rows and columns sum to 1 within
     max(1e-10, 4 tol), which holds when U is unitary (NumericalCheckError
     otherwise).
     """
-    spec = linalg.eigh(to_dense(plaquette_hamiltonian(J, lambda0, static)))
-    vectors = spec.vectors
-    if tau is not None:
-        vectors = schedule_unitary(*plaquette_parts(J, static), linear_rampdown(lambda0, tau), tol) @ vectors
+    if u is not None:
+        vectors = u @ vectors
     basis, _ = tomography_basis()
     W = np.abs(basis.conj().T @ vectors) ** 2
     defect = max(np.abs(W.sum(axis=0) - 1.0).max(), np.abs(W.sum(axis=1) - 1.0).max())
     if defect > max(1e-10, 4.0 * tol):
         raise NumericalCheckError(f"evolved state failed its check: readout sums miss 1 by {defect:.3e}")
     e = _basis_errors() @ W
-    for array in (spec.values, W, e):
+    for array in (energies, W, e):
         array.flags.writeable = False
-    return _Readout(spec.values, W, e)
+    return _Readout(energies, W, e)
+
+
+@functools.lru_cache(maxsize=64)
+def _readout(
+    lambda0: float, tau: Optional[float], J: float, tol: float, static: Optional[OperatorSum] = None
+) -> _Readout:
+    """Cached `_readout_of` the rampdown over tau (none for ``tau=None``)."""
+    spec = linalg.eigh(to_dense(plaquette_hamiltonian(J, lambda0, static)))
+    u = None if tau is None else schedule_unitary(*plaquette_parts(J, static), linear_rampdown(lambda0, tau), tol)
+    return _readout_of(spec.values, spec.vectors, u, tol)
 
 
 def run_point(
@@ -373,6 +339,34 @@ def run_point(
     eigenpairs.
     """
     return _readout(lambda0, tau, J, tol, static).report(T)
+
+
+def rampdown_series(
+    T: float,
+    lambda0: float,
+    tau: float,
+    times,
+    J: float = 1.0,
+    tol: float = 1e-8,
+    static: Optional[OperatorSum] = None,
+) -> tuple[list[tuple[float, float, float, float, float]], ErrorChannelReport]:
+    """`run_point`'s pipeline read out at each sample time of the ramp.
+
+    Returns ``(rows, report)``: one ``(t, lambda, fidelity, w_plus,
+    w_minus)`` row per distinct time, ascending, and the final error
+    channel.  fidelity is the weight on ``(|0000> + |1111>)/sqrt(2)``,
+    and w_plus and w_minus are the check-sector weights.  Each sample
+    has its own (uncached) readout and readout check.
+    """
+    spec = linalg.eigh(to_dense(plaquette_hamiltonian(J, lambda0, static)))
+    schedule = linear_rampdown(lambda0, tau)
+    u_final, snaps = schedule_unitary(*plaquette_parts(J, static), schedule, tol, sample_times=times)
+    rows = []
+    for t, u in snaps:
+        raw = _readout_of(spec.values, spec.vectors, u, tol).report(T).raw
+        w_plus, w_minus = (sum(raw[(rep, sector)] for rep in CLASS_REPS) for sector in (1, -1))
+        rows.append((t, float(schedule.coupling_vector(t)[0]), raw[(0, 1)], w_plus, w_minus))
+    return rows, _readout_of(spec.values, spec.vectors, u_final, tol).report(T)
 
 
 def no_evolution_point(
@@ -446,7 +440,7 @@ def chain_sector_gap(N: int, J: float, lam: float, n_levels: int = 2, seed: int 
     conserved checks (`pauli.taper`), leaving an N-qubit operator that
     is diagonalized densely; N above ``pauli.DENSE_QUBIT_LIMIT`` raises
     ValueError.  ``n_levels`` must lie in 1..2**N.  ``seed`` has no
-    effect and is kept only so that callers passing it keep working.
+    effect; it stays because perfbench/child.py still passes it.
     """
     if not 1 <= n_levels <= 1 << N:
         raise ValueError(f"n_levels must lie in 1..{1 << N}")

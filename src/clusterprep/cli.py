@@ -27,10 +27,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__, analysis, linalg, pham
-from .evolve import linear_rampdown, propagate, sequential_switchoff
+from .evolve import linear_rampdown, sequential_switchoff
 from .models import build_chain_1d, build_lattice_2d, build_plaquette_3d, stabilizer_3d_local, stabilizers_1d
 from .pauli import OperatorSum, commutator_is_zero
-from .thermal import gibbs_state
 
 __all__ = ["main", "entry"]
 
@@ -195,7 +194,7 @@ _EVOLVE_OPTS = [
     _Opt("--lambda0", _conv_pos, _REQUIRED, "initial coupling"),
     _Opt("--tau", _conv_pos, _REQUIRED, "rampdown duration"),
     _Opt("--J", _conv_pos, 1.0, "Ising bond strength"),
-    _Opt("--tol", _conv_pos, 1e-8, "integrator step-doubling tolerance"),
+    _Opt("--tol", _conv_pos, 1e-8, "integrator step-doubling tolerance (propagator entries to tol/4)"),
     _Opt("--samples", _conv_int_min(2), 101, "time-series sample count"),
     _Opt("--hamiltonian", _conv_str, None, "replace the static ZZ ring with this operator file"),
     _Opt("--output", _conv_str, None, "time-series CSV path (default: stdout)"),
@@ -422,20 +421,10 @@ _EVOLVE_COLUMNS = ("t", "lambda", "fidelity", "w_plus", "w_minus")
 
 def _cmd_evolve(ns: argparse.Namespace) -> int:
     static = _load_operator(ns.hamiltonian)
-    schedule = linear_rampdown(ns.lambda0, ns.tau)
-    rho0 = gibbs_state(analysis.plaquette_hamiltonian(ns.J, ns.lambda0, static), ns.T)
     ts = np.linspace(0.0, ns.tau, ns.samples)
-    final, snaps = propagate(*analysis.plaquette_parts(ns.J, static), schedule, rho0, ns.tol, sample_times=ts)
-    times, states = zip(*snaps)
-    columns = (
-        times,
-        [float(schedule.coupling_vector(t)[0]) for t in times],
-        [analysis.ghz_fidelity(dm) for dm in states],
-        *([float(np.real(np.trace(p @ dm.matrix))) for dm in states] for p in analysis.sector_projectors()),
-    )
-    report = analysis.error_tomography(final)
+    rows, report = analysis.rampdown_series(ns.T, ns.lambda0, ns.tau, ts, ns.J, ns.tol, static)
     header = _header_comment(ns, _EVOLVE_OPTS)
-    _emit(ns.output, _csv_text(header, _EVOLVE_COLUMNS, map(_cells, columns)))
+    _emit(ns.output, _csv_text(header, _EVOLVE_COLUMNS, map(_cells, zip(*rows))))
     prefix = "# " if ns.output is None else ""
     for key in ("fidelity", "p_z", "p_c1", "p_c2", "w_minus", "e_zeta"):
         print(f"{prefix}{key} = {getattr(report, key)!r}")

@@ -1,4 +1,4 @@
-"""Coupling schedules and unitary propagation of mixed states.
+"""Coupling schedules and their unitary propagators.
 
 Schedules are piecewise-linear coupling trajectories.  The Hamiltonian
 is given in its affine form, H(lam) = H0 + sum_mu lam_mu H_mu: the
@@ -16,8 +16,7 @@ full block when there are none), and the frame's basis
 
 Propagation uses the eighth-order Magnus integrator (Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
-Phil. Trans. R. Soc. A 357 (1999)) on the whole propagator, so the
-spectral weights of the initial mixture ride along unchanged.  H(t) is
+Phil. Trans. R. Soc. A 357 (1999)) on the whole propagator.  H(t) is
 linear on each smooth piece of the schedule, so the exponent's nested
 commutators are formed once per piece and propagator, and each pass
 and segment only weights them with scalars: a step's exponent is a
@@ -31,12 +30,13 @@ results are deterministic for identical inputs and peak memory does not
 grow with the step count.
 
 Step size is controlled by step doubling, starting from duration/64:
-the run is repeated at half the step until halving changes no tracked
-entry by more than the goal (tol/4 on propagator entries, or tol on the
-evolved density matrix), and the finer run is returned.  Entries are
-compared in the original basis.  A run that would exceed a fixed total
-step budget raises ConvergenceError before the pass starts, and a final
-propagator that is not unitary to 1e-10 raises NumericalCheckError.
+the run is repeated at half the step until halving changes no
+propagator entry by more than tol/4, and the finer run is returned.
+Entries are compared in the original basis.  The CLI's ``evolve`` and
+``sweep`` pass their ``--tol`` here, so both hold U to tol/4.  A run
+that would exceed a fixed total step budget raises ConvergenceError
+before the pass starts, and a final propagator that is not unitary to
+1e-10 raises NumericalCheckError.
 Integration is split at schedule kinks and at requested sample times,
 which keeps the scheme at full order on each smooth piece.
 """
@@ -51,14 +51,12 @@ import numpy as np
 
 from .linalg import ConvergenceError, NumericalCheckError
 from .pauli import OperatorSum, check_basis, check_blocks, conserved_checks
-from .thermal import DensityMatrix
 
 __all__ = [
     "PiecewiseLinear",
     "Schedule",
     "linear_rampdown",
     "sequential_switchoff",
-    "propagate",
     "schedule_unitary",
 ]
 
@@ -382,14 +380,12 @@ def _sector_frame(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> tuple[np.n
     return blocks, vb
 
 
-def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: float, sample_times, rho0=None):
-    """Step-doubled Magnus until halving moves no tracked entry more than tol.
+def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: float, sample_times):
+    """Step-doubled Magnus until halving moves no propagator entry more than tol/4.
 
-    Tracks the density matrix entries when ``rho0`` is given, otherwise
-    the propagator entries (against tol/4, a stand-in bound that keeps
-    any evolved state within tol).  Integration runs in the sector
-    blocks of the checks conserved by H0 and the parts; every comparison
-    and every returned snapshot is in the original basis.
+    Integration runs in the sector blocks of the checks conserved by H0
+    and the parts; every comparison and every returned snapshot is in
+    the original basis.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive")
@@ -402,8 +398,6 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
         raise ValueError(f"schedule drives {columns} couplings but {len(parts)} Hamiltonian parts were given")
     blocks, vb = _sector_frame(h0, tuple(parts))
     dim = vb.shape[1]
-    if rho0 is not None and rho0.shape[0] != dim:
-        raise ValueError("state dimension does not match the Hamiltonian")
     kinks = [0.0, *(b for b in schedule.breakpoints() if 0.0 < b < schedule.duration), schedule.duration]
     boundaries = sorted({*kinks, *samples})
     if schedule.duration == 0.0:
@@ -421,27 +415,20 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
         snaps = _integrate(terms, kinks, boundaries, counts)
         return [np.eye(dim, dtype=complex)] + [(vb @ u @ vb.conj().transpose(0, 2, 1)).sum(axis=0) for u in snaps]
 
-    def tracked(snapshots):
-        if rho0 is None:
-            return snapshots
-        return [u @ rho0 @ u.conj().T for u in snapshots]
-
-    goal = tol if rho0 is not None else 0.25 * tol
     h = schedule.duration * _BASE_STEP_FRACTION
     spent = 0
-    prev_tracked = None
+    prev = None
     while True:
         counts = _step_counts(boundaries, h)
         spent += sum(counts)
         if spent > _MAX_STEPS:
             raise ConvergenceError(f"step-doubling did not reach tolerance within {_MAX_STEPS} steps")
         cur = propagators(counts)
-        cur_tracked = tracked(cur)
-        if prev_tracked is not None:
-            err = max(float(np.abs(a - b).max()) for a, b in zip(prev_tracked, cur_tracked))
-            if err <= goal:
+        if prev is not None:
+            err = max(float(np.abs(a - b).max()) for a, b in zip(prev, cur))
+            if err <= 0.25 * tol:
                 break
-        prev_tracked = cur_tracked
+        prev = cur
         h *= 0.5
     u = cur[-1]
     defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
@@ -464,30 +451,3 @@ def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e
     by_time = dict(zip(boundaries, snapshots))
     return snapshots[-1], [(t, by_time[t]) for t in wanted]
 
-
-def propagate(h0: OperatorSum, parts, schedule: Schedule, rho0: DensityMatrix, tol: float = 1e-8, sample_times=None):
-    """Evolve a mixed state under H0 + sum_mu lam_mu(t) H_mu through a schedule.
-
-    The initial mixture is carried as exact spectral weights on evolving
-    pure states (the propagator acts on the whole eigenbasis at once),
-    so the state's spectrum is preserved up to integrator error.  Returns
-    the final DensityMatrix, or ``(final, [(t, DensityMatrix), ...])``
-    when sample times are requested.
-    """
-    rho_mat = rho0.matrix
-    boundaries, snapshots = _converged_propagators(h0, parts, schedule, tol, sample_times, rho0=rho_mat)
-    atol = max(1e-10, 4.0 * tol)
-
-    def wrap(u):
-        rho = u @ rho_mat @ u.conj().T
-        try:
-            return DensityMatrix.from_matrix(0.5 * (rho + rho.conj().T), check=True, atol=atol)
-        except ValueError as exc:
-            raise NumericalCheckError(f"evolved state failed its check: {exc}") from exc
-
-    final = wrap(snapshots[-1])
-    if sample_times is None:
-        return final
-    by_time = dict(zip(boundaries, snapshots))
-    wanted = sorted(set(float(t) for t in sample_times))
-    return final, [(t, wrap(by_time[t])) for t in wanted]

@@ -32,16 +32,6 @@ class Spectrum:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def ground_energy(self) -> float:
-        return float(self.values[0])
-
-    def gap(self) -> float:
-        return float(self.values[1] - self.values[0])
-
 
 def _canonical_columns(vectors: np.ndarray) -> np.ndarray:
     """Fix each column's free phase: first non-negligible entry real-positive."""

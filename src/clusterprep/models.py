@@ -51,8 +51,6 @@ __all__ = [
     "stabilizer_3d_local",
     "cz_conjugate",
     "gap_closed_form",
-    "logical_x",
-    "logical_z",
 ]
 
 
@@ -294,13 +292,3 @@ def gap_closed_form(kind: str, J: float, lam: float) -> float:
         )
     raise ValueError(f"unknown model kind {kind!r}")
 
-
-def logical_x(inst: ModelInstance, *site: int) -> PauliString:
-    """Product of X over the spins of one logical site (logical bit flip)."""
-    ops = {inst.qubit_index(site, m): "X" for m in range(1, inst.spins_per_site + 1)}
-    return PauliString.from_ops(inst.n_qubits, ops)
-
-
-def logical_z(inst: ModelInstance, *site: int) -> PauliString:
-    """Z on the first spin of one logical site (logical phase reference)."""
-    return PauliString.from_ops(inst.n_qubits, {inst.qubit_index(site, 1): "Z"})

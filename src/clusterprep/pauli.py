@@ -122,9 +122,6 @@ class PauliString:
     def phase_value(self) -> complex:
         return (1, 1j, -1, -1j)[self.phase]
 
-    def without_phase(self) -> "PauliString":
-        return self if self.phase == 0 else PauliString(self.n_qubits, self.x, self.z)
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
 
@@ -193,10 +190,6 @@ class OperatorSum:
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorSum is immutable")
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "OperatorSum":
-        return cls(n_qubits)
 
     @property
     def n_terms(self) -> int:
@@ -403,8 +396,12 @@ def check_frame(op: OperatorSum, checks: Sequence[PauliString]) -> OperatorSum:
     eigenvalue (-1)^(bit j of a) (Bravyi, Gambetta, Mezzacapo & Temme,
     arXiv:1701.08213).
     """
+    return _frame_image(op, checks, *_frame(checks, op.n_qubits))
+
+
+def _frame_image(op: OperatorSum, checks: Sequence[PauliString], pivots, logicals) -> OperatorSum:
+    """`check_frame` of ``op`` with the frame that `_frame` set up for ``checks``."""
     n, k = op.n_qubits, len(checks)
-    pivots, logicals = _frame(checks, n)
     low = n - k
     terms = []
     for coeff, s in op.terms:
@@ -436,7 +433,8 @@ def check_blocks(ops: Sequence[OperatorSum], checks: Sequence[PauliString]) -> n
     Block a belongs to the sign pattern where check j has eigenvalue
     (-1)^(bit j of a), so the all-+1 sector comes first.
     """
-    dense = np.stack([to_dense(check_frame(op, checks)) for op in ops])
+    frame = _frame(checks, ops[0].n_qubits)
+    dense = np.stack([to_dense(_frame_image(op, checks, *frame)) for op in ops])
     d = dense.shape[-1] >> len(checks)
     return np.stack([dense[:, a * d : (a + 1) * d, a * d : (a + 1) * d] for a in range(1 << len(checks))], axis=1)
 

@@ -1,5 +1,5 @@
-"""Thermal (Gibbs) states of symbolic Hamiltonians, with T = 0 and
-high-temperature limits handled explicitly."""
+"""Boltzmann occupations of a spectrum, with the T = 0 ground-space rule
+handled explicitly, and a validated density-matrix record."""
 
 from __future__ import annotations
 
@@ -7,14 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .pauli import OperatorSum, to_dense
-
-__all__ = ["DensityMatrix", "gibbs_state", "thermal_weights"]
+__all__ = ["DensityMatrix", "thermal_weights"]
 
 _DEGENERACY_RTOL = 1e-9  # width of the T = 0 ground space, relative to max(1, |E0|)
 
 
+# kept, with from_matrix, because perfbench/tracer.py wraps DensityMatrix.from_matrix by name
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated density matrix (Hermitian, unit trace, PSD up to noise)."""
@@ -37,19 +35,6 @@ class DensityMatrix:
                 raise ValueError(f"negative eigenvalue {lowest}")
         return cls(mat)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def expectation(self, observable: np.ndarray) -> float:
-        return float(np.trace(observable @ self.matrix).real)
-
 
 def thermal_weights(energies: np.ndarray, T: float) -> np.ndarray:
     """Occupation of each level of an ascending spectrum at temperature T.
@@ -69,16 +54,3 @@ def thermal_weights(energies: np.ndarray, T: float) -> np.ndarray:
     else:
         weights = np.exp(-shifted / T)
     return weights / weights.sum()
-
-
-def gibbs_state(h, T: float) -> DensityMatrix:
-    """exp(-h/T) / Z over the eigenbasis of h, with `thermal_weights`.
-
-    ``h`` is an OperatorSum of at most ``pauli.DENSE_QUBIT_LIMIT``
-    qubits or a dense Hermitian matrix; T = 0 gives the uniform mixture
-    over the ground space.
-    """
-    mat = to_dense(h) if isinstance(h, OperatorSum) else np.asarray(h)
-    spec = linalg.eigh(mat)
-    rho = (spec.vectors * thermal_weights(spec.values, T)) @ spec.vectors.conj().T
-    return DensityMatrix.from_matrix(rho, check=False)

@@ -34,3 +34,23 @@ def taylor_plan(norm: float, max_degree: int = 18, unit_roundoff: float = 2.0**-
         if best is None or cost < best[0]:
             best = (cost, m, s)
     return best[1], best[2]
+
+
+def gibbs_matrix(h: np.ndarray, T: float, ground_rtol: float = 1e-9) -> np.ndarray:
+    """exp(-h/T) / Z for Hermitian h via numpy's eigendecomposition.
+
+    T = 0 gives the uniform mixture over the degenerate ground space:
+    the levels within ground_rtol * max(1, |E0|) of the ground energy.
+    """
+    values, vectors = np.linalg.eigh(h)
+    shifted = values - values[0]
+    if T == 0.0:
+        weights = (shifted <= ground_rtol * max(1.0, abs(values[0]))).astype(float)
+    else:
+        weights = np.exp(-shifted / T)
+    return (vectors * (weights / weights.sum())) @ vectors.conj().T
+
+
+def tomography_weights(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The weight of rho on each basis column: diag(B^dagger rho B), real part."""
+    return np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho, basis))

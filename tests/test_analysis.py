@@ -18,15 +18,13 @@ from clusterprep.analysis import (
     _basis_errors,
     _channel_report,
     _readout,
+    _readout_of,
     chain_sector_gap,
-    error_tomography,
-    ghz_fidelity,
-    ghz_states,
     no_evolution_point,
     plaquette_hamiltonian,
     plaquette_parts,
+    rampdown_series,
     run_point,
-    sector_projectors,
     spectrum_path,
     spectrum_scan,
     threshold_temperature,
@@ -37,13 +35,32 @@ from clusterprep.evolve import PiecewiseLinear, Schedule, linear_rampdown, sched
 from clusterprep.linalg import ConvergenceError, eigh
 from clusterprep.models import build_chain_1d, plaquette_ring_term, stabilizer_3d_local, stabilizers_1d
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
-from clusterprep.thermal import DensityMatrix, gibbs_state
+from oracles import gibbs_matrix, tomography_weights
 
 
-def random_density_matrix(rng, dim=16) -> DensityMatrix:
+def random_density_matrix(rng, dim=16) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
-    return DensityMatrix.from_matrix(rho / np.trace(rho).real)
+    return rho / np.trace(rho).real
+
+
+def ghz_states() -> tuple[np.ndarray, np.ndarray]:
+    """(|0000> + |1111>)/sqrt(2) and (|0000> - |1111>)/sqrt(2)."""
+    plus, minus = np.zeros(16), np.zeros(16)
+    plus[0] = plus[15] = minus[0] = 1.0 / np.sqrt(2.0)
+    minus[15] = -1.0 / np.sqrt(2.0)
+    return plus, minus
+
+
+def sector_projectors() -> tuple[np.ndarray, np.ndarray]:
+    """Projectors onto the +1 and -1 eigenspaces of the XXXX check."""
+    w = to_dense(stabilizer_3d_local())
+    return 0.5 * (np.eye(16) + w), 0.5 * (np.eye(16) - w)
+
+
+def tomography(rho: np.ndarray) -> ErrorChannelReport:
+    """The error channel of a four-spin density matrix, from the oracle's basis weights."""
+    return _channel_report(tomography_weights(rho, tomography_basis()[0]))
 
 
 # ------------------------------------------------------------- tomography
@@ -69,7 +86,7 @@ def test_tomography_basis_is_cached_and_read_only():
 def test_tomography_completeness_random_states():
     rng = np.random.default_rng(99)
     for _ in range(100):
-        report = error_tomography(random_density_matrix(rng))
+        report = tomography(random_density_matrix(rng))
         total = report.fidelity + 4 * report.p_z + 2 * report.p_c1 + report.p_c2
         assert abs(total - 1.0) <= 1e-8
         assert sum(report.raw.values()) == pytest.approx(1.0, abs=1e-8)
@@ -79,19 +96,18 @@ def test_tomography_completeness_random_states():
 
 def test_target_state_reports_unit_fidelity():
     plus, _ = ghz_states()
-    rho = DensityMatrix.from_matrix(np.outer(plus, plus.conj()))
-    report = error_tomography(rho)
+    report = tomography(np.outer(plus, plus.conj()))
     assert report.fidelity == pytest.approx(1.0, abs=1e-12)
     assert report.e_zeta == pytest.approx(0.0, abs=1e-12)
     assert report.w_minus == pytest.approx(0.0, abs=1e-12)
-    assert ghz_fidelity(rho) == pytest.approx(1.0, abs=1e-12)
+    assert report.raw[(0, 1)] == pytest.approx(1.0, abs=1e-12)  # the evolve fidelity column
 
 
 def test_minus_sector_weight_spills_into_single_flips():
     # a pure minus-sector state is one unlocatable phase flip: its weight
     # is shared evenly by the four single-flip classes
     _, minus = ghz_states()
-    report = error_tomography(DensityMatrix.from_matrix(np.outer(minus, minus.conj())))
+    report = tomography(np.outer(minus, minus.conj()))
     assert report.w_minus == pytest.approx(1.0, abs=1e-12)
     assert report.fidelity == pytest.approx(0.0, abs=1e-12)
     for rep in (1, 2, 4, 7):
@@ -104,7 +120,7 @@ def test_minus_sector_weight_spills_into_single_flips():
 def test_computational_basis_state_class_weights():
     rho = np.zeros((16, 16))
     rho[3, 3] = 1.0  # two adjacent spins flipped
-    report = error_tomography(DensityMatrix.from_matrix(rho))
+    report = tomography(rho)
     assert report.fidelity == pytest.approx(0.0, abs=1e-12)
     assert report.p_z == pytest.approx(0.125, abs=1e-12)
     assert report.p_c1 == pytest.approx(0.25, abs=1e-12)
@@ -113,19 +129,24 @@ def test_computational_basis_state_class_weights():
 
 
 def test_tomography_rejects_wrong_dimension():
-    with pytest.raises(ValueError, match="four-spin"):
-        error_tomography(DensityMatrix.from_matrix(np.eye(4) / 4.0))
+    # the readout is four-spin only: a static part on three spins is refused before any work
+    narrow = OperatorSum(3, [(1.0, PauliString.from_label("ZZI"))])
+    with pytest.raises(ValueError, match="four spins"):
+        no_evolution_point(0.5, 1.0, static=narrow)
+    with pytest.raises(ValueError, match="four spins"):
+        rampdown_series(0.5, 1.0, 0.5, [0.0, 0.5], static=narrow)
 
 
 def test_tomography_negative_weight_is_a_numerical_failure():
-    # a Hermitian unit-trace matrix with weight -0.1 on the (z1, +) basis state
-    basis, _ = tomography_basis()
-    weights = np.full(16, 1.1 / 15.0)
-    weights[2] = -0.1
-    rho = DensityMatrix.from_matrix((basis * weights) @ basis.conj().T, check=False)
+    # readout weights are squared moduli, so none is negative; a state that
+    # gains or loses weight fails the sum check beyond max(1e-10, 4 tol)
+    tol = 1e-6
+    energies, vectors = np.arange(16.0), np.eye(16, dtype=complex)
     assert issubclass(NumericalCheckError, ConvergenceError)
-    with pytest.raises(NumericalCheckError, match="negative basis weight"):
-        error_tomography(rho)
+    _readout_of(energies, vectors, np.sqrt(1.0 + 3.0 * tol) * vectors, tol)
+    for scale in (1.0 + 5.0 * tol, 1.0 - 5.0 * tol):
+        with pytest.raises(NumericalCheckError, match="readout sums miss 1"):
+            _readout_of(energies, vectors, np.sqrt(scale) * vectors, tol)
 
 
 def test_sector_projectors_resolve_identity():
@@ -134,6 +155,13 @@ def test_sector_projectors_resolve_identity():
     np.testing.assert_allclose(p_plus @ p_plus, p_plus, atol=1e-14)
     np.testing.assert_allclose(p_plus @ p_minus, np.zeros((16, 16)), atol=1e-14)
     assert np.trace(p_plus) == pytest.approx(8.0, abs=1e-12)
+    # the + and - columns of the tomography basis span the two check sectors,
+    # so w_plus and w_minus are sums over the + and - readout weights
+    basis, labels = tomography_basis()
+    signs = np.array([sector for _, sector in labels])
+    for sector, projector in zip((1, -1), (p_plus, p_minus)):
+        cols = basis[:, signs == sector]
+        np.testing.assert_allclose(cols @ cols.conj().T, projector, atol=1e-14)
 
 
 # ---------------------------------------------------------------- spectra
@@ -318,8 +346,8 @@ def test_readout_matches_the_density_matrix_path(lambda0, tau):
     u = np.eye(16) if tau is None else schedule_unitary(*plaquette_parts(1.0), linear_rampdown(lambda0, tau), 1e-8)
     readout = _readout(lambda0, tau, 1.0, 1e-8, None)
     for T in (0.0, 1e-3, 0.37, 3.0):
-        rho = gibbs_state(h, T).matrix
-        oracle = error_tomography(DensityMatrix(u @ rho @ u.conj().T))
+        rho = gibbs_matrix(to_dense(h), T)
+        oracle = tomography(u @ rho @ u.conj().T)
         report = no_evolution_point(T, lambda0) if tau is None else run_point(T, lambda0, tau)
         assert_same_report(report, oracle, 1e-12)
         assert abs(readout.e_zeta(T) - oracle.e_zeta) <= 1e-12
@@ -329,7 +357,16 @@ def test_readout_keeps_the_degenerate_ground_space_at_zero_temperature():
     h = plaquette_hamiltonian(1.0, 1e-3)
     levels = np.linalg.eigvalsh(to_dense(h))
     assert levels[1] - levels[0] <= 1e-9  # the T = 0 state mixes a degenerate ground space
-    assert_same_report(no_evolution_point(0.0, 1e-3), error_tomography(gibbs_state(h, 0.0)), 1e-12)
+    assert_same_report(no_evolution_point(0.0, 1e-3), tomography(gibbs_matrix(to_dense(h), 0.0)), 1e-12)
+
+
+@pytest.mark.parametrize("tau", [2.0, 10.0])
+@pytest.mark.parametrize("lambda0", [0.3, 1.5, 2.5])
+def test_ramp_keeps_each_check_sector_weight(lambda0, tau):
+    # every check commutes with H(t), so the ramp moves weight only inside a
+    # sector: the minus-sector weight stays as cooled (measured within 3.9e-15)
+    for T in (0.0, 0.1, 0.5, 1.0, 3.0):
+        assert abs(run_point(T, lambda0, tau).w_minus - no_evolution_point(T, lambda0).w_minus) <= 1e-13
 
 
 @pytest.fixture

@@ -6,8 +6,10 @@ to cover the module entry point.
 """
 
 import contextlib
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +18,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import clusterprep
 from clusterprep import analysis, cli, pham
-from clusterprep.evolve import linear_rampdown, propagate, sequential_switchoff
+from clusterprep.evolve import linear_rampdown, sequential_switchoff
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term
 from clusterprep.pauli import OperatorSum, PauliString
-from clusterprep.thermal import gibbs_state
 
 
 def run_cli(*argv):
@@ -415,13 +417,9 @@ def phase_rows():
 
 def evolve_rows():
     # the EVOLVE_ARGS run
-    schedule = linear_rampdown(1.0, 0.5)
-    rho0 = gibbs_state(analysis.plaquette_hamiltonian(1.0, 1.0), 0.5)
-    _, snaps = propagate(*analysis.plaquette_parts(1.0), schedule, rho0, 1e-6, sample_times=np.linspace(0.0, 0.5, 3))
-    projectors = analysis.sector_projectors()
-    for t, dm in snaps:
-        weights = (float(np.real(np.trace(p @ dm.matrix))) for p in projectors)
-        yield (float(t), float(schedule.coupling_vector(t)[0]), float(analysis.ghz_fidelity(dm)), *weights)
+    rows, _ = analysis.rampdown_series(0.5, 1.0, 0.5, np.linspace(0.0, 0.5, 3), 1.0, 1e-6)
+    for row in rows:
+        yield tuple(map(float, row))
 
 
 SPECTRUM = "lambda_or_time,level,energy,sector,gap_global,gap_sector"
@@ -515,6 +513,27 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_traced_sweep_runs_and_every_public_name_resolves():
+    # the benchmark's tracer wraps public names (and DensityMatrix.from_matrix)
+    # by name, so a prune that breaks it fails here, not only in the benchmark
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = (
+        f"import sys; sys.path.insert(0, {str(bench)!r}); import tracer; t = tracer.install()\n"
+        "from clusterprep import cli\n"
+        "code = cli.main(['sweep', '--T', '0.5', '--lambda0', '1.0', '--tau', '0.5', '--tol', '1e-6'])\n"
+        "print(code, sorted({span[0] for span in t.spans}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.strip().splitlines()[-1]
+    assert last.startswith("0 ") and "'evolve.schedule_unitary'" in last and "'analysis.run_point'" in last
+    names = [f"clusterprep.{m.name}" for m in pkgutil.iter_modules(clusterprep.__path__)]
+    modules = [clusterprep, *map(importlib.import_module, names)]
+    missing = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_module_entry_point_subprocess():

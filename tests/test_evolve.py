@@ -2,10 +2,12 @@
 
 The integrator tests lean on three oracles: constant schedules against
 the eigendecomposition exponential, time-dependent schedules against
-scipy's DOP853 integrator, and conservation laws (trace, purity,
+scipy's DOP853 integrator, and conservation laws (unit total weight,
 check-sector weights) that the exact dynamics obeys identically.
 """
 
+import contextlib
+import io
 import math
 import tracemalloc
 
@@ -14,28 +16,30 @@ import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from clusterprep import evolve
-from clusterprep.analysis import plaquette_hamiltonian, plaquette_parts
+from clusterprep import analysis, cli, evolve
+from clusterprep.analysis import no_evolution_point, plaquette_hamiltonian, plaquette_parts, rampdown_series
 from clusterprep.evolve import (
     PiecewiseLinear,
     Schedule,
     linear_rampdown,
-    propagate,
     schedule_unitary,
     sequential_switchoff,
 )
 from clusterprep.linalg import ConvergenceError, NumericalCheckError
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term, stabilizer_3d_local
 from clusterprep.pauli import OperatorSum, PauliString, check_basis, check_blocks, conserved_checks, to_dense
-from clusterprep.thermal import DensityMatrix, gibbs_state
-from oracles import expm_scaled, taylor_plan
+from oracles import expm_scaled, gibbs_matrix, taylor_plan
 
 
 PLAQUETTE = plaquette_parts(1.0)
 
 
-def thermal_input(lam0: float, T: float, J=1.0) -> DensityMatrix:
-    return gibbs_state(build_plaquette_3d(J, lam0)[1], T)
+def thermal_input(lam0: float, T: float, J=1.0) -> np.ndarray:
+    return gibbs_matrix(to_dense(build_plaquette_3d(J, lam0)[1]), T)
+
+
+def evolved(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return u @ rho @ u.conj().T
 
 
 def constant_schedule(lam: float, tau: float) -> Schedule:
@@ -126,58 +130,46 @@ def test_coupling_matrix_shapes_and_names():
 def test_constant_schedule_matches_exponential_oracle():
     tau, lam = 0.7, 1.3
     rho0 = thermal_input(lam, 0.5)
-    final = propagate(*PLAQUETTE, constant_schedule(lam, tau), rho0, tol=1e-10)
-    u = expm_scaled(to_dense(build_plaquette_3d(1.0, lam)[1]), -1j * tau)
-    oracle = u @ rho0.matrix @ u.conj().T
-    assert np.abs(final.matrix - oracle).max() <= 1e-8
+    final = evolved(schedule_unitary(*PLAQUETTE, constant_schedule(lam, tau), tol=1e-10), rho0)
+    oracle = evolved(expm_scaled(to_dense(build_plaquette_3d(1.0, lam)[1]), -1j * tau), rho0)
+    assert np.abs(final - oracle).max() <= 1e-8
 
 
 def test_zero_duration_returns_input():
     sched = Schedule(0.0, (("lambda", PiecewiseLinear((0.0,), (1.0,))),))
     rho0 = thermal_input(1.0, 0.3)
-    final = propagate(*PLAQUETTE, sched, rho0, tol=1e-8)
-    assert np.abs(final.matrix - rho0.matrix).max() <= 1e-14
+    final = evolved(schedule_unitary(*PLAQUETTE, sched, tol=1e-8), rho0)
+    assert np.abs(final - rho0).max() <= 1e-14
 
 
 def test_conserved_quantities_along_rampdown():
-    rho0 = thermal_input(2.5, 0.5)
-    sched = linear_rampdown(2.5, 10.0)
-    ts = np.linspace(0.0, 10.0, 11)
-    final, snaps = propagate(*PLAQUETTE, sched, rho0, tol=1e-8, sample_times=ts)
-    w = to_dense(stabilizer_3d_local())
-    p_plus = 0.5 * (np.eye(16) + w)
-    w0 = rho0.expectation(p_plus)
-    purity0 = rho0.purity()
-    for _, dm in snaps:
-        assert abs(dm.trace() - 1.0) <= 1e-8
-        assert abs(dm.purity() - purity0) <= 1e-8
-        assert abs(dm.expectation(p_plus) - w0) <= 1e-8
-    assert abs(final.purity() - purity0) <= 1e-8
+    # the evolve rows: unit total weight, and a minus-sector weight that the
+    # ramp never changes (the XXXX check commutes with every H(t))
+    rows, final = rampdown_series(0.5, 2.5, 10.0, np.linspace(0.0, 10.0, 11))
+    w_minus = no_evolution_point(0.5, 2.5).w_minus
+    assert w_minus > 1e-3
+    for _, _, _, w_p, w_m in rows:
+        assert abs(w_p + w_m - 1.0) <= 1e-13
+        assert abs(w_m - w_minus) <= 1e-13
+    assert abs(final.w_minus - w_minus) <= 1e-13
 
 
 def test_infidelity_decreases_with_ramp_duration():
     # slower ramps leave less weight outside the target state
-    rho0 = thermal_input(2.5, 0.0)
-    plus = np.zeros(16)
-    plus[0] = plus[15] = 1 / np.sqrt(2)
     infidelity = []
     for tau in (5.0, 7.0, 10.0, 20.0):
-        final = propagate(*PLAQUETTE, linear_rampdown(2.5, tau), rho0, tol=1e-8)
-        infidelity.append(1.0 - float(np.real(plus @ final.matrix @ plus)))
+        rows, _ = rampdown_series(0.0, 2.5, tau, [tau], tol=1e-8)
+        infidelity.append(1.0 - rows[-1][2])
     assert all(b < a for a, b in zip(infidelity, infidelity[1:]))
     assert infidelity[0] < 5e-3  # tau = 5 is already nearly adiabatic
 
 
 def test_propagate_validation():
-    rho0 = thermal_input(1.0, 0.5)
     sched = linear_rampdown(1.0, 1.0)
     with pytest.raises(ValueError, match="tolerance"):
-        propagate(*PLAQUETTE, sched, rho0, tol=0.0)
+        schedule_unitary(*PLAQUETTE, sched, tol=0.0)
     with pytest.raises(ValueError, match="sample time"):
-        propagate(*PLAQUETTE, sched, rho0, tol=1e-8, sample_times=[2.0])
-    wrong = DensityMatrix.from_matrix(np.eye(4) / 4.0)
-    with pytest.raises(ValueError, match="dimension"):
-        propagate(*PLAQUETTE, sched, wrong, tol=1e-8)
+        schedule_unitary(*PLAQUETTE, sched, tol=1e-8, sample_times=[2.0])
 
 
 def test_schedule_unitary_is_unitary_and_samples():
@@ -228,6 +220,33 @@ def test_rampdown_matches_dop853_oracle_at_sample_times():
     for (_, u), u_ref in zip(snaps, ref):
         assert np.abs(u - u_ref).max() <= 2.5e-9
     assert np.abs(u_final - ref[-1]).max() <= 2.5e-9
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--T", "0.5", "--lambda0", "1.0", "--tau", "0.5", "--tol", "1e-6", "--samples", "3"),
+        ("--T", "0.3", "--lambda0", "2.5", "--tau", "5", "--tol", "1e-8", "--samples", "6"),
+    ],
+)
+def test_evolve_rows_match_dop853_oracle(args, tmp_path):
+    opts = dict(zip(args[::2], map(float, args[1::2])))
+    T, lam0, tau = opts["--T"], opts["--lambda0"], opts["--tau"]
+    target = tmp_path / "evolve.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["evolve", *args, "--output", str(target)]) == 0
+    rows = np.array([line.split(",") for line in target.read_text().splitlines()[2:]], dtype=float)
+    ts = np.linspace(0.0, tau, int(opts["--samples"]))
+    np.testing.assert_array_equal(rows[:, 0], ts)
+    rho0 = thermal_input(lam0, T)
+    plus = np.zeros(16)
+    plus[0] = plus[15] = 1 / np.sqrt(2)
+    w = to_dense(stabilizer_3d_local())
+    for row, u in zip(rows, dop853_propagator(lambda t: np.full(4, lam0 * (1.0 - t / tau)), list(ts))):
+        rho = evolved(u, rho0)
+        expected = (plus @ rho @ plus, 0.5 * np.trace(rho + w @ rho), 0.5 * np.trace(rho - w @ rho))
+        # fidelity, w_plus, w_minus; measured within 8.8e-13 and 6.7e-12
+        assert np.abs(row[2:] - np.real(expected)).max() <= 1e-8
 
 
 def test_sequential_switchoff_matches_dop853_oracle_across_kinks():
@@ -339,10 +358,17 @@ def test_non_unitary_propagator_is_a_numerical_failure(monkeypatch):
 
 
 def test_failed_state_check_in_propagate_is_a_numerical_failure(monkeypatch):
-    eye = np.eye(16, dtype=complex)
-    monkeypatch.setattr(evolve, "_converged_propagators", lambda *args, **kwargs: ([0.0, 1.0], [eye, 2.0 * eye]))
+    # evolve reads every sample through the readout check: a 2 I propagator fails it
+    bad = 2.0 * np.eye(16, dtype=complex)
+    fake = lambda *args, sample_times: (bad, [(t, bad) for t in sample_times])
+    monkeypatch.setattr(analysis, "schedule_unitary", fake)
     with pytest.raises(NumericalCheckError, match="failed its check"):
-        propagate(*PLAQUETTE, linear_rampdown(1.0, 1.0), thermal_input(1.0, 0.5), tol=1e-8)
+        rampdown_series(0.5, 1.0, 1.0, [0.0, 1.0])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["evolve", "--T", "0.5", "--lambda0", "1.0", "--tau", "1.0", "--samples", "3"])
+    assert code == 3
+    assert "numerical failure: evolved state failed its check" in err.getvalue()
 
 
 def recorded_passes(monkeypatch) -> list[int]:
@@ -499,5 +525,5 @@ def test_long_tight_propagation_has_bounded_peak_memory(monkeypatch):
 def test_per_spin_schedule_drives_separate_couplings():
     sched = sequential_switchoff(2.0, 0.25, (4, 3, 2, 1))
     rho0 = thermal_input(2.0, 0.2)
-    final = propagate(*PLAQUETTE, sched, rho0, tol=1e-6)
-    assert abs(final.trace() - 1.0) <= 1e-6
+    final = evolved(schedule_unitary(*PLAQUETTE, sched, tol=1e-6), rho0)
+    assert abs(np.trace(final).real - 1.0) <= 1e-6

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import clusterprep
-from clusterprep.linalg import ConvergenceError, NumericalCheckError, Spectrum, eigh
+from clusterprep.linalg import ConvergenceError, NumericalCheckError, eigh
 from oracles import expm_scaled
 
 
@@ -53,13 +53,6 @@ def test_eigh_validation():
     eigh(bad, check=False)  # symmetrized instead of rejected
     with pytest.raises(ValueError, match="dense limit"):
         eigh(np.zeros((4097, 4097)))
-
-
-def test_spectrum_accessors():
-    spec = Spectrum(np.array([-1.0, 2.0, 5.0]), np.eye(3))
-    assert spec.dim == 3
-    assert spec.ground_energy() == -1.0
-    assert spec.gap() == 3.0
 
 
 def test_expm_scaled_examples():

@@ -16,8 +16,6 @@ from clusterprep.models import (
     build_plaquette_3d,
     cz_conjugate,
     gap_closed_form,
-    logical_x,
-    logical_z,
     plaquette_field_term,
     plaquette_ring_term,
     stabilizer_3d_local,
@@ -267,18 +265,6 @@ def test_chain_ground_space_at_zero_coupling():
     block = spec.vectors[:, :16]
     overlap = float(np.real(np.trace(block.conj().T @ proj @ block)))
     assert overlap == pytest.approx(1.0, abs=1e-9)
-
-
-def test_logical_operators():
-    inst, _ = build_chain_1d(3, 1.0, 0.2)
-    lx = logical_x(inst, 1)
-    lz = logical_z(inst, 1)
-    assert lx.letters == "IIXXII"
-    assert lz.letters == "IIZIII"
-    assert not commutes(lx, lz)
-    assert commutes(lx, logical_z(inst, 2))
-    pinst, _ = build_plaquette_3d(1.0, 0.5)
-    assert logical_x(pinst, 0).weight == 4
 
 
 def test_model_instance_indexing():

@@ -1,22 +1,26 @@
-"""Gibbs-state construction, limits, and density-matrix validation."""
+"""The Boltzmann rule (`thermal_weights`), its limits, and density-matrix validation."""
 
 import numpy as np
 import pytest
 
+from clusterprep.analysis import no_evolution_point
 from clusterprep.linalg import eigh
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
-from clusterprep.thermal import DensityMatrix, gibbs_state, thermal_weights
+from clusterprep.thermal import DensityMatrix, thermal_weights
+
+
+def levels(h) -> np.ndarray:
+    return eigh(to_dense(h)).values
 
 
 def test_two_level_boltzmann_weights():
     h = OperatorSum(1, [(-1.0, PauliString.from_label("Z"))])
-    rho = gibbs_state(h, 1.0)
+    weights = thermal_weights(levels(h), 1.0)
     p0 = 1.0 / (1.0 + np.exp(-2.0))
-    assert rho.matrix[0, 0].real == pytest.approx(p0, abs=1e-14)
-    assert rho.matrix[1, 1].real == pytest.approx(1.0 - p0, abs=1e-14)
-    assert abs(rho.matrix[0, 1]) == 0.0
-    assert rho.matrix[0, 0].real == pytest.approx(0.880797, abs=1e-6)
+    assert weights[0] == pytest.approx(p0, abs=1e-14)
+    assert weights[1] == pytest.approx(1.0 - p0, abs=1e-14)
+    assert weights[0] == pytest.approx(0.880797, abs=1e-6)
 
 
 def test_infinite_temperature_limit():
@@ -25,17 +29,15 @@ def test_infinite_temperature_limit():
         (float(rng.normal()), PauliString(3, int(rng.integers(1, 8)), int(rng.integers(0, 8))))
         for _ in range(5)
     ]
-    rho = gibbs_state(OperatorSum(3, terms), 1e6)
-    np.testing.assert_allclose(rho.matrix, np.eye(8) / 8.0, atol=1e-5)
+    weights = thermal_weights(levels(OperatorSum(3, terms)), 1e6)
+    np.testing.assert_allclose(weights, np.full(8, 1.0 / 8.0), atol=1e-5)
 
 
 def test_zero_temperature_degenerate_ground_space():
     # the bare ring has the two aligned states as its ground doublet
-    rho = gibbs_state(plaquette_ring_term(1.0), 0.0)
-    expected = np.zeros((16, 16))
-    expected[0, 0] = expected[15, 15] = 0.5
-    np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
-    assert rho.purity() == pytest.approx(0.5, abs=1e-12)
+    weights = thermal_weights(levels(plaquette_ring_term(1.0)), 0.0)
+    np.testing.assert_array_equal(weights, [0.5, 0.5] + [0.0] * 14)
+    assert float(weights @ weights) == pytest.approx(0.5, abs=1e-12)  # purity
 
 
 def test_thermal_weights_ground_space_width_and_boltzmann_ratio():
@@ -49,50 +51,45 @@ def test_thermal_weights_ground_space_width_and_boltzmann_ratio():
 
 def test_zero_temperature_unique_ground_state():
     _, ham = build_plaquette_3d(1.0, 2.5)
-    rho = gibbs_state(ham, 0.0)
-    assert rho.purity() == pytest.approx(1.0, abs=1e-10)
-    ground = eigh(to_dense(ham)).vectors[:, 0]
-    fidelity = float(np.real(ground.conj() @ rho.matrix @ ground))
-    assert fidelity == pytest.approx(1.0, abs=1e-10)
+    weights = thermal_weights(levels(ham), 0.0)
+    assert float(weights @ weights) == pytest.approx(1.0, abs=1e-10)  # purity
+    assert weights[0] == pytest.approx(1.0, abs=1e-10)  # all on the ground state
 
 
 def test_negative_temperature_rejected():
     h = OperatorSum(1, [(1.0, PauliString.from_label("Z"))])
     with pytest.raises(ValueError, match=">= 0"):
-        gibbs_state(h, -0.1)
+        thermal_weights(levels(h), -0.1)
+    with pytest.raises(ValueError, match=">= 0"):
+        no_evolution_point(-0.1, 1.0)
 
 
 def test_energy_nondecreasing_in_temperature():
     _, ham = build_plaquette_3d(1.0, 1.3)
-    dense = to_dense(ham)
-    energies = [gibbs_state(ham, T).expectation(dense) for T in (0.0, 0.2, 0.5, 1.0, 2.0, 5.0)]
+    values = levels(ham)
+    energies = [float(thermal_weights(values, T) @ values) for T in (0.0, 0.2, 0.5, 1.0, 2.0, 5.0)]
     assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
 
 
 def test_minus_sector_weight_vanishes_with_temperature():
-    from clusterprep.analysis import sector_projectors
-
-    _, ham = build_plaquette_3d(1.0, 2.5)
-    _, p_minus = sector_projectors()
-    weights = [gibbs_state(ham, T).expectation(p_minus) for T in (1.0, 0.3, 0.1, 0.02)]
+    weights = [no_evolution_point(T, 2.5).w_minus for T in (1.0, 0.3, 0.1, 0.02)]
     assert all(w > 0 for w in weights[:-1])
     assert all(b < a for a, b in zip(weights, weights[1:]))
     assert weights[-1] < 1e-10
 
 
 def test_gibbs_accepts_dense_input():
-    h = np.diag([0.0, 3.0])
-    rho = gibbs_state(h, 1.5)
-    ratio = rho.matrix[1, 1].real / rho.matrix[0, 0].real
+    weights = thermal_weights(np.array([0.0, 3.0]), 1.5)
+    ratio = weights[1] / weights[0]
     assert ratio == pytest.approx(np.exp(-2.0), rel=1e-12)
 
 
 def test_gibbs_stable_at_low_temperature():
     # shifting by the ground energy keeps exp() in range even at T = 1e-3
     _, ham = build_plaquette_3d(1.0, 2.5)
-    rho = gibbs_state(ham, 1e-3)
-    assert np.isfinite(rho.matrix).all()
-    assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+    weights = thermal_weights(levels(ham), 1e-3)
+    assert np.isfinite(weights).all()
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_matrix_validation():
@@ -109,11 +106,3 @@ def test_density_matrix_validation():
     # unchecked path accepts anything square
     DensityMatrix.from_matrix(np.eye(2), check=False)
 
-
-def test_density_matrix_observables():
-    rho = DensityMatrix.from_matrix(np.diag([0.75, 0.25]))
-    z = np.diag([1.0, -1.0])
-    assert rho.expectation(z) == pytest.approx(0.5, abs=1e-14)
-    assert rho.purity() == pytest.approx(0.625, abs=1e-14)
-    assert rho.trace() == pytest.approx(1.0, abs=1e-14)
-    assert rho.dim == 2
