@@ -2,11 +2,12 @@
 
 Pauli-string operator algebra, the frustration-free chain / torus /
 plaquette model builders with their conserved checks, Boltzmann
-occupations of the cooled levels, schedule propagators from a
-step-doubled eighth-order Magnus integrator (run in the sector blocks
-of the conserved checks, with matrix-product Taylor step exponentials),
-and the sector-resolved spectrum and per-eigenstate error-channel
-readout used to size temperature thresholds.
+occupations of the cooled levels, piecewise-linear coupling schedules
+(a knot table with one column per coupling part) and their propagators
+from a step-doubled eighth-order Magnus integrator (run in the sector
+blocks of the conserved checks, with matrix-product Taylor step
+exponentials), and the sector-resolved spectrum and per-eigenstate
+error-channel readout used to size temperature thresholds.
 """
 
 from .pauli import OperatorSum, PauliString, commutator_terms, commutes, multiply, taper, to_dense
@@ -23,13 +24,7 @@ from .models import (
     stabilizers_1d,
 )
 from .thermal import DensityMatrix
-from .evolve import (
-    PiecewiseLinear,
-    Schedule,
-    linear_rampdown,
-    schedule_unitary,
-    sequential_switchoff,
-)
+from .evolve import Schedule, linear_rampdown, schedule_unitary, sequential_switchoff
 from .analysis import (
     ErrorChannelReport,
     SectorSpectrumTable,
@@ -74,7 +69,6 @@ __all__ = [
     "cz_conjugate",
     "gap_closed_form",
     "DensityMatrix",
-    "PiecewiseLinear",
     "Schedule",
     "linear_rampdown",
     "sequential_switchoff",

@@ -255,9 +255,11 @@ def spectrum_path(
     samples: int = 201,
     static: Optional[OperatorSum] = None,
 ) -> SectorSpectrumTable:
-    """Plaquette spectra sampled along a schedule's coupling path."""
+    """Plaquette spectra sampled along a schedule's four coupling columns."""
     if samples < 2:
         raise ValueError("need at least two samples")
+    if len(schedule.couplings[0]) != 4:
+        raise ValueError("a plaquette path needs four coupling columns")
     ts = np.linspace(0.0, schedule.duration, samples)
     lams = schedule.coupling_matrix(ts)
     return SectorSpectrumTable("time", ts, *_plaquette_spectra(J, lams, static), couplings=lams)
@@ -361,11 +363,12 @@ def rampdown_series(
     spec = linalg.eigh(to_dense(plaquette_hamiltonian(J, lambda0, static)))
     schedule = linear_rampdown(lambda0, tau)
     u_final, snaps = schedule_unitary(*plaquette_parts(J, static), schedule, tol, sample_times=times)
+    lams = schedule.coupling_matrix([t for t, _ in snaps])[:, 0]
     rows = []
-    for t, u in snaps:
+    for (t, u), lam in zip(snaps, lams):
         raw = _readout_of(spec.values, spec.vectors, u, tol).report(T).raw
         w_plus, w_minus = (sum(raw[(rep, sector)] for rep in CLASS_REPS) for sector in (1, -1))
-        rows.append((t, float(schedule.coupling_vector(t)[0]), raw[(0, 1)], w_plus, w_minus))
+        rows.append((t, float(lam), raw[(0, 1)], w_plus, w_minus))
     return rows, _readout_of(spec.values, spec.vectors, u_final, tol).report(T)
 
 

@@ -1,6 +1,7 @@
 """Coupling schedules and their unitary propagators.
 
-Schedules are piecewise-linear coupling trajectories.  The Hamiltonian
+A schedule is a table of knots: one row of couplings per knot time and
+one column per coupling part, linear between knots.  The Hamiltonian
 is given in its affine form, H(lam) = H0 + sum_mu lam_mu H_mu: the
 propagators take H0 and one part H_mu per coupling column of the
 schedule, as `OperatorSum`s, and make one dense matrix of each, once
@@ -37,8 +38,8 @@ Entries are compared in the original basis.  The CLI's ``evolve`` and
 that would exceed a fixed total step budget raises ConvergenceError
 before the pass starts, and a final propagator that is not unitary to
 1e-10 raises NumericalCheckError.
-Integration is split at schedule kinks and at requested sample times,
-which keeps the scheme at full order on each smooth piece.
+Integration is split at the schedule's knots and at requested sample
+times, which keeps the scheme at full order on each smooth piece.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .linalg import ConvergenceError, NumericalCheckError
 from .pauli import OperatorSum, check_basis, check_blocks, conserved_checks
 
 __all__ = [
-    "PiecewiseLinear",
     "Schedule",
     "linear_rampdown",
     "sequential_switchoff",
@@ -78,95 +78,61 @@ _STEP_DEGREE = int(_TERM_T_DEGREES.max())
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear:
-    """Piecewise-linear function given by (time, value) knots."""
-
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.times) != len(self.values) or not self.times:
-            raise ValueError("times and values must be equal-length and non-empty")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("knot times must be strictly increasing")
-        if any(not math.isfinite(v) or v < 0 for v in self.values):
-            raise ValueError("channel values must be finite and >= 0")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.times[0], self.times[-1]
-        slack = 1e-9 * max(1.0, hi - lo)
-        if np.any(t < lo - slack) or np.any(t > hi + slack):
-            raise ValueError(f"evaluation time outside schedule domain [{lo}, {hi}]")
-        out = np.interp(np.clip(t, lo, hi), self.times, self.values)
-        return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
 class Schedule:
-    """A duration plus named piecewise-linear coupling channels.
+    """Piecewise-linear couplings: one row per knot, one column per part H_mu.
 
-    Channels must span [0, duration].  A single channel named
-    ``lambda`` drives all four plaquette couplings uniformly; four
-    channels ``lambda1..lambda4`` drive them separately.
+    ``times`` are the knot times: they start at 0.0, increase strictly,
+    and the last one is the duration.  ``couplings[k]`` holds every
+    coupling at ``times[k]``, all finite and >= 0; each coupling is
+    linear between knots.
     """
 
-    duration: float
-    channels: tuple[tuple[str, PiecewiseLinear], ...]
+    times: tuple[float, ...]
+    couplings: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError("duration must be finite and >= 0")
-        if not self.channels:
-            raise ValueError("schedule needs at least one channel")
-        for name, pl in self.channels:
-            if abs(pl.times[0]) > 1e-12 or abs(pl.times[-1] - self.duration) > 1e-12 * max(1.0, self.duration):
-                raise ValueError(f"channel {name!r} does not span [0, duration]")
+        object.__setattr__(self, "times", tuple(map(float, self.times)))
+        object.__setattr__(self, "couplings", tuple(tuple(map(float, row)) for row in self.couplings))
+        times, rows = self.times, self.couplings
+        if len(times) != len(rows) or not times:
+            raise ValueError("times and couplings must be equal-length and non-empty")
+        if times[0] != 0.0:
+            raise ValueError("knot times must start at 0.0")
+        if not all(math.isfinite(b) and b > a for a, b in zip(times, times[1:])):
+            raise ValueError("knot times must be finite and strictly increasing")
+        if len({len(row) for row in rows}) != 1 or not rows[0]:
+            raise ValueError("every knot needs the same number of couplings, at least one")
+        if any(not math.isfinite(v) or v < 0 for row in rows for v in row):
+            raise ValueError("couplings must be finite and >= 0")
 
     @property
-    def channel_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.channels)
+    def duration(self) -> float:
+        return self.times[-1]
 
-    def breakpoints(self) -> list[float]:
-        """Interior knot times where any channel changes slope."""
-        knots = set()
-        for _, pl in self.channels:
-            knots.update(pl.times[1:-1])
-        return sorted(knots)
-
-    def coupling_matrix(self, ts: np.ndarray) -> np.ndarray:
-        """Couplings at each time: shape (len(ts), 4)."""
-        names = self.channel_names
-        ts = np.asarray(ts, dtype=float)
-        if names == ("lambda",):
-            col = np.asarray(self.channels[0][1](ts), dtype=float)
-            return np.repeat(col.reshape(-1, 1), 4, axis=1)
-        if sorted(names) == ["lambda1", "lambda2", "lambda3", "lambda4"]:
-            by_name = dict(self.channels)
-            cols = [np.asarray(by_name[f"lambda{i}"](ts), dtype=float) for i in (1, 2, 3, 4)]
-            return np.stack(cols, axis=1).reshape(len(np.atleast_1d(ts)), 4)
-        raise ValueError("channels must be 'lambda' or 'lambda1'..'lambda4'")
-
-    def coupling_vector(self, t: float) -> np.ndarray:
-        return self.coupling_matrix(np.array([t]))[0]
+    def coupling_matrix(self, ts) -> np.ndarray:
+        """Couplings at each time: shape (len(ts), columns)."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        slack = 1e-9 * max(1.0, self.duration)
+        if np.any(ts < -slack) or np.any(ts > self.duration + slack):
+            raise ValueError(f"evaluation time outside schedule domain [0.0, {self.duration}]")
+        return np.stack([np.interp(ts, self.times, col) for col in zip(*self.couplings)], axis=1)
 
 
 def linear_rampdown(lambda0: float, tau: float) -> Schedule:
-    """Uniform coupling ramped linearly from lambda0 at t=0 to 0 at t=tau."""
+    """All four plaquette couplings ramped together from lambda0 at t=0 to 0 at t=tau."""
     if not (math.isfinite(lambda0) and lambda0 > 0):
         raise ValueError("lambda0 must be positive")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError("tau must be positive")
-    pl = PiecewiseLinear((0.0, float(tau)), (float(lambda0), 0.0))
-    return Schedule(float(tau), (("lambda", pl),))
+    return Schedule((0.0, tau), ((lambda0,) * 4, (0.0,) * 4))
 
 
 def sequential_switchoff(lambda_init: float, tau_each: float, order: tuple[int, int, int, int]) -> Schedule:
     """Switch the four couplings off one after another, each over tau_each.
 
-    ``order`` is a permutation of (1, 2, 3, 4); channel ``order[k]`` ramps
-    from lambda_init to 0 during segment k, staying constant otherwise.
-    Total duration is 4 * tau_each.
+    ``order`` is a permutation of (1, 2, 3, 4).  The knots sit at
+    k * tau_each for k = 0..4: coupling ``order[k]`` ramps from
+    lambda_init to 0 between knots k and k + 1 and stays at 0 after.
     """
     if not (math.isfinite(lambda_init) and lambda_init > 0):
         raise ValueError("lambda_init must be positive")
@@ -174,20 +140,11 @@ def sequential_switchoff(lambda_init: float, tau_each: float, order: tuple[int, 
         raise ValueError("tau_each must be positive")
     if sorted(order) != [1, 2, 3, 4]:
         raise ValueError("order must be a permutation of (1, 2, 3, 4)")
-    total = 4.0 * tau_each
-    channels = []
+    rows = [[lambda_init] * 4 for _ in range(5)]
     for k, spin in enumerate(order):
-        knots = [(0.0, lambda_init), (k * tau_each, lambda_init),
-                 ((k + 1) * tau_each, 0.0), (total, 0.0)]
-        times, values = [], []
-        for t, v in knots:
-            if times and t <= times[-1]:
-                continue
-            times.append(float(t))
-            values.append(float(v))
-        channels.append((f"lambda{spin}", PiecewiseLinear(tuple(times), tuple(values))))
-    channels.sort(key=lambda item: item[0])
-    return Schedule(total, tuple(channels))
+        for row in rows[k + 1 :]:
+            row[spin - 1] = 0.0
+    return Schedule([k * tau_each for k in range(5)], rows)
 
 
 def _admissible_theta(m: int) -> float:
@@ -393,18 +350,18 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     for t in samples:
         if t < -1e-12 or t > schedule.duration * (1 + 1e-12) + 1e-12:
             raise ValueError("sample time outside schedule duration")
-    columns = schedule.coupling_vector(0.0).size
+    columns = len(schedule.couplings[0])
     if len(parts) != columns:
         raise ValueError(f"schedule drives {columns} couplings but {len(parts)} Hamiltonian parts were given")
     blocks, vb = _sector_frame(h0, tuple(parts))
     dim = vb.shape[1]
-    kinks = [0.0, *(b for b in schedule.breakpoints() if 0.0 < b < schedule.duration), schedule.duration]
+    kinks = list(schedule.times)
     boundaries = sorted({*kinks, *samples})
     if schedule.duration == 0.0:
         eye = np.eye(dim, dtype=complex)
         return boundaries, [eye.copy() for _ in boundaries]
-    # A = -iH = a0 + t a1 on each piece between kinks, t from the piece's start
-    lam = schedule.coupling_matrix(np.array(kinks))
+    # A = -iH = a0 + t a1 on each piece between knots, t from the piece's start
+    lam = np.array(schedule.couplings)
     slope = np.diff(lam, axis=0) / np.diff(kinks)[:, None]
     a0 = -1j * (blocks[0] + np.tensordot(lam[:-1], blocks[1:], axes=1))
     a1 = -1j * np.tensordot(slope, blocks[1:], axes=1)

@@ -51,23 +51,24 @@ def _canonical_columns(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigh(h: np.ndarray, check: bool = True) -> Spectrum:
+def eigh(h: np.ndarray) -> Spectrum:
     """Full spectrum of a Hermitian matrix with a reproducible gauge.
 
-    Eigenvalues come back ascending; degenerate groups keep the order the
-    backend produced, then every eigenvector is canonicalized by making
-    its first nonzero component real and positive.
+    Refuses a matrix whose Hermitian residual exceeds 1e-10 of its
+    largest entry (or of 1), and solves its Hermitian part.  Eigenvalues
+    come back ascending; degenerate groups keep the order the backend
+    produced, then every eigenvector is canonicalized by making its
+    first nonzero component real and positive.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     if h.shape[0] > DENSE_DIM_LIMIT:
         raise ValueError(f"dimension {h.shape[0]} exceeds dense limit {DENSE_DIM_LIMIT}")
-    if check:
-        scale = max(1.0, float(np.abs(h).max()))
-        residual = float(np.abs(h - h.conj().T).max())
-        if residual > 1e-10 * scale:
-            raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
+    scale = max(1.0, float(np.abs(h).max()))
+    residual = float(np.abs(h - h.conj().T).max())
+    if residual > 1e-10 * scale:
+        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
     h = 0.5 * (h + h.conj().T)
     if np.iscomplexobj(h) and np.abs(h.imag).max() == 0.0:
         h = h.real

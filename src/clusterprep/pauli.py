@@ -80,10 +80,6 @@ class PauliString:
         object.__setattr__(self, "phase", self.phase % 4)
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits)
-
-    @classmethod
     def from_label(cls, label: Sequence[str], phase: int = 0) -> "PauliString":
         """Build from a string or list of letters, qubit 0 leftmost (e.g. ``"XIZY"``)."""
         x = z = 0
@@ -495,17 +491,15 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return np.bitwise_count(values).astype(np.int64) & 1
 
 
-def to_dense(op: OperatorSum, max_qubits: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
+def to_dense(op: OperatorSum) -> np.ndarray:
     """Dense Hermitian matrix of an operator sum.
 
-    Refuses when ``op.n_qubits > max_qubits``; the result is real float64
-    when every term realizes a real matrix (even number of Y letters),
-    complex128 otherwise.
+    Refuses when ``op.n_qubits > DENSE_QUBIT_LIMIT``; the result is real
+    float64 when every term realizes a real matrix (even number of Y
+    letters), complex128 otherwise.
     """
-    if op.n_qubits > max_qubits:
-        raise ValueError(
-            f"dense realization of {op.n_qubits} qubits exceeds limit {max_qubits}"
-        )
+    if op.n_qubits > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"dense realization of {op.n_qubits} qubits exceeds limit {DENSE_QUBIT_LIMIT}")
     dim = 1 << op.n_qubits
     cols = np.arange(dim, dtype=np.int64)
     real = all((s.x & s.z).bit_count() % 2 == 0 for _, s in op.terms)

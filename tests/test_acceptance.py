@@ -26,7 +26,6 @@ from clusterprep.analysis import (
     tomography_basis,
 )
 from clusterprep.evolve import (
-    PiecewiseLinear,
     Schedule,
     schedule_unitary,
     sequential_switchoff,
@@ -108,7 +107,7 @@ def test_acceptance_05_propagation_matches_oracles_and_conserves():
 
     # constant coupling against the eigendecomposition exponential
     tau, lam = 0.9, 1.1
-    const = Schedule(tau, (("lambda", PiecewiseLinear((0.0, tau), (lam, lam))),))
+    const = Schedule((0.0, tau), ((lam,) * 4, (lam,) * 4))
     rho0 = gibbs_matrix(to_dense(hamiltonian(lam)), 0.7)
     u = schedule_unitary(h0, parts, const, tol=1e-10)
     oracle = expm_scaled(to_dense(hamiltonian(lam)), -1j * tau)

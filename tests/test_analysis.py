@@ -31,7 +31,7 @@ from clusterprep.analysis import (
     tomography_basis,
     total_phase_flip_error,
 )
-from clusterprep.evolve import PiecewiseLinear, Schedule, linear_rampdown, schedule_unitary, sequential_switchoff
+from clusterprep.evolve import Schedule, linear_rampdown, schedule_unitary, sequential_switchoff
 from clusterprep.linalg import ConvergenceError, eigh
 from clusterprep.models import build_chain_1d, plaquette_ring_term, stabilizer_3d_local, stabilizers_1d
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
@@ -233,10 +233,7 @@ def test_spectrum_path_endpoints_match_scan():
 
 def test_spectrum_path_rows_match_scipy_per_sector():
     # four couplings that differ at every sample time
-    ends = ((2.0, 0.0), (1.5, 0.3), (0.4, 1.2), (0.0, 0.9))
-    sched = Schedule(1.0, tuple(
-        (f"lambda{mu + 1}", PiecewiseLinear((0.0, 1.0), ends[mu])) for mu in range(4)
-    ))
+    sched = Schedule((0.0, 1.0), ((2.0, 1.5, 0.4, 0.0), (0.0, 0.3, 1.2, 0.9)))
     table = spectrum_path(sched, samples=7)
     projectors = dict(zip((1, -1), sector_projectors()))
     for lams, energies, sectors in zip(table.couplings, table.energies, table.sectors):
@@ -261,6 +258,11 @@ def test_staged_switchoff_keeps_sector_gap_open():
 def test_spectrum_path_needs_two_samples():
     with pytest.raises(ValueError, match="two samples"):
         spectrum_path(linear_rampdown(1.0, 1.0), samples=1)
+
+
+def test_spectrum_path_needs_four_coupling_columns():
+    with pytest.raises(ValueError, match="four coupling columns"):
+        spectrum_path(Schedule((0.0, 1.0), ((1.0,), (0.0,))))
 
 
 def test_plaquette_hamiltonian_static_replacement():

@@ -19,14 +19,13 @@ from scipy.integrate import solve_ivp
 from clusterprep import analysis, cli, evolve
 from clusterprep.analysis import no_evolution_point, plaquette_hamiltonian, plaquette_parts, rampdown_series
 from clusterprep.evolve import (
-    PiecewiseLinear,
     Schedule,
     linear_rampdown,
     schedule_unitary,
     sequential_switchoff,
 )
 from clusterprep.linalg import ConvergenceError, NumericalCheckError
-from clusterprep.models import build_plaquette_3d, plaquette_ring_term, stabilizer_3d_local
+from clusterprep.models import build_plaquette_3d, plaquette_field_term, plaquette_ring_term, stabilizer_3d_local
 from clusterprep.pauli import OperatorSum, PauliString, check_basis, check_blocks, conserved_checks, to_dense
 from oracles import expm_scaled, gibbs_matrix, taylor_plan
 
@@ -43,44 +42,49 @@ def evolved(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def constant_schedule(lam: float, tau: float) -> Schedule:
-    pl = PiecewiseLinear((0.0, tau), (lam, lam))
-    return Schedule(tau, (("lambda", pl),))
+    return Schedule((0.0, tau), ((lam,) * 4, (lam,) * 4))
 
 
 # ------------------------------------------------------------- schedules
 
 def test_piecewise_linear_evaluation():
-    pl = PiecewiseLinear((0.0, 1.0, 3.0), (2.0, 1.0, 1.0))
-    assert pl(0.0) == 2.0
-    assert pl(0.5) == 1.5
-    assert pl(2.0) == 1.0
-    np.testing.assert_allclose(pl(np.array([0.0, 1.0, 3.0])), [2.0, 1.0, 1.0])
+    sched = Schedule((0.0, 1.0, 3.0), ((2.0, 0.0), (1.0, 0.5), (1.0, 2.5)))
+    assert sched.duration == 3.0
+    mat = sched.coupling_matrix(np.array([0.0, 0.5, 1.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(mat, [[2.0, 0.0], [1.5, 0.25], [1.0, 0.5], [1.0, 1.5], [1.0, 2.5]])
+    # the domain check allows a rounding-sized excursion and clamps it
+    np.testing.assert_array_equal(sched.coupling_matrix([3.0 + 1e-10]), [[1.0, 2.5]])
 
 
 def test_piecewise_linear_validation():
     with pytest.raises(ValueError, match="equal-length"):
-        PiecewiseLinear((0.0, 1.0), (1.0,))
+        Schedule((0.0, 1.0), ((1.0,),))
+    with pytest.raises(ValueError, match="equal-length"):
+        Schedule((), ())
     with pytest.raises(ValueError, match="strictly increasing"):
-        PiecewiseLinear((0.0, 0.0), (1.0, 1.0))
+        Schedule((0.0, 0.0), ((1.0,), (1.0,)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Schedule((0.0, math.inf), ((1.0,), (1.0,)))
     with pytest.raises(ValueError, match="finite and >= 0"):
-        PiecewiseLinear((0.0, 1.0), (1.0, -0.5))
-    pl = PiecewiseLinear((0.0, 1.0), (1.0, 0.0))
+        Schedule((0.0, 1.0), ((1.0,), (-0.5,)))
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        Schedule((0.0, 1.0), ((1.0,), (math.nan,)))
+    sched = Schedule((0.0, 1.0), ((1.0,), (0.0,)))
     with pytest.raises(ValueError, match="outside schedule domain"):
-        pl(-1.0)
+        sched.coupling_matrix([-1.0])
     with pytest.raises(ValueError, match="outside schedule domain"):
-        pl(1.5)
+        sched.coupling_matrix([0.5, 1.5])
 
 
 def test_linear_rampdown_examples():
     sched = linear_rampdown(2.5, 10.0)
     assert sched.duration == 10.0
-    assert sched.channel_names == ("lambda",)
-    np.testing.assert_allclose(sched.coupling_vector(0.0), np.full(4, 2.5))
-    np.testing.assert_allclose(sched.coupling_vector(5.0), np.full(4, 1.25))
-    np.testing.assert_allclose(sched.coupling_vector(10.0), np.zeros(4))
-    assert linear_rampdown(2.0, 4.0).coupling_vector(2.0)[0] == 1.0
+    assert sched.times == (0.0, 10.0)
+    assert sched.couplings == ((2.5,) * 4, (0.0,) * 4)
+    np.testing.assert_allclose(sched.coupling_matrix([0.0, 5.0, 10.0]), [[2.5] * 4, [1.25] * 4, [0.0] * 4])
+    assert linear_rampdown(2.0, 4.0).coupling_matrix([2.0])[0, 0] == 1.0
     with pytest.raises(ValueError):
-        sched.coupling_vector(-1.0)
+        sched.coupling_matrix([-1.0])
     with pytest.raises(ValueError, match="lambda0"):
         linear_rampdown(0.0, 1.0)
     with pytest.raises(ValueError, match="tau"):
@@ -90,39 +94,52 @@ def test_linear_rampdown_examples():
 def test_sequential_switchoff_staging():
     sched = sequential_switchoff(2.0, 1.0, (1, 2, 3, 4))
     assert sched.duration == 4.0
-    assert sched.channel_names == ("lambda1", "lambda2", "lambda3", "lambda4")
-    lam = sched.coupling_vector(1.5)
+    assert sched.times == (0.0, 1.0, 2.0, 3.0, 4.0)
+    lam = sched.coupling_matrix([1.5])[0]
     np.testing.assert_allclose(lam, [0.0, 1.0, 2.0, 2.0])
-    np.testing.assert_allclose(sched.coupling_vector(4.0), np.zeros(4))
-    np.testing.assert_allclose(sched.coupling_vector(0.0), np.full(4, 2.0))
+    np.testing.assert_allclose(sched.coupling_matrix([4.0])[0], np.zeros(4))
+    np.testing.assert_allclose(sched.coupling_matrix([0.0])[0], np.full(4, 2.0))
 
 
 def test_sequential_switchoff_respects_order():
     sched = sequential_switchoff(2.0, 1.0, (1, 3, 2, 4))
-    lam = sched.coupling_vector(1.5)  # second segment ramps spin 3
+    lam = sched.coupling_matrix([1.5])[0]  # second segment ramps spin 3
     np.testing.assert_allclose(lam, [0.0, 2.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="permutation"):
         sequential_switchoff(2.0, 1.0, (1, 2, 3, 3))
 
 
-def test_schedule_validation_and_breakpoints():
-    pl = PiecewiseLinear((0.0, 1.0), (1.0, 0.0))
-    with pytest.raises(ValueError, match="at least one channel"):
-        Schedule(1.0, ())
-    with pytest.raises(ValueError, match="span"):
-        Schedule(2.0, (("lambda", pl),))
+def test_schedule_validation_and_knots():
+    with pytest.raises(ValueError, match="at least one"):
+        Schedule((0.0, 1.0), ((), ()))
     sched = sequential_switchoff(1.0, 0.5, (2, 1, 3, 4))
-    assert sched.breakpoints() == [0.5, 1.0, 1.5]
+    assert sched.times == (0.0, 0.5, 1.0, 1.5, 2.0)
+    assert sched.couplings[1:3] == ((1.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0))
 
 
-def test_coupling_matrix_shapes_and_names():
+def test_coupling_matrix_shapes():
     uniform = linear_rampdown(1.0, 2.0)
     mat = uniform.coupling_matrix(np.array([0.0, 1.0, 2.0]))
     assert mat.shape == (3, 4)
     assert np.ptp(mat, axis=1).max() == 0.0  # all four columns identical
-    bad = Schedule(1.0, (("foo", PiecewiseLinear((0.0, 1.0), (1.0, 1.0))),))
-    with pytest.raises(ValueError, match="channels must be"):
-        bad.coupling_matrix(np.array([0.5]))
+    one = Schedule((0.0, 1.0, 2.0), ((1.0,), (0.0,), (3.0,)))
+    assert one.coupling_matrix(np.linspace(0.0, 2.0, 5)).shape == (5, 1)
+
+
+def test_one_column_schedule_drives_one_part():
+    # one H_mu: the four unit fields as a single part, driven by one coupling column
+    lambda0, tau = 2.5, 3.0
+    h0 = plaquette_ring_term(1.0)
+    one = Schedule((0, tau), ((lambda0,), (0.0,)))
+    u_one = schedule_unitary(h0, (plaquette_field_term(1.0),), one, tol=1e-10)
+    u_four = schedule_unitary(*PLAQUETTE, linear_rampdown(lambda0, tau), tol=1e-10)
+    assert np.abs(u_one - u_four).max() <= 1e-12
+    with pytest.raises(ValueError, match="1 couplings but 4 Hamiltonian parts"):
+        schedule_unitary(*PLAQUETTE, one, tol=1e-6)
+    with pytest.raises(ValueError, match="same number of couplings"):
+        Schedule((0.0, tau), ((lambda0,), (0.0, 0.0)))
+    with pytest.raises(ValueError, match="start at 0.0"):
+        Schedule((0.5, tau), ((lambda0,), (0.0,)))
 
 
 # ------------------------------------------------------------ propagation
@@ -136,7 +153,7 @@ def test_constant_schedule_matches_exponential_oracle():
 
 
 def test_zero_duration_returns_input():
-    sched = Schedule(0.0, (("lambda", PiecewiseLinear((0.0,), (1.0,))),))
+    sched = Schedule((0.0,), ((1.0,) * 4,))
     rho0 = thermal_input(1.0, 0.3)
     final = evolved(schedule_unitary(*PLAQUETTE, sched, tol=1e-8), rho0)
     assert np.abs(final - rho0).max() <= 1e-14
@@ -421,15 +438,12 @@ def fixed_step_unitary(monkeypatch, schedule: Schedule, n: int) -> np.ndarray:
 
 def staggered_switchoff(lams, ends, duration) -> tuple[Schedule, object]:
     """Spin i ramps from lams[i] to 0 over [0, ends[i]]: distinct slopes on every segment."""
-    channels = []
-    for i, (lam, end) in enumerate(zip(lams, ends)):
-        times, values = ((0.0, end, duration), (lam, 0.0, 0.0)) if end < duration else ((0.0, end), (lam, 0.0))
-        channels.append((f"lambda{i + 1}", PiecewiseLinear(times, values)))
 
     def couplings(t):
         return np.array([lam * max(0.0, 1.0 - t / end) for lam, end in zip(lams, ends)])
 
-    return Schedule(duration, tuple(channels)), couplings
+    times = sorted({0.0, *ends, duration})
+    return Schedule(times, [couplings(t) for t in times]), couplings
 
 
 def test_rampdown_error_falls_at_eighth_order(monkeypatch):

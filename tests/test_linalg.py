@@ -50,7 +50,6 @@ def test_eigh_validation():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         eigh(bad)
-    eigh(bad, check=False)  # symmetrized instead of rejected
     with pytest.raises(ValueError, match="dense limit"):
         eigh(np.zeros((4097, 4097)))
 

@@ -40,7 +40,7 @@ def assert_conserved(ham: OperatorSum, checks):
 def assert_checks_form_commuting_involutions(checks):
     strings = [c.terms[0][1] for c in checks]
     for s in strings:
-        assert multiply(s, s) == PauliString.identity(s.n_qubits)
+        assert multiply(s, s) == PauliString(s.n_qubits)
     for i, a in enumerate(strings):
         for b in strings[i + 1:]:
             assert commutes(a, b)

@@ -96,7 +96,7 @@ def test_error_reports_later_line():
 
 
 def test_serialize_rejects_identity_term():
-    op = OperatorSum(1, [(1.0, PauliString.identity(1))])
+    op = OperatorSum(1, [(1.0, PauliString(1))])
     with pytest.raises(ValueError, match="identity term"):
         serialize(op)
 
