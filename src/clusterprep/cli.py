@@ -451,13 +451,23 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     if size > ns.cap:
         raise _UsageError(f"grid has {size} points, above the cap of {ns.cap}")
     groups = [(tau, lam0, tuple(temps), ns.J, ns.tol) for tau in taus for lam0 in lam0s]
-    # the pool starts all its workers at once, so start no more than there are groups
+    # this process is one of the workers, and the pool starts all the others at
+    # once, so start no more workers than there are groups
     workers = min(ns.workers, len(groups))
     if workers == 1:
         results = [_sweep_group(g) for g in groups]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_group, groups))
+        pool = ProcessPoolExecutor(max_workers=workers - 1)
+        try:
+            futures = [pool.submit(_sweep_group, g) for g in groups[:-1]]
+            # run the last group here, then take groups from the back for as long
+            # as they can be cancelled; the pool starts its groups in order
+            results = [_sweep_group(groups[-1])]
+            for g, f in zip(reversed(groups[:-1]), reversed(futures)):
+                results.append(_sweep_group(g) if f.cancel() else f.result())
+            results.reverse()
+        finally:
+            pool.shutdown(cancel_futures=True)  # after a failure, start no other group
     rows = [row for group_rows in results for row in group_rows]
     header = _header_comment(ns, _SWEEP_OPTS)
     _emit(ns.output, _csv_text(header, _SWEEP_COLUMNS, map(_cells, zip(*rows))))

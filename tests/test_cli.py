@@ -12,6 +12,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import clusterprep
-from clusterprep import analysis, cli, pham
+from clusterprep import analysis, cli, evolve, pham
 from clusterprep.evolve import linear_rampdown, sequential_switchoff
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term
 from clusterprep.pauli import OperatorSum, PauliString
@@ -245,30 +246,40 @@ def test_sweep_byte_identical_across_workers_and_runs(tmp_path):
     assert run_cli("sweep", *SWEEP_ARGS, "--workers", "1", "--output", str(c))[0] == 0
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
     assert "workers=" not in a.read_text().splitlines()[0]
+    # four (tau, lambda0) groups; each run starts with the model, frame and readout
+    # caches cold, so every worker builds its own
+    grid = ("--T", "0.5,0.1", "--lambda0", "1.0,1.5", "--tau", "1.0,0.5", "--tol", "1e-6")
+    outputs = []
+    for workers in ("3", "1", "2", "3"):
+        for cached in (analysis._readout, analysis.plaquette_parts, evolve._sector_frame):
+            cached.cache_clear()
+        path = tmp_path / f"grid-{len(outputs)}.csv"
+        assert run_cli("sweep", *grid, "--workers", workers, "--output", str(path))[0] == 0
+        outputs.append(path.read_bytes())
+    assert len(data_lines(outputs[0].decode())) == 8
+    assert outputs.count(outputs[0]) == 4
 
 
 def test_sweep_pool_is_no_larger_than_its_groups(monkeypatch):
     pools = []
 
     class RecordingPool:
-        # stands in for the process pool: records its size, maps in-process
+        # stands in for the process pool: records its size and never starts a
+        # group, so the calling process cancels and runs every one
         def __init__(self, max_workers):
             pools.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            return Future()
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
+        def shutdown(self, cancel_futures):
+            pass
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     code, _, _ = run_cli("sweep", "--T", "0.5,0.1", "--lambda0", "1.0", "--tau", "0.5", "--tol", "1e-6", "--workers", "64")
     assert code == 0 and pools == []  # one (tau, lambda0) group runs in-process
     code, two_groups, _ = run_cli("sweep", *SWEEP_ARGS, "--workers", "64")
-    assert code == 0 and pools == [2]
+    assert code == 0 and pools == [1]  # two workers: the calling process and one in the pool
     assert two_groups == run_cli("sweep", *SWEEP_ARGS, "--workers", "1")[1]
 
 
@@ -487,13 +498,19 @@ def fresh_readouts():
     analysis._readout.cache_clear()
 
 
-def test_sweep_failed_state_check_is_numerical_failure(monkeypatch, fresh_readouts):
-    # a non-unitary propagator gives readout weights that sum to 4
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_failed_state_check_is_numerical_failure(monkeypatch, fresh_readouts, tmp_path, workers):
+    # a non-unitary propagator gives readout weights that sum to 4; with two
+    # workers the last group fails in this process, and its forked worker
+    # inherits the patch
     monkeypatch.setattr(analysis, "schedule_unitary", lambda *args: 2.0 * np.eye(16, dtype=complex))
-    code, out, err = run_cli("sweep", *SWEEP_ARGS, "--workers", "1")
+    code, out, err = run_cli("sweep", *SWEEP_ARGS, "--workers", workers)
     assert code == 3
     assert out == ""
     assert "numerical failure: evolved state failed its check" in err
+    code, out, _ = run_cli("sweep", *SWEEP_ARGS, "--workers", workers, "--output", str(tmp_path / "sweep.csv"))
+    assert (code, out) == (3, "")
+    assert list(tmp_path.iterdir()) == []  # no partial output or temporary file
 
 
 def _package_env():
