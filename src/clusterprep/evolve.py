@@ -25,10 +25,14 @@ quartic in the step index.  Each step exponential is a truncated Taylor
 series with scaling and squaring, evaluated with matrix products only
 (Paterson-Stockmeyer), with degree and squarings chosen per batch so
 the truncation error is below unit roundoff (after Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 31 (2009)).  Steps are processed in batches
-of bounded size and multiplied in a fixed pairwise tree order, so
-results are deterministic for identical inputs and peak memory does not
-grow with the step count.
+SIAM J. Matrix Anal. Appl. 31 (2009)).  Steps run on the real form
+[[Re A, -Im A], [Im A, Re A]] of each complex sector block A, which
+respects sums, real scalings and products; numpy multiplies 8x8 blocks
+about twice as fast in it (the gain shrinks with size and is gone at
+16x16).  U comes back complex.  Steps are processed in batches of
+bounded size and multiplied in a fixed pairwise tree order, so results
+are deterministic for identical inputs and peak memory does not grow
+with the step count.
 
 Step size is controlled by step doubling, starting from duration/64:
 the run is repeated at half the step until halving changes no
@@ -64,11 +68,11 @@ _BASE_STEP_FRACTION = 1.0 / 64.0
 # total steps over all passes of one step-doubling run; the heaviest
 # in-repo run (tau = 40, tol = 1e-10, in the tests) takes 4032, 65x under it
 _MAX_STEPS = 1 << 18
-# complex entries per batched array, independent of the step count: 64 steps of two
-# 8x8 sector blocks, 128 KB per array. Against 1 << 16 (1 MB arrays) this cut the
-# page faults of the perfbench sweep from about 2300 to 500 and its wall time by 7%,
-# and sweeps at tau 40 to 80 ran no slower
-_BATCH_ENTRIES = 1 << 13
+# real entries per batched array, independent of the step count: 32 steps of two
+# 16x16 real forms of 8x8 sector blocks, 128 KB per array. Against 1 MB arrays this
+# cut the page faults of the perfbench sweep from about 2300 to 500 and its wall
+# time by 7%, and sweeps at tau 40 to 80 ran no slower
+_BATCH_ENTRIES = 1 << 14
 _UNIT_ROUNDOFF = 2.0**-53
 _MAX_TAYLOR_DEGREE = 18
 _UNITARITY_ATOL = 1e-10
@@ -77,6 +81,8 @@ _UNITARITY_ATOL = 1e-10
 _TERM_H_POWERS = np.array([1, 1, 3, 5, 5, 5, 7, 7, 7, 7, 7])
 _TERM_T_DEGREES = np.array([0, 1, 0, 0, 1, 2, 0, 1, 2, 3, 4])
 _STEP_DEGREE = int(_TERM_T_DEGREES.max())
+# binom(j, k) for each term's degree j and each power k of the step index (0 for k > j)
+_TERM_BINOMIALS = np.array([[math.comb(j, k) for j in _TERM_T_DEGREES] for k in range(_STEP_DEGREE + 1)])
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,7 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
     powers[0] = np.eye(a.shape[-1])
     powers[1] = a
     for i in range(2, p + 1):
-        powers[i] = powers[i - 1] @ a
+        np.matmul(powers[i - 1], a, out=powers[i])
     coeffs = np.array([1.0 / math.factorial(i) for i in range(m + 1)] + [0.0] * p)
     low = powers[:p].reshape(p, -1)
     top = m // p
@@ -216,6 +222,11 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
+
+
+def _real_form(a: np.ndarray) -> np.ndarray:
+    """[[Re A, -Im A], [Im A, Re A]]: the real 2d x 2d form of each complex d x d A."""
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 
 def _magnus_terms(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
@@ -276,8 +287,7 @@ def _step_weights(kinks: list[float], boundaries: list[float], counts: list[int]
     h = (np.diff(boundaries) / np.array(counts))[:, None, None]
     c = (start - np.array(kinks)[piece])[:, None, None] + 0.5 * h
     j, k = _TERM_T_DEGREES, np.arange(_STEP_DEGREE + 1)[:, None]
-    binom = np.vectorize(math.comb)(j, k)  # 0 for k > j
-    return piece, binom * h ** (_TERM_H_POWERS + k) * c ** np.maximum(j - k, 0)
+    return piece, _TERM_BINOMIALS * h ** (_TERM_H_POWERS + k) * c ** np.maximum(j - k, 0)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -297,16 +307,16 @@ def _step_counts(boundaries: list[float], h: float) -> list[int]:
 def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
     """Magnus sweep over each smooth segment, ``counts`` steps each.
 
-    ``terms`` are the per-piece `_magnus_terms` of the sector blocks;
-    returns the (n_blocks, d, d) blocks of U at every boundary after the
-    first.  Each batch of steps gets its exponents from one Vandermonde
-    product of the step indices with the segment's coefficients.
+    ``terms`` are the real forms of the per-piece `_magnus_terms`;
+    returns the real forms of U's (n_blocks, d, d) blocks at every
+    boundary after the first.  Each batch's step exponents come from one
+    Vandermonde product of step indices and segment coefficients.
     """
     piece, weights = _step_weights(kinks, boundaries, counts)
     shape = terms.shape[2:]
     flat = terms.reshape(*terms.shape[:2], -1)
     batch = max(1, _BATCH_ENTRIES // flat.shape[-1])
-    u = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape)
+    u = np.broadcast_to(np.eye(shape[-1]), shape)
     snapshots = []
     for p, w, n_steps in zip(piece, weights, counts):
         coeffs = w @ flat[p]
@@ -356,7 +366,7 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     if len(parts) != columns:
         raise ValueError(f"schedule drives {columns} couplings but {len(parts)} Hamiltonian parts were given")
     blocks, vb = _sector_frame(h0, tuple(parts))
-    dim = vb.shape[1]
+    dim, d = vb.shape[1:]
     kinks = list(schedule.times)
     boundaries = sorted({*kinks, *samples})
     if schedule.duration == 0.0:
@@ -367,11 +377,11 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     slope = np.diff(lam, axis=0) / np.diff(kinks)[:, None]
     a0 = -1j * (blocks[0] + np.tensordot(lam[:-1], blocks[1:], axes=1))
     a1 = -1j * np.tensordot(slope, blocks[1:], axes=1)
-    terms = _magnus_terms(a0, a1)
+    terms = _real_form(_magnus_terms(a0, a1))
 
     def propagators(counts):
         # U = sum over sectors of V_s u_s V_s^dagger; U(0) stays exactly the identity
-        snaps = _integrate(terms, kinks, boundaries, counts)
+        snaps = [r[..., :d, :d] + 1j * r[..., d:, :d] for r in _integrate(terms, kinks, boundaries, counts)]
         return [np.eye(dim, dtype=complex)] + [(vb @ u @ vb.conj().transpose(0, 2, 1)).sum(axis=0) for u in snaps]
 
     h = schedule.duration * _BASE_STEP_FRACTION

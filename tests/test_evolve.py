@@ -324,6 +324,11 @@ def test_taylor_exponential_matches_scipy_expm(norm):
     assert np.abs(out - ref).max() <= 1e-13
     defect = np.abs(out.conj().swapaxes(-1, -2) @ out - np.eye(8)).max()
     assert defect <= 1e-14
+    # the integrator's case: the real 16x16 form of -iK, whose exponential is orthogonal
+    real = evolve._expm_taylor(evolve._real_form(-1j * k))
+    assert real.dtype == float
+    assert np.abs(real - evolve._real_form(ref)).max() <= 1e-13
+    assert np.abs(real.swapaxes(-1, -2) @ real - np.eye(16)).max() <= 1e-14
 
 
 def test_tabled_taylor_plan_matches_the_degree_loop():
@@ -531,9 +536,28 @@ def test_long_tight_propagation_has_bounded_peak_memory(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    steps_per_batch = evolve._BATCH_ENTRIES // (2 * 8 * 8)  # two 8x8 sector blocks per step
+    steps_per_batch = evolve._BATCH_ENTRIES // (2 * 16 * 16)  # real forms of two 8x8 sector blocks per step
     assert passes[-1] >= 4 * steps_per_batch
     assert peak <= 16 * 2**20
+
+
+def test_real_form_keeps_its_structure_over_a_long_tight_run(monkeypatch):
+    # rounding may not drift the two copies of Re and of Im apart over thousands of steps
+    snapshots = []
+    integrate = evolve._integrate
+
+    def captured(*args):
+        snaps = integrate(*args)
+        snapshots.extend(snaps)
+        return snaps
+
+    monkeypatch.setattr(evolve, "_integrate", captured)
+    schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 40.0), tol=1e-10)
+    r = np.array(snapshots)
+    d = r.shape[-1] // 2
+    assert r.dtype == float and r.shape[1:] == (2, 16, 16)
+    assert np.abs(r[..., :d, :d] - r[..., d:, d:]).max() <= 1e-13
+    assert np.abs(r[..., d:, :d] + r[..., :d, d:]).max() <= 1e-13
 
 
 def test_per_spin_schedule_drives_separate_couplings():
