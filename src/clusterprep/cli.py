@@ -520,13 +520,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(ns, tables[ns.command])
         return ns.func(ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except pham.PhamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
+    except (_UsageError, ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (linalg.ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -19,9 +19,9 @@ of Z.
 Conserved checks are found and fixed with the same GF(2) algebra:
 `conserved_checks` finds them from an operator's terms, `check_frame`
 rewrites an operator in a Clifford frame where each check is a
-single-qubit Z (its dense sector blocks are `check_blocks`, its dense
-basis `check_basis`), and `taper` fixes those qubits to given signs,
-which restricts the operator to a check sector exactly, on fewer qubits.
+single-qubit Z (`check_blocks` and `check_basis` give its dense sector
+blocks and basis, with no full-space Pauli matrix), and `taper` fixes
+those qubits to signs: the operator on one check sector, on fewer qubits.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ __all__ = [
 # tolerance only absorbs float noise from merging, never model content.
 COEFF_CUTOFF = 1e-14
 
-# Dense realizations refuse above this qubit count unless overridden.
+# Dense realizations refuse above the 4^12 entries of one matrix on this many qubits.
 DENSE_QUBIT_LIMIT = 12
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
@@ -427,12 +427,11 @@ def check_blocks(ops: Sequence[OperatorSum], checks: Sequence[PauliString]) -> n
     """Diagonal blocks of each ``to_dense(check_frame(op, checks))``: (len(ops), 2^k, d, d).
 
     Block a belongs to the sign pattern where check j has eigenvalue
-    (-1)^(bit j of a), so the all-+1 sector comes first.
+    (-1)^(bit j of a), so the all-+1 sector comes first.  No full-space
+    matrix is formed; refuses above 2^k d^2 = 4^DENSE_QUBIT_LIMIT entries.
     """
     frame = _frame(checks, ops[0].n_qubits)
-    dense = np.stack([to_dense(_frame_image(op, checks, *frame)) for op in ops])
-    d = dense.shape[-1] >> len(checks)
-    return np.stack([dense[:, a * d : (a + 1) * d, a * d : (a + 1) * d] for a in range(1 << len(checks))], axis=1)
+    return np.stack([_dense_blocks(_frame_image(op, checks, *frame), len(checks)) for op in ops])
 
 
 def check_basis(n_qubits: int, checks: Sequence[PauliString]) -> np.ndarray:
@@ -444,8 +443,12 @@ def check_basis(n_qubits: int, checks: Sequence[PauliString]) -> np.ndarray:
     and the Zbar_l; column b + 2^(n-k) a applies Xbar^b, then D^a, where
     destabilizer D_j anticommutes with check j only among the checks
     and logicals.  Entries are exact up to column 0's normalization.
+    Strings act as signed row permutations, with no dense Pauli matrix;
+    V has 4^n entries, so n > DENSE_QUBIT_LIMIT is refused (ValueError).
     """
     n = n_qubits
+    if n > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"check basis of {n} qubits exceeds limit {DENSE_QUBIT_LIMIT}")
     _, logicals = _frame(checks, n)
     xbars, zbars = [xbar for xbar, _ in logicals], [zbar for _, zbar in logicals]
     # (z | x) rows; a null vector (x | z | t) with t = 1 anticommutes with row j only
@@ -454,13 +457,17 @@ def check_basis(n_qubits: int, checks: Sequence[PauliString]) -> np.ndarray:
     for j in range(len(checks)):
         null = _gf2_null_space([row | ((r == j) << 2 * n) for r, row in enumerate(rows)], 2 * n + 1)
         destabilizers.append(_string(next(v for v in null if v >> 2 * n) ^ (1 << 2 * n), n))
-    dense = [to_dense(OperatorSum(n, [(1.0, s)])) for s in [*checks, *zbars, *xbars, *destabilizers]]
+
+    def apply(s: PauliString, m: np.ndarray) -> np.ndarray:  # s @ m: row r is factor(r ^ x) * m[r ^ x]
+        image, factor = _action(s.x, s.z, np.arange(len(m), dtype=np.int64))
+        return factor[image, None] * m[image]
+    strings = [*checks, *zbars, *xbars, *destabilizers]
     # prod (I + g) over the n stabilizers is 2^n |psi><psi|, in small exact integers
-    proj = functools.reduce(lambda m, g: m + g @ m, dense[:n], np.eye(1 << n, dtype=complex))
+    proj = functools.reduce(lambda m, g: m + apply(g, m), strings[:n], np.eye(1 << n, dtype=complex))
     psi = proj[:, np.abs(proj).sum(axis=0).argmax()]
     basis = (psi / np.linalg.norm(psi))[:, None]
-    for g in dense[n:]:
-        basis = np.concatenate([basis, g @ basis], axis=1)
+    for g in strings[n:]:
+        basis = np.concatenate([basis, apply(g, basis)], axis=1)
     return basis
 
 
@@ -486,9 +493,32 @@ def taper(op: OperatorSum, checks: Sequence[PauliString], signs: Sequence[int]) 
     return OperatorSum(low, terms)
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    """Bit-parity (popcount mod 2) of each entry of an integer array."""
-    return np.bitwise_count(values).astype(np.int64) & 1
+def _action(x: int, z: int, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the phase-free string (x, z) sends each basis index c in ``cols``, and with what factor.
+
+    |c> goes to i^popcount(x & z) (-1)^popcount(c & z) |c ^ x>; the factors are float64 for a real string.
+    """
+    y = (x & z).bit_count()
+    factor = (1 - 2 * ((y >> 1) & 1)) * (1.0 - 2.0 * (np.bitwise_count(cols & z) & 1))
+    return cols ^ x, factor * 1j if y & 1 else factor
+
+
+def _dense_blocks(op: OperatorSum, k: int) -> np.ndarray:
+    """The 2^k diagonal blocks of ``op``'s `to_dense` matrix, each 2^(n-k) wide: (2^k, d, d).
+
+    Every term's x must stay below the top k qubits, so that it keeps column p d + c in block p.
+    """
+    low = op.n_qubits - k
+    if 4**low << k > 4**DENSE_QUBIT_LIMIT:
+        raise ValueError(f"dense realization of {1 << k} block(s) on {low} qubits exceeds limit {DENSE_QUBIT_LIMIT}")
+    cols = np.arange(1 << op.n_qubits, dtype=np.int64)
+    block_cols = cols & ((1 << low) - 1)
+    real = all((s.x & s.z).bit_count() % 2 == 0 for _, s in op.terms)
+    out = np.zeros((len(cols), 1 << low), dtype=np.float64 if real else complex)
+    for coeff, s in op.terms:
+        rows, factor = _action(s.x, s.z, cols)
+        out[rows, block_cols] += coeff * factor
+    return out.reshape(1 << k, 1 << low, 1 << low)
 
 
 def to_dense(op: OperatorSum) -> np.ndarray:
@@ -498,18 +528,4 @@ def to_dense(op: OperatorSum) -> np.ndarray:
     float64 when every term realizes a real matrix (even number of Y
     letters), complex128 otherwise.
     """
-    if op.n_qubits > DENSE_QUBIT_LIMIT:
-        raise ValueError(f"dense realization of {op.n_qubits} qubits exceeds limit {DENSE_QUBIT_LIMIT}")
-    dim = 1 << op.n_qubits
-    cols = np.arange(dim, dtype=np.int64)
-    real = all((s.x & s.z).bit_count() % 2 == 0 for _, s in op.terms)
-    mat = np.zeros((dim, dim), dtype=np.float64 if real else complex)
-    for coeff, s in op.terms:
-        rows = cols ^ s.x
-        y_count = (s.x & s.z).bit_count()
-        factor = coeff * (1j) ** y_count
-        if real:
-            factor = factor.real
-        signs = 1.0 - 2.0 * _parity(cols & s.z)
-        mat[rows, cols] += factor * signs
-    return mat
+    return _dense_blocks(op, 0)[0]

@@ -5,6 +5,8 @@ are integer arithmetic, so cancellations are exact.  Most assertions
 here are equalities, not tolerances.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -388,7 +390,44 @@ def test_check_basis_takes_each_op_to_its_check_blocks():
             framed = v.conj().T @ to_dense(op) @ v
             for a, block in enumerate(op_blocks):
                 assert np.abs(framed[a * d : (a + 1) * d, a * d : (a + 1) * d] - block).max() <= 1e-13
+                if n > len(checks):  # block a is the sector where check j has sign (-1)^(bit j of a)
+                    signs = [1 - 2 * ((a >> j) & 1) for j in range(len(checks))]
+                    assert np.abs(to_dense(taper(op, checks, signs)) - block).max() <= 1e-13
     assert {(n, k) for n in range(2, 7) for k in (0, n)} <= seen
+
+
+def chain_parts(N: int):
+    """The chain's H0 and its one coupling part, with the checks both conserve."""
+    h0 = build_chain_1d(N, 1.0, 0.0)[1]
+    part = build_chain_1d(N, 1.0, 1.0)[1] - h0
+    return [h0, part], conserved_checks([h0, part])
+
+
+def traced_peak(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_frame_builds_in_bounded_memory():
+    # neither the blocks nor V may pass through dense full-space Pauli or
+    # frame matrices (N = 6 blocks: 1 GB that way; N = 5 basis: 277 MB)
+    ops, checks = chain_parts(6)
+    assert traced_peak(lambda: check_blocks(ops, checks)) < 32 * 2**20
+    ops, checks = chain_parts(5)
+    assert traced_peak(lambda: check_basis(10, checks)) < 128 * 2**20
+
+
+def test_check_frame_refuses_past_the_dense_limit():
+    # the 2x2 torus: 16 blocks of 4^12 entries each, 16 times one 12-qubit matrix
+    _, ham, stabs = build_lattice_2d(2, 2, 1.0, 0.5)
+    with pytest.raises(ValueError, match="exceeds limit"):
+        check_blocks([ham], [stab.terms[0][1] for stab in stabs])
+    with pytest.raises(ValueError, match="exceeds limit"):
+        check_basis(13, [PauliString.from_ops(13, {0: "Z"})])
 
 
 def test_torus_tapers_symbolically_to_twelve_qubits():
