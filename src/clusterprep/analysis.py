@@ -229,15 +229,18 @@ def _plaquette_spectra(
         parts = check_blocks([h0, *fields], [stabilizer_3d_local().terms[0][1]])[:, ::-1]
     except ValueError as exc:
         raise ValueError(f"Hamiltonian has mixed check sector: {exc}") from exc
-    h = np.repeat(parts[0][None], couplings.shape[0], axis=0)
-    for mu in range(4):
-        h += couplings[:, mu, None, None, None] * parts[1 + mu]
-    values = np.linalg.eigvalsh(h).reshape(couplings.shape[0], 16)
-    order = np.argsort(values, axis=1, kind="stable")
-    energies = np.take_along_axis(values, order, axis=1)
-    sectors = np.repeat([-1, 1], 8)[order]
-    plus = values[:, 8:]
-    return energies, sectors, energies[:, 1] - energies[:, 0], plus[:, 1] - plus[:, 0]
+    with np.errstate(over="raise", invalid="raise"):  # an overflowing coupling product is a numerical failure
+        h = np.repeat(parts[0][None], couplings.shape[0], axis=0)
+        for mu in range(4):
+            h += couplings[:, mu, None, None, None] * parts[1 + mu]
+        values = np.linalg.eigvalsh(h).reshape(couplings.shape[0], 16)
+        if not np.isfinite(values).all():
+            raise FloatingPointError("plaquette spectrum is not finite")
+        order = np.argsort(values, axis=1, kind="stable")
+        energies = np.take_along_axis(values, order, axis=1)
+        sectors = np.repeat([-1, 1], 8)[order]
+        plus = values[:, 8:]
+        return energies, sectors, energies[:, 1] - energies[:, 0], plus[:, 1] - plus[:, 0]
 
 
 def spectrum_scan(J: float, lambda_grid, static: Optional[OperatorSum] = None) -> SectorSpectrumTable:

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+# argparse's gettext imports locale at the first help string of every run;
+# importing it here keeps that out of each command's own time
+import locale  # noqa: F401
 import os
+import pickle
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -440,6 +443,100 @@ def _sweep_group(task) -> list[tuple]:
     return rows
 
 
+class _WorkerLost(Exception):
+    """A forked sweep worker ended without reporting its groups."""
+
+
+def _run_groups(groups: list, workers: int) -> list[list[tuple]]:
+    """`_sweep_group` of every group, run here and in ``workers - 1`` forked children.
+
+    Groups are claimed longest first (from the back, largest tau) through
+    a baton: one 8-byte count of claimed groups, alone in a pipe, that a
+    claim reads and writes back one higher, so no claim waits on a full
+    pipe.  A child pickles its rows by group index, or the exception it
+    raised, into its own pipe and ends with os._exit.  A failing worker
+    sets the count past the last group, so no other group starts; a child
+    that ends without a report is seen here before the next claim.  Every
+    child is reaped on every path.
+    """
+    n = len(groups)
+    baton_r, baton_w = os.pipe()
+    os.write(baton_w, bytes(8))
+
+    def claim(stop: bool) -> Optional[int]:
+        done = int.from_bytes(os.read(baton_r, 8), "little")
+        os.write(baton_w, (n if stop else min(done + 1, n)).to_bytes(8, "little"))
+        return None if stop or done == n else n - 1 - done
+
+    def run(children: list) -> dict[int, list[tuple]]:
+        rows = {}
+        while (i := claim(stop=any(map(_ended_badly, children)))) is not None:
+            rows[i] = _sweep_group(groups[i])
+        return rows
+
+    children: list[list] = []  # [pid, report pipe, exit code once reaped]
+    try:
+        for _ in range(workers - 1):
+            report_r, report_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(report_r)
+                os.close(report_w)
+                raise
+            if pid == 0:  # the child never returns into the caller
+                code = 1
+                try:
+                    os.close(report_r)
+                    try:
+                        report = run([])
+                    except Exception as exc:
+                        claim(stop=True)
+                        report = exc
+                    data = pickle.dumps(report)
+                    with open(report_w, "wb") as fh:
+                        fh.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(report_w)
+            children.append([pid, report_r, None])
+        rows = run(children)
+    except BaseException:
+        claim(stop=True)
+        raise
+    finally:
+        reports = [_reap(child) for child in children]
+        os.close(baton_r)
+        os.close(baton_w)
+    for (pid, _, code), data in zip(children, reports):
+        if data is None:
+            raise _WorkerLost(f"sweep worker {pid} ended without reporting (exit code {code})")
+        report = pickle.loads(data)
+        if isinstance(report, BaseException):
+            raise report
+        rows.update(report)
+    return [rows[i] for i in range(n)]
+
+
+def _ended_badly(child: list) -> bool:
+    """Reap ``child`` if it has ended; True when it ended with a non-zero exit code."""
+    if child[2] is None:
+        pid, status = os.waitpid(child[0], os.WNOHANG)
+        if pid:
+            child[2] = os.waitstatus_to_exitcode(status)
+    return bool(child[2])
+
+
+def _reap(child: list) -> Optional[bytes]:
+    """The child's pickled report, or None when it ended without one; reads to EOF, then reaps."""
+    with open(child[1], "rb") as fh:
+        data = fh.read()
+    if child[2] is None:
+        child[2] = os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1])
+    return data if child[2] == 0 else None
+
+
 _SWEEP_COLUMNS = ("tau", "lambda0", "T", "fidelity", "p_z", "p_c1", "p_c2", "w_minus", "e_zeta")
 
 
@@ -450,24 +547,11 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     size = len(temps) * len(lam0s) * len(taus)
     if size > ns.cap:
         raise _UsageError(f"grid has {size} points, above the cap of {ns.cap}")
+    if ns.workers > 1 and not hasattr(os, "fork"):
+        raise _UsageError("--workers above 1 needs os.fork, which this platform lacks")
     groups = [(tau, lam0, tuple(temps), ns.J, ns.tol) for tau in taus for lam0 in lam0s]
-    # this process is one of the workers, and the pool starts all the others at
-    # once, so start no more workers than there are groups
-    workers = min(ns.workers, len(groups))
-    if workers == 1:
-        results = [_sweep_group(g) for g in groups]
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers - 1)
-        try:
-            futures = [pool.submit(_sweep_group, g) for g in groups[:-1]]
-            # run the last group here, then take groups from the back for as long
-            # as they can be cancelled; the pool starts its groups in order
-            results = [_sweep_group(groups[-1])]
-            for g, f in zip(reversed(groups[:-1]), reversed(futures)):
-                results.append(_sweep_group(g) if f.cancel() else f.result())
-            results.reverse()
-        finally:
-            pool.shutdown(cancel_futures=True)  # after a failure, start no other group
+    # this process is one of the workers: fork no more children than there are other groups
+    results = _run_groups(groups, min(ns.workers, len(groups)))
     rows = [row for group_rows in results for row in group_rows]
     header = _header_comment(ns, _SWEEP_OPTS)
     _emit(ns.output, _csv_text(header, _SWEEP_COLUMNS, map(_cells, zip(*rows))))
@@ -520,12 +604,16 @@ def main(argv=None) -> int:
     try:
         _apply_config(ns, tables[ns.command])
         return ns.func(ns)
-    except (_UsageError, ValueError, argparse.ArgumentTypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (linalg.ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except _WorkerLost as exc:
+        print(f"failure: {exc}", file=sys.stderr)
+        return 3
+    except (_UsageError, ValueError, argparse.ArgumentTypeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -32,7 +32,8 @@ about twice as fast in it (the gain shrinks with size and is gone at
 16x16).  U comes back complex.  Steps are processed in batches of
 bounded size and multiplied in a fixed pairwise tree order, so results
 are deterministic for identical inputs and peak memory does not grow
-with the step count.
+with the step count.  Each batch's exponentials are written into one
+reused workspace per thread.
 
 Step size is controlled by step doubling, starting from duration/64:
 the run is repeated at half the step until halving changes no
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +71,10 @@ _BASE_STEP_FRACTION = 1.0 / 64.0
 # in-repo run (tau = 40, tol = 1e-10, in the tests) takes 4032, 65x under it
 _MAX_STEPS = 1 << 18
 # real entries per batched array, independent of the step count: 32 steps of two
-# 16x16 real forms of 8x8 sector blocks, 128 KB per array. Against 1 MB arrays this
-# cut the page faults of the perfbench sweep from about 2300 to 500 and its wall
-# time by 7%, and sweeps at tau 40 to 80 ran no slower
+# 16x16 real forms of 8x8 sector blocks, 128 KB per array, so that a batch's Taylor
+# workspace (1 MB) stays in cache. With 1 MB arrays the sweep grid's nine
+# propagators ran 10 to 40% slower (2-core VM, three interleaved runs), with no
+# page faults at either size once the workspace is reused
 _BATCH_ENTRIES = 1 << 14
 _UNIT_ROUNDOFF = 2.0**-53
 _MAX_TAYLOR_DEGREE = 18
@@ -193,35 +196,58 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def _expm_taylor(a: np.ndarray) -> np.ndarray:
+# Paterson-Stockmeyer keeps A^0..A^p with p = isqrt(m - 1) + 1, at most this many
+_MAX_TAYLOR_POWERS = math.isqrt(_MAX_TAYLOR_DEGREE - 1) + 2
+# arrays of one `_expm_taylor` workspace: the powers, the Horner sum and one product
+_TAYLOR_SLOTS = _MAX_TAYLOR_POWERS + 2
+
+
+@functools.lru_cache(maxsize=1)
+def _taylor_workspace(shape: tuple[int, ...], thread: int) -> np.ndarray:
+    """A float64 `_expm_taylor` workspace for stacks of up to ``shape``, one per thread.
+
+    The integrator's batches reuse it, so its hot loop allocates no
+    batch-sized array whose page faults would depend on the heap's state.
+    """
+    return np.empty((_TAYLOR_SLOTS, *shape))
+
+
+def _expm_taylor(a: np.ndarray, work=None) -> np.ndarray:
     """exp(A) for a stack of square matrices, by matrix products only.
 
     The degree and the number of squarings come from the largest 1-norm
     in the stack (_taylor_plan); the truncated series of A / 2^s is
     evaluated by Paterson-Stockmeyer (powers A^0..A^(p-1), Horner in
-    A^p) and then squared s times.
+    A^p) and then squared s times.  ``work`` is a contiguous
+    (_TAYLOR_SLOTS, *a.shape) array of a's dtype that every product is
+    written into, and the result is a view of it; without one, a fresh
+    one is allocated.
     """
-    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    if work is None:
+        work = np.empty((_TAYLOR_SLOTS, *a.shape), dtype=a.dtype)
+    acc, tmp = work[-2], work[-1]
+    norm = float(np.abs(a, out=tmp.real).sum(axis=-2).max(initial=0.0))
     if not math.isfinite(norm):
         raise NumericalCheckError("step generator is not finite")
     m, s = _taylor_plan(norm)
-    if s:
-        a = a * math.ldexp(1.0, -s)
     p = math.isqrt(m - 1) + 1
-    powers = np.empty((p + 1, *a.shape), dtype=a.dtype)
+    powers = work[: p + 1]
     powers[0] = np.eye(a.shape[-1])
-    powers[1] = a
+    np.multiply(a, math.ldexp(1.0, -s), out=powers[1])
     for i in range(2, p + 1):
-        np.matmul(powers[i - 1], a, out=powers[i])
+        np.matmul(powers[i - 1], powers[1], out=powers[i])
     coeffs = np.array([1.0 / math.factorial(i) for i in range(m + 1)] + [0.0] * p)
     low = powers[:p].reshape(p, -1)
     top = m // p
-    out = (coeffs[top * p : top * p + p] @ low).reshape(a.shape)
+    np.matmul(coeffs[top * p : top * p + p], low, out=acc.reshape(-1))
     for j in range(top - 1, -1, -1):
-        out = out @ powers[p] + (coeffs[j * p : j * p + p] @ low).reshape(a.shape)
+        np.matmul(acc, powers[p], out=tmp)
+        np.matmul(coeffs[j * p : j * p + p], low, out=acc.reshape(-1))
+        acc += tmp
     for _ in range(s):
-        out = out @ out
-    return out
+        np.matmul(acc, acc, out=tmp)
+        acc, tmp = tmp, acc
+    return acc
 
 
 def _real_form(a: np.ndarray) -> np.ndarray:
@@ -316,6 +342,7 @@ def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], c
     shape = terms.shape[2:]
     flat = terms.reshape(*terms.shape[:2], -1)
     batch = max(1, _BATCH_ENTRIES // flat.shape[-1])
+    work = _taylor_workspace((batch, *shape), threading.get_ident())
     u = np.broadcast_to(np.eye(shape[-1]), shape)
     snapshots = []
     for p, w, n_steps in zip(piece, weights, counts):
@@ -323,7 +350,8 @@ def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], c
         for done in range(0, n_steps, batch):
             s = np.arange(done, min(done + batch, n_steps), dtype=float)
             powers = s[:, None] ** np.arange(_STEP_DEGREE + 1)
-            u = _ordered_product(_expm_taylor((powers @ coeffs).reshape(-1, *shape))) @ u
+            steps = (powers @ coeffs).reshape(-1, *shape)
+            u = _ordered_product(_expm_taylor(steps, work[:, : len(s)])) @ u
         snapshots.append(u)
     return snapshots
 
@@ -411,9 +439,11 @@ def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e
 
     ``parts`` holds one H_mu per coupling column of the schedule.
     Returns the final U, or ``(U_final, [(t, U_t), ...])`` when sample
-    times are requested.
+    times are requested.  Arithmetic that overflows raises
+    FloatingPointError.
     """
-    boundaries, snapshots = _converged_propagators(h0, parts, schedule, tol, sample_times)
+    with np.errstate(over="raise", invalid="raise"):
+        boundaries, snapshots = _converged_propagators(h0, parts, schedule, tol, sample_times)
     if sample_times is None:
         return snapshots[-1]
     wanted = sorted(set(float(t) for t in sample_times))

@@ -55,7 +55,8 @@ def eigh(h: np.ndarray) -> Spectrum:
     """Full spectrum of a Hermitian matrix with a reproducible gauge.
 
     Refuses a matrix whose Hermitian residual exceeds 1e-10 of its
-    largest entry (or of 1), and solves its Hermitian part.  Eigenvalues
+    largest entry (or of 1), and solves its Hermitian part.  A matrix,
+    or eigenvalues, that are not finite raise FloatingPointError.  Eigenvalues
     come back ascending; degenerate groups keep the order the backend
     produced, then every eigenvector is canonicalized by making its
     first nonzero component real and positive.
@@ -65,15 +66,20 @@ def eigh(h: np.ndarray) -> Spectrum:
         raise ValueError("matrix must be square")
     if h.shape[0] > DENSE_DIM_LIMIT:
         raise ValueError(f"dimension {h.shape[0]} exceeds dense limit {DENSE_DIM_LIMIT}")
-    scale = max(1.0, float(np.abs(h).max()))
-    residual = float(np.abs(h - h.conj().T).max())
-    if residual > 1e-10 * scale:
-        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
-    h = 0.5 * (h + h.conj().T)
+    if not np.isfinite(h).all():
+        raise FloatingPointError("matrix is not finite")
+    with np.errstate(over="raise"):
+        scale = max(1.0, float(np.abs(h).max()))
+        residual = float(np.abs(h - h.conj().T).max())
+        if residual > 1e-10 * scale:
+            raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
+        h = 0.5 * (h + h.conj().T)
     if np.iscomplexobj(h) and np.abs(h.imag).max() == 0.0:
         h = h.real
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise FloatingPointError("eigenvalues are not finite")
     return Spectrum(values, _canonical_columns(vectors))

@@ -159,7 +159,9 @@ class OperatorSum:
     Canonical form: term strings carry phase 0, terms are merged, sorted
     lexicographically by (z-mask, x-mask), and coefficients with
     ``|c| < COEFF_CUTOFF`` are dropped.  Real coefficients on phase-free
-    strings guarantee a Hermitian dense realization.
+    strings guarantee a Hermitian dense realization.  A merged
+    coefficient that is not finite, such as an overflowing product of a
+    coupling and a coefficient, raises FloatingPointError.
     """
 
     __slots__ = ("n_qubits", "terms")
@@ -179,6 +181,8 @@ class OperatorSum:
         canon = []
         for (z, x) in sorted(acc):
             c = acc[(z, x)]
+            if not math.isfinite(c):
+                raise FloatingPointError(f"coefficient {c!r} of a term is not finite")
             if abs(c) >= COEFF_CUTOFF:
                 canon.append((c, PauliString(n_qubits, x, z)))
         object.__setattr__(self, "n_qubits", n_qubits)
@@ -507,6 +511,7 @@ def _dense_blocks(op: OperatorSum, k: int) -> np.ndarray:
     """The 2^k diagonal blocks of ``op``'s `to_dense` matrix, each 2^(n-k) wide: (2^k, d, d).
 
     Every term's x must stay below the top k qubits, so that it keeps column p d + c in block p.
+    Entries that overflow raise FloatingPointError.
     """
     low = op.n_qubits - k
     if 4**low << k > 4**DENSE_QUBIT_LIMIT:
@@ -515,9 +520,12 @@ def _dense_blocks(op: OperatorSum, k: int) -> np.ndarray:
     block_cols = cols & ((1 << low) - 1)
     real = all((s.x & s.z).bit_count() % 2 == 0 for _, s in op.terms)
     out = np.zeros((len(cols), 1 << low), dtype=np.float64 if real else complex)
-    for coeff, s in op.terms:
-        rows, factor = _action(s.x, s.z, cols)
-        out[rows, block_cols] += coeff * factor
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        for coeff, s in op.terms:
+            rows, factor = _action(s.x, s.z, cols)
+            out[rows, block_cols] += coeff * factor
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"dense entries of {op!r} are not finite")
     return out.reshape(1 << k, 1 << low, 1 << low)
 
 

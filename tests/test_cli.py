@@ -10,9 +10,11 @@ import importlib
 import io
 import os
 import pkgutil
+import select
 import subprocess
 import sys
-from concurrent.futures import Future
+import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 import clusterprep
-from clusterprep import analysis, cli, evolve, pham
+from clusterprep import analysis, cli, evolve, linalg, pham
 from clusterprep.evolve import linear_rampdown, sequential_switchoff
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term
 from clusterprep.pauli import OperatorSum, PauliString
@@ -260,27 +262,101 @@ def test_sweep_byte_identical_across_workers_and_runs(tmp_path):
     assert outputs.count(outputs[0]) == 4
 
 
+def _recording_forks(monkeypatch) -> list:
+    # the pids of the children that os.fork makes in this process
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
 def test_sweep_pool_is_no_larger_than_its_groups(monkeypatch):
-    pools = []
-
-    class RecordingPool:
-        # stands in for the process pool: records its size and never starts a
-        # group, so the calling process cancels and runs every one
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def submit(self, fn, *args):
-            return Future()
-
-        def shutdown(self, cancel_futures):
-            pass
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # the calling process is one of the workers, so it forks at most groups - 1 children
+    forks = _recording_forks(monkeypatch)
     code, _, _ = run_cli("sweep", "--T", "0.5,0.1", "--lambda0", "1.0", "--tau", "0.5", "--tol", "1e-6", "--workers", "64")
-    assert code == 0 and pools == []  # one (tau, lambda0) group runs in-process
+    assert code == 0 and forks == []  # one (tau, lambda0) group runs in-process
     code, two_groups, _ = run_cli("sweep", *SWEEP_ARGS, "--workers", "64")
-    assert code == 0 and pools == [1]  # two workers: the calling process and one in the pool
+    assert code == 0 and len(forks) == 1  # two workers: the calling process and one child
     assert two_groups == run_cli("sweep", *SWEEP_ARGS, "--workers", "1")[1]
+    for pid in forks:
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_sweep_worker_that_dies_without_reporting_fails_the_run(monkeypatch, tmp_path):
+    forks = _recording_forks(monkeypatch)
+    parent, real_group = os.getpid(), cli._sweep_group
+    gate_r, gate_w = os.pipe()
+    open_ends = [gate_r, gate_w]
+
+    def group(task):
+        if os.getpid() != parent:
+            os._exit(1)
+        # the child holds the gate's only other write end, so it reads at EOF once the child is dead
+        os.close(open_ends.pop())
+        assert select.select([gate_r], [], [], 60.0)[0] and os.read(gate_r, 1) == b""
+        return real_group(task)
+
+    monkeypatch.setattr(cli, "_sweep_group", group)
+    try:
+        code, out, err = run_cli("sweep", *SWEEP_ARGS, "--workers", "2", "--output", str(tmp_path / "sweep.csv"))
+    finally:
+        for fd in open_ends:
+            os.close(fd)
+    assert (code, out) == (3, "")
+    assert f"sweep worker {forks[0]} ended without reporting (exit code 1)" in err
+    assert list(tmp_path.iterdir()) == []  # no partial output or temporary file
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_sweep_starts_no_group_after_a_failure(monkeypatch):
+    # 50 groups; the first claimed (largest tau) fails at once, in either process, so
+    # at most the other process's first group, still running then, starts besides it
+    started_r, started_w = os.pipe()
+
+    def group(task):
+        os.write(started_w, b"g")
+        if task[0] == 50.0:
+            raise linalg.ConvergenceError("first group failed")
+        time.sleep(0.2)
+        return [(*task[:2], T, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) for T in task[2]]
+
+    monkeypatch.setattr(cli, "_sweep_group", group)
+    try:
+        code, out, err = run_cli("sweep", "--T", "0.5", "--lambda0", "1.0", "--tau", "1:50:50", "--workers", "2")
+        os.set_blocking(started_r, False)
+        started = os.read(started_r, 100)
+    finally:
+        os.close(started_r)
+        os.close(started_w)
+    assert (code, out) == (3, "")
+    assert "numerical failure: first group failed" in err
+    assert started in (b"g", b"gg")
+
+
+def test_sweep_claims_more_groups_than_a_pipe_holds(monkeypatch):
+    # 129 x 128 = 16512 groups: more than a 64 KiB pipe holds as 4-byte claims, so no
+    # claim may wait on a full pipe
+    monkeypatch.setattr(cli, "_sweep_group", lambda task: [(*task[:2], T, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) for T in task[2]])
+    args = ("sweep", "--T", "0.5", "--lambda0", "1:128:128", "--tau", "1:129:129")
+    code, two_workers, _ = run_cli(*args, "--workers", "2")
+    assert code == 0 and len(data_lines(two_workers)) == 16512
+    assert two_workers == run_cli(*args, "--workers", "1")[1]
+
+
+def test_sweep_workers_need_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    code, out, err = run_cli("sweep", *SWEEP_ARGS, "--workers", "2")
+    assert (code, out) == (2, "")
+    assert "needs os.fork" in err
+    assert run_cli("sweep", *SWEEP_ARGS, "--workers", "1")[0] == 0
 
 
 def test_sweep_cap():
@@ -491,6 +567,41 @@ def test_phase_diagram_non_monotone_error_is_numerical_failure(monkeypatch):
     assert "numerical failure: error is not monotone" in err
 
 
+def test_failed_dense_solve_is_numerical_failure(monkeypatch):
+    # numpy's LinAlgError subclasses ValueError, which alone would mean a usage error
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(analysis, "spectrum_scan", fail)
+    code, out, err = run_cli("spectrum", "--lambda-grid", "0.5")
+    assert (code, out) == (3, "")
+    assert "numerical failure: Eigenvalues did not converge" in err
+
+
+@pytest.mark.parametrize(
+    "terms, argv",
+    [
+        # finite blocks whose coupling products overflow the spectrum
+        ("1e308 * Z0 Z1", ("spectrum", "--lambda-grid", "1e308")),
+        # coefficients whose dense entries overflow
+        ("1e308 * Z0 Z1\n1e308 * Z2 Z3", ("spectrum", "--lambda-grid", "1")),
+        ("1e308 * Z0 Z1\n1e308 * Z2 Z3", ("evolve", *EVOLVE_ARGS)),
+        # a finite spectrum whose propagator's Magnus brackets overflow
+        ("1e154 * Z0 Z1", ("evolve", "--T", "0.5", "--lambda0", "1e100", "--tau", "0.5", "--tol", "1e-6")),
+    ],
+)
+def test_non_finite_operator_is_numerical_failure(tmp_path, terms, argv):
+    op = tmp_path / "huge.pham"
+    op.write_text(f"qubits 4\n{terms}\n")
+    target = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns of an overflow
+        code, out, err = run_cli(*argv, "--hamiltonian", str(op), "--output", str(target))
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure:")
+    assert not target.exists()
+
+
 @pytest.fixture
 def fresh_readouts():
     analysis._readout.cache_clear()
@@ -530,6 +641,19 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # sweep workers are forked directly: no executor or multiprocessing machinery at startup
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, clusterprep.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_traced_sweep_runs_and_every_public_name_resolves():

@@ -329,6 +329,28 @@ def test_taylor_exponential_matches_scipy_expm(norm):
     assert real.dtype == float
     assert np.abs(real - evolve._real_form(ref)).max() <= 1e-13
     assert np.abs(real.swapaxes(-1, -2) @ real - np.eye(16)).max() <= 1e-14
+    # a reused workspace, larger than the stack as for a segment's last batch, gives the same bits
+    work = np.full((evolve._TAYLOR_SLOTS, 8, 2, 16, 16), np.nan)
+    assert evolve._expm_taylor(evolve._real_form(-1j * k), work[:, :6]).tobytes() == real.tobytes()
+
+
+def test_propagators_are_never_views_of_the_taylor_workspace(monkeypatch):
+    workspaces, reuse = [], evolve._taylor_workspace
+
+    def recording(*key):
+        workspaces.append(reuse(*key))
+        return workspaces[-1]
+
+    monkeypatch.setattr(evolve, "_taylor_workspace", recording)
+    u, snaps = schedule_unitary(*PLAQUETTE, linear_rampdown(2.0, 1.0), tol=1e-8, sample_times=[0.5, 1.0])
+    kept = [x.tobytes() for x in (u, *(s for _, s in snaps))]
+    # a check-breaking static part runs as one 16x16 block: a workspace of another shape
+    static = plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
+    later = schedule_unitary(*plaquette_parts(1.0, static), linear_rampdown(2.0, 1.0), tol=1e-8)
+    assert len({w.shape for w in workspaces}) == 2
+    for x in (u, later, *(s for _, s in snaps)):
+        assert not any(np.shares_memory(x, w) for w in workspaces)
+    assert [x.tobytes() for x in (u, *(s for _, s in snaps))] == kept
 
 
 def test_tabled_taylor_plan_matches_the_degree_loop():

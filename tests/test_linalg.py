@@ -52,6 +52,10 @@ def test_eigh_validation():
         eigh(bad)
     with pytest.raises(ValueError, match="dense limit"):
         eigh(np.zeros((4097, 4097)))
+    # NaN fails no residual comparison, so non-finite entries are refused on their own
+    for entry in (np.nan, np.inf):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            eigh(np.array([[entry, 0.0], [0.0, 1.0]]))
 
 
 def test_expm_scaled_examples():

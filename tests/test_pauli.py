@@ -6,6 +6,7 @@ here are equalities, not tolerances.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,19 @@ def test_operator_sum_arithmetic_and_immutability():
         a.terms = ()
     with pytest.raises(ValueError):
         a + OperatorSum(2)
+
+
+def test_non_finite_coefficients_and_entries_are_refused():
+    z, zz = PauliString.from_label("ZI"), PauliString.from_label("ZZ")
+    huge = OperatorSum(2, [(1e308, z), (1e308, zz)])
+    with pytest.raises(FloatingPointError, match="not finite"):
+        10.0 * huge  # an overflowing product of coupling and coefficient
+    with pytest.raises(FloatingPointError, match="not finite"):
+        OperatorSum(2, [(1e308, z), (1e308, z), (-1e308, zz)])  # an overflowing merge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="not finite"):
+            to_dense(huge)  # finite coefficients, but |00> gets 2e308
 
 
 def test_commutator_of_single_strings():
