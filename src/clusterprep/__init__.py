@@ -12,7 +12,7 @@ error-channel readout used to size temperature thresholds.
 
 from .pauli import OperatorSum, PauliString, commutator_terms, commutes, multiply, taper, to_dense
 from .pham import OperatorDocument, PhamError, parse, parse_document, serialize
-from .linalg import ConvergenceError, NumericalCheckError, Spectrum, eigh
+from .linalg import ConvergenceError, NumericalCheckError
 from .models import (
     ModelInstance,
     build_chain_1d,
@@ -58,8 +58,6 @@ __all__ = [
     "serialize",
     "ConvergenceError",
     "NumericalCheckError",
-    "Spectrum",
-    "eigh",
     "ModelInstance",
     "build_chain_1d",
     "build_lattice_2d",

@@ -16,6 +16,10 @@ initial coupling, and every basis weight is linear in the state.  So
 each (lambda0, tau) pipeline is read out once: the weight of every
 evolved eigenstate on every basis state, and its error, are cached, and
 the report or the error at any temperature is a weighted sum of them.
+The levels and eigenstates at the initial coupling come from the
+propagator's cached check frame (`evolve._sector_frame`): its sector
+blocks are diagonalized at lambda0 and the frame's basis takes the
+eigenvectors back, so a readout builds no operator of its own.
 `run_point`, `no_evolution_point` and `threshold_temperature` all read
 from that cache, and `rampdown_series` reads each sample time of one
 ramp the same way.
@@ -30,9 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
-from .linalg import NumericalCheckError
-from .evolve import Schedule, linear_rampdown, schedule_unitary
+from .linalg import ConvergenceError, NumericalCheckError
+from .evolve import Schedule, _sector_frame, linear_rampdown, schedule_unitary
 from .models import (
     build_chain_1d,
     build_plaquette_3d,
@@ -319,14 +322,34 @@ def _readout_of(energies: np.ndarray, vectors: np.ndarray, u: Optional[np.ndarra
     return _Readout(energies, W, e)
 
 
+def _levels(lambda0: float, J: float, static: Optional[OperatorSum]) -> tuple[np.ndarray, np.ndarray]:
+    """Levels of the plaquette at uniform coupling lambda0, ascending, and their eigenvectors.
+
+    Read from the propagator's cached check frame (`evolve._sector_frame`):
+    one batched ``eigh`` of the sector blocks of H0 + lambda0 sum_mu H_mu,
+    whose eigenvectors the frame's basis takes back to the original
+    basis; levels merge by a stable sort.  The readout's weights are
+    squared moduli, so the eigenvectors' phases do not matter.  An
+    overflowing or non-finite level raises FloatingPointError.
+    """
+    blocks, vb = _sector_frame(*plaquette_parts(J, static))
+    with np.errstate(over="raise", invalid="raise"):
+        values, vectors = np.linalg.eigh(blocks[0] + lambda0 * blocks[1:].sum(axis=0))
+    if not np.isfinite(values).all():
+        raise FloatingPointError("plaquette levels are not finite")
+    order = np.argsort(values, axis=None, kind="stable")
+    vectors = (vb @ vectors).transpose(1, 0, 2).reshape(vb.shape[1], -1)
+    return values.ravel()[order], vectors[:, order]
+
+
 @functools.lru_cache(maxsize=64)
 def _readout(
     lambda0: float, tau: Optional[float], J: float, tol: float, static: Optional[OperatorSum] = None
 ) -> _Readout:
     """Cached `_readout_of` the rampdown over tau (none for ``tau=None``)."""
-    spec = linalg.eigh(to_dense(plaquette_hamiltonian(J, lambda0, static)))
+    energies, vectors = _levels(lambda0, J, static)
     u = None if tau is None else schedule_unitary(*plaquette_parts(J, static), linear_rampdown(lambda0, tau), tol)
-    return _readout_of(spec.values, spec.vectors, u, tol)
+    return _readout_of(energies, vectors, u, tol)
 
 
 def run_point(
@@ -363,16 +386,16 @@ def rampdown_series(
     and w_plus and w_minus are the check-sector weights.  Each sample
     has its own (uncached) readout and readout check.
     """
-    spec = linalg.eigh(to_dense(plaquette_hamiltonian(J, lambda0, static)))
+    energies, vectors = _levels(lambda0, J, static)
     schedule = linear_rampdown(lambda0, tau)
     u_final, snaps = schedule_unitary(*plaquette_parts(J, static), schedule, tol, sample_times=times)
     lams = schedule.coupling_matrix([t for t, _ in snaps])[:, 0]
     rows = []
     for (t, u), lam in zip(snaps, lams):
-        raw = _readout_of(spec.values, spec.vectors, u, tol).report(T).raw
+        raw = _readout_of(energies, vectors, u, tol).report(T).raw
         w_plus, w_minus = (sum(raw[(rep, sector)] for rep in CLASS_REPS) for sector in (1, -1))
         rows.append((t, float(lam), raw[(0, 1)], w_plus, w_minus))
-    return rows, _readout_of(spec.values, spec.vectors, u_final, tol).report(T)
+    return rows, _readout_of(energies, vectors, u_final, tol).report(T)
 
 
 def no_evolution_point(
@@ -435,7 +458,7 @@ def threshold_temperature(
             break
     t_star = 0.5 * (t_lo + t_hi)
     if abs(err(t_star) - target) > _THRESHOLD_ERROR_TOL:
-        raise linalg.ConvergenceError("bisection did not pin the target error")
+        raise ConvergenceError("bisection did not pin the target error")
     return float(t_star)
 
 

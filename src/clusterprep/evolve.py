@@ -35,9 +35,14 @@ are deterministic for identical inputs and peak memory does not grow
 with the step count.  Each batch's exponentials are written into one
 reused workspace per thread.
 
-Step size is controlled by step doubling, starting from duration/64:
-the run is repeated at half the step until halving changes no
-propagator entry by more than tol/4, and the finer run is returned.
+Step size is controlled by step doubling.  The first pass takes the
+coarsest step duration / 2^k whose norm h max ||A||_1 is at most
+theta(tol) = min(2, 16 tol^(1/8)), with ||A||_1 the real-form 1-norm of
+A = -iH at the knots, where the affine A peaks: the exponent 1/8 is the
+order (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and the cap keeps
+every pass inside the Magnus convergence bound h ||A|| < pi.  The run is
+then repeated at half the step until halving changes no propagator
+entry by more than tol/4, and the finer run is returned.
 Entries are compared in the original basis.  The CLI's ``evolve`` and
 ``sweep`` pass their ``--tol`` here, so both hold U to tol/4.  A run
 that would exceed a fixed total step budget raises ConvergenceError
@@ -66,9 +71,8 @@ __all__ = [
     "schedule_unitary",
 ]
 
-_BASE_STEP_FRACTION = 1.0 / 64.0
 # total steps over all passes of one step-doubling run; the heaviest
-# in-repo run (tau = 40, tol = 1e-10, in the tests) takes 4032, 65x under it
+# in-repo run (tau = 80, tol = 1e-10, in the tests) takes 6144, 42x under it
 _MAX_STEPS = 1 << 18
 # real entries per batched array, independent of the step count: 32 steps of two
 # 16x16 real forms of 8x8 sector blocks, 128 KB per array, so that a batch's Taylor
@@ -330,6 +334,18 @@ def _step_counts(boundaries: list[float], h: float) -> list[int]:
     return [max(1, int(math.ceil((t1 - t0) / h - 1e-9))) for t0, t1 in zip(boundaries[:-1], boundaries[1:])]
 
 
+def _start_step(duration: float, norm: float, tol: float) -> float:
+    """The coarsest duration / 2^k whose step norm h * norm is at most theta(tol) = min(2, 16 tol^(1/8)).
+
+    Halving stops once the pass would exceed the step budget, which then refuses it.
+    """
+    theta = min(2.0, 16.0 * tol**0.125)
+    h = duration
+    while h * norm > theta and h * _MAX_STEPS >= duration:
+        h *= 0.5
+    return h
+
+
 def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
     """Magnus sweep over each smooth segment, ``counts`` steps each.
 
@@ -406,13 +422,16 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     a0 = -1j * (blocks[0] + np.tensordot(lam[:-1], blocks[1:], axes=1))
     a1 = -1j * np.tensordot(slope, blocks[1:], axes=1)
     terms = _real_form(_magnus_terms(a0, a1))
+    # the real-form 1-norm of A at the knots is that of H there: sum_i |Re H_ij| + |Im H_ij|
+    knots = blocks[0] + np.tensordot(lam, blocks[1:], axes=1)
+    norm = float((np.abs(knots.real) + np.abs(knots.imag)).sum(axis=-2).max())
 
     def propagators(counts):
         # U = sum over sectors of V_s u_s V_s^dagger; U(0) stays exactly the identity
         snaps = [r[..., :d, :d] + 1j * r[..., d:, :d] for r in _integrate(terms, kinks, boundaries, counts)]
         return [np.eye(dim, dtype=complex)] + [(vb @ u @ vb.conj().transpose(0, 2, 1)).sum(axis=0) for u in snaps]
 
-    h = schedule.duration * _BASE_STEP_FRACTION
+    h = _start_step(schedule.duration, norm, tol)
     spent = 0
     prev = None
     while True:

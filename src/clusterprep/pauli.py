@@ -466,10 +466,20 @@ def check_basis(n_qubits: int, checks: Sequence[PauliString]) -> np.ndarray:
         image, factor = _action(s.x, s.z, np.arange(len(m), dtype=np.int64))
         return factor[image, None] * m[image]
     strings = [*checks, *zbars, *xbars, *destabilizers]
-    # prod (I + g) over the n stabilizers is 2^n |psi><psi|, in small exact integers
-    proj = functools.reduce(lambda m, g: m + apply(g, m), strings[:n], np.eye(1 << n, dtype=complex))
-    psi = proj[:, np.abs(proj).sum(axis=0).argmax()]
-    basis = (psi / np.linalg.norm(psi))[:, None]
+    # (I + g) keeps v in the +1 eigenspace of the stabilizers before g; where it
+    # annihilates v, g's partner (which anticommutes with g alone among them)
+    # moves v into g's +1 eigenspace instead, so v ends proportional to psi
+    v = np.zeros((1 << n, 1), dtype=complex)
+    v[0] = 1.0
+    for g, partner in zip(strings[:n], [*destabilizers, *xbars]):
+        w = v + apply(g, v)
+        v = w if w.any() else apply(partner, v)
+    # prod (I + g) over the n stabilizers is 2^n |psi><psi|, in small exact
+    # integers: take its column at the first index of psi's support
+    first = np.zeros_like(v)
+    first[np.flatnonzero(v)[0]] = 1.0
+    psi = functools.reduce(lambda m, g: m + apply(g, m), strings[:n], first)
+    basis = psi / np.linalg.norm(psi)
     for g in strings[n:]:
         basis = np.concatenate([basis, apply(g, basis)], axis=1)
     return basis

@@ -1,6 +1,7 @@
 """Error-channel tomography, sector-labeled spectra, and thresholds."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from clusterprep import analysis
+from clusterprep import analysis, evolve
 from clusterprep.analysis import (
     CLASS_LABELS,
     CLASS_REPS,
@@ -32,7 +33,7 @@ from clusterprep.analysis import (
     total_phase_flip_error,
 )
 from clusterprep.evolve import Schedule, linear_rampdown, schedule_unitary, sequential_switchoff
-from clusterprep.linalg import ConvergenceError, eigh
+from clusterprep.linalg import ConvergenceError
 from clusterprep.models import build_chain_1d, plaquette_ring_term, stabilizer_3d_local, stabilizers_1d
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
 from oracles import gibbs_matrix, tomography_weights
@@ -293,7 +294,7 @@ def test_no_evolution_point_cold_limit():
     assert report.fidelity == pytest.approx(0.2771686062749825, abs=1e-9)
     assert report.e_zeta == pytest.approx(0.6452783552206455, abs=1e-9)
     plus, _ = ghz_states()
-    ground = eigh(to_dense(plaquette_hamiltonian(1.0, 2.5))).vectors[:, 0]
+    ground = np.linalg.eigh(to_dense(plaquette_hamiltonian(1.0, 2.5)))[1][:, 0]
     overlap = abs(plus.conj() @ ground) ** 2
     # channel fidelity of the unevolved ground state is its plain overlap
     assert report.fidelity == pytest.approx(overlap, abs=1e-10)
@@ -360,6 +361,51 @@ def test_readout_keeps_the_degenerate_ground_space_at_zero_temperature():
     levels = np.linalg.eigvalsh(to_dense(h))
     assert levels[1] - levels[0] <= 1e-9  # the T = 0 state mixes a degenerate ground space
     assert_same_report(no_evolution_point(0.0, 1e-3), tomography(gibbs_matrix(to_dense(h), 0.0)), 1e-12)
+
+
+@pytest.mark.parametrize(
+    "static, block_shape",
+    [
+        (None, (2, 8, 8)),  # the XXXX check's two sectors
+        (plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))]), (1, 16, 16)),
+        (OperatorSum(4, [(1.0, PauliString.from_label("XIII"))]), (16, 1, 1)),  # every term commutes
+    ],
+    ids=["ring", "check-breaking", "commuting-X0"],
+)
+def test_frame_levels_match_the_dense_spectrum(static, block_shape):
+    lambda0, tau, tol = 1.7, 2.0, 1e-8
+    parts = plaquette_parts(1.0, static)
+    assert evolve._sector_frame(*parts)[0].shape[1:] == block_shape
+    energies, vectors = analysis._levels(lambda0, 1.0, static)
+    values, dense = np.linalg.eigh(to_dense(plaquette_hamiltonian(1.0, lambda0, static)))
+    assert np.abs(energies - values).max() <= 1e-13
+    u = schedule_unitary(*parts, linear_rampdown(lambda0, tau), tol)
+    for evolved in (None, u):
+        ours, oracle = _readout_of(energies, vectors, evolved, tol), _readout_of(values, dense, evolved, tol)
+        # a degenerate level's eigenvectors are free up to a rotation among
+        # themselves; the weights summed over the level are not
+        level = np.cumsum(np.r_[0, np.diff(values) > 1e-9])
+        for k in range(level[-1] + 1):
+            group = level == k
+            assert np.abs(ours.W[:, group].sum(axis=1) - oracle.W[:, group].sum(axis=1)).max() <= 1e-13
+            assert abs(ours.e[group].sum() - oracle.e[group].sum()) <= 1e-13
+
+
+def test_frame_levels_refuse_non_finite_levels():
+    # finite blocks, but levels near 4e308: refused before numpy warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="levels are not finite"):
+            analysis._levels(1e308, 1.0, None)
+
+
+def test_readout_builds_no_operator_of_its_own(monkeypatch):
+    # the levels come from the propagator's cached frame: a cold readout
+    # builds no Hamiltonian and densifies nothing
+    plaquette_parts(1.0)
+    for name in ("to_dense", "plaquette_hamiltonian", "build_plaquette_3d"):
+        monkeypatch.setattr(analysis, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    assert _readout.__wrapped__(1.3, 0.4, 1.0, 1e-6, None).W.shape == (16, 16)
 
 
 @pytest.mark.parametrize("tau", [2.0, 10.0])

@@ -432,34 +432,62 @@ def test_step_budget_stops_before_a_pass_would_exceed_it(monkeypatch):
     budget = 1000
     passes = recorded_passes(monkeypatch)
     monkeypatch.setattr(evolve, "_MAX_STEPS", budget)
+    # tol 1e-14 starts at 512 steps, and 512 + 1024 would pass the budget
+    with pytest.raises(ConvergenceError, match="within 1000 steps"):
+        schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-14)
+    assert sum(passes) <= budget
+    assert passes == [512]
+    # tol 1e-15 would start at 1024 steps: no pass runs
+    passes.clear()
     with pytest.raises(ConvergenceError, match="within 1000 steps"):
         schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-15)
-    assert sum(passes) <= budget
-    assert passes == [64, 128, 256, 512]
+    assert passes == []
+
+
+def test_enormous_generator_is_refused_by_the_step_budget():
+    # a constant schedule has no Magnus bracket to overflow; the start step
+    # stops halving at the budget, so the step count never reaches infinity
+    h0, parts = plaquette_parts(1.0, OperatorSum(4, [(1e300, PauliString.from_label("ZZZZ"))]))
+    with pytest.raises(ConvergenceError, match="within 262144 steps"):
+        schedule_unitary(h0, parts, Schedule((0.0, 1e10), ((1.0,) * 4, (1.0,) * 4)))
 
 
 def test_rampdown_converges_in_three_passes(monkeypatch):
-    # eighth order: the 128 -> 256 comparison already meets tol/4 = 2.5e-9
+    # eighth order: the 128 -> 256 comparison already meets tol/4 = 2.5e-9, and the
+    # norm-scaled start (h max||A||_1 <= 1.6 at tol 1e-8) begins at 128 steps
     passes = recorded_passes(monkeypatch)
     schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-8)
-    assert passes == [64, 128, 256]
+    assert passes == [128, 256]
 
 
 def test_sweep_grid_pass_counts(monkeypatch):
-    # the benchmark's sweep grid at tol 1e-8: 2496 steps in all (4800 at sixth order)
+    # the benchmark's sweep grid at tol 1e-8: 2144 steps in all (2496 from a
+    # fixed duration/64 start, 4800 at sixth order)
     passes = recorded_passes(monkeypatch)
-    expected = {2.0: [64, 128], 5.0: [64, 128], 10.0: [64, 128, 256]}
-    for tau, want in expected.items():
-        for lam0 in (1.5, 2.0, 2.5):
+    expected = {
+        2.0: [[16, 32, 64], [16, 32, 64], [32, 64]],
+        5.0: [[32, 64, 128], [64, 128], [64, 128]],
+        10.0: [[64, 128, 256], [128, 256], [128, 256]],
+    }
+    for tau, wants in expected.items():
+        for lam0, want in zip((1.5, 2.0, 2.5), wants):
             passes.clear()
             schedule_unitary(*PLAQUETTE, linear_rampdown(lam0, tau), tol=1e-8)
             assert passes == want, (tau, lam0)
-    assert 3 * sum(map(sum, expected.values())) == 2496
+    assert sum(sum(map(sum, wants)) for wants in expected.values()) == 2144
+
+
+def test_long_tight_rampdown_starts_near_its_converged_step(monkeypatch):
+    # from duration/64 this ran 64 + 128 + ... + 4096 = 8128 steps; the
+    # norm-scaled start keeps even the first pass inside h ||A|| < pi
+    passes = recorded_passes(monkeypatch)
+    schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 80.0), tol=1e-10)
+    assert passes == [2048, 4096]
 
 
 def fixed_step_unitary(monkeypatch, schedule: Schedule, n: int) -> np.ndarray:
     """U from n nominal steps: one doubling round from n/2, with a tolerance any pair meets."""
-    monkeypatch.setattr(evolve, "_BASE_STEP_FRACTION", 2.0 / n)
+    monkeypatch.setattr(evolve, "_start_step", lambda duration, norm, tol: duration * 2.0 / n)
     return schedule_unitary(*PLAQUETTE, schedule, tol=1e3)
 
 
