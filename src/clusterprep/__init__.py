@@ -18,7 +18,6 @@ from .models import (
     build_chain_1d,
     build_lattice_2d,
     build_plaquette_3d,
-    cz_conjugate,
     gap_closed_form,
     stabilizer_3d_local,
     stabilizers_1d,
@@ -64,7 +63,6 @@ __all__ = [
     "build_plaquette_3d",
     "stabilizers_1d",
     "stabilizer_3d_local",
-    "cz_conjugate",
     "gap_closed_form",
     "DensityMatrix",
     "Schedule",

@@ -12,8 +12,10 @@ and the H_mu (`pauli.conserved_checks`), and H0 and the parts are
 taken exactly into the Clifford frame where each check is one Z, as the
 spectra are (`pauli.check_blocks`).  With k checks the propagator is
 integrated as 2^k sector blocks of size dim / 2^k on one batch axis (one
-full block when there are none), and the frame's basis
-(`pauli.check_basis`) takes them back to the original basis.
+full block when there are none).  Step doubling and the unitarity check
+stay in the blocks too: only the U that `schedule_unitary` returns is
+taken back to the original basis, by the frame's basis V
+(`pauli.check_basis`), as V blockdiag(u) V^dagger.
 
 Propagation uses the eighth-order Magnus integrator (Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
@@ -41,13 +43,14 @@ theta(tol) = min(2, 16 tol^(1/8)), with ||A||_1 the real-form 1-norm of
 A = -iH at the knots, where the affine A peaks: the exponent 1/8 is the
 order (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and the cap keeps
 every pass inside the Magnus convergence bound h ||A|| < pi.  The run is
-then repeated at half the step until halving changes no propagator
-entry by more than tol/4, and the finer run is returned.
-Entries are compared in the original basis.  The CLI's ``evolve`` and
-``sweep`` pass their ``--tol`` here, so both hold U to tol/4.  A run
-that would exceed a fixed total step budget raises ConvergenceError
-before the pass starts, and a final propagator that is not unitary to
-1e-10 raises NumericalCheckError.
+then repeated at half the step until halving changes no sector block, at
+any boundary, by more than tol/4 in spectral norm, and the finer run is
+returned.  The spectral norm of U's change is the same in every basis,
+and it bounds every entry, so each entry of U is held to tol/4.  The
+CLI's ``evolve`` and ``sweep`` pass their ``--tol`` here.  A run that
+would exceed a fixed total step budget raises ConvergenceError before
+the pass starts, and a final propagator with a block u_s whose
+||u_s^dagger u_s - I||_F exceeds 1e-10 raises NumericalCheckError.
 Integration is split at the schedule's knots and at requested sample
 times, which keeps the scheme at full order on each smooth piece.
 """
@@ -379,9 +382,10 @@ def _sector_frame(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> tuple[np.n
     Returns ``(blocks, vb)``, both read-only: the (1 + len(parts),
     n_blocks, d, d) `pauli.check_blocks` of the checks they conserve,
     and the sector columns vb of shape (n_blocks, dim, d) of
-    `pauli.check_basis`, which take blocks u_s back to the original
-    basis as sum_s vb_s u_s vb_s^dagger.  Raises ValueError when a
-    part's qubit count differs from h0's (from `conserved_checks`).
+    `pauli.check_basis`.  Side by side they are V, which takes blocks
+    u_s back to the original basis as V blockdiag(u) V^dagger.  Raises
+    ValueError when a part's qubit count differs from h0's (from
+    `conserved_checks`).
     """
     ops = [h0, *parts]
     checks = conserved_checks(ops)
@@ -394,11 +398,14 @@ def _sector_frame(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> tuple[np.n
 
 
 def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: float, sample_times):
-    """Step-doubled Magnus until halving moves no propagator entry more than tol/4.
+    """Step-doubled Magnus until halving moves no sector block more than tol/4 in spectral norm.
 
-    Integration runs in the sector blocks of the checks conserved by H0
-    and the parts; every comparison and every returned snapshot is in
-    the original basis.
+    Integration, comparison and the unitarity check all run in the
+    sector blocks of the checks conserved by H0 and the parts.  Returns
+    the boundary times, U's complex (n_blocks, d, d) blocks at each of
+    them (None where U is exactly the identity: at the first, and at all
+    of them when the schedule has zero duration) and the frame's sector
+    columns vb.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive")
@@ -410,12 +417,11 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     if len(parts) != columns:
         raise ValueError(f"schedule drives {columns} couplings but {len(parts)} Hamiltonian parts were given")
     blocks, vb = _sector_frame(h0, tuple(parts))
-    dim, d = vb.shape[1:]
+    d = vb.shape[-1]
     kinks = list(schedule.times)
     boundaries = sorted({*kinks, *samples})
     if schedule.duration == 0.0:
-        eye = np.eye(dim, dtype=complex)
-        return boundaries, [eye.copy() for _ in boundaries]
+        return boundaries, [None] * len(boundaries), vb
     # A = -iH = a0 + t a1 on each piece between knots, t from the piece's start
     lam = np.array(schedule.couplings)
     slope = np.diff(lam, axis=0) / np.diff(kinks)[:, None]
@@ -426,11 +432,6 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     knots = blocks[0] + np.tensordot(lam, blocks[1:], axes=1)
     norm = float((np.abs(knots.real) + np.abs(knots.imag)).sum(axis=-2).max())
 
-    def propagators(counts):
-        # U = sum over sectors of V_s u_s V_s^dagger; U(0) stays exactly the identity
-        snaps = [r[..., :d, :d] + 1j * r[..., d:, :d] for r in _integrate(terms, kinks, boundaries, counts)]
-        return [np.eye(dim, dtype=complex)] + [(vb @ u @ vb.conj().transpose(0, 2, 1)).sum(axis=0) for u in snaps]
-
     h = _start_step(schedule.duration, norm, tol)
     spent = 0
     prev = None
@@ -439,18 +440,19 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
         spent += sum(counts)
         if spent > _MAX_STEPS:
             raise ConvergenceError(f"step-doubling did not reach tolerance within {_MAX_STEPS} steps")
-        cur = propagators(counts)
-        if prev is not None:
-            err = max(float(np.abs(a - b).max()) for a, b in zip(prev, cur))
-            if err <= 0.25 * tol:
-                break
+        # complex blocks at every boundary after the first, where U(0) is the identity in every pass
+        r = np.array(_integrate(terms, kinks, boundaries, counts))
+        cur = r[..., :d, :d] + 1j * r[..., d:, :d]
+        # the largest singular value of the block differences is U's change in any basis; it bounds every entry
+        if prev is not None and np.linalg.svd(cur - prev, compute_uv=False).max() <= 0.25 * tol:
+            break
         prev = cur
         h *= 0.5
     u = cur[-1]
-    defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
+    defect = float(np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - np.eye(d), axis=(1, 2)).max())
     if defect > _UNITARITY_ATOL:
         raise NumericalCheckError(f"propagator is not unitary (defect {defect:.3e})")
-    return boundaries, cur
+    return boundaries, [None, *cur], vb
 
 
 def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e-8, sample_times=None):
@@ -458,14 +460,22 @@ def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e
 
     ``parts`` holds one H_mu per coupling column of the schedule.
     Returns the final U, or ``(U_final, [(t, U_t), ...])`` when sample
-    times are requested.  Arithmetic that overflows raises
+    times are requested.  Only these leave the sector blocks, each as
+    V blockdiag(u) V^dagger.  Arithmetic that overflows raises
     FloatingPointError.
     """
     with np.errstate(over="raise", invalid="raise"):
-        boundaries, snapshots = _converged_propagators(h0, parts, schedule, tol, sample_times)
-    if sample_times is None:
-        return snapshots[-1]
-    wanted = sorted(set(float(t) for t in sample_times))
-    by_time = dict(zip(boundaries, snapshots))
-    return snapshots[-1], [(t, by_time[t]) for t in wanted]
+        boundaries, snapshots, vb = _converged_propagators(h0, parts, schedule, tol, sample_times)
+    dim = vb.shape[1]
+    v_dagger = vb.transpose(1, 0, 2).reshape(dim, dim).conj().T
 
+    def full(u):
+        # (vb_s u_s) side by side is V blockdiag(u), a dim x dim matrix; U(0) stays exactly the identity
+        return np.eye(dim, dtype=complex) if u is None else (vb @ u).transpose(1, 0, 2).reshape(dim, dim) @ v_dagger
+
+    wanted = sorted(set(float(t) for t in (() if sample_times is None else sample_times)))
+    keep = {*wanted, boundaries[-1]}
+    by_time = {t: full(u) for t, u in zip(boundaries, snapshots) if t in keep}
+    if sample_times is None:
+        return by_time[boundaries[-1]]
+    return by_time[boundaries[-1]], [(t, by_time[t]) for t in wanted]

@@ -24,21 +24,22 @@ facing spins of nearest sites: ``(j,1)-(j+e2,3)`` and ``(j,2)-(j+e1,4)``.
 Every physical spin then touches exactly two ZZ, one XX and one YY
 bond, which is what makes the check operators conserved.
 
-3D building block: after conjugating by the CZ entangling pattern the
-per-site problem decouples into independent four-spin plaquettes,
+3D building block: the four-spin plaquette
 ``-J * (ring ZZ) - sum_mu lam_mu * X_mu``, with the local check X X X X.
-The original frame is recovered symbolically with `cz_conjugate`.
+The paper reaches it by conjugating the 3D lattice with a CZ entangling
+pattern, under which the per-site problem decouples into such
+plaquettes.  There is no 3D lattice builder here, so that decoupling is
+the paper's claim and is not checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .pauli import OperatorSum, PauliString, multiply
+from .pauli import OperatorSum, PauliString
 
 __all__ = [
     "ModelInstance",
@@ -49,7 +50,6 @@ __all__ = [
     "plaquette_ring_term",
     "plaquette_field_term",
     "stabilizer_3d_local",
-    "cz_conjugate",
     "gap_closed_form",
 ]
 
@@ -219,7 +219,7 @@ def plaquette_field_term(lam) -> OperatorSum:
 
 
 def build_plaquette_3d(J: float, lam) -> tuple[ModelInstance, OperatorSum]:
-    """Four-spin ZZ ring with per-spin transverse fields (CZ frame block).
+    """Four-spin ZZ ring with per-spin transverse fields: the 3D model's plaquette.
 
     ``lam`` is a scalar (uniform field) or a 4-sequence of per-spin
     strengths, which is what staged switch-off schedules drive.
@@ -232,40 +232,6 @@ def build_plaquette_3d(J: float, lam) -> tuple[ModelInstance, OperatorSum]:
 def stabilizer_3d_local() -> OperatorSum:
     """The plaquette check operator: X on all four spins."""
     return OperatorSum(4, [(1.0, PauliString.from_label("XXXX"))])
-
-
-def cz_conjugate(op: OperatorSum, bonds: Sequence[tuple[int, int]]) -> OperatorSum:
-    """Conjugate an operator by controlled-Z gates on the given qubit pairs.
-
-    On each bond (a, b): X_a -> X_a Z_b, Y_a -> Y_a Z_b, Z_a -> Z_a (and
-    symmetrically for b).  An involution: applying the same bonds twice
-    returns the original operator exactly.
-    """
-    seen = set()
-    for a, b in bonds:
-        if a == b:
-            raise ValueError("bond endpoints must differ")
-        if not (0 <= a < op.n_qubits and 0 <= b < op.n_qubits):
-            raise ValueError("bond endpoint outside qubit range")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ValueError("duplicate bond")
-        seen.add(key)
-    out = []
-    for coeff, s in op.terms:
-        cur = s
-        sign = 1.0
-        for a, b in bonds:
-            xa = (cur.x >> a) & 1
-            xb = (cur.x >> b) & 1
-            if not (xa or xb):
-                continue
-            zmask = (xa * (1 << b)) | (xb * (1 << a))
-            if xa and xb:
-                sign = -sign
-            cur = multiply(cur, PauliString(op.n_qubits, 0, zmask))
-        out.append((sign * coeff, cur))
-    return OperatorSum(op.n_qubits, out)
 
 
 def gap_closed_form(kind: str, J: float, lam: float) -> float:

@@ -25,7 +25,13 @@ from clusterprep.evolve import (
     sequential_switchoff,
 )
 from clusterprep.linalg import ConvergenceError, NumericalCheckError
-from clusterprep.models import build_plaquette_3d, plaquette_field_term, plaquette_ring_term, stabilizer_3d_local
+from clusterprep.models import (
+    build_chain_1d,
+    build_plaquette_3d,
+    plaquette_field_term,
+    plaquette_ring_term,
+    stabilizer_3d_local,
+)
 from clusterprep.pauli import OperatorSum, PauliString, check_basis, check_blocks, conserved_checks, to_dense
 from oracles import expm_scaled, gibbs_matrix, taylor_plan
 
@@ -210,21 +216,23 @@ def test_propagator_commutes_with_check_sectors():
 def dop853_propagator(couplings, knots, model=lambda lam: build_plaquette_3d(1.0, lam)[1]):
     """U(t, 0) at each knot by DOP853, restarted at every knot.
 
-    ``couplings(t)`` gives the four couplings; the Hamiltonian is rebuilt
-    by ``model`` at every evaluation, independently of the integrator's
-    affine decomposition and sector blocks.
+    ``couplings(t)`` gives the model's couplings; the Hamiltonian is
+    rebuilt by ``model`` at every evaluation, independently of the
+    integrator's affine decomposition and sector blocks, and U's size is
+    taken from the model's qubit count.
     """
+    dim = 1 << model(couplings(knots[0])).n_qubits
 
     def rhs(t, y):
         h = to_dense(model(couplings(t)))
-        return (-1j * (h @ y.reshape(16, 16))).ravel()
+        return (-1j * (h @ y.reshape(dim, dim))).ravel()
 
-    u = np.eye(16, dtype=complex)
+    u = np.eye(dim, dtype=complex)
     out = [u]
     for t0, t1 in zip(knots[:-1], knots[1:]):
         sol = solve_ivp(rhs, (t0, t1), u.ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
         assert sol.success
-        u = sol.y[:, -1].reshape(16, 16)
+        u = sol.y[:, -1].reshape(dim, dim)
         out.append(u)
     return out
 
@@ -309,6 +317,40 @@ def test_check_breaking_static_part_runs_as_one_block_and_matches_dop853():
     for (_, u), u_ref in zip(snaps, ref):
         assert np.abs(u - u_ref).max() <= 2.5e-9
     assert np.abs(u_final - ref[-1]).max() <= 2.5e-9
+
+
+def chain_rampdown(N: int, tau: float) -> tuple[OperatorSum, tuple[OperatorSum], Schedule]:
+    """The chain's H0 (its pair ZZ bonds), its one coupling part, and that coupling ramped 0.4 -> 0 over tau."""
+    h0 = build_chain_1d(N, 1.0, 0.0)[1]
+    return h0, (build_chain_1d(N, 1.0, 1.0)[1] - h0,), Schedule((0.0, tau), ((0.4,), (0.0,)))
+
+
+def test_chain_rampdown_in_sixteen_blocks_matches_dop853():
+    # a many-sector frame: N + 1 = 4 checks split the 64-dim space into 16 blocks of 4x4
+    h0, parts, sched = chain_rampdown(3, 5.0)
+    assert evolve._sector_frame(h0, parts)[0].shape == (2, 16, 4, 4)
+    tol, ts = 1e-8, [0.0, 1.5, 3.5, 5.0]
+    ref = dop853_propagator(lambda t: 0.4 * (1.0 - t / 5.0), ts, model=lambda lam: build_chain_1d(3, 1.0, lam)[1])
+    u_final, snaps = schedule_unitary(h0, parts, sched, tol=tol, sample_times=ts[1:3])
+    assert [t for t, _ in snaps] == ts[1:3]
+    # DOP853's own error here: at most 2.4e-11 (against a tol 1e-12 propagator)
+    for u, u_ref in zip([*(u for _, u in snaps), u_final], ref[1:]):
+        assert np.abs(u - u_ref).max() <= tol / 4 + 5e-11
+
+
+def test_chain_propagator_peak_memory_stays_block_sized():
+    # N = 5: 64 blocks of 16x16 in a 1024-dim space. A (64, 1024, 1024)
+    # stack of per-sector terms of U is 1 GiB; the run peaks at 69 MiB,
+    # mostly the frame's V and the returned U (16 MiB each)
+    h0, parts, sched = chain_rampdown(5, 2.0)
+    tracemalloc.start()
+    try:
+        u = schedule_unitary(h0, parts, sched, tol=1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
+    assert np.abs(u.conj().T @ u - np.eye(1024)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("norm", np.geomspace(1e-3, 4.0, 8))
@@ -483,6 +525,18 @@ def test_long_tight_rampdown_starts_near_its_converged_step(monkeypatch):
     passes = recorded_passes(monkeypatch)
     schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 80.0), tol=1e-10)
     assert passes == [2048, 4096]
+
+
+def test_tolerance_bounds_the_spectral_norm_of_each_blocks_change(monkeypatch):
+    # the block spectral-norm test is stricter than comparing entries: the
+    # 16 -> 32 change meets tol/4 entrywise but not in spectral norm, so the
+    # run goes on to 64 steps; its entries hold to tol/4
+    tol = 1e-8
+    passes = recorded_passes(monkeypatch)
+    u = schedule_unitary(*PLAQUETTE, linear_rampdown(1.0, 2.0), tol=tol)
+    assert passes == [16, 32, 64]
+    ref = schedule_unitary(*PLAQUETTE, linear_rampdown(1.0, 2.0), tol=1e-12)
+    assert np.abs(u - ref).max() <= tol / 4
 
 
 def fixed_step_unitary(monkeypatch, schedule: Schedule, n: int) -> np.ndarray:

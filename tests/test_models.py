@@ -13,7 +13,6 @@ from clusterprep.models import (
     build_chain_1d,
     build_lattice_2d,
     build_plaquette_3d,
-    cz_conjugate,
     gap_closed_form,
     plaquette_field_term,
     plaquette_ring_term,
@@ -150,74 +149,6 @@ def test_plaquette_check_operator():
     ghz = np.zeros(16)
     ghz[0] = ghz[15] = 1 / np.sqrt(2)
     assert ghz @ w @ ghz == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cz_conjugate_single_qubit_rules():
-    n = 2
-    x0 = OperatorSum(n, [(1.0, PauliString.from_ops(n, {0: "X"}))])
-    z0 = OperatorSum(n, [(1.0, PauliString.from_ops(n, {0: "Z"}))])
-    y0 = OperatorSum(n, [(1.0, PauliString.from_ops(n, {0: "Y"}))])
-    bond = [(0, 1)]
-    assert cz_conjugate(x0, bond) == OperatorSum(
-        n, [(1.0, PauliString.from_ops(n, {0: "X", 1: "Z"}))]
-    )
-    assert cz_conjugate(z0, bond) == z0
-    assert cz_conjugate(y0, bond) == OperatorSum(
-        n, [(1.0, PauliString.from_ops(n, {0: "Y", 1: "Z"}))]
-    )
-    # X on both ends: (X Z) x (Z X) = (-iY) x (iY) = +YY
-    xx = OperatorSum(n, [(1.0, PauliString.from_label("XX"))])
-    assert cz_conjugate(xx, bond) == OperatorSum(n, [(1.0, PauliString.from_label("YY"))])
-
-
-def test_cz_conjugate_is_involution():
-    rng = np.random.default_rng(404)
-    n = 5
-    mask = (1 << n) - 1
-    for _ in range(20):
-        terms = []
-        for _ in range(6):
-            x = int(rng.integers(0, mask + 1))
-            z = int(rng.integers(0, mask + 1))
-            if x or z:
-                terms.append((float(rng.normal()), PauliString(n, x, z)))
-        op = OperatorSum(n, terms)
-        bonds = [(0, 1), (2, 4), (1, 3)]
-        assert cz_conjugate(cz_conjugate(op, bonds), bonds) == op
-
-
-def test_cz_conjugate_preserves_commutation():
-    inst, ham = build_chain_1d(3, 1.0, 0.4)
-    checks = stabilizers_1d(inst)
-    bonds = [(0, 3), (1, 4), (2, 5)]
-    ham_c = cz_conjugate(ham, bonds)
-    for check in checks:
-        ok, residual = commutator_is_zero(ham_c, cz_conjugate(check, bonds))
-        assert ok and residual == 0.0
-
-
-def test_cz_conjugate_is_unitary_equivalence():
-    # dense oracle: conjugation by the actual diagonal CZ matrix
-    n = 3
-    bonds = [(0, 2), (1, 2)]
-    gate = np.ones(1 << n)
-    for a, b in bonds:
-        for idx in range(1 << n):
-            if (idx >> a) & 1 and (idx >> b) & 1:
-                gate[idx] *= -1.0
-    op = OperatorSum(n, [(0.8, PauliString.from_label("XYZ")), (-0.3, PauliString.from_label("ZXI"))])
-    oracle = np.diag(gate) @ to_dense(op) @ np.diag(gate)
-    assert np.abs(to_dense(cz_conjugate(op, bonds)) - oracle).max() < 1e-14
-
-
-def test_cz_conjugate_bond_validation():
-    op = OperatorSum(2, [(1.0, PauliString.from_label("XI"))])
-    with pytest.raises(ValueError, match="must differ"):
-        cz_conjugate(op, [(0, 0)])
-    with pytest.raises(ValueError, match="outside"):
-        cz_conjugate(op, [(0, 5)])
-    with pytest.raises(ValueError, match="duplicate"):
-        cz_conjugate(op, [(0, 1), (1, 0)])
 
 
 def test_gap_closed_form_chain():
