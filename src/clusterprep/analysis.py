@@ -322,15 +322,17 @@ def _readout_of(energies: np.ndarray, vectors: np.ndarray, u: Optional[np.ndarra
     return _Readout(energies, W, e)
 
 
+@functools.lru_cache(maxsize=64)
 def _levels(lambda0: float, J: float, static: Optional[OperatorSum]) -> tuple[np.ndarray, np.ndarray]:
-    """Levels of the plaquette at uniform coupling lambda0, ascending, and their eigenvectors.
+    """Read-only levels of the plaquette at uniform coupling lambda0, ascending, and their eigenvectors.
 
     Read from the propagator's cached check frame (`evolve._sector_frame`):
     one batched ``eigh`` of the sector blocks of H0 + lambda0 sum_mu H_mu,
     whose eigenvectors the frame's basis takes back to the original
     basis; levels merge by a stable sort.  The readout's weights are
     squared moduli, so the eigenvectors' phases do not matter.  An
-    overflowing or non-finite level raises FloatingPointError.
+    overflowing or non-finite level raises FloatingPointError.  Cached:
+    the rampdowns and the no-evolution readout of one lambda0 share them.
     """
     blocks, vb = _sector_frame(*plaquette_parts(J, static))
     with np.errstate(over="raise", invalid="raise"):
@@ -339,7 +341,9 @@ def _levels(lambda0: float, J: float, static: Optional[OperatorSum]) -> tuple[np
         raise FloatingPointError("plaquette levels are not finite")
     order = np.argsort(values, axis=None, kind="stable")
     vectors = (vb @ vectors).transpose(1, 0, 2).reshape(vb.shape[1], -1)
-    return values.ravel()[order], vectors[:, order]
+    energies, vectors = values.ravel()[order], vectors[:, order]
+    energies.flags.writeable = vectors.flags.writeable = False
+    return energies, vectors
 
 
 @functools.lru_cache(maxsize=64)

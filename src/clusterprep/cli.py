@@ -1,14 +1,19 @@
 """Command-line front end: model verification, spectrum scans, schedule
 evolution, parameter sweeps, and threshold phase diagrams as CSV artifacts.
 
+Each command's option table (a list of `_Opt`) is the one description of
+its flags: `_parse` reads the command line from the tables, `--config`
+files and ``--help`` text come from them, and so does the CSV header.
+
 Determinism contract: identical flags produce byte-identical CSVs.  Row
 order is fixed by sorting grid values, and every CSV starts with a header
 comment recording the tool version and the semantic parameter set (the
 output path and worker count are deliberately left out, so worker count
-never changes the artifact).  Each command hands `_csv_text` its columns
-as lists of cells formatted by one rule (`_cells`): ``repr`` of a Python
-float or int, which is its shortest round-trip form, and an empty cell
-for None.
+never changes the artifact).  Each command hands `_csv_chunks` blocks of
+columns, lists of cells formatted by one rule (`_cells`): ``repr`` of a
+Python float or int, which is its shortest round-trip form, and an empty
+cell for None.  `_emit` writes the chunks as they come, so a spectrum's
+text never exists whole.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3
 numerical failure.
@@ -16,15 +21,11 @@ numerical failure.
 
 from __future__ import annotations
 
-import argparse
-import configparser
-# argparse's gettext imports locale at the first help string of every run;
-# importing it here keeps that out of each command's own time
-import locale  # noqa: F401
 import os
 import pickle
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,32 +47,29 @@ class _UsageError(Exception):
 def _conv_float(s: str) -> float:
     v = float(s)
     if not np.isfinite(v):
-        raise argparse.ArgumentTypeError(f"value must be finite, got {s!r}")
+        raise ValueError(f"value must be finite, got {s!r}")
     return v
 
 
 def _conv_pos(s: str) -> float:
     v = _conv_float(s)
     if v <= 0:
-        raise argparse.ArgumentTypeError(f"value must be > 0, got {s!r}")
+        raise ValueError(f"value must be > 0, got {s!r}")
     return v
 
 
 def _conv_nonneg(s: str) -> float:
     v = _conv_float(s)
     if v < 0:
-        raise argparse.ArgumentTypeError(f"value must be >= 0, got {s!r}")
+        raise ValueError(f"value must be >= 0, got {s!r}")
     return v
 
 
 def _conv_int_min(lo: int) -> Callable[[str], int]:
     def conv(s: str) -> int:
-        try:
-            v = int(s)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
+        v = int(s)
         if v < lo:
-            raise argparse.ArgumentTypeError(f"value must be >= {lo}, got {s!r}")
+            raise ValueError(f"value must be >= {lo}, got {s!r}")
         return v
 
     return conv
@@ -81,21 +79,21 @@ def _conv_grid(s: str) -> list[float]:
     """Grid syntax: 'a:b:n' (inclusive, n points), 'x,y,z', or a single value."""
     text = s.strip()
     if not text:
-        raise argparse.ArgumentTypeError("empty value list")
+        raise ValueError("empty value list")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"grid must be a:b:n, got {s!r}")
+            raise ValueError(f"grid must be a:b:n, got {s!r}")
         a, b = float(parts[0]), float(parts[1])
         n = int(parts[2])
         if n < 1:
-            raise argparse.ArgumentTypeError("grid needs n >= 1 points")
+            raise ValueError("grid needs n >= 1 points")
         if not (np.isfinite(a) and np.isfinite(b)):
-            raise argparse.ArgumentTypeError("grid endpoints must be finite")
+            raise ValueError("grid endpoints must be finite")
         return [float(x) for x in np.linspace(a, b, n)]
     vals = [p.strip() for p in text.split(",")]
     if any(not p for p in vals):
-        raise argparse.ArgumentTypeError(f"malformed value list {s!r}")
+        raise ValueError(f"malformed value list {s!r}")
     return [_conv_float(p) for p in vals]
 
 
@@ -103,9 +101,9 @@ def _grid_conv(sign: str) -> Callable[[str], list[float]]:
     def conv(s: str) -> list[float]:
         vals = _conv_grid(s)
         if sign == "pos" and any(v <= 0 for v in vals):
-            raise argparse.ArgumentTypeError(f"all values must be > 0 in {s!r}")
+            raise ValueError(f"all values must be > 0 in {s!r}")
         if sign == "nonneg" and any(v < 0 for v in vals):
-            raise argparse.ArgumentTypeError(f"all values must be >= 0 in {s!r}")
+            raise ValueError(f"all values must be >= 0 in {s!r}")
         return vals
 
     return conv
@@ -115,33 +113,29 @@ def _conv_order(s: str) -> tuple[int, ...]:
     try:
         order = tuple(int(p) for p in s.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"order must be comma-separated integers, got {s!r}") from None
+        raise ValueError(f"order must be comma-separated integers, got {s!r}") from None
     if sorted(order) != [1, 2, 3, 4]:
-        raise argparse.ArgumentTypeError("order must be a permutation of 1,2,3,4")
+        raise ValueError("order must be a permutation of 1,2,3,4")
     return order
 
 
 def _conv_bracket(s: str) -> tuple[float, float]:
     parts = s.split(":")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"bracket must be lo:hi, got {s!r}")
+        raise ValueError(f"bracket must be lo:hi, got {s!r}")
     lo, hi = _conv_float(parts[0]), _conv_float(parts[1])
     if not (0 <= lo < hi):
-        raise argparse.ArgumentTypeError("bracket needs 0 <= lo < hi")
+        raise ValueError("bracket needs 0 <= lo < hi")
     return lo, hi
 
 
 def _conv_choice(*allowed: str) -> Callable[[str], str]:
     def conv(s: str) -> str:
         if s not in allowed:
-            raise argparse.ArgumentTypeError(f"expected one of {', '.join(allowed)}, got {s!r}")
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {s!r}")
         return s
 
     return conv
-
-
-def _conv_str(s: str) -> str:
-    return s
 
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -174,7 +168,7 @@ _VERIFY_OPTS = [
     _Opt("--L2", _conv_int_min(1), 2, "torus extent along the second axis"),
     _Opt("--J", _conv_pos, 1.0, "Ising bond strength"),
     _Opt("--lambda", _grid_conv("nonneg"), [1.0], "coupling strength (3d accepts four per-spin values)"),
-    _Opt("--hamiltonian", _conv_str, None, "verify this operator file instead of the built-in Hamiltonian"),
+    _Opt("--hamiltonian", str, None, "verify this operator file instead of the built-in Hamiltonian"),
 ]
 
 _SPECTRUM_OPTS = [
@@ -188,8 +182,8 @@ _SPECTRUM_OPTS = [
     _Opt("--tau-each", _conv_pos, 1.0, "per-spin switch-off duration of the sequential path"),
     _Opt("--order", _conv_order, (1, 2, 3, 4), "spin switch-off order for the sequential path"),
     _Opt("--samples", _conv_int_min(2), 201, "sample count along the path"),
-    _Opt("--hamiltonian", _conv_str, None, "replace the static ZZ ring with this operator file"),
-    _Opt("--output", _conv_str, None, "CSV path (default: stdout)"),
+    _Opt("--hamiltonian", str, None, "replace the static ZZ ring with this operator file"),
+    _Opt("--output", str, None, "CSV path (default: stdout)"),
 ]
 
 _EVOLVE_OPTS = [
@@ -199,8 +193,8 @@ _EVOLVE_OPTS = [
     _Opt("--J", _conv_pos, 1.0, "Ising bond strength"),
     _Opt("--tol", _conv_pos, 1e-8, "integrator step-doubling tolerance (propagator entries to tol/4)"),
     _Opt("--samples", _conv_int_min(2), 101, "time-series sample count"),
-    _Opt("--hamiltonian", _conv_str, None, "replace the static ZZ ring with this operator file"),
-    _Opt("--output", _conv_str, None, "time-series CSV path (default: stdout)"),
+    _Opt("--hamiltonian", str, None, "replace the static ZZ ring with this operator file"),
+    _Opt("--output", str, None, "time-series CSV path (default: stdout)"),
 ]
 
 _SWEEP_OPTS = [
@@ -211,7 +205,7 @@ _SWEEP_OPTS = [
     _Opt("--tol", _conv_pos, 1e-8, "integrator step-doubling tolerance"),
     _Opt("--cap", _conv_int_min(1), 100000, "maximum grid size"),
     _Opt("--workers", _conv_int_min(1), 1, "parallel worker processes"),
-    _Opt("--output", _conv_str, None, "CSV path (default: stdout)"),
+    _Opt("--output", str, None, "CSV path (default: stdout)"),
 ]
 
 _PHASE_OPTS = [
@@ -222,7 +216,7 @@ _PHASE_OPTS = [
     _Opt("--no-evolution", None, False, "add a threshold column for the unevolved cooled state"),
     _Opt("--J", _conv_pos, 1.0, "Ising bond strength"),
     _Opt("--tol", _conv_pos, 1e-8, "integrator step-doubling tolerance"),
-    _Opt("--output", _conv_str, None, "CSV path (default: stdout)"),
+    _Opt("--output", str, None, "CSV path (default: stdout)"),
 ]
 
 # flags that never enter CSV header comments: they cannot change row content
@@ -231,65 +225,114 @@ _HEADER_EXCLUDED = {"--output", "--workers"}
 
 # ---------------------------------------------------------------- plumbing
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[_Opt]]]:
-    parser = argparse.ArgumentParser(
-        prog="clusterprep",
-        description="Adiabatic cluster-state preparation: verification, spectra, evolution, sweeps.",
-    )
-    parser.add_argument("--version", action="version", version=f"clusterprep {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    tables = {}
-    for name, opts, func, blurb in (
-        ("verify", _VERIFY_OPTS, _cmd_verify, "check that every conserved check commutes with the Hamiltonian"),
-        ("spectrum", _SPECTRUM_OPTS, _cmd_spectrum, "sector-labeled plaquette spectra over a grid or schedule"),
-        ("evolve", _EVOLVE_OPTS, _cmd_evolve, "run one cool-then-rampdown point and report its error channel"),
-        ("sweep", _SWEEP_OPTS, _cmd_sweep, "error channel over a (tau, lambda0, T) grid"),
-        ("phase-diagram", _PHASE_OPTS, _cmd_phase_diagram, "threshold temperatures over a coupling grid"),
-    ):
-        sp = sub.add_parser(name, help=blurb, description=blurb)
-        sp.add_argument("--config", default=None, help="key = value file with a section per command")
-        for opt in opts:
-            if opt.conv is None:
-                sp.add_argument(opt.flag, dest=opt.dest, action="store_true", default=None, help=opt.help)
-            else:
-                sp.add_argument(opt.flag, dest=opt.dest, type=opt.conv, default=None, help=opt.help)
-        sp.set_defaults(func=func)
-        tables[name] = opts
-    return parser, tables
+def _match(token: str, flags) -> str:
+    """The flag ``token`` names: itself, else the one flag it is a prefix of."""
+    if token in flags:
+        return token
+    hits = [flag for flag in flags if flag.startswith(token)]
+    if len(hits) != 1:
+        raise _UsageError(f"ambiguous option {token}: could be {', '.join(hits)}" if hits else f"unknown option {token}")
+    return hits[0]
 
 
-def _apply_config(ns: argparse.Namespace, opts: list[_Opt]) -> None:
-    """Fill unset flags from the config file, then from hard defaults."""
-    from_config = {}
-    if ns.config is not None:
-        cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        if not cp.read(ns.config):
-            raise _UsageError(f"config file not found: {ns.config}")
-        if cp.has_section(ns.command):
-            # configparser lowercases keys, so match flag names case-blind
-            known = {o.key.lower(): o for o in opts}
-            for key, raw in cp.items(ns.command):
-                if key not in known:
-                    raise _UsageError(f"unknown key {key!r} in config section [{ns.command}]")
-                opt = known[key]
-                if opt.conv is None:
-                    low = raw.strip().lower()
-                    if low not in _TRUE | _FALSE:
-                        raise _UsageError(f"config key {key!r} must be a boolean, got {raw!r}")
-                    from_config[opt.dest] = low in _TRUE
-                else:
-                    try:
-                        from_config[opt.dest] = opt.conv(raw.strip())
-                    except (argparse.ArgumentTypeError, ValueError) as exc:
-                        raise _UsageError(f"config key {key!r}: {exc}") from None
-    for opt in opts:
-        if getattr(ns, opt.dest) is None:
-            if opt.dest in from_config:
-                setattr(ns, opt.dest, from_config[opt.dest])
-            elif opt.default is _REQUIRED:
-                raise _UsageError(f"missing required option {opt.flag}")
-            else:
-                setattr(ns, opt.dest, opt.default)
+def _help(command: Optional[str] = None) -> str:
+    """Help text from the tables: every command, or every flag of one command."""
+    if command is None:
+        usage, blurb, heading = "[-h] [--version] command [options]", "Adiabatic cluster-state preparation.", "commands"
+        rows = [(name, text) for name, (_, _, text) in _COMMANDS.items()]
+    else:
+        opts, _, blurb = _COMMANDS[command]
+        usage, heading = f"{command} [options]", "options"
+        rows = [(opt.flag if opt.conv is None else f"{opt.flag} {opt.key.upper()}",
+                 opt.help + (" (required)" if opt.default is _REQUIRED else "")) for opt in opts]
+        rows += [("--config FILE", "key = value file with a section per command"), ("-h, --help", "show this help")]
+    width = max(len(left) for left, _ in rows)
+    lines = [f"usage: clusterprep {usage}", "", blurb, "", f"{heading}:"]
+    return "\n".join(lines + [f"  {left:<{width}}  {right}" for left, right in rows]) + "\n"
+
+
+def _parse(argv: list[str]):
+    """The namespace of one command's flags, or the text that --help or --version prints.
+
+    A flag is ``--flag value`` or ``--flag=value``, named in full or by a
+    prefix of it alone; a value never starts with ``--``, and the last of
+    repeated flags wins.
+    """
+    if not argv:
+        raise _UsageError("missing command (see clusterprep --help)")
+    command, args = argv[0], iter(argv[1:])
+    if command == "-h" or command.startswith("--"):
+        top = "--help" if command == "-h" else _match(command, ("--help", "--version"))
+        return _help() if top == "--help" else f"clusterprep {__version__}\n"
+    if command not in _COMMANDS:
+        raise _UsageError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+    opts = {opt.flag: opt for opt in _COMMANDS[command][0]}
+    flags = (*opts, "--config", "--help")
+    given, config = {}, None
+    for token in args:
+        if token == "-h":
+            return _help(command)
+        name, eq, value = token.partition("=")
+        if not name.startswith("--") or name == "--":
+            raise _UsageError(f"unexpected argument {token!r}")
+        flag = _match(name, flags)
+        if flag == "--help":
+            return _help(command)
+        opt = opts.get(flag)
+        if opt is not None and opt.conv is None:
+            if eq:
+                raise _UsageError(f"{flag} takes no value")
+            given[opt.dest] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"{flag} needs a value")
+        if opt is None:
+            config = value
+            continue
+        try:
+            given[opt.dest] = opt.conv(value)
+        except ValueError as exc:
+            raise _UsageError(f"{flag}: {exc}") from None
+    if config is not None:
+        given = {**_config_values(config, command, opts.values()), **given}
+    ns = SimpleNamespace(command=command)
+    for opt in opts.values():
+        value = given.get(opt.dest, opt.default)
+        if value is _REQUIRED:
+            raise _UsageError(f"missing required option {opt.flag}")
+        setattr(ns, opt.dest, value)
+    return ns
+
+
+def _config_values(path: str, command: str, opts) -> dict:
+    """The flag values in section [command] of the INI file at ``path``."""
+    import configparser  # only a run that gives --config reads an INI file
+
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    if not cp.read(path):
+        raise _UsageError(f"config file not found: {path}")
+    if not cp.has_section(command):
+        return {}
+    # configparser lowercases keys, so match flag names case-blind
+    known = {opt.key.lower(): opt for opt in opts}
+    values = {}
+    for key, raw in cp.items(command):
+        if key not in known:
+            raise _UsageError(f"unknown key {key!r} in config section [{command}]")
+        opt = known[key]
+        if opt.conv is None:
+            low = raw.strip().lower()
+            if low not in _TRUE | _FALSE:
+                raise _UsageError(f"config key {key!r} must be a boolean, got {raw!r}")
+            values[opt.dest] = low in _TRUE
+        else:
+            try:
+                values[opt.dest] = opt.conv(raw.strip())
+            except ValueError as exc:
+                raise _UsageError(f"config key {key!r}: {exc}") from None
+    return values
 
 
 def _fmt_value(v) -> str:
@@ -306,7 +349,7 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _header_comment(ns: argparse.Namespace, opts: list[_Opt]) -> str:
+def _header_comment(ns: SimpleNamespace, opts: list[_Opt]) -> str:
     parts = [
         f"{opt.key}={_fmt_value(getattr(ns, opt.dest))}"
         for opt in opts
@@ -320,21 +363,22 @@ def _cells(values) -> list[str]:
     return ["" if v is None else repr(v) for v in values]
 
 
-def _csv_text(header: str, names: tuple[str, ...], columns) -> str:
-    """CSV text from ``columns``: one list of cells formatted by `_cells` per name, all of one length."""
-    lines = [header, ",".join(names)]
-    lines.extend(map(",".join, zip(*columns)))
-    return "\n".join(lines) + "\n"
+def _csv_chunks(header: str, names: tuple[str, ...], blocks):
+    """CSV text: the header and column names, then a chunk of rows per block of `_cells` columns."""
+    yield f"{header}\n{','.join(names)}\n"
+    for columns in blocks:
+        yield "\n".join([*map(",".join, zip(*columns)), ""])
 
 
-def _emit(path: Optional[str], text: str) -> None:
+def _emit(path: Optional[str], chunks) -> None:
+    """Write text ``chunks`` to stdout, or to ``path`` through a temporary file that any exception removes."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -359,7 +403,7 @@ def _single_lambda(values: list[float], model: str) -> float:
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
+def _cmd_verify(ns: SimpleNamespace) -> int:
     if ns.model == "1d":
         inst, ham = build_chain_1d(ns.N, ns.J, _single_lambda(ns.lam, "1d"))
         checks = stabilizers_1d(inst)
@@ -391,7 +435,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 _SPECTRUM_COLUMNS = ("lambda_or_time", "level", "energy", "sector", "gap_global", "gap_sector")
 
 
-def _cmd_spectrum(ns: argparse.Namespace) -> int:
+def _cmd_spectrum(ns: SimpleNamespace) -> int:
     if (ns.lambda_grid is None) == (ns.path is None):
         raise _UsageError("give exactly one of --lambda-grid or --path")
     static = _load_operator(ns.hamiltonian)
@@ -406,28 +450,39 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
             raise _UsageError("--path sequential requires --lambda-init")
         schedule = sequential_switchoff(ns.lambda_init, ns.tau_each, ns.order)
         table = analysis.spectrum_path(schedule, ns.J, ns.samples, static)
-    # each energy and each point value is formatted once; point values repeat over the levels
-    levels = table.n_levels
-    axis, gap_global, gap_sector = (
-        [cell for cell in _cells(values.tolist()) for _ in range(levels)]
-        for values in (table.axis, table.gap_global, table.gap_sector)
-    )
-    sector = dict(zip((1, -1), _cells((1, -1))))
-    energy, level = _cells(table.energies.ravel().tolist()), _cells(range(levels)) * table.n_points
-    columns = (axis, level, energy, [sector[s] for s in table.sectors.ravel().tolist()], gap_global, gap_sector)
-    _emit(ns.output, _csv_text(_header_comment(ns, _SPECTRUM_OPTS), _SPECTRUM_COLUMNS, columns))
+    _emit(ns.output, _csv_chunks(_header_comment(ns, _SPECTRUM_OPTS), _SPECTRUM_COLUMNS, _spectrum_blocks(table)))
     return 0
+
+
+_SPECTRUM_CHUNK = 64  # grid points per block of rows
+
+
+def _spectrum_blocks(table: analysis.SectorSpectrumTable):
+    """The table's CSV columns in blocks of `_SPECTRUM_CHUNK` points, one row per level."""
+    levels = table.n_levels
+    sector, level = dict(zip((1, -1), _cells((1, -1)))), _cells(range(levels))
+    for start in range(0, table.n_points, _SPECTRUM_CHUNK):
+        stop = min(start + _SPECTRUM_CHUNK, table.n_points)
+        points = slice(start, stop)
+        # each energy and each point value is formatted once; point values repeat over the levels
+        axis, gap_global, gap_sector = (
+            [cell for cell in _cells(values[points].tolist()) for _ in range(levels)]
+            for values in (table.axis, table.gap_global, table.gap_sector)
+        )
+        energy = _cells(table.energies[points].ravel().tolist())
+        sectors = [sector[s] for s in table.sectors[points].ravel().tolist()]
+        yield axis, level * (stop - start), energy, sectors, gap_global, gap_sector
 
 
 _EVOLVE_COLUMNS = ("t", "lambda", "fidelity", "w_plus", "w_minus")
 
 
-def _cmd_evolve(ns: argparse.Namespace) -> int:
+def _cmd_evolve(ns: SimpleNamespace) -> int:
     static = _load_operator(ns.hamiltonian)
     ts = np.linspace(0.0, ns.tau, ns.samples)
     rows, report = analysis.rampdown_series(ns.T, ns.lambda0, ns.tau, ts, ns.J, ns.tol, static)
     header = _header_comment(ns, _EVOLVE_OPTS)
-    _emit(ns.output, _csv_text(header, _EVOLVE_COLUMNS, map(_cells, zip(*rows))))
+    _emit(ns.output, _csv_chunks(header, _EVOLVE_COLUMNS, [map(_cells, zip(*rows))]))
     prefix = "# " if ns.output is None else ""
     for key in ("fidelity", "p_z", "p_c1", "p_c2", "w_minus", "e_zeta"):
         print(f"{prefix}{key} = {getattr(report, key)!r}")
@@ -540,7 +595,7 @@ def _reap(child: list) -> Optional[bytes]:
 _SWEEP_COLUMNS = ("tau", "lambda0", "T", "fidelity", "p_z", "p_c1", "p_c2", "w_minus", "e_zeta")
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
+def _cmd_sweep(ns: SimpleNamespace) -> int:
     temps = sorted(ns.T)
     lam0s = sorted(ns.lambda0)
     taus = sorted(ns.tau)
@@ -554,11 +609,11 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     results = _run_groups(groups, min(ns.workers, len(groups)))
     rows = [row for group_rows in results for row in group_rows]
     header = _header_comment(ns, _SWEEP_OPTS)
-    _emit(ns.output, _csv_text(header, _SWEEP_COLUMNS, map(_cells, zip(*rows))))
+    _emit(ns.output, _csv_chunks(header, _SWEEP_COLUMNS, [map(_cells, zip(*rows))]))
     return 0
 
 
-def _cmd_phase_diagram(ns: argparse.Namespace) -> int:
+def _cmd_phase_diagram(ns: SimpleNamespace) -> int:
     taus = sorted(ns.tau)
     lam0s = sorted(ns.lambda0_grid)
     names = ("tau", "lambda0", "T_star")
@@ -589,21 +644,28 @@ def _cmd_phase_diagram(ns: argparse.Namespace) -> int:
                 row.append(unevolved[lam0])
             rows.append(tuple(row))
     header = _header_comment(ns, _PHASE_OPTS)
-    _emit(ns.output, _csv_text(header, names, map(_cells, zip(*rows))))
+    _emit(ns.output, _csv_chunks(header, names, [map(_cells, zip(*rows))]))
     return 0
 
 
 # ---------------------------------------------------------------- entry
 
+_COMMANDS = {
+    "verify": (_VERIFY_OPTS, _cmd_verify, "check that every conserved check commutes with the Hamiltonian"),
+    "spectrum": (_SPECTRUM_OPTS, _cmd_spectrum, "sector-labeled plaquette spectra over a grid or schedule"),
+    "evolve": (_EVOLVE_OPTS, _cmd_evolve, "run one cool-then-rampdown point and report its error channel"),
+    "sweep": (_SWEEP_OPTS, _cmd_sweep, "error channel over a (tau, lambda0, T) grid"),
+    "phase-diagram": (_PHASE_OPTS, _cmd_phase_diagram, "threshold temperatures over a coupling grid"),
+}
+
+
 def main(argv=None) -> int:
-    parser, tables = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 2)
-    try:
-        _apply_config(ns, tables[ns.command])
-        return ns.func(ns)
+        ns = _parse(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(ns, str):
+            sys.stdout.write(ns)
+            return 0
+        return _COMMANDS[ns.command][1](ns)
     # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (linalg.ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -611,7 +673,7 @@ def main(argv=None) -> int:
     except _WorkerLost as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 3
-    except (_UsageError, ValueError, argparse.ArgumentTypeError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

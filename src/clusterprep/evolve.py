@@ -397,6 +397,20 @@ def _sector_frame(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> tuple[np.n
     return blocks, vb
 
 
+def _spectral_norms_within(diff: np.ndarray, bound: float) -> bool:
+    """Whether every (d, d) block of ``diff`` has spectral norm at most ``bound``.
+
+    Two exact screens decide most blocks without an SVD: the largest
+    entry of a block bounds its spectral norm from below, and its
+    Frobenius norm bounds it from above.  Only the blocks in between are
+    decomposed.
+    """
+    if np.abs(diff).max() > bound:
+        return False
+    rest = diff[np.linalg.norm(diff, axis=(-2, -1)) > bound]
+    return rest.size == 0 or bool(np.linalg.svd(rest, compute_uv=False).max() <= bound)
+
+
 def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: float, sample_times):
     """Step-doubled Magnus until halving moves no sector block more than tol/4 in spectral norm.
 
@@ -444,7 +458,7 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
         r = np.array(_integrate(terms, kinks, boundaries, counts))
         cur = r[..., :d, :d] + 1j * r[..., d:, :d]
         # the largest singular value of the block differences is U's change in any basis; it bounds every entry
-        if prev is not None and np.linalg.svd(cur - prev, compute_uv=False).max() <= 0.25 * tol:
+        if prev is not None and _spectral_norms_within(cur - prev, 0.25 * tol):
             break
         prev = cur
         h *= 0.5

@@ -53,6 +53,74 @@ def test_missing_command_is_usage_error():
     assert code == 2
 
 
+def test_version_output_is_unchanged():
+    assert run_cli("--version") == (0, f"clusterprep {clusterprep.__version__}\n", "")
+    assert run_cli("--vers") == run_cli("--version")  # a unique prefix
+
+
+def test_top_level_help_lists_every_command():
+    for argv in (("--help",), ("-h",)):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: clusterprep")
+        for name in ("verify", "spectrum", "evolve", "sweep", "phase-diagram"):
+            assert f"\n  {name} " in out
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "evolve", "sweep", "phase-diagram"])
+def test_command_help_lists_every_flag_of_its_table(command):
+    opts = cli._COMMANDS[command][0]
+    for argv in ((command, "--help"), (command, "-h"), (command, "--config", "missing.ini", "--he")):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: clusterprep {command} ")
+        listed = {line.split()[0].rstrip(",") for line in out.splitlines() if line.startswith("  -")}
+        assert listed == {opt.flag for opt in opts} | {"--config", "-h"}
+
+
+def test_flag_equals_value_and_unique_prefix_match_the_full_flag():
+    full = run_cli("spectrum", "--lambda-grid", "0:1:3")
+    assert full[0] == 0
+    assert run_cli("spectrum", "--lambda-grid=0:1:3") == full
+    assert run_cli("spectrum", "--lambda-g", "0:1:3") == full
+    assert run_cli("spectrum", "--lambda-g=0:1:3") == full
+    # an exact flag wins over the longer flags it is a prefix of
+    sweep = run_cli("sweep", "--T", "0.5", "--lambda0", "1.0", "--tau", "0.5", "--tol", "1e-6")
+    assert sweep[0] == 0
+    assert run_cli("sweep", "--T=0.5", "--lam", "1.0", "--ta", "0.5", "--to=1e-6") == sweep
+
+
+def test_repeated_flag_keeps_the_last_value():
+    code, out, _ = run_cli("spectrum", "--lambda-grid", "5", "--lambda-grid", "0:1:3")
+    assert code == 0
+    assert " lambda-grid=0.0,0.5,1.0 " in out.splitlines()[0]
+    assert len(data_lines(out)) == 3 * 16
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("spectrum", "--lambda", "1.0"), "ambiguous option --lambda: could be --lambda-grid, --lambda0, --lambda-init"),
+        (("sweep", "--T", "0.5", "--t", "1"), "ambiguous option --t: could be --tau, --tol"),
+        (("spectrum", "--lambda-grid", "1", "--bogus", "1"), "unknown option --bogus"),
+        (("spectrum", "--lambda-grid"), "--lambda-grid needs a value"),
+        (("spectrum", "--lambda-grid", "--output", "x.csv"), "--lambda-grid needs a value"),
+        (("phase-diagram", "--lambda0-grid", "1", "--tau", "1", "--no-evolution=yes"), "--no-evolution takes no value"),
+        (("spectrum", "--lambda-grid", "1", "0.5"), "unexpected argument '0.5'"),
+        (("spectrum", "--", "--lambda-grid", "1"), "unexpected argument '--'"),
+        (("spectrum", "--lambda-grid", "1", "-x"), "unexpected argument '-x'"),
+        (("plot",), "unknown command 'plot'"),
+        (("--bogus",), "unknown option --bogus"),
+        (("spectrum", "--lambda-grid", "0:1"), "--lambda-grid: grid must be a:b:n"),
+        (("sweep", "--version"), "unknown option --version"),
+    ],
+)
+def test_malformed_command_lines_are_usage_errors(argv, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_chain_reports_exact_zeros():
@@ -161,6 +229,31 @@ def test_spectrum_output_file_is_atomic(tmp_path):
     assert text.startswith("# clusterprep")
     assert "output=" not in text.splitlines()[0]
     assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+def test_spectrum_that_fails_mid_stream_leaves_no_file(monkeypatch, tmp_path):
+    target = tmp_path / "levels.csv"
+    blocks = cli._spectrum_blocks
+
+    def failing(table):
+        rows = blocks(table)
+        yield next(rows)
+        assert list(tmp_path.glob("levels.csv.tmp.*")) != []  # the first block was handed to the temporary file
+        raise FloatingPointError("block failed")
+
+    monkeypatch.setattr(cli, "_spectrum_blocks", failing)
+    code, out, err = run_cli("spectrum", "--lambda-grid", "0:2.5:200", "--output", str(target))
+    assert (code, out) == (3, "")
+    assert "numerical failure: block failed" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_streams_the_table_in_blocks_of_points(monkeypatch):
+    whole = run_cli("spectrum", "--lambda-grid", "0:2.5:130")
+    monkeypatch.setattr(cli, "_SPECTRUM_CHUNK", 7)
+    assert run_cli("spectrum", "--lambda-grid", "0:2.5:130") == whole
+    monkeypatch.setattr(cli, "_SPECTRUM_CHUNK", 130)
+    assert run_cli("spectrum", "--lambda-grid", "0:2.5:130") == whole
 
 
 def test_spectrum_static_replacement_matches_builtin(tmp_path):
@@ -551,6 +644,25 @@ def test_phase_diagram_computes_each_no_evolution_threshold_once():
         assert err.count(f"no threshold in bracket for no-evolution lambda0={lam0}\n") == 1
 
 
+def test_phase_diagram_diagonalizes_once_per_lambda0(monkeypatch, fresh_readouts):
+    # the rampdown and no-evolution readouts of one lambda0 share its cached levels
+    analysis._levels.cache_clear()
+    eigh, calls = np.linalg.eigh, []
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    code, out, _ = run_cli("phase-diagram", "--lambda0-grid", "1.5,2.5", "--tau", "2,5", "--no-evolution")
+    assert code == 0 and len(data_lines(out)) == 4
+    assert calls == [(2, 8, 8)] * 2
+    assert analysis._levels.cache_info().maxsize == 64
+    for array in analysis._levels(1.5, 1.0, None):
+        assert not array.flags.writeable
+    analysis._levels.cache_clear()
+
+
 def test_phase_diagram_survives_a_dip_far_above_the_target():
     code, out, err = run_cli("phase-diagram", "--lambda0-grid", "2.6", "--tau", "3", "--no-evolution")
     assert code == 0
@@ -654,6 +766,21 @@ def test_cli_import_leaves_process_pools_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_and_run_leave_argument_and_config_parsers_unloaded():
+    # flags are parsed from the option tables; configparser loads only for --config
+    script = (
+        "import contextlib, io, sys\n"
+        "import clusterprep.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify', '--model', '3d']), cli.main(['sweep', '--help'])]\n"
+        "print(codes, sorted({'argparse', 'gettext', 'locale', 'configparser'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
 
 
 def test_traced_sweep_runs_and_every_public_name_resolves():

@@ -539,6 +539,65 @@ def test_tolerance_bounds_the_spectral_norm_of_each_blocks_change(monkeypatch):
     assert np.abs(u - ref).max() <= tol / 4
 
 
+def counted_svds(monkeypatch) -> list:
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["dense", "rank-one", "one-entry"])
+def test_step_doubling_screens_decide_as_the_svd_does(monkeypatch, kind):
+    # the largest entry bounds the spectral norm from below and the Frobenius
+    # norm from above; "rank-one" blocks sit on the upper screen, "one-entry" on the lower
+    bound = 0.25e-8
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=(3, 2, 8, 8)) + 1j * rng.normal(size=(3, 2, 8, 8))
+    if kind == "rank-one":
+        z = z[..., :1] * z[..., :1, :]
+    elif kind == "one-entry":
+        z = np.where(np.arange(64).reshape(8, 8) == 19, z, 0.0)
+    z /= np.linalg.svd(z, compute_uv=False).max()
+    calls = counted_svds(monkeypatch)
+    decomposed = []
+    for factor in (0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 10.0):
+        diff = factor * bound * z
+        svd_decision = bool(np.linalg.svd(diff, compute_uv=False).max() <= bound)
+        calls.clear()
+        assert evolve._spectral_norms_within(diff, bound) is svd_decision is (factor < 1), (kind, factor)
+        # an SVD runs only when no entry fails the bound and some block's Frobenius norm exceeds it
+        between = np.abs(diff).max() <= bound < np.linalg.norm(diff, axis=(-2, -1)).max()
+        assert len(calls) == between, (kind, factor)
+        decomposed.append(factor if calls else None)
+    assert decomposed == {"dense": [None, 0.9, 0.999, 1.001, 1.1, 2.0, None],
+                          "rank-one": [None, None, None, 1.001, 1.1, 2.0, None],
+                          "one-entry": [None] * 7}[kind]
+
+
+def test_sweep_grid_compares_passes_with_one_svd(monkeypatch):
+    # the benchmark's sweep grid makes 13 step-doubling comparisons; the
+    # screens decide all but one of them (13 SVDs without them)
+    calls = counted_svds(monkeypatch)
+    compare = evolve._spectral_norms_within
+    decisions = []
+
+    def recorded(diff, bound):
+        decisions.append(compare(diff, bound))
+        return decisions[-1]
+
+    monkeypatch.setattr(evolve, "_spectral_norms_within", recorded)
+    for tau in (2.0, 5.0, 10.0):
+        for lam0 in (1.5, 2.0, 2.5):
+            schedule_unitary(*PLAQUETTE, linear_rampdown(lam0, tau), tol=1e-8)
+    assert (len(decisions), sum(decisions)) == (13, 9)
+    assert len(calls) <= 1
+
+
 def fixed_step_unitary(monkeypatch, schedule: Schedule, n: int) -> np.ndarray:
     """U from n nominal steps: one doubling round from n/2, with a tolerance any pair meets."""
     monkeypatch.setattr(evolve, "_start_step", lambda duration, norm, tol: duration * 2.0 / n)
