@@ -197,7 +197,7 @@ class SectorSpectrumTable:
 
 
 def plaquette_hamiltonian(J: float, lam, static: Optional[OperatorSum] = None) -> OperatorSum:
-    """Ring-plus-fields plaquette, with the ring replaceable by ``static``."""
+    """Ring-plus-fields plaquette, with the ring replaceable by ``static``; ``J`` is unused when it is given."""
     if static is None:
         return build_plaquette_3d(J, lam)[1]
     if static.n_qubits != 4:
@@ -209,7 +209,9 @@ def plaquette_hamiltonian(J: float, lam, static: Optional[OperatorSum] = None) -
 def plaquette_parts(J: float, static: Optional[OperatorSum] = None) -> tuple[OperatorSum, tuple[OperatorSum, ...]]:
     """The plaquette as H0 + sum_mu lam_mu H_mu: ``(h0, parts)``, with the four unit fields -X_mu as parts.
 
-    Cached: equal arguments return the same immutable operators.
+    H0 is the ring of bond strength ``J``, or ``static`` in its place (``J``
+    is then unused).  Cached: equal arguments return the same immutable
+    operators.
     """
     return plaquette_hamiltonian(J, 0.0, static), tuple(plaquette_field_term(e) for e in np.eye(4))
 

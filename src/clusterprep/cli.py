@@ -44,69 +44,52 @@ class _UsageError(Exception):
 
 # ---------------------------------------------------------------- converters
 
-def _conv_float(s: str) -> float:
-    v = float(s)
-    if not np.isfinite(v):
-        raise ValueError(f"value must be finite, got {s!r}")
-    return v
+@dataclass(frozen=True)
+class _Number:
+    """Finite values of ``kind`` at least ``bound``, or above it when ``above``."""
 
+    bound: Optional[int] = None
+    above: bool = False
+    kind: type = float
 
-def _conv_pos(s: str) -> float:
-    v = _conv_float(s)
-    if v <= 0:
-        raise ValueError(f"value must be > 0, got {s!r}")
-    return v
-
-
-def _conv_nonneg(s: str) -> float:
-    v = _conv_float(s)
-    if v < 0:
-        raise ValueError(f"value must be >= 0, got {s!r}")
-    return v
-
-
-def _conv_int_min(lo: int) -> Callable[[str], int]:
-    def conv(s: str) -> int:
-        v = int(s)
-        if v < lo:
-            raise ValueError(f"value must be >= {lo}, got {s!r}")
+    def __call__(self, s: str):
+        if not np.isfinite(float(s)):
+            raise ValueError(f"value must be finite, got {s!r}")
+        v = self.kind(s)
+        if self.bound is not None and (v <= self.bound if self.above else v < self.bound):
+            raise ValueError(f"value must be {'>' if self.above else '>='} {self.bound}, got {s!r}")
         return v
 
-    return conv
+
+_FINITE, _POSITIVE, _NONNEG = _Number(), _Number(0, above=True), _Number(0)
 
 
-def _conv_grid(s: str) -> list[float]:
-    """Grid syntax: 'a:b:n' (inclusive, n points), 'x,y,z', or a single value."""
-    text = s.strip()
-    if not text:
-        raise ValueError("empty value list")
-    if ":" in text:
+@dataclass(frozen=True)
+class _Grid:
+    """Grid syntax: 'a:b:n' (inclusive, n points), 'x,y,z', or a single value, each checked by ``element``."""
+
+    element: _Number
+
+    def __call__(self, s: str) -> list[float]:
+        text = s.strip()
+        if not text:
+            raise ValueError("empty value list")
+        if ":" not in text:
+            vals = [p.strip() for p in text.split(",")]
+            if not all(vals):
+                raise ValueError(f"malformed value list {s!r}")
+            return [self.element(p) for p in vals]
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be a:b:n, got {s!r}")
-        a, b = float(parts[0]), float(parts[1])
+        a, b = _FINITE(parts[0]), _FINITE(parts[1])
         n = int(parts[2])
         if n < 1:
             raise ValueError("grid needs n >= 1 points")
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError("grid endpoints must be finite")
-        return [float(x) for x in np.linspace(a, b, n)]
-    vals = [p.strip() for p in text.split(",")]
-    if any(not p for p in vals):
-        raise ValueError(f"malformed value list {s!r}")
-    return [_conv_float(p) for p in vals]
-
-
-def _grid_conv(sign: str) -> Callable[[str], list[float]]:
-    def conv(s: str) -> list[float]:
-        vals = _conv_grid(s)
-        if sign == "pos" and any(v <= 0 for v in vals):
-            raise ValueError(f"all values must be > 0 in {s!r}")
-        if sign == "nonneg" and any(v < 0 for v in vals):
-            raise ValueError(f"all values must be >= 0 in {s!r}")
-        return vals
-
-    return conv
+        points = np.linspace(a, b, n).tolist()
+        # the rule is a lower bound: it holds for every point when it holds for the smallest
+        self.element(repr(min(points)))
+        return points
 
 
 def _conv_order(s: str) -> tuple[int, ...]:
@@ -123,7 +106,7 @@ def _conv_bracket(s: str) -> tuple[float, float]:
     parts = s.split(":")
     if len(parts) != 2:
         raise ValueError(f"bracket must be lo:hi, got {s!r}")
-    lo, hi = _conv_float(parts[0]), _conv_float(parts[1])
+    lo, hi = _FINITE(parts[0]), _FINITE(parts[1])
     if not (0 <= lo < hi):
         raise ValueError("bracket needs 0 <= lo < hi")
     return lo, hi
@@ -140,6 +123,14 @@ def _conv_choice(*allowed: str) -> Callable[[str], str]:
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
+
+
+def _conv_bool(s: str) -> bool:
+    low = s.lower()
+    if low not in _TRUE | _FALSE:
+        raise ValueError(f"value must be a boolean, got {s!r}")
+    return low in _TRUE
+
 
 _REQUIRED = object()
 
@@ -163,59 +154,59 @@ class _Opt:
 
 _VERIFY_OPTS = [
     _Opt("--model", _conv_choice("1d", "2d", "3d"), _REQUIRED, "model family to check"),
-    _Opt("--N", _conv_int_min(1), 4, "logical sites of the 1d chain"),
-    _Opt("--L1", _conv_int_min(1), 2, "torus extent along the first axis"),
-    _Opt("--L2", _conv_int_min(1), 2, "torus extent along the second axis"),
-    _Opt("--J", _conv_pos, 1.0, "Ising bond strength"),
-    _Opt("--lambda", _grid_conv("nonneg"), [1.0], "coupling strength (3d accepts four per-spin values)"),
+    _Opt("--N", _Number(1, kind=int), 4, "logical sites of the 1d chain"),
+    _Opt("--L1", _Number(1, kind=int), 2, "torus extent along the first axis"),
+    _Opt("--L2", _Number(1, kind=int), 2, "torus extent along the second axis"),
+    _Opt("--J", _POSITIVE, 1.0, "Ising bond strength"),
+    _Opt("--lambda", _Grid(_NONNEG), [1.0], "coupling strength (3d accepts four per-spin values)"),
     _Opt("--hamiltonian", str, None, "verify this operator file instead of the built-in Hamiltonian"),
 ]
 
 _SPECTRUM_OPTS = [
     _Opt("--model", _conv_choice("3d"), "3d", "model family (plaquette only)"),
-    _Opt("--J", _conv_pos, 1.0, "Ising bond strength"),
-    _Opt("--lambda-grid", _grid_conv("nonneg"), None, "coupling grid a:b:n, list, or single value"),
+    _Opt("--J", _POSITIVE, 1.0, "Ising bond strength (unused with --hamiltonian, which replaces the ring)"),
+    _Opt("--lambda-grid", _Grid(_NONNEG), None, "coupling grid a:b:n, list, or single value"),
     _Opt("--path", _conv_choice("rampdown", "sequential"), None, "scan along a schedule instead of a grid"),
-    _Opt("--lambda0", _conv_pos, None, "initial coupling of the rampdown path"),
-    _Opt("--tau", _conv_pos, 1.0, "rampdown duration"),
-    _Opt("--lambda-init", _conv_pos, None, "initial coupling of the sequential path"),
-    _Opt("--tau-each", _conv_pos, 1.0, "per-spin switch-off duration of the sequential path"),
+    _Opt("--lambda0", _POSITIVE, None, "initial coupling of the rampdown path"),
+    _Opt("--tau", _POSITIVE, 1.0, "rampdown duration"),
+    _Opt("--lambda-init", _POSITIVE, None, "initial coupling of the sequential path"),
+    _Opt("--tau-each", _POSITIVE, 1.0, "per-spin switch-off duration of the sequential path"),
     _Opt("--order", _conv_order, (1, 2, 3, 4), "spin switch-off order for the sequential path"),
-    _Opt("--samples", _conv_int_min(2), 201, "sample count along the path"),
+    _Opt("--samples", _Number(2, kind=int), 201, "sample count along the path"),
     _Opt("--hamiltonian", str, None, "replace the static ZZ ring with this operator file"),
     _Opt("--output", str, None, "CSV path (default: stdout)"),
 ]
 
 _EVOLVE_OPTS = [
-    _Opt("--T", _conv_nonneg, _REQUIRED, "preparation temperature"),
-    _Opt("--lambda0", _conv_pos, _REQUIRED, "initial coupling"),
-    _Opt("--tau", _conv_pos, _REQUIRED, "rampdown duration"),
-    _Opt("--J", _conv_pos, 1.0, "Ising bond strength"),
-    _Opt("--tol", _conv_pos, 1e-8, "integrator step-doubling tolerance (propagator entries to tol/4)"),
-    _Opt("--samples", _conv_int_min(2), 101, "time-series sample count"),
+    _Opt("--T", _NONNEG, _REQUIRED, "preparation temperature"),
+    _Opt("--lambda0", _POSITIVE, _REQUIRED, "initial coupling"),
+    _Opt("--tau", _POSITIVE, _REQUIRED, "rampdown duration"),
+    _Opt("--J", _POSITIVE, 1.0, "Ising bond strength (unused with --hamiltonian, which replaces the ring)"),
+    _Opt("--tol", _POSITIVE, 1e-8, "integrator step-doubling tolerance (propagator entries to tol/4)"),
+    _Opt("--samples", _Number(2, kind=int), 101, "time-series sample count"),
     _Opt("--hamiltonian", str, None, "replace the static ZZ ring with this operator file"),
     _Opt("--output", str, None, "time-series CSV path (default: stdout)"),
 ]
 
 _SWEEP_OPTS = [
-    _Opt("--T", _grid_conv("nonneg"), _REQUIRED, "temperature values (grid syntax)"),
-    _Opt("--lambda0", _grid_conv("pos"), _REQUIRED, "initial-coupling values (grid syntax)"),
-    _Opt("--tau", _grid_conv("pos"), _REQUIRED, "rampdown durations (grid syntax)"),
-    _Opt("--J", _conv_pos, 1.0, "Ising bond strength"),
-    _Opt("--tol", _conv_pos, 1e-8, "integrator step-doubling tolerance"),
-    _Opt("--cap", _conv_int_min(1), 100000, "maximum grid size"),
-    _Opt("--workers", _conv_int_min(1), 1, "parallel worker processes"),
+    _Opt("--T", _Grid(_NONNEG), _REQUIRED, "temperature values (grid syntax)"),
+    _Opt("--lambda0", _Grid(_POSITIVE), _REQUIRED, "initial-coupling values (grid syntax)"),
+    _Opt("--tau", _Grid(_POSITIVE), _REQUIRED, "rampdown durations (grid syntax)"),
+    _Opt("--J", _POSITIVE, 1.0, "Ising bond strength"),
+    _Opt("--tol", _POSITIVE, 1e-8, "integrator step-doubling tolerance"),
+    _Opt("--cap", _Number(1, kind=int), 100000, "maximum grid size"),
+    _Opt("--workers", _Number(1, kind=int), 1, "parallel worker processes"),
     _Opt("--output", str, None, "CSV path (default: stdout)"),
 ]
 
 _PHASE_OPTS = [
-    _Opt("--lambda0-grid", _grid_conv("pos"), _REQUIRED, "initial-coupling grid (grid syntax)"),
-    _Opt("--tau", _grid_conv("pos"), _REQUIRED, "rampdown durations (grid syntax)"),
+    _Opt("--lambda0-grid", _Grid(_POSITIVE), _REQUIRED, "initial-coupling grid (grid syntax)"),
+    _Opt("--tau", _Grid(_POSITIVE), _REQUIRED, "rampdown durations (grid syntax)"),
     _Opt("--T-bracket", _conv_bracket, (1e-3, 3.0), "temperature bracket lo:hi for the threshold search"),
-    _Opt("--target", _conv_pos, 0.03, "total phase-flip error defining the threshold"),
+    _Opt("--target", _POSITIVE, 0.03, "total phase-flip error defining the threshold"),
     _Opt("--no-evolution", None, False, "add a threshold column for the unevolved cooled state"),
-    _Opt("--J", _conv_pos, 1.0, "Ising bond strength"),
-    _Opt("--tol", _conv_pos, 1e-8, "integrator step-doubling tolerance"),
+    _Opt("--J", _POSITIVE, 1.0, "Ising bond strength"),
+    _Opt("--tol", _POSITIVE, 1e-8, "integrator step-doubling tolerance"),
     _Opt("--output", str, None, "CSV path (default: stdout)"),
 ]
 
@@ -291,10 +282,7 @@ def _parse(argv: list[str]):
         if opt is None:
             config = value
             continue
-        try:
-            given[opt.dest] = opt.conv(value)
-        except ValueError as exc:
-            raise _UsageError(f"{flag}: {exc}") from None
+        given[opt.dest] = _convert(opt.conv, value, flag)
     if config is not None:
         given = {**_config_values(config, command, opts.values()), **given}
     ns = SimpleNamespace(command=command)
@@ -322,17 +310,16 @@ def _config_values(path: str, command: str, opts) -> dict:
         if key not in known:
             raise _UsageError(f"unknown key {key!r} in config section [{command}]")
         opt = known[key]
-        if opt.conv is None:
-            low = raw.strip().lower()
-            if low not in _TRUE | _FALSE:
-                raise _UsageError(f"config key {key!r} must be a boolean, got {raw!r}")
-            values[opt.dest] = low in _TRUE
-        else:
-            try:
-                values[opt.dest] = opt.conv(raw.strip())
-            except ValueError as exc:
-                raise _UsageError(f"config key {key!r}: {exc}") from None
+        values[opt.dest] = _convert(opt.conv or _conv_bool, raw.strip(), f"config key {key!r}")
     return values
+
+
+def _convert(conv: Callable[[str], object], value: str, where: str):
+    """``conv(value)``, with its ValueError as a usage error that ``where`` (a flag or config key) prefixes."""
+    try:
+        return conv(value)
+    except ValueError as exc:
+        raise _UsageError(f"{where}: {exc}") from None
 
 
 def _fmt_value(v) -> str:
@@ -340,21 +327,17 @@ def _fmt_value(v) -> str:
         return "none"
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
+    if isinstance(v, (int, float)):
         return repr(v)
     if isinstance(v, (list, tuple)):
         return ",".join(_fmt_value(x) for x in v)
     return str(v)
 
 
-def _header_comment(ns: SimpleNamespace, opts: list[_Opt]) -> str:
-    parts = [
-        f"{opt.key}={_fmt_value(getattr(ns, opt.dest))}"
-        for opt in opts
-        if opt.flag not in _HEADER_EXCLUDED
-    ]
+def _header_comment(ns: SimpleNamespace) -> str:
+    """The CSV's first line: the version, the command and every value of its table that can change rows."""
+    opts = _COMMANDS[ns.command][0]
+    parts = [f"{opt.key}={_fmt_value(getattr(ns, opt.dest))}" for opt in opts if opt.flag not in _HEADER_EXCLUDED]
     return f"# clusterprep {__version__} {ns.command} " + " ".join(parts)
 
 
@@ -363,9 +346,9 @@ def _cells(values) -> list[str]:
     return ["" if v is None else repr(v) for v in values]
 
 
-def _csv_chunks(header: str, names: tuple[str, ...], blocks):
-    """CSV text: the header and column names, then a chunk of rows per block of `_cells` columns."""
-    yield f"{header}\n{','.join(names)}\n"
+def _csv_chunks(ns: SimpleNamespace, names: tuple[str, ...], blocks):
+    """CSV text: the header comment and column names, then a chunk of rows per block of `_cells` columns."""
+    yield f"{_header_comment(ns)}\n{','.join(names)}\n"
     for columns in blocks:
         yield "\n".join([*map(",".join, zip(*columns)), ""])
 
@@ -450,7 +433,7 @@ def _cmd_spectrum(ns: SimpleNamespace) -> int:
             raise _UsageError("--path sequential requires --lambda-init")
         schedule = sequential_switchoff(ns.lambda_init, ns.tau_each, ns.order)
         table = analysis.spectrum_path(schedule, ns.J, ns.samples, static)
-    _emit(ns.output, _csv_chunks(_header_comment(ns, _SPECTRUM_OPTS), _SPECTRUM_COLUMNS, _spectrum_blocks(table)))
+    _emit(ns.output, _csv_chunks(ns, _SPECTRUM_COLUMNS, _spectrum_blocks(table)))
     return 0
 
 
@@ -481,8 +464,7 @@ def _cmd_evolve(ns: SimpleNamespace) -> int:
     static = _load_operator(ns.hamiltonian)
     ts = np.linspace(0.0, ns.tau, ns.samples)
     rows, report = analysis.rampdown_series(ns.T, ns.lambda0, ns.tau, ts, ns.J, ns.tol, static)
-    header = _header_comment(ns, _EVOLVE_OPTS)
-    _emit(ns.output, _csv_chunks(header, _EVOLVE_COLUMNS, [map(_cells, zip(*rows))]))
+    _emit(ns.output, _csv_chunks(ns, _EVOLVE_COLUMNS, [map(_cells, zip(*rows))]))
     prefix = "# " if ns.output is None else ""
     for key in ("fidelity", "p_z", "p_c1", "p_c2", "w_minus", "e_zeta"):
         print(f"{prefix}{key} = {getattr(report, key)!r}")
@@ -608,8 +590,7 @@ def _cmd_sweep(ns: SimpleNamespace) -> int:
     # this process is one of the workers: fork no more children than there are other groups
     results = _run_groups(groups, min(ns.workers, len(groups)))
     rows = [row for group_rows in results for row in group_rows]
-    header = _header_comment(ns, _SWEEP_OPTS)
-    _emit(ns.output, _csv_chunks(header, _SWEEP_COLUMNS, [map(_cells, zip(*rows))]))
+    _emit(ns.output, _csv_chunks(ns, _SWEEP_COLUMNS, [map(_cells, zip(*rows))]))
     return 0
 
 
@@ -643,8 +624,7 @@ def _cmd_phase_diagram(ns: SimpleNamespace) -> int:
             if unevolved is not None:
                 row.append(unevolved[lam0])
             rows.append(tuple(row))
-    header = _header_comment(ns, _PHASE_OPTS)
-    _emit(ns.output, _csv_chunks(header, names, [map(_cells, zip(*rows))]))
+    _emit(ns.output, _csv_chunks(ns, names, [map(_cells, zip(*rows))]))
     return 0
 
 

@@ -52,7 +52,10 @@ would exceed a fixed total step budget raises ConvergenceError before
 the pass starts, and a final propagator with a block u_s whose
 ||u_s^dagger u_s - I||_F exceeds 1e-10 raises NumericalCheckError.
 Integration is split at the schedule's knots and at requested sample
-times, which keeps the scheme at full order on each smooth piece.
+times, which keeps the scheme at full order on each smooth piece.  A
+sample time up to 1e-12 before 0, or up to 1e-12 (1 + duration) after
+the duration, is snapped onto that end of the schedule and returned at
+it; one farther outside raises ValueError.
 """
 
 from __future__ import annotations
@@ -315,8 +318,7 @@ def _step_weights(kinks: list[float], boundaries: list[float], counts: list[int]
     sum_k s^k (weights[g, k] @ terms).
     """
     start = np.array(boundaries[:-1])
-    # sample times may sit rounding-close outside [0, duration]: the end pieces take them
-    piece = np.clip(np.searchsorted(kinks, start, side="right") - 1, 0, len(kinks) - 2)
+    piece = np.searchsorted(kinks, start, side="right") - 1
     h = (np.diff(boundaries) / np.array(counts))[:, None, None]
     c = (start - np.array(kinks)[piece])[:, None, None] + 0.5 * h
     j, k = _TERM_T_DEGREES, np.arange(_STEP_DEGREE + 1)[:, None]
@@ -416,17 +418,19 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
 
     Integration, comparison and the unitarity check all run in the
     sector blocks of the checks conserved by H0 and the parts.  Returns
-    the boundary times, U's complex (n_blocks, d, d) blocks at each of
-    them (None where U is exactly the identity: at the first, and at all
-    of them when the schedule has zero duration) and the frame's sector
-    columns vb.
+    the distinct sample times in ascending order, each snapped onto [0,
+    duration], the boundary times, U's complex (n_blocks, d, d) blocks at
+    each of them (None where U is exactly the identity: at the first, and
+    at all of them when the schedule has zero duration) and the frame's
+    sector columns vb.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive")
-    samples = sorted(set(float(t) for t in (() if sample_times is None else sample_times)))
-    for t in samples:
-        if t < -1e-12 or t > schedule.duration * (1 + 1e-12) + 1e-12:
-            raise ValueError("sample time outside schedule duration")
+    duration = schedule.duration
+    raw = {float(t) for t in (() if sample_times is None else sample_times)}
+    if not all(-1e-12 <= t <= duration * (1 + 1e-12) + 1e-12 for t in raw):
+        raise ValueError("sample time outside schedule duration")
+    samples = sorted({min(max(t, 0.0), duration) for t in raw})
     columns = len(schedule.couplings[0])
     if len(parts) != columns:
         raise ValueError(f"schedule drives {columns} couplings but {len(parts)} Hamiltonian parts were given")
@@ -434,8 +438,8 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     d = vb.shape[-1]
     kinks = list(schedule.times)
     boundaries = sorted({*kinks, *samples})
-    if schedule.duration == 0.0:
-        return boundaries, [None] * len(boundaries), vb
+    if duration == 0.0:
+        return samples, boundaries, [None] * len(boundaries), vb
     # A = -iH = a0 + t a1 on each piece between knots, t from the piece's start
     lam = np.array(schedule.couplings)
     slope = np.diff(lam, axis=0) / np.diff(kinks)[:, None]
@@ -446,7 +450,7 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     knots = blocks[0] + np.tensordot(lam, blocks[1:], axes=1)
     norm = float((np.abs(knots.real) + np.abs(knots.imag)).sum(axis=-2).max())
 
-    h = _start_step(schedule.duration, norm, tol)
+    h = _start_step(duration, norm, tol)
     spent = 0
     prev = None
     while True:
@@ -466,7 +470,7 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     defect = float(np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - np.eye(d), axis=(1, 2)).max())
     if defect > _UNITARITY_ATOL:
         raise NumericalCheckError(f"propagator is not unitary (defect {defect:.3e})")
-    return boundaries, [None, *cur], vb
+    return samples, boundaries, [None, *cur], vb
 
 
 def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e-8, sample_times=None):
@@ -474,12 +478,13 @@ def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e
 
     ``parts`` holds one H_mu per coupling column of the schedule.
     Returns the final U, or ``(U_final, [(t, U_t), ...])`` when sample
-    times are requested.  Only these leave the sector blocks, each as
+    times are requested, each t snapped onto [0, duration] (see the
+    module docstring).  Only these leave the sector blocks, each as
     V blockdiag(u) V^dagger.  Arithmetic that overflows raises
     FloatingPointError.
     """
     with np.errstate(over="raise", invalid="raise"):
-        boundaries, snapshots, vb = _converged_propagators(h0, parts, schedule, tol, sample_times)
+        samples, boundaries, snapshots, vb = _converged_propagators(h0, parts, schedule, tol, sample_times)
     dim = vb.shape[1]
     v_dagger = vb.transpose(1, 0, 2).reshape(dim, dim).conj().T
 
@@ -487,9 +492,8 @@ def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e
         # (vb_s u_s) side by side is V blockdiag(u), a dim x dim matrix; U(0) stays exactly the identity
         return np.eye(dim, dtype=complex) if u is None else (vb @ u).transpose(1, 0, 2).reshape(dim, dim) @ v_dagger
 
-    wanted = sorted(set(float(t) for t in (() if sample_times is None else sample_times)))
-    keep = {*wanted, boundaries[-1]}
+    keep = {*samples, boundaries[-1]}
     by_time = {t: full(u) for t, u in zip(boundaries, snapshots) if t in keep}
     if sample_times is None:
         return by_time[boundaries[-1]]
-    return by_time[boundaries[-1]], [(t, by_time[t]) for t in wanted]
+    return by_time[boundaries[-1]], [(t, by_time[t]) for t in samples]

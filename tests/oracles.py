@@ -54,3 +54,24 @@ def gibbs_matrix(h: np.ndarray, T: float, ground_rtol: float = 1e-9) -> np.ndarr
 def tomography_weights(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The weight of rho on each basis column: diag(B^dagger rho B), real part."""
     return np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho, basis))
+
+
+def ground_resolvent_b(h: np.ndarray, h1: np.ndarray) -> tuple[float, float]:
+    """b = ||R^2 h1 |0>|| and the gap E_1 - E_0 of Hermitian h, whose ground level |0> is simple.
+
+    R = sum_{n>0} |n><n| / (E_n - E_0) is the reduced resolvent at the
+    ground level.  On a ramp h0 + lambda(s) h1 (s = t / tau) that starts
+    in the ground state, the amplitude left outside the final ground
+    state is, to first order in 1/tau, lambda' R^2 h1 |0> at the end minus
+    its value at the start carried by a unitary transport (Jansen, Ruskai
+    & Seiler, J. Math. Phys. 48, 102111, 2007).  b is the norm of each
+    end's vector, which no phase, transport or choice of basis in a
+    degenerate excited level changes, so the triangle inequality
+    brackets tau sqrt(1 - F) between the difference and the sum of the
+    two ends' |lambda'| b.
+    """
+    values, vectors = np.linalg.eigh(h)
+    gaps = values[1:] - values[0]
+    # R^2 h1 |0> in the excited eigenbasis: <n|h1|0> / (E_n - E_0)^2
+    amplitudes = (vectors[:, 1:].conj().T @ h1 @ vectors[:, 0]) / gaps**2
+    return float(np.linalg.norm(amplitudes)), float(gaps[0])

@@ -36,7 +36,7 @@ from clusterprep.evolve import Schedule, linear_rampdown, schedule_unitary, sequ
 from clusterprep.linalg import ConvergenceError
 from clusterprep.models import build_chain_1d, plaquette_ring_term, stabilizer_3d_local, stabilizers_1d
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
-from oracles import gibbs_matrix, tomography_weights
+from oracles import gibbs_matrix, ground_resolvent_b, tomography_weights
 
 
 def random_density_matrix(rng, dim=16) -> np.ndarray:
@@ -415,6 +415,27 @@ def test_ramp_keeps_each_check_sector_weight(lambda0, tau):
     # sector: the minus-sector weight stays as cooled (measured within 3.9e-15)
     for T in (0.0, 0.1, 0.5, 1.0, 3.0):
         assert abs(run_point(T, lambda0, tau).w_minus - no_evolution_point(T, lambda0).w_minus) <= 1e-13
+
+
+@pytest.mark.parametrize("tau", [20.0, 40.0, 80.0])
+@pytest.mark.parametrize("lambda0", [1.5, 2.0, 2.5])
+def test_rampdown_infidelity_lies_in_the_adiabatic_bracket(lambda0, tau):
+    # the linear ramp has lambda' = -lambda0 in s = t / tau, so to first order
+    # lambda0 |b(0) - b(lambda0)| <= tau sqrt(1 - F) <= lambda0 (b(0) + b(lambda0)),
+    # in the XXXX +1 block where the cooled ground state lives.  The next order
+    # adds O(1/tau) to tau sqrt(1 - F).  Its boundary terms, ||R d/ds(R^2 H' |0>)||
+    # at each end over tau (estimated here by finite differences), come to 0.93 to
+    # 1.03 times the sum over the ends of (lambda0 ||h1|| / g^2)^2 / tau, g the end's
+    # gap; the slack is twice that sum, which leaves room for the bulk terms.  With
+    # no slack every point lies inside; the closest, lambda0 = 2.5 at tau = 40, by 0.016
+    values, vectors = np.linalg.eigh(to_dense(stabilizer_3d_local()))
+    plus = vectors[:, values > 0]
+    h0, parts = plaquette_parts(1.0)
+    h0, h1 = (plus.T @ to_dense(op) @ plus for op in (h0, sum(parts[1:], parts[0])))
+    (b0, g0), (b1, g1) = (ground_resolvent_b(h0 + lam * h1, h1) for lam in (0.0, lambda0))
+    slack = 2.0 * sum((lambda0 * np.linalg.norm(h1, 2) / g**2) ** 2 for g in (g0, g1)) / tau
+    amplitude = tau * np.sqrt(1.0 - run_point(0.0, lambda0, tau, tol=1e-10).fidelity)
+    assert lambda0 * abs(b0 - b1) - slack <= amplitude <= lambda0 * (b0 + b1) + slack
 
 
 @pytest.fixture

@@ -465,6 +465,30 @@ def test_grid_syntax_errors():
     assert run_cli("sweep", "--T", "0.1,,0.5", "--lambda0", "1", "--tau", "1")[0] == 2
 
 
+NUMERIC_OPTS = [
+    (command, opt)
+    for command, (opts, _, _) in cli._COMMANDS.items()
+    for opt in opts
+    if isinstance(opt.conv, (cli._Number, cli._Grid))
+]
+
+
+@pytest.mark.parametrize("command, opt", NUMERIC_OPTS, ids=[f"{command}{opt.flag}" for command, opt in NUMERIC_OPTS])
+def test_every_numeric_flag_checks_its_values_by_one_rule(command, opt, tmp_path):
+    grid = isinstance(opt.conv, cli._Grid)
+    rule = opt.conv.element if grid else opt.conv
+    bad = rule.bound if rule.above else rule.bound - 1
+    past = f"value must be {'>' if rule.above else '>='} {rule.bound}, got"
+    cases = [("nan", "value must be finite, got 'nan'"), (str(bad), f"{past} '{bad}'")]
+    if grid:  # a list entry and an a:b:n point past the bound
+        cases += [(f"1,{bad}", f"{past} '{bad}'"), (f"{bad}:1:2", f"{past} '{float(bad)!r}'")]
+    cfg = tmp_path / "run.ini"
+    for value, message in cases:
+        assert run_cli(command, opt.flag, value) == (2, "", f"error: {opt.flag}: {message}\n")
+        cfg.write_text(f"[{command}]\n{opt.key} = {value}\n")
+        assert run_cli(command, "--config", str(cfg)) == (2, "", f"error: config key {opt.key.lower()!r}: {message}\n")
+
+
 # ------------------------------------------------------------------ config
 
 def write_config(tmp_path, body: str):

@@ -205,6 +205,25 @@ def test_schedule_unitary_is_unitary_and_samples():
     np.testing.assert_array_equal(snaps[-1][1], u_final)
 
 
+def test_samples_rounding_close_outside_the_schedule_are_snapped_onto_its_ends():
+    # left unsnapped, such samples are integration boundaries outside the
+    # schedule: the "final" U is U(duration + 5e-13), and a sample before 0
+    # starts every propagator on couplings extrapolated off the first piece
+    sched = linear_rampdown(2.0, 1.0)
+    alone = schedule_unitary(*PLAQUETTE, sched, tol=1e-8)
+    u_final, snaps = schedule_unitary(*PLAQUETTE, sched, tol=1e-8, sample_times=[-5e-13, sched.duration * (1 + 5e-13)])
+    assert [t for t, _ in snaps] == [0.0, sched.duration]
+    np.testing.assert_array_equal(snaps[0][1], np.eye(16, dtype=complex))
+    assert u_final.tobytes() == alone.tobytes()
+    assert snaps[1][1].tobytes() == alone.tobytes()
+
+
+def test_non_finite_sample_times_are_refused_by_the_range_check():
+    for t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="sample time outside schedule duration"):
+            schedule_unitary(*PLAQUETTE, linear_rampdown(2.0, 1.0), tol=1e-8, sample_times=[0.5, t])
+
+
 def test_propagator_commutes_with_check_sectors():
     # the conserved check commutes with every instantaneous Hamiltonian,
     # so it must commute with the full propagator too
