@@ -10,11 +10,12 @@ the one that protects the preparation.
 import numpy as np
 
 from clusterprep import gap_closed_form, spectrum_scan
+from clusterprep.models import plaquette_ring_term
 
 J = 1.0
 grid = np.linspace(0.0, 2.0, 9)
 
-table = spectrum_scan(J, grid)
+table = spectrum_scan(grid, plaquette_ring_term(J))
 
 print("lam      E0        E1        E2      gap_global  gap_sector  closed form")
 for i, lam in enumerate(table.axis):

@@ -38,8 +38,8 @@ from .linalg import ConvergenceError, NumericalCheckError
 from .evolve import Schedule, _sector_frame, linear_rampdown, schedule_unitary
 from .models import (
     build_chain_1d,
-    build_plaquette_3d,
     plaquette_field_term,
+    plaquette_ring_term,
     stabilizer_3d_local,
     stabilizers_1d,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "NumericalCheckError",
     "SectorSpectrumTable",
     "tomography_basis",
-    "plaquette_hamiltonian",
     "plaquette_parts",
     "total_phase_flip_error",
     "spectrum_scan",
@@ -196,40 +195,37 @@ class SectorSpectrumTable:
         return float(self.gap_sector.min())
 
 
-def plaquette_hamiltonian(J: float, lam, static: Optional[OperatorSum] = None) -> OperatorSum:
-    """Ring-plus-fields plaquette, with the ring replaceable by ``static``; ``J`` is unused when it is given."""
-    if static is None:
-        return build_plaquette_3d(J, lam)[1]
-    if static.n_qubits != 4:
-        raise ValueError("replacement static part must act on four spins")
-    return static + plaquette_field_term(lam)
-
-
 @functools.lru_cache(maxsize=64)
-def plaquette_parts(J: float, static: Optional[OperatorSum] = None) -> tuple[OperatorSum, tuple[OperatorSum, ...]]:
+def plaquette_parts(h0: Optional[OperatorSum] = None) -> tuple[OperatorSum, tuple[OperatorSum, ...]]:
     """The plaquette as H0 + sum_mu lam_mu H_mu: ``(h0, parts)``, with the four unit fields -X_mu as parts.
 
-    H0 is the ring of bond strength ``J``, or ``static`` in its place (``J``
-    is then unused).  Cached: equal arguments return the same immutable
-    operators.
+    H0 is the static part ``h0``, or the ZZ ring of unit bond strength
+    for None.  The bond strength is only the unit: a ring of strength c
+    with c lambda0, tau / c and c T reads out the same weights.  An
+    ``h0`` that is not an OperatorSum on four qubits raises ValueError.
+    Cached: equal arguments return the same immutable operators.
     """
-    return plaquette_hamiltonian(J, 0.0, static), tuple(plaquette_field_term(e) for e in np.eye(4))
+    if h0 is None:
+        h0 = plaquette_ring_term(1.0)
+    elif not isinstance(h0, OperatorSum) or h0.n_qubits != 4:
+        raise ValueError("replacement static part must act on four spins")
+    return h0, tuple(plaquette_field_term(e) for e in np.eye(4))
 
 
 def _plaquette_spectra(
-    J: float, couplings: np.ndarray, static: Optional[OperatorSum]
+    couplings: np.ndarray, h0: Optional[OperatorSum]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levels, sector labels and gaps at each row of per-spin couplings.
 
-    Both XXXX check sectors of every row (`pauli.check_blocks`; a
-    ``static`` part that breaks the check raises ValueError) are
+    Both XXXX check sectors of every row (`pauli.check_blocks`; an
+    ``h0`` that breaks the check raises ValueError) are
     diagonalized in one batched ``eigvalsh`` over (rows, 2, 8, 8) blocks,
     - sector first, and each row's levels are merged by energy, the -
     sector first on exact ties.
     """
     if np.any(couplings < 0) or not np.all(np.isfinite(couplings)):
         raise ValueError("couplings must be finite and >= 0")
-    h0, fields = plaquette_parts(J, static)
+    h0, fields = plaquette_parts(h0)
     try:
         parts = check_blocks([h0, *fields], [stabilizer_3d_local().terms[0][1]])[:, ::-1]
     except ValueError as exc:
@@ -248,29 +244,24 @@ def _plaquette_spectra(
         return energies, sectors, energies[:, 1] - energies[:, 0], plus[:, 1] - plus[:, 0]
 
 
-def spectrum_scan(J: float, lambda_grid, static: Optional[OperatorSum] = None) -> SectorSpectrumTable:
-    """Plaquette spectra over a grid of uniform coupling strengths."""
+def spectrum_scan(lambda_grid, h0: Optional[OperatorSum] = None) -> SectorSpectrumTable:
+    """Plaquette spectra over a grid of uniform coupling strengths (``h0`` as in `plaquette_parts`)."""
     grid = np.asarray(list(lambda_grid), dtype=float)
     if grid.size == 0:
         raise ValueError("empty coupling grid")
-    spectra = _plaquette_spectra(J, np.repeat(grid[:, None], 4, axis=1), static)
+    spectra = _plaquette_spectra(np.repeat(grid[:, None], 4, axis=1), h0)
     return SectorSpectrumTable("lambda", grid, *spectra)
 
 
-def spectrum_path(
-    schedule: Schedule,
-    J: float = 1.0,
-    samples: int = 201,
-    static: Optional[OperatorSum] = None,
-) -> SectorSpectrumTable:
-    """Plaquette spectra sampled along a schedule's four coupling columns."""
+def spectrum_path(schedule: Schedule, h0: Optional[OperatorSum] = None, samples: int = 201) -> SectorSpectrumTable:
+    """Plaquette spectra sampled along a schedule's four coupling columns (``h0`` as in `plaquette_parts`)."""
     if samples < 2:
         raise ValueError("need at least two samples")
     if len(schedule.couplings[0]) != 4:
         raise ValueError("a plaquette path needs four coupling columns")
     ts = np.linspace(0.0, schedule.duration, samples)
     lams = schedule.coupling_matrix(ts)
-    return SectorSpectrumTable("time", ts, *_plaquette_spectra(J, lams, static), couplings=lams)
+    return SectorSpectrumTable("time", ts, *_plaquette_spectra(lams, h0), couplings=lams)
 
 
 @dataclass(frozen=True)
@@ -325,7 +316,7 @@ def _readout_of(energies: np.ndarray, vectors: np.ndarray, u: Optional[np.ndarra
 
 
 @functools.lru_cache(maxsize=64)
-def _levels(lambda0: float, J: float, static: Optional[OperatorSum]) -> tuple[np.ndarray, np.ndarray]:
+def _levels(lambda0: float, h0: Optional[OperatorSum]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only levels of the plaquette at uniform coupling lambda0, ascending, and their eigenvectors.
 
     Read from the propagator's cached check frame (`evolve._sector_frame`):
@@ -336,7 +327,7 @@ def _levels(lambda0: float, J: float, static: Optional[OperatorSum]) -> tuple[np
     overflowing or non-finite level raises FloatingPointError.  Cached:
     the rampdowns and the no-evolution readout of one lambda0 share them.
     """
-    blocks, vb = _sector_frame(*plaquette_parts(J, static))
+    blocks, vb = _sector_frame(*plaquette_parts(h0))
     with np.errstate(over="raise", invalid="raise"):
         values, vectors = np.linalg.eigh(blocks[0] + lambda0 * blocks[1:].sum(axis=0))
     if not np.isfinite(values).all():
@@ -349,30 +340,23 @@ def _levels(lambda0: float, J: float, static: Optional[OperatorSum]) -> tuple[np
 
 
 @functools.lru_cache(maxsize=64)
-def _readout(
-    lambda0: float, tau: Optional[float], J: float, tol: float, static: Optional[OperatorSum] = None
-) -> _Readout:
+def _readout(lambda0: float, tau: Optional[float], h0: Optional[OperatorSum], tol: float) -> _Readout:
     """Cached `_readout_of` the rampdown over tau (none for ``tau=None``)."""
-    energies, vectors = _levels(lambda0, J, static)
-    u = None if tau is None else schedule_unitary(*plaquette_parts(J, static), linear_rampdown(lambda0, tau), tol)
+    energies, vectors = _levels(lambda0, h0)
+    u = None if tau is None else schedule_unitary(*plaquette_parts(h0), linear_rampdown(lambda0, tau), tol)
     return _readout_of(energies, vectors, u, tol)
 
 
 def run_point(
-    T: float,
-    lambda0: float,
-    tau: float,
-    J: float = 1.0,
-    tol: float = 1e-8,
-    static: Optional[OperatorSum] = None,
+    T: float, lambda0: float, tau: float, h0: Optional[OperatorSum] = None, tol: float = 1e-8
 ) -> ErrorChannelReport:
     """Cool at the initial coupling, ramp it down, read out error classes.
 
-    The readout of each (lambda0, tau, J, tol, static) is cached, so
-    other temperatures on the same schedule reuse its propagator and
-    eigenpairs.
+    ``h0`` is the static part, as in `plaquette_parts`.  The readout of
+    each (lambda0, tau, h0, tol) is cached, so other temperatures on the
+    same schedule reuse its propagator and eigenpairs.
     """
-    return _readout(lambda0, tau, J, tol, static).report(T)
+    return _readout(lambda0, tau, h0, tol).report(T)
 
 
 def rampdown_series(
@@ -380,9 +364,8 @@ def rampdown_series(
     lambda0: float,
     tau: float,
     times,
-    J: float = 1.0,
+    h0: Optional[OperatorSum] = None,
     tol: float = 1e-8,
-    static: Optional[OperatorSum] = None,
 ) -> tuple[list[tuple[float, float, float, float, float]], ErrorChannelReport]:
     """`run_point`'s pipeline read out at each sample time of the ramp.
 
@@ -392,9 +375,9 @@ def rampdown_series(
     and w_plus and w_minus are the check-sector weights.  Each sample
     has its own (uncached) readout and readout check.
     """
-    energies, vectors = _levels(lambda0, J, static)
+    energies, vectors = _levels(lambda0, h0)
     schedule = linear_rampdown(lambda0, tau)
-    u_final, snaps = schedule_unitary(*plaquette_parts(J, static), schedule, tol, sample_times=times)
+    u_final, snaps = schedule_unitary(*plaquette_parts(h0), schedule, tol, sample_times=times)
     lams = schedule.coupling_matrix([t for t, _ in snaps])[:, 0]
     rows = []
     for (t, u), lam in zip(snaps, lams):
@@ -404,26 +387,24 @@ def rampdown_series(
     return rows, _readout_of(energies, vectors, u_final, tol).report(T)
 
 
-def no_evolution_point(
-    T: float, lambda0: float, J: float = 1.0, static: Optional[OperatorSum] = None
-) -> ErrorChannelReport:
+def no_evolution_point(T: float, lambda0: float, h0: Optional[OperatorSum] = None) -> ErrorChannelReport:
     """Error classes of the cooled state read out with no rampdown at all."""
     # with no ramp, tol only sets the readout check's tolerance
-    return _readout(lambda0, None, J, 1e-8, static).report(T)
+    return _readout(lambda0, None, h0, 1e-8).report(T)
 
 
 def threshold_temperature(
     lambda0: float,
     tau: Optional[float],
-    J: float = 1.0,
+    h0: Optional[OperatorSum] = None,
     target: float = 0.03,
     bracket: tuple[float, float] = (1e-3, 3.0),
     tol: float = 1e-8,
-    static: Optional[OperatorSum] = None,
 ) -> Optional[float]:
     """Highest temperature with total phase-flip error at the target.
 
-    ``tau=None`` evaluates the no-evolution pipeline.  The error at each
+    ``tau=None`` evaluates the no-evolution pipeline, and ``h0`` is the
+    static part, as in `plaquette_parts`.  The error at each
     temperature is read from the cached per-eigenstate errors (see
     `run_point`), so the search integrates at most one propagator.
 
@@ -439,7 +420,7 @@ def threshold_temperature(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 <= lo < hi):
         raise ValueError("bracket must satisfy 0 <= lo < hi")
-    err = _readout(lambda0, tau, J, tol, static).e_zeta
+    err = _readout(lambda0, tau, h0, tol).e_zeta
     probes = np.geomspace(max(lo, 1e-12), hi, 9)
     probes[0], probes[-1] = lo, hi
     samples = [err(float(T)) for T in probes]

@@ -9,11 +9,13 @@ Determinism contract: identical flags produce byte-identical CSVs.  Row
 order is fixed by sorting grid values, and every CSV starts with a header
 comment recording the tool version and the semantic parameter set (the
 output path and worker count are deliberately left out, so worker count
-never changes the artifact).  Each command hands `_csv_chunks` blocks of
-columns, lists of cells formatted by one rule (`_cells`): ``repr`` of a
-Python float or int, which is its shortest round-trip form, and an empty
-cell for None.  `_emit` writes the chunks as they come, so a spectrum's
-text never exists whole.
+never changes the artifact; a ``--hamiltonian`` file replaces the ring,
+so the header then records ``J=none``).  Each command builds the
+plaquette's static part H0 once (`_static_part`) and hands `_csv_chunks`
+blocks of columns, lists of cells formatted by one rule (`_cells`):
+``repr`` of a Python float or int, which is its shortest round-trip
+form, and an empty cell for None.  `_emit` writes the chunks as they
+come, so a spectrum's text never exists whole.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3
 numerical failure.
@@ -32,7 +34,8 @@ import numpy as np
 
 from . import __version__, analysis, linalg, pham
 from .evolve import linear_rampdown, sequential_switchoff
-from .models import build_chain_1d, build_lattice_2d, build_plaquette_3d, stabilizer_3d_local, stabilizers_1d
+from .models import (build_chain_1d, build_lattice_2d, build_plaquette_3d, plaquette_ring_term,
+                     stabilizer_3d_local, stabilizers_1d)
 from .pauli import OperatorSum, commutator_is_zero
 
 __all__ = ["main", "entry"]
@@ -337,7 +340,10 @@ def _fmt_value(v) -> str:
 def _header_comment(ns: SimpleNamespace) -> str:
     """The CSV's first line: the version, the command and every value of its table that can change rows."""
     opts = _COMMANDS[ns.command][0]
-    parts = [f"{opt.key}={_fmt_value(getattr(ns, opt.dest))}" for opt in opts if opt.flag not in _HEADER_EXCLUDED]
+    values = vars(ns).copy()
+    if values.get("hamiltonian") is not None:
+        values["J"] = None  # the operator file replaces the ring, so J changes no row
+    parts = [f"{opt.key}={_fmt_value(values[opt.dest])}" for opt in opts if opt.flag not in _HEADER_EXCLUDED]
     return f"# clusterprep {__version__} {ns.command} " + " ".join(parts)
 
 
@@ -376,6 +382,12 @@ def _load_operator(path: Optional[str]) -> Optional[OperatorSum]:
         return None
     with open(path) as fh:
         return pham.parse(fh.read())
+
+
+def _static_part(ns: SimpleNamespace) -> OperatorSum:
+    """The plaquette's H0 for a command: its ``--hamiltonian`` file, else the ZZ ring of bond strength ``--J``."""
+    path = getattr(ns, "hamiltonian", None)
+    return plaquette_ring_term(ns.J) if path is None else _load_operator(path)
 
 
 def _single_lambda(values: list[float], model: str) -> float:
@@ -421,18 +433,18 @@ _SPECTRUM_COLUMNS = ("lambda_or_time", "level", "energy", "sector", "gap_global"
 def _cmd_spectrum(ns: SimpleNamespace) -> int:
     if (ns.lambda_grid is None) == (ns.path is None):
         raise _UsageError("give exactly one of --lambda-grid or --path")
-    static = _load_operator(ns.hamiltonian)
+    h0 = _static_part(ns)
     if ns.lambda_grid is not None:
-        table = analysis.spectrum_scan(ns.J, ns.lambda_grid, static)
+        table = analysis.spectrum_scan(ns.lambda_grid, h0)
     elif ns.path == "rampdown":
         if ns.lambda0 is None:
             raise _UsageError("--path rampdown requires --lambda0")
-        table = analysis.spectrum_path(linear_rampdown(ns.lambda0, ns.tau), ns.J, ns.samples, static)
+        table = analysis.spectrum_path(linear_rampdown(ns.lambda0, ns.tau), h0, ns.samples)
     else:
         if ns.lambda_init is None:
             raise _UsageError("--path sequential requires --lambda-init")
         schedule = sequential_switchoff(ns.lambda_init, ns.tau_each, ns.order)
-        table = analysis.spectrum_path(schedule, ns.J, ns.samples, static)
+        table = analysis.spectrum_path(schedule, h0, ns.samples)
     _emit(ns.output, _csv_chunks(ns, _SPECTRUM_COLUMNS, _spectrum_blocks(table)))
     return 0
 
@@ -461,9 +473,8 @@ _EVOLVE_COLUMNS = ("t", "lambda", "fidelity", "w_plus", "w_minus")
 
 
 def _cmd_evolve(ns: SimpleNamespace) -> int:
-    static = _load_operator(ns.hamiltonian)
     ts = np.linspace(0.0, ns.tau, ns.samples)
-    rows, report = analysis.rampdown_series(ns.T, ns.lambda0, ns.tau, ts, ns.J, ns.tol, static)
+    rows, report = analysis.rampdown_series(ns.T, ns.lambda0, ns.tau, ts, _static_part(ns), ns.tol)
     _emit(ns.output, _csv_chunks(ns, _EVOLVE_COLUMNS, [map(_cells, zip(*rows))]))
     prefix = "# " if ns.output is None else ""
     for key in ("fidelity", "p_z", "p_c1", "p_c2", "w_minus", "e_zeta"):
@@ -472,10 +483,10 @@ def _cmd_evolve(ns: SimpleNamespace) -> int:
 
 
 def _sweep_group(task) -> list[tuple]:
-    tau, lam0, temps, J, tol = task
+    tau, lam0, temps, h0, tol = task
     rows = []
     for T in temps:
-        r = analysis.run_point(T, lam0, tau, J, tol)
+        r = analysis.run_point(T, lam0, tau, h0, tol)
         rows.append((tau, lam0, T, r.fidelity, r.p_z, r.p_c1, r.p_c2, r.w_minus, r.e_zeta))
     return rows
 
@@ -586,7 +597,8 @@ def _cmd_sweep(ns: SimpleNamespace) -> int:
         raise _UsageError(f"grid has {size} points, above the cap of {ns.cap}")
     if ns.workers > 1 and not hasattr(os, "fork"):
         raise _UsageError("--workers above 1 needs os.fork, which this platform lacks")
-    groups = [(tau, lam0, tuple(temps), ns.J, ns.tol) for tau in taus for lam0 in lam0s]
+    h0 = _static_part(ns)
+    groups = [(tau, lam0, tuple(temps), h0, ns.tol) for tau in taus for lam0 in lam0s]
     # this process is one of the workers: fork no more children than there are other groups
     results = _run_groups(groups, min(ns.workers, len(groups)))
     rows = [row for group_rows in results for row in group_rows]
@@ -600,12 +612,11 @@ def _cmd_phase_diagram(ns: SimpleNamespace) -> int:
     names = ("tau", "lambda0", "T_star")
     if ns.no_evolution:
         names = names + ("T_star_no_evolution",)
+    h0 = _static_part(ns)
 
     def threshold(lam0: float, tau: Optional[float], what: str):
         try:
-            t_star = analysis.threshold_temperature(
-                lam0, tau, ns.J, ns.target, ns.T_bracket, ns.tol
-            )
+            t_star = analysis.threshold_temperature(lam0, tau, h0, ns.target, ns.T_bracket, ns.tol)
         except analysis.ThresholdBracketError:
             t_star = None
         if t_star is None:

@@ -68,10 +68,10 @@ def test_acceptance_01_conserved_checks_commute_exactly():
 def test_acceptance_02_plaquette_gap_matches_closed_form():
     t0 = time.perf_counter()
     grid = np.linspace(0.0, 2.5, 50)
-    table = spectrum_scan(1.0, grid)
+    table = spectrum_scan(grid)
     for lam, gap in zip(grid, table.gap_global):
         assert abs(gap - gap_closed_form("3d", 1.0, float(lam))) <= 1e-10
-    spots = spectrum_scan(1.0, [0.0, 1.0])
+    spots = spectrum_scan([0.0, 1.0])
     assert abs(spots.gap_global[0] - 0.0) <= 1e-12
     assert abs(spots.gap_global[1] - 0.397825) <= 1e-6
     _report(2, "global plaquette gap matches its closed form to 1e-10", t0, 1.0)
@@ -79,7 +79,7 @@ def test_acceptance_02_plaquette_gap_matches_closed_form():
 
 def test_acceptance_03_sector_gap_dominates_global_gap():
     t0 = time.perf_counter()
-    table = spectrum_scan(1.0, np.linspace(0.0, 2.5, 50))
+    table = spectrum_scan(np.linspace(0.0, 2.5, 50))
     assert abs(table.gap_sector[0] - 4.0) <= 1e-12
     assert np.all(table.gap_sector >= table.gap_global - 1e-12)
     _report(3, "check-sector gap stays at or above the global gap", t0, 2.0)
@@ -102,7 +102,7 @@ def test_acceptance_04_chain_sector_gap_approaches_closed_form():
 
 def test_acceptance_05_propagation_matches_oracles_and_conserves():
     t0 = time.perf_counter()
-    h0, parts = plaquette_parts(1.0)
+    h0, parts = plaquette_parts()
     hamiltonian = lambda lam: build_plaquette_3d(1.0, lam)[1]
 
     # constant coupling against the eigendecomposition exponential
@@ -164,7 +164,7 @@ def test_acceptance_08_temperature_sensitivity_of_the_error_channel():
 
 def test_acceptance_09_staged_switchoff_never_closes_the_sector_gap():
     t0 = time.perf_counter()
-    scan = spectrum_scan(1.0, [2.0, 0.0])
+    scan = spectrum_scan([2.0, 0.0])
     for order in ((1, 2, 3, 4), (1, 3, 2, 4)):
         table = spectrum_path(sequential_switchoff(2.0, 1.0, order), samples=201)
         assert table.min_gap_sector() > 0.0

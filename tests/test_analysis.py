@@ -22,7 +22,6 @@ from clusterprep.analysis import (
     _readout_of,
     chain_sector_gap,
     no_evolution_point,
-    plaquette_hamiltonian,
     plaquette_parts,
     rampdown_series,
     run_point,
@@ -34,7 +33,14 @@ from clusterprep.analysis import (
 )
 from clusterprep.evolve import Schedule, linear_rampdown, schedule_unitary, sequential_switchoff
 from clusterprep.linalg import ConvergenceError
-from clusterprep.models import build_chain_1d, plaquette_ring_term, stabilizer_3d_local, stabilizers_1d
+from clusterprep.models import (
+    build_chain_1d,
+    build_plaquette_3d,
+    plaquette_field_term,
+    plaquette_ring_term,
+    stabilizer_3d_local,
+    stabilizers_1d,
+)
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
 from oracles import gibbs_matrix, ground_resolvent_b, tomography_weights
 
@@ -51,6 +57,11 @@ def ghz_states() -> tuple[np.ndarray, np.ndarray]:
     plus[0] = plus[15] = minus[0] = 1.0 / np.sqrt(2.0)
     minus[15] = -1.0 / np.sqrt(2.0)
     return plus, minus
+
+
+def plaquette(lam, h0=None) -> OperatorSum:
+    """The plaquette at couplings ``lam``: the unit ring (``h0=None``) or ``h0``, plus the fields."""
+    return build_plaquette_3d(1.0, lam)[1] if h0 is None else h0 + plaquette_field_term(lam)
 
 
 def sector_projectors() -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +144,9 @@ def test_tomography_rejects_wrong_dimension():
     # the readout is four-spin only: a static part on three spins is refused before any work
     narrow = OperatorSum(3, [(1.0, PauliString.from_label("ZZI"))])
     with pytest.raises(ValueError, match="four spins"):
-        no_evolution_point(0.5, 1.0, static=narrow)
+        no_evolution_point(0.5, 1.0, h0=narrow)
     with pytest.raises(ValueError, match="four spins"):
-        rampdown_series(0.5, 1.0, 0.5, [0.0, 0.5], static=narrow)
+        rampdown_series(0.5, 1.0, 0.5, [0.0, 0.5], h0=narrow)
 
 
 def test_tomography_negative_weight_is_a_numerical_failure():
@@ -168,7 +179,7 @@ def test_sector_projectors_resolve_identity():
 # ---------------------------------------------------------------- spectra
 
 def test_spectrum_scan_at_zero_coupling():
-    table = spectrum_scan(1.0, [0.0])
+    table = spectrum_scan([0.0])
     values = table.energies[0]
     assert np.sum(np.abs(values + 4.0) < 1e-9) == 2
     assert np.sum(np.abs(values) < 1e-9) == 12
@@ -185,13 +196,13 @@ def test_spectrum_scan_at_zero_coupling():
 def test_sector_labels_follow_energy_order_near_zero_coupling(lam):
     # the two lowest levels are split by less than 1e-8 here, the lower
     # one in the + sector; each sector's levels must match scipy there
-    h = to_dense(plaquette_hamiltonian(1.0, lam))
+    h = to_dense(plaquette(lam))
     reference = {}
     for sector, projector in zip((1, -1), sector_projectors()):
         cols = scipy.linalg.orth(projector)
         reference[sector] = scipy.linalg.eigvalsh(cols.T @ h @ cols)
     assert reference[1][0] < reference[-1][0]
-    table = spectrum_scan(1.0, [lam])
+    table = spectrum_scan([lam])
     energies, sectors = table.energies[0], table.sectors[0]
     assert sectors[0] == 1
     for sector in (1, -1):
@@ -200,14 +211,14 @@ def test_sector_labels_follow_energy_order_near_zero_coupling(lam):
 
 
 def test_spectrum_of_a_check_breaking_static_part_is_rejected():
-    static = plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
+    h0 = plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
     with pytest.raises(ValueError, match="mixed check sector"):
-        spectrum_scan(1.0, [0.5], static=static)
+        spectrum_scan([0.5], h0)
 
 
 def test_spectrum_scan_gap_columns():
     grid = np.linspace(0.0, 2.5, 11)
-    table = spectrum_scan(1.0, grid)
+    table = spectrum_scan(grid)
     assert table.n_points == 11 and table.n_levels == 16
     np.testing.assert_allclose(table.gap_global, table.energies[:, 1] - table.energies[:, 0], atol=0)
     assert np.all(table.gap_sector >= table.gap_global - 1e-12)
@@ -216,9 +227,9 @@ def test_spectrum_scan_gap_columns():
 
 def test_spectrum_scan_validation():
     with pytest.raises(ValueError, match="empty"):
-        spectrum_scan(1.0, [])
+        spectrum_scan([])
     with pytest.raises(ValueError, match=">= 0"):
-        spectrum_scan(1.0, [-0.5])
+        spectrum_scan([-0.5])
 
 
 def test_spectrum_path_endpoints_match_scan():
@@ -227,7 +238,7 @@ def test_spectrum_path_endpoints_match_scan():
     assert table.couplings.shape == (5, 4)
     np.testing.assert_array_equal(table.couplings[0], np.full(4, 2.0))
     np.testing.assert_array_equal(table.couplings[-1], np.zeros(4))
-    scan = spectrum_scan(1.0, [2.0, 0.0])
+    scan = spectrum_scan([2.0, 0.0])
     assert np.abs(table.energies[0] - scan.energies[0]).max() == 0.0
     assert np.abs(table.energies[-1] - scan.energies[1]).max() == 0.0
 
@@ -239,7 +250,7 @@ def test_spectrum_path_rows_match_scipy_per_sector():
     projectors = dict(zip((1, -1), sector_projectors()))
     for lams, energies, sectors in zip(table.couplings, table.energies, table.sectors):
         assert len(set(lams.tolist())) == 4
-        h = to_dense(plaquette_hamiltonian(1.0, lams))
+        h = to_dense(plaquette(lams))
         for sector, projector in projectors.items():
             cols = scipy.linalg.orth(projector)
             reference = scipy.linalg.eigvalsh(cols.T @ h @ cols)
@@ -267,24 +278,36 @@ def test_spectrum_path_needs_four_coupling_columns():
 
 
 def test_plaquette_hamiltonian_static_replacement():
-    default = plaquette_hamiltonian(1.0, 0.7)
-    replaced = plaquette_hamiltonian(1.0, 0.7, static=plaquette_ring_term(1.0))
-    assert default == replaced
+    # H0 is the unit ring by default; the ring passed as h0 gives the same parts
+    assert plaquette_parts() == plaquette_parts(plaquette_ring_term(1.0))
+    assert plaquette_parts()[0] + plaquette_field_term(0.7) == build_plaquette_3d(1.0, 0.7)[1]
+    # a static part off four spins, or a bond strength where h0 now stands, fails loudly
     narrow = OperatorSum(3, [(1.0, PauliString.from_label("ZZI"))])
-    with pytest.raises(ValueError, match="four spins"):
-        plaquette_hamiltonian(1.0, 0.7, static=narrow)
+    calls = (
+        plaquette_parts,
+        lambda h0: spectrum_scan([0.5], h0),
+        lambda h0: spectrum_path(linear_rampdown(1.0, 1.0), h0),
+        lambda h0: run_point(0.5, 1.0, 0.5, h0),
+        lambda h0: rampdown_series(0.5, 1.0, 0.5, [0.5], h0),
+        lambda h0: no_evolution_point(0.5, 1.0, h0),
+        lambda h0: threshold_temperature(1.0, 0.5, h0),
+    )
+    for bad in (narrow, 1.0):
+        for call in calls:
+            with pytest.raises(ValueError, match="four spins"):
+                call(bad)
 
 
 @pytest.mark.parametrize(
     "static", [None, plaquette_ring_term(0.8) + OperatorSum(4, [(0.3, PauliString.from_label("XXXX"))])]
 )
 def test_plaquette_parts_rebuild_the_hamiltonian(static):
-    h0, parts = plaquette_parts(1.3, static)
-    assert h0 == plaquette_hamiltonian(1.3, 0.0, static)
+    h0, parts = plaquette_parts(static)
+    assert h0 == plaquette(0.0, static)
     assert len(parts) == 4
     for lam in ([0.0, 0.0, 0.0, 0.0], [0.37, 1.21, 0.53, 0.89], [2.5, 2.5, 2.5, 2.5]):
         affine = to_dense(h0) + sum(c * to_dense(p) for c, p in zip(lam, parts))
-        assert np.abs(affine - to_dense(plaquette_hamiltonian(1.3, lam, static))).max() <= 1e-14
+        assert np.abs(affine - to_dense(plaquette(lam, static))).max() <= 1e-14
 
 
 # ------------------------------------------------------------- pipelines
@@ -294,7 +317,7 @@ def test_no_evolution_point_cold_limit():
     assert report.fidelity == pytest.approx(0.2771686062749825, abs=1e-9)
     assert report.e_zeta == pytest.approx(0.6452783552206455, abs=1e-9)
     plus, _ = ghz_states()
-    ground = np.linalg.eigh(to_dense(plaquette_hamiltonian(1.0, 2.5)))[1][:, 0]
+    ground = np.linalg.eigh(to_dense(plaquette(2.5)))[1][:, 0]
     overlap = abs(plus.conj() @ ground) ** 2
     # channel fidelity of the unevolved ground state is its plain overlap
     assert report.fidelity == pytest.approx(overlap, abs=1e-10)
@@ -319,7 +342,7 @@ def test_rampdown_propagator_cache_is_bounded_and_read_only():
     hits = _readout.cache_info().hits
     run_point(0.55, 1.3, 0.4, tol=1e-6)  # another temperature, same schedule
     assert _readout.cache_info().hits == hits + 1
-    readout = _readout(1.3, 0.4, 1.0, 1e-6, None)
+    readout = _readout(1.3, 0.4, None, 1e-6)
     assert _readout.cache_info().hits == hits + 2
     for array in (readout.energies, readout.W, readout.e):
         with pytest.raises(ValueError, match="read-only"):
@@ -345,9 +368,9 @@ def assert_same_report(report, oracle, atol):
 @pytest.mark.parametrize("tau", [None, 2.0, 10.0])
 @pytest.mark.parametrize("lambda0", [0.3, 2.5])
 def test_readout_matches_the_density_matrix_path(lambda0, tau):
-    h = plaquette_hamiltonian(1.0, lambda0)
-    u = np.eye(16) if tau is None else schedule_unitary(*plaquette_parts(1.0), linear_rampdown(lambda0, tau), 1e-8)
-    readout = _readout(lambda0, tau, 1.0, 1e-8, None)
+    h = plaquette(lambda0)
+    u = np.eye(16) if tau is None else schedule_unitary(*plaquette_parts(), linear_rampdown(lambda0, tau), 1e-8)
+    readout = _readout(lambda0, tau, None, 1e-8)
     for T in (0.0, 1e-3, 0.37, 3.0):
         rho = gibbs_matrix(to_dense(h), T)
         oracle = tomography(u @ rho @ u.conj().T)
@@ -357,7 +380,7 @@ def test_readout_matches_the_density_matrix_path(lambda0, tau):
 
 
 def test_readout_keeps_the_degenerate_ground_space_at_zero_temperature():
-    h = plaquette_hamiltonian(1.0, 1e-3)
+    h = plaquette(1e-3)
     levels = np.linalg.eigvalsh(to_dense(h))
     assert levels[1] - levels[0] <= 1e-9  # the T = 0 state mixes a degenerate ground space
     assert_same_report(no_evolution_point(0.0, 1e-3), tomography(gibbs_matrix(to_dense(h), 0.0)), 1e-12)
@@ -374,10 +397,10 @@ def test_readout_keeps_the_degenerate_ground_space_at_zero_temperature():
 )
 def test_frame_levels_match_the_dense_spectrum(static, block_shape):
     lambda0, tau, tol = 1.7, 2.0, 1e-8
-    parts = plaquette_parts(1.0, static)
+    parts = plaquette_parts(static)
     assert evolve._sector_frame(*parts)[0].shape[1:] == block_shape
-    energies, vectors = analysis._levels(lambda0, 1.0, static)
-    values, dense = np.linalg.eigh(to_dense(plaquette_hamiltonian(1.0, lambda0, static)))
+    energies, vectors = analysis._levels(lambda0, static)
+    values, dense = np.linalg.eigh(to_dense(plaquette(lambda0, static)))
     assert np.abs(energies - values).max() <= 1e-13
     u = schedule_unitary(*parts, linear_rampdown(lambda0, tau), tol)
     for evolved in (None, u):
@@ -396,16 +419,16 @@ def test_frame_levels_refuse_non_finite_levels():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="levels are not finite"):
-            analysis._levels(1e308, 1.0, None)
+            analysis._levels(1e308, None)
 
 
 def test_readout_builds_no_operator_of_its_own(monkeypatch):
     # the levels come from the propagator's cached frame: a cold readout
     # builds no Hamiltonian and densifies nothing
-    plaquette_parts(1.0)
-    for name in ("to_dense", "plaquette_hamiltonian", "build_plaquette_3d"):
+    plaquette_parts()
+    for name in ("to_dense", "plaquette_ring_term", "plaquette_field_term"):
         monkeypatch.setattr(analysis, name, lambda *args, name=name: pytest.fail(f"{name} called"))
-    assert _readout.__wrapped__(1.3, 0.4, 1.0, 1e-6, None).W.shape == (16, 16)
+    assert _readout.__wrapped__(1.3, 0.4, None, 1e-6).W.shape == (16, 16)
 
 
 @pytest.mark.parametrize("tau", [2.0, 10.0])
@@ -430,7 +453,7 @@ def test_rampdown_infidelity_lies_in_the_adiabatic_bracket(lambda0, tau):
     # no slack every point lies inside; the closest, lambda0 = 2.5 at tau = 40, by 0.016
     values, vectors = np.linalg.eigh(to_dense(stabilizer_3d_local()))
     plus = vectors[:, values > 0]
-    h0, parts = plaquette_parts(1.0)
+    h0, parts = plaquette_parts()
     h0, h1 = (plus.T @ to_dense(op) @ plus for op in (h0, sum(parts[1:], parts[0])))
     (b0, g0), (b1, g1) = (ground_resolvent_b(h0 + lam * h1, h1) for lam in (0.0, lambda0))
     slack = 2.0 * sum((lambda0 * np.linalg.norm(h1, 2) / g**2) ** 2 for g in (g0, g1)) / tau
@@ -448,12 +471,12 @@ def fresh_readouts():
 def test_non_unitary_propagator_fails_the_readout_check(monkeypatch, fresh_readouts):
     monkeypatch.setattr(analysis, "schedule_unitary", lambda *args: 2.0 * np.eye(16, dtype=complex))
     with pytest.raises(NumericalCheckError, match="evolved state failed its check"):
-        _readout(1.3, 0.4, 1.0, 1e-6, None)
+        _readout(1.3, 0.4, None, 1e-6)
 
 
 def test_no_evolution_static_ring_matches_default():
     a = no_evolution_point(0.4, 1.2)
-    b = no_evolution_point(0.4, 1.2, static=plaquette_ring_term(1.0))
+    b = no_evolution_point(0.4, 1.2, h0=plaquette_ring_term(1.0))
     assert a == b
 
 
@@ -473,6 +496,32 @@ def test_threshold_of_unevolved_state():
     t_star = threshold_temperature(0.3, tau=None)
     assert t_star == pytest.approx(0.0020237417569151147, abs=1e-6)
     assert abs(no_evolution_point(t_star, 0.3).e_zeta - 0.03) <= 1e-4
+
+
+def sector_bound_temperature(lambda0: float, target: float = 0.03) -> float:
+    """T_b with 0.25 w_minus(T_b) = target, w_minus the cooled state's minus-sector weight."""
+    excess = lambda T: 0.25 * no_evolution_point(T, lambda0).w_minus - target
+    lo, hi = 1e-4, 100.0
+    assert excess(lo) < 0.0 < excess(hi)
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_threshold_is_bounded_by_the_conserved_sector_weight():
+    # every minus-sector basis state has e_zeta >= 0.25 and the ramp keeps each
+    # sector's weight, so e_zeta(T) >= 0.25 w_minus(T) and T_star <= T_b at every
+    # tau; T_b needs no integrator (measured: largest T_star / T_b 0.99999)
+    ratios = {}
+    for lambda0 in (0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+        t_bound = sector_bound_temperature(lambda0)
+        for tau in (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0):
+            t_star = threshold_temperature(lambda0, tau)
+            if t_star is not None:
+                ratios[lambda0, tau] = t_star / t_bound
+    assert len(ratios) == 41  # short strong-coupling ramps have no threshold in the bracket
+    assert max(ratios.values()) <= 1.0 + 1e-8
 
 
 def test_threshold_below_bracket_returns_none():

@@ -260,11 +260,13 @@ def test_spectrum_static_replacement_matches_builtin(tmp_path):
     ring = tmp_path / "ring.pham"
     ring.write_text(pham.serialize(plaquette_ring_term(1.0)))
     _, base, _ = run_cli("spectrum", "--lambda-grid", "0:1.5:4")
-    _, swapped, _ = run_cli(
-        "spectrum", "--lambda-grid", "0:1.5:4", "--hamiltonian", str(ring)
-    )
+    swapped, bond5 = (run_cli("spectrum", "--lambda-grid", "0:1.5:4", "--hamiltonian", str(ring), "--J", J)[1]
+                      for J in ("1", "5"))
     # identical rows; only the header comment records the different flags
     assert base.splitlines()[1:] == swapped.splitlines()[1:]
+    # the file replaces the ring, so --J changes no byte and the header records J=none
+    assert bond5 == swapped
+    assert " J=none " in swapped.splitlines()[0] and " J=1.0 " in base.splitlines()[0]
 
 
 def test_spectrum_of_a_check_breaking_operator_file_is_usage_error(tmp_path):
@@ -313,8 +315,10 @@ def test_evolve_static_replacement_matches_builtin(tmp_path):
     ring = tmp_path / "ring.pham"
     ring.write_text(pham.serialize(plaquette_ring_term(1.0)))
     _, base, _ = run_cli("evolve", *EVOLVE_ARGS)
-    _, swapped, _ = run_cli("evolve", *EVOLVE_ARGS, "--hamiltonian", str(ring))
+    swapped, bond5 = (run_cli("evolve", *EVOLVE_ARGS, "--hamiltonian", str(ring), "--J", J)[1] for J in ("1", "5"))
     assert base.splitlines()[1:] == swapped.splitlines()[1:]
+    assert bond5 == swapped
+    assert " J=none " in swapped.splitlines()[0]
 
 
 # ------------------------------------------------------------------- sweep
@@ -604,14 +608,14 @@ def sweep_rows():
     # the SWEEP_ARGS grid in sorted order
     for tau in (0.5, 1.0):
         for T in (0.1, 0.5):
-            r = analysis.run_point(T, 1.0, tau, 1.0, 1e-6)
+            r = analysis.run_point(T, 1.0, tau, None, 1e-6)
             channel = (r.fidelity, r.p_z, r.p_c1, r.p_c2, r.w_minus, r.e_zeta)
             yield (tau, 1.0, T, *map(float, channel))
 
 
 def phase_rows():
     def t_star(tau):
-        t = analysis.threshold_temperature(2.5, tau, 1.0, 0.03, (1e-3, 3.0), 1e-8)
+        t = analysis.threshold_temperature(2.5, tau, None, 0.03, (1e-3, 3.0), 1e-8)
         return None if t is None else float(t)
 
     unevolved = t_star(None)
@@ -621,7 +625,7 @@ def phase_rows():
 
 def evolve_rows():
     # the EVOLVE_ARGS run
-    rows, _ = analysis.rampdown_series(0.5, 1.0, 0.5, np.linspace(0.0, 0.5, 3), 1.0, 1e-6)
+    rows, _ = analysis.rampdown_series(0.5, 1.0, 0.5, np.linspace(0.0, 0.5, 3), None, 1e-6)
     for row in rows:
         yield tuple(map(float, row))
 
@@ -629,12 +633,12 @@ def evolve_rows():
 SPECTRUM = "lambda_or_time,level,energy,sector,gap_global,gap_sector"
 BYTE_CASES = {
     "grid": (("spectrum", "--lambda-grid", "0:2.5:41"), SPECTRUM,
-             lambda: spectrum_rows(analysis.spectrum_scan(1.0, np.linspace(0.0, 2.5, 41)))),
+             lambda: spectrum_rows(analysis.spectrum_scan(np.linspace(0.0, 2.5, 41)))),
     "sequential": (("spectrum", "--path", "sequential", "--lambda-init", "2", "--order", "3,1,4,2", "--samples", "33"),
                    SPECTRUM,
-                   lambda: spectrum_rows(analysis.spectrum_path(sequential_switchoff(2.0, 1.0, (3, 1, 4, 2)), 1.0, 33))),
+                   lambda: spectrum_rows(analysis.spectrum_path(sequential_switchoff(2.0, 1.0, (3, 1, 4, 2)), None, 33))),
     "rampdown": (("spectrum", "--path", "rampdown", "--lambda0", "2.5", "--samples", "21"), SPECTRUM,
-                 lambda: spectrum_rows(analysis.spectrum_path(linear_rampdown(2.5, 1.0), 1.0, 21))),
+                 lambda: spectrum_rows(analysis.spectrum_path(linear_rampdown(2.5, 1.0), None, 21))),
     "sweep": (("sweep", *SWEEP_ARGS), "tau,lambda0,T,fidelity,p_z,p_c1,p_c2,w_minus,e_zeta", sweep_rows),
     "phase-diagram": (("phase-diagram", "--lambda0-grid", "2.5", "--tau", "5", "--no-evolution"),
                       "tau,lambda0,T_star,T_star_no_evolution", phase_rows),
@@ -682,7 +686,7 @@ def test_phase_diagram_diagonalizes_once_per_lambda0(monkeypatch, fresh_readouts
     assert code == 0 and len(data_lines(out)) == 4
     assert calls == [(2, 8, 8)] * 2
     assert analysis._levels.cache_info().maxsize == 64
-    for array in analysis._levels(1.5, 1.0, None):
+    for array in analysis._levels(1.5, plaquette_ring_term(1.0)):
         assert not array.flags.writeable
     analysis._levels.cache_clear()
 

@@ -17,7 +17,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from clusterprep import analysis, cli, evolve
-from clusterprep.analysis import no_evolution_point, plaquette_hamiltonian, plaquette_parts, rampdown_series
+from clusterprep.analysis import no_evolution_point, plaquette_parts, rampdown_series
 from clusterprep.evolve import (
     Schedule,
     linear_rampdown,
@@ -36,7 +36,7 @@ from clusterprep.pauli import OperatorSum, PauliString, check_basis, check_block
 from oracles import expm_scaled, gibbs_matrix, taylor_plan
 
 
-PLAQUETTE = plaquette_parts(1.0)
+PLAQUETTE = plaquette_parts()
 
 
 def thermal_input(lam0: float, T: float, J=1.0) -> np.ndarray:
@@ -327,10 +327,10 @@ def test_plaquette_builder_conserves_exactly_the_xxxx_check():
 
 def test_check_breaking_static_part_runs_as_one_block_and_matches_dop853():
     static = plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
-    h0, parts = plaquette_parts(1.0, static)
+    h0, parts = plaquette_parts(static)
     assert conserved_checks([h0, *parts]) == []
     ts = [0.0, 0.5, 1.0]
-    model = lambda lam: plaquette_hamiltonian(1.0, lam, static)
+    model = lambda lam: static + plaquette_field_term(lam)
     ref = dop853_propagator(lambda t: np.full(4, 2.0 * (1.0 - t)), ts, model=model)
     u_final, snaps = schedule_unitary(h0, parts, linear_rampdown(2.0, 1.0), tol=1e-8, sample_times=ts)
     for (_, u), u_ref in zip(snaps, ref):
@@ -407,7 +407,7 @@ def test_propagators_are_never_views_of_the_taylor_workspace(monkeypatch):
     kept = [x.tobytes() for x in (u, *(s for _, s in snaps))]
     # a check-breaking static part runs as one 16x16 block: a workspace of another shape
     static = plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
-    later = schedule_unitary(*plaquette_parts(1.0, static), linear_rampdown(2.0, 1.0), tol=1e-8)
+    later = schedule_unitary(*plaquette_parts(static), linear_rampdown(2.0, 1.0), tol=1e-8)
     assert len({w.shape for w in workspaces}) == 2
     for x in (u, later, *(s for _, s in snaps)):
         assert not any(np.shares_memory(x, w) for w in workspaces)
@@ -428,7 +428,7 @@ def test_tabled_taylor_plan_matches_the_degree_loop():
 
 
 def test_commuting_static_part_runs_as_one_by_one_blocks():
-    h0, parts = plaquette_parts(1.0, OperatorSum(4, [(1.0, PauliString.from_label("XIII"))]))
+    h0, parts = plaquette_parts(OperatorSum(4, [(1.0, PauliString.from_label("XIII"))]))
     checks = conserved_checks([h0, *parts])
     assert [c.letters for c in checks] == ["XIII", "IXII", "IIXI", "IIIX"]
     blocks, vb = evolve._sector_frame(h0, parts)
@@ -445,7 +445,7 @@ def test_sector_frame_is_built_once_per_parts(monkeypatch):
     monkeypatch.setattr(evolve, "check_basis", lambda n, checks: builds.append("basis") or check_basis(n, checks))
     evolve._sector_frame.cache_clear()
     for lam0, tau in ((1.5, 2.0), (2.5, 5.0)):
-        h0, parts = plaquette_parts.__wrapped__(1.0)  # fresh operators, equal to the last ones
+        h0, parts = plaquette_parts.__wrapped__()  # fresh operators, equal to the last ones
         schedule_unitary(h0, parts, linear_rampdown(lam0, tau), tol=1e-6)
     info = evolve._sector_frame.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 1, 16)
@@ -508,7 +508,7 @@ def test_step_budget_stops_before_a_pass_would_exceed_it(monkeypatch):
 def test_enormous_generator_is_refused_by_the_step_budget():
     # a constant schedule has no Magnus bracket to overflow; the start step
     # stops halving at the budget, so the step count never reaches infinity
-    h0, parts = plaquette_parts(1.0, OperatorSum(4, [(1e300, PauliString.from_label("ZZZZ"))]))
+    h0, parts = plaquette_parts(OperatorSum(4, [(1e300, PauliString.from_label("ZZZZ"))]))
     with pytest.raises(ConvergenceError, match="within 262144 steps"):
         schedule_unitary(h0, parts, Schedule((0.0, 1e10), ((1.0,) * 4, (1.0,) * 4)))
 

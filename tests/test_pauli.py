@@ -382,7 +382,7 @@ def basis_cases():
         for n_terms in (0, 1, 2, n, 2 * n, 4 * n):
             terms = [(rng.normal(), PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))) for _ in range(n_terms)]
             yield [OperatorSum(n, terms[::2]), OperatorSum(n, terms[1::2])], None
-    h0, parts = plaquette_parts(1.0)
+    h0, parts = plaquette_parts()
     yield [h0, *parts], None
     for N in (3, 4):
         yield [chain_checks(N, 0.3)[0]], None
