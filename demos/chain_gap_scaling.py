@@ -1,9 +1,10 @@
 """Protected gap of the pair chain as the chain grows.
 
-The chain Hamiltonian conserves one four-body check per cell. Fixing
-every check to +1 symbolically (exact qubit tapering) leaves an N-qubit
-operator, so the sector has dimension 2^N rather than the 2^(2N) of
-the full chain. Its two lowest levels come from a dense solve, and
+The chain Hamiltonian conserves one four-body check per cell. In the
+exact Clifford frame where each check is one Z, the sector with every
+check at +1 is one block of dimension 2^N rather than the 2^(2N) of the
+full chain, and only that block is built. Its two lowest levels come
+from a dense solve, and
 their splitting approaches the single-cell value 2J - 4*lam as N grows.
 N = 3..10 runs in well under a second.
 """

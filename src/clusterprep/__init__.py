@@ -10,7 +10,7 @@ exponentials), and the sector-resolved spectrum and per-eigenstate
 error-channel readout used to size temperature thresholds.
 """
 
-from .pauli import OperatorSum, PauliString, commutator_terms, commutes, multiply, taper, to_dense
+from .pauli import OperatorSum, PauliString, commutator_terms, commutes, multiply, to_dense
 from .pham import OperatorDocument, PhamError, parse, parse_document, serialize
 from .linalg import ConvergenceError, NumericalCheckError
 from .models import (
@@ -48,7 +48,6 @@ __all__ = [
     "multiply",
     "commutes",
     "commutator_terms",
-    "taper",
     "to_dense",
     "PhamError",
     "OperatorDocument",

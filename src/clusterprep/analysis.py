@@ -16,10 +16,10 @@ initial coupling, and every basis weight is linear in the state.  So
 each (lambda0, tau) pipeline is read out once: the weight of every
 evolved eigenstate on every basis state, and its error, are cached, and
 the report or the error at any temperature is a weighted sum of them.
-The levels and eigenstates at the initial coupling come from the
-propagator's cached check frame (`evolve._sector_frame`): its sector
-blocks are diagonalized at lambda0 and the frame's basis takes the
-eigenvectors back, so a readout builds no operator of its own.
+The levels and eigenstates at the initial coupling, like the spectra,
+come from the propagator's cached sector blocks (`evolve._sector_blocks`),
+diagonalized at lambda0; the frame's basis (`evolve._sector_basis`) takes
+the eigenvectors back, so a readout builds no operator of its own.
 `run_point`, `no_evolution_point` and `threshold_temperature` all read
 from that cache, and `rampdown_series` reads each sample time of one
 ramp the same way.
@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import ConvergenceError, NumericalCheckError
-from .evolve import Schedule, _sector_frame, linear_rampdown, schedule_unitary
+from .evolve import Schedule, _sector_basis, _sector_blocks, linear_rampdown, schedule_unitary
 from .models import (
     build_chain_1d,
     plaquette_field_term,
@@ -43,7 +43,7 @@ from .models import (
     stabilizer_3d_local,
     stabilizers_1d,
 )
-from .pauli import OperatorSum, check_blocks, taper, to_dense
+from .pauli import OperatorSum, check_blocks
 from .thermal import thermal_weights
 
 __all__ = [
@@ -217,30 +217,34 @@ def _plaquette_spectra(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Levels, sector labels and gaps at each row of per-spin couplings.
 
-    Both XXXX check sectors of every row (`pauli.check_blocks`; an
-    ``h0`` that breaks the check raises ValueError) are
-    diagonalized in one batched ``eigvalsh`` over (rows, 2, 8, 8) blocks,
-    - sector first, and each row's levels are merged by energy, the -
-    sector first on exact ties.
+    The propagator's cached sector blocks (`evolve._sector_blocks`) are
+    each labeled by the sign that the XXXX check takes on them; an
+    ``h0`` on whose blocks XXXX is not a sign raises ValueError.  Every
+    block of every row is diagonalized in one batched ``eigvalsh``, the
+    - sector's blocks first, and each row's levels are merged by energy,
+    the - sector first on exact ties.
     """
     if np.any(couplings < 0) or not np.all(np.isfinite(couplings)):
         raise ValueError("couplings must be finite and >= 0")
-    h0, fields = plaquette_parts(h0)
-    try:
-        parts = check_blocks([h0, *fields], [stabilizer_3d_local().terms[0][1]])[:, ::-1]
-    except ValueError as exc:
-        raise ValueError(f"Hamiltonian has mixed check sector: {exc}") from exc
+    checks, blocks = _sector_blocks(*plaquette_parts(h0))
+    # the fields X_mu make every conserved check an X string, so XXXX commutes with them all
+    xxxx = check_blocks([stabilizer_3d_local()], checks)[0]
+    labels = xxxx[:, 0, 0]
+    if not np.array_equal(xxxx, labels[:, None, None] * np.eye(xxxx.shape[-1])):
+        raise ValueError("Hamiltonian has mixed check sector: XXXX is not a sign on its conserved check sectors")
+    by_label = np.argsort(labels, kind="stable")
+    parts = blocks[:, by_label]
     with np.errstate(over="raise", invalid="raise"):  # an overflowing coupling product is a numerical failure
         h = np.repeat(parts[0][None], couplings.shape[0], axis=0)
-        for mu in range(4):
-            h += couplings[:, mu, None, None, None] * parts[1 + mu]
-        values = np.linalg.eigvalsh(h).reshape(couplings.shape[0], 16)
+        for mu, part in enumerate(parts[1:]):
+            h += couplings[:, mu, None, None, None] * part
+        values = np.linalg.eigvalsh(h).reshape(couplings.shape[0], -1)
         if not np.isfinite(values).all():
             raise FloatingPointError("plaquette spectrum is not finite")
         order = np.argsort(values, axis=1, kind="stable")
         energies = np.take_along_axis(values, order, axis=1)
-        sectors = np.repeat([-1, 1], 8)[order]
-        plus = values[:, 8:]
+        sectors = np.repeat(labels[by_label].astype(int), blocks.shape[-1])[order]
+        plus = energies[sectors == 1].reshape(couplings.shape[0], -1)
         return energies, sectors, energies[:, 1] - energies[:, 0], plus[:, 1] - plus[:, 0]
 
 
@@ -319,20 +323,23 @@ def _readout_of(energies: np.ndarray, vectors: np.ndarray, u: Optional[np.ndarra
 def _levels(lambda0: float, h0: Optional[OperatorSum]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only levels of the plaquette at uniform coupling lambda0, ascending, and their eigenvectors.
 
-    Read from the propagator's cached check frame (`evolve._sector_frame`):
-    one batched ``eigh`` of the sector blocks of H0 + lambda0 sum_mu H_mu,
-    whose eigenvectors the frame's basis takes back to the original
-    basis; levels merge by a stable sort.  The readout's weights are
-    squared moduli, so the eigenvectors' phases do not matter.  An
-    overflowing or non-finite level raises FloatingPointError.  Cached:
-    the rampdowns and the no-evolution readout of one lambda0 share them.
+    Read from the propagator's cached check frame: one batched complex
+    ``eigh`` of the sector blocks (`evolve._sector_blocks`) of H0 +
+    lambda0 sum_mu H_mu, whose eigenvectors the frame's basis
+    (`evolve._sector_basis`) takes back to the original basis; levels
+    merge by a stable sort.  The readout's weights are squared moduli,
+    so the eigenvectors' phases do not matter.  An overflowing or
+    non-finite level raises FloatingPointError.  Cached: the rampdowns
+    and the no-evolution readout of one lambda0 share them.
     """
-    blocks, vb = _sector_frame(*plaquette_parts(h0))
+    parts = plaquette_parts(h0)
+    blocks = _sector_blocks(*parts)[1].astype(complex)
     with np.errstate(over="raise", invalid="raise"):
         values, vectors = np.linalg.eigh(blocks[0] + lambda0 * blocks[1:].sum(axis=0))
     if not np.isfinite(values).all():
         raise FloatingPointError("plaquette levels are not finite")
     order = np.argsort(values, axis=None, kind="stable")
+    vb = _sector_basis(*parts)
     vectors = (vb @ vectors).transpose(1, 0, 2).reshape(vb.shape[1], -1)
     energies, vectors = values.ravel()[order], vectors[:, order]
     energies.flags.writeable = vectors.flags.writeable = False
@@ -452,14 +459,14 @@ def threshold_temperature(
 def chain_sector_gap(N: int, J: float, lam: float, n_levels: int = 2, seed: int = 7) -> np.ndarray:
     """Lowest levels of the 1D chain inside the all-checks +1 sector.
 
-    The chain is tapered exactly onto the joint +1 eigenspace of its N
-    conserved checks (`pauli.taper`), leaving an N-qubit operator that
-    is diagonalized densely; N above ``pauli.DENSE_QUBIT_LIMIT`` raises
-    ValueError.  ``n_levels`` must lie in 1..2**N.  ``seed`` has no
-    effect; it stays because perfbench/child.py still passes it.
+    Only that sector's exact 2^N x 2^N block is built, in the frame of
+    the N checks (`pauli.check_blocks` with ``sector=0``), and diagonalized
+    densely; N above ``pauli.DENSE_QUBIT_LIMIT`` raises ValueError.
+    ``n_levels`` must lie in 1..2**N.  ``seed`` has no effect; it stays
+    because perfbench/child.py still passes it.
     """
     if not 1 <= n_levels <= 1 << N:
         raise ValueError(f"n_levels must lie in 1..{1 << N}")
     inst, ham = build_chain_1d(N, J, lam)
     checks = [stab.terms[0][1] for stab in stabilizers_1d(inst)]
-    return np.linalg.eigvalsh(to_dense(taper(ham, checks, [1] * N)))[:n_levels]
+    return np.linalg.eigvalsh(check_blocks([ham], checks, sector=0)[0, 0])[:n_levels]

@@ -89,7 +89,10 @@ class _Grid:
         n = int(parts[2])
         if n < 1:
             raise ValueError("grid needs n >= 1 points")
-        points = np.linspace(a, b, n).tolist()
+        try:
+            points = np.linspace(a, b, n).tolist()
+        except MemoryError:
+            raise ValueError(f"grid of {n} points is too large to allocate") from None
         # the rule is a lower bound: it holds for every point when it holds for the smallest
         self.element(repr(min(points)))
         return points

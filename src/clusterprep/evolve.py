@@ -4,18 +4,18 @@ A schedule is a table of knots: one row of couplings per knot time and
 one column per coupling part, linear between knots.  The Hamiltonian
 is given in its affine form, H(lam) = H0 + sum_mu lam_mu H_mu: the
 propagators take H0 and one part H_mu per coupling column of the
-schedule, as `OperatorSum`s, and make one dense matrix of each, once
-per (H0, parts): the sector frame below is cached.
+schedule, as `OperatorSum`s, and make their dense sector blocks once
+per (H0, parts): `_sector_blocks` is cached, and the spectra read it too.
 
 The conserved Pauli checks are found symbolically from the terms of H0
 and the H_mu (`pauli.conserved_checks`), and H0 and the parts are
-taken exactly into the Clifford frame where each check is one Z, as the
-spectra are (`pauli.check_blocks`).  With k checks the propagator is
-integrated as 2^k sector blocks of size dim / 2^k on one batch axis (one
-full block when there are none).  Step doubling and the unitarity check
-stay in the blocks too: only the U that `schedule_unitary` returns is
-taken back to the original basis, by the frame's basis V
-(`pauli.check_basis`), as V blockdiag(u) V^dagger.
+taken exactly into the Clifford frame where each check is one Z
+(`pauli.check_blocks`).  With k checks the propagator is integrated as
+2^k sector blocks of size dim / 2^k on one batch axis (one full block
+when there are none).  Step doubling and the unitarity check stay in
+the blocks too: only the U that `schedule_unitary` returns is taken
+back to the original basis, by the frame's basis V (`pauli.check_basis`,
+cached apart in `_sector_basis`), as V blockdiag(u) V^dagger.
 
 Propagation uses the eighth-order Magnus integrator (Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ConvergenceError, NumericalCheckError
-from .pauli import OperatorSum, check_basis, check_blocks, conserved_checks
+from .pauli import OperatorSum, PauliString, check_basis, check_blocks, conserved_checks
 
 __all__ = [
     "Schedule",
@@ -378,25 +378,33 @@ def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], c
 
 
 @functools.lru_cache(maxsize=16)
-def _sector_frame(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """H0 and the parts as check-sector blocks, built once per (h0, parts).
+def _sector_blocks(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> tuple[tuple[PauliString, ...], np.ndarray]:
+    """The checks that H0 and the parts conserve, and their sector blocks, built once per (h0, parts).
 
-    Returns ``(blocks, vb)``, both read-only: the (1 + len(parts),
-    n_blocks, d, d) `pauli.check_blocks` of the checks they conserve,
-    and the sector columns vb of shape (n_blocks, dim, d) of
-    `pauli.check_basis`.  Side by side they are V, which takes blocks
-    u_s back to the original basis as V blockdiag(u) V^dagger.  Raises
-    ValueError when a part's qubit count differs from h0's (from
-    `conserved_checks`).
+    Returns ``(checks, blocks)``: the `pauli.conserved_checks` as a tuple,
+    and the read-only (1 + len(parts), n_blocks, d, d) `pauli.check_blocks`
+    of H0 and the parts, real when every term is.  A part whose qubit
+    count differs from h0's raises ValueError.
     """
     ops = [h0, *parts]
-    checks = conserved_checks(ops)
-    blocks = check_blocks(ops, checks).astype(complex)
+    checks = tuple(conserved_checks(ops))
+    blocks = check_blocks(ops, checks)
+    blocks.flags.writeable = False
+    return checks, blocks
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_basis(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> np.ndarray:
+    """Read-only sector columns vb of `_sector_blocks`' frame, (n_blocks, dim, d), built once per (h0, parts).
+
+    vb_s spans sector s in `pauli.check_basis` V, which takes blocks u_s
+    back to the original basis as V blockdiag(u) V^dagger.
+    """
+    checks, blocks = _sector_blocks(h0, parts)
     v = check_basis(h0.n_qubits, checks)
     vb = np.ascontiguousarray(v.reshape(v.shape[0], blocks.shape[1], -1).transpose(1, 0, 2))
-    for array in (blocks, vb):
-        array.flags.writeable = False
-    return blocks, vb
+    vb.flags.writeable = False
+    return vb
 
 
 def _spectral_norms_within(diff: np.ndarray, bound: float) -> bool:
@@ -419,10 +427,9 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     Integration, comparison and the unitarity check all run in the
     sector blocks of the checks conserved by H0 and the parts.  Returns
     the distinct sample times in ascending order, each snapped onto [0,
-    duration], the boundary times, U's complex (n_blocks, d, d) blocks at
-    each of them (None where U is exactly the identity: at the first, and
-    at all of them when the schedule has zero duration) and the frame's
-    sector columns vb.
+    duration], the boundary times, and U's complex (n_blocks, d, d) blocks
+    at each of them (None where U is exactly the identity: at the first,
+    and at all of them when the schedule has zero duration).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive")
@@ -434,12 +441,12 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     columns = len(schedule.couplings[0])
     if len(parts) != columns:
         raise ValueError(f"schedule drives {columns} couplings but {len(parts)} Hamiltonian parts were given")
-    blocks, vb = _sector_frame(h0, tuple(parts))
-    d = vb.shape[-1]
+    blocks = _sector_blocks(h0, tuple(parts))[1].astype(complex)
+    d = blocks.shape[-1]
     kinks = list(schedule.times)
     boundaries = sorted({*kinks, *samples})
     if duration == 0.0:
-        return samples, boundaries, [None] * len(boundaries), vb
+        return samples, boundaries, [None] * len(boundaries)
     # A = -iH = a0 + t a1 on each piece between knots, t from the piece's start
     lam = np.array(schedule.couplings)
     slope = np.diff(lam, axis=0) / np.diff(kinks)[:, None]
@@ -470,7 +477,7 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     defect = float(np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - np.eye(d), axis=(1, 2)).max())
     if defect > _UNITARITY_ATOL:
         raise NumericalCheckError(f"propagator is not unitary (defect {defect:.3e})")
-    return samples, boundaries, [None, *cur], vb
+    return samples, boundaries, [None, *cur]
 
 
 def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e-8, sample_times=None):
@@ -484,7 +491,8 @@ def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e
     FloatingPointError.
     """
     with np.errstate(over="raise", invalid="raise"):
-        samples, boundaries, snapshots, vb = _converged_propagators(h0, parts, schedule, tol, sample_times)
+        samples, boundaries, snapshots = _converged_propagators(h0, parts, schedule, tol, sample_times)
+    vb = _sector_basis(h0, tuple(parts))
     dim = vb.shape[1]
     v_dagger = vb.transpose(1, 0, 2).reshape(dim, dim).conj().T
 

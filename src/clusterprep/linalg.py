@@ -1,8 +1,8 @@
 """The package's numerical error types.
 
-Dense solves call numpy directly: restrictions to conserved-check
-sectors are exact and symbolic (`pauli.taper`, `pauli.check_blocks`),
-and dense realizations are bounded by `pauli.DENSE_QUBIT_LIMIT`.
+Dense solves call numpy directly: conserved-check sectors are exact
+blocks of a symbolic Clifford frame (`pauli.check_blocks`), and dense
+realizations are bounded by `pauli.DENSE_QUBIT_LIMIT`.
 """
 
 from __future__ import annotations

@@ -17,11 +17,11 @@ in ``|1>`` iff bit q of ``b`` is set, and ``|0>`` is the +1 eigenstate
 of Z.
 
 Conserved checks are found and fixed with the same GF(2) algebra:
-`conserved_checks` finds them from an operator's terms, `check_frame`
-rewrites an operator in a Clifford frame where each check is a
-single-qubit Z (`check_blocks` and `check_basis` give its dense sector
-blocks and basis, with no full-space Pauli matrix), and `taper` fixes
-those qubits to signs: the operator on one check sector, on fewer qubits.
+`conserved_checks` finds them from an operator's terms, and an operator
+is rewritten exactly in a Clifford frame where each check is a
+single-qubit Z.  `check_blocks` gives its dense check-sector blocks,
+all of them or one sector's, and `check_basis` the frame's basis, with
+no full-space Pauli matrix.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ __all__ = [
     "commutator_terms",
     "commutator_is_zero",
     "conserved_checks",
-    "check_frame",
     "check_blocks",
     "check_basis",
-    "taper",
     "to_dense",
     "COEFF_CUTOFF",
     "DENSE_QUBIT_LIMIT",
@@ -381,11 +379,11 @@ def _frame(checks: Sequence[PauliString], n: int):
     return pivots, logicals
 
 
-def check_frame(op: OperatorSum, checks: Sequence[PauliString]) -> OperatorSum:
+def _frame_image(op: OperatorSum, checks: Sequence[PauliString], pivots, logicals) -> OperatorSum:
     """``op`` in a Clifford frame where check j acts as Z on qubit n - k + j.
 
-    The k checks must be independent, mutually commuting and phase-free,
-    and every term of ``op`` must commute with all of them (ValueError
+    ``pivots`` and ``logicals`` are the `_frame` of the k ``checks``, and
+    every term of ``op`` must commute with all of them (ValueError
     otherwise).  A symplectic Gram-Schmidt pass over the checks'
     centralizer gives logical pairs (Xbar_l, Zbar_l), which map to
     (X_l, Z_l) on the low n - k qubits.  Each term is factored exactly
@@ -396,11 +394,6 @@ def check_frame(op: OperatorSum, checks: Sequence[PauliString]) -> OperatorSum:
     eigenvalue (-1)^(bit j of a) (Bravyi, Gambetta, Mezzacapo & Temme,
     arXiv:1701.08213).
     """
-    return _frame_image(op, checks, *_frame(checks, op.n_qubits))
-
-
-def _frame_image(op: OperatorSum, checks: Sequence[PauliString], pivots, logicals) -> OperatorSum:
-    """`check_frame` of ``op`` with the frame that `_frame` set up for ``checks``."""
     n, k = op.n_qubits, len(checks)
     low = n - k
     terms = []
@@ -427,19 +420,27 @@ def _frame_image(op: OperatorSum, checks: Sequence[PauliString], pivots, logical
     return OperatorSum(n, terms)
 
 
-def check_blocks(ops: Sequence[OperatorSum], checks: Sequence[PauliString]) -> np.ndarray:
-    """Diagonal blocks of each ``to_dense(check_frame(op, checks))``: (len(ops), 2^k, d, d).
+def check_blocks(ops: Sequence[OperatorSum], checks: Sequence[PauliString], sector: Optional[int] = None) -> np.ndarray:
+    """Each op's diagonal blocks in the k checks' frame (`_frame_image`): (len(ops), 2^k, d, d).
 
     Block a belongs to the sign pattern where check j has eigenvalue
-    (-1)^(bit j of a), so the all-+1 sector comes first.  No full-space
-    matrix is formed; refuses above 2^k d^2 = 4^DENSE_QUBIT_LIMIT entries.
+    (-1)^(bit j of a), so the all-+1 sector comes first; a ``sector``
+    builds block ``sector`` alone, as (len(ops), 1, d, d).  No full-space
+    matrix is formed; refuses above 4^DENSE_QUBIT_LIMIT entries in the
+    blocks built, and checks that are dependent, anticommuting or phased.
     """
+    if not ops:
+        raise ValueError("need at least one operator")
+    k = len(checks)
+    if sector is not None and not 0 <= sector < 1 << k:
+        raise ValueError(f"sector {sector} outside 0..{(1 << k) - 1}")
+    sectors = range(1 << k) if sector is None else [sector]
     frame = _frame(checks, ops[0].n_qubits)
-    return np.stack([_dense_blocks(_frame_image(op, checks, *frame), len(checks)) for op in ops])
+    return np.stack([_dense_blocks(_frame_image(op, checks, *frame), k, sectors) for op in ops])
 
 
 def check_basis(n_qubits: int, checks: Sequence[PauliString]) -> np.ndarray:
-    """Unitary V whose column i is the state that `check_frame` maps to |i>.
+    """Unitary V whose column i is the state that the checks' Clifford frame maps to |i>.
 
     So V^dagger to_dense(op) V has the diagonal blocks of `check_blocks`.
     V is fixed up to a phase per check sector, which cancels in
@@ -485,28 +486,6 @@ def check_basis(n_qubits: int, checks: Sequence[PauliString]) -> np.ndarray:
     return basis
 
 
-def taper(op: OperatorSum, checks: Sequence[PauliString], signs: Sequence[int]) -> OperatorSum:
-    """``op`` restricted to the joint eigenspace where check j has eigenvalue signs[j].
-
-    Exact and symbolic: `check_frame` turns each check into a Z on one
-    of the top k qubits, which are then fixed to their signs.  The
-    result acts on n - k qubits and has the spectrum of ``op`` in that
-    sector.
-    """
-    k = len(checks)
-    if len(signs) != k or any(sign not in (1, -1) for sign in signs):
-        raise ValueError("need one sign, +1 or -1, per check")
-    low = op.n_qubits - k
-    if low < 1:
-        raise ValueError("the checks leave no qubit to taper to")
-    terms = []
-    for coeff, s in check_frame(op, checks).terms:
-        a = s.z >> low
-        sign = math.prod(signs[j] for j in range(k) if (a >> j) & 1)
-        terms.append((sign * coeff, PauliString(low, s.x, s.z & ((1 << low) - 1))))
-    return OperatorSum(low, terms)
-
-
 def _action(x: int, z: int, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where the phase-free string (x, z) sends each basis index c in ``cols``, and with what factor.
 
@@ -517,26 +496,28 @@ def _action(x: int, z: int, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols ^ x, factor * 1j if y & 1 else factor
 
 
-def _dense_blocks(op: OperatorSum, k: int) -> np.ndarray:
-    """The 2^k diagonal blocks of ``op``'s `to_dense` matrix, each 2^(n-k) wide: (2^k, d, d).
+def _dense_blocks(op: OperatorSum, k: int, sectors: Sequence[int]) -> np.ndarray:
+    """Diagonal blocks ``sectors`` of ``op``'s `to_dense` matrix, each 2^(n-k) wide: (len(sectors), d, d).
 
-    Every term's x must stay below the top k qubits, so that it keeps column p d + c in block p.
-    Entries that overflow raise FloatingPointError.
+    Row and column i d + c of the result are index c of block sectors[i]: every term's x must stay
+    below the top k qubits, so that it keeps each column in its block.  Entries that overflow raise
+    FloatingPointError.
     """
     low = op.n_qubits - k
-    if 4**low << k > 4**DENSE_QUBIT_LIMIT:
-        raise ValueError(f"dense realization of {1 << k} block(s) on {low} qubits exceeds limit {DENSE_QUBIT_LIMIT}")
-    cols = np.arange(1 << op.n_qubits, dtype=np.int64)
-    block_cols = cols & ((1 << low) - 1)
+    if 4**low * len(sectors) > 4**DENSE_QUBIT_LIMIT:
+        raise ValueError(f"dense realization of {len(sectors)} block(s) on {low} qubits exceeds limit {DENSE_QUBIT_LIMIT}")
+    positions = np.arange(len(sectors) << low, dtype=np.int64)
+    block_cols = positions & ((1 << low) - 1)
+    cols = block_cols | np.repeat(np.asarray(sectors, dtype=np.int64) << low, 1 << low)
     real = all((s.x & s.z).bit_count() % 2 == 0 for _, s in op.terms)
-    out = np.zeros((len(cols), 1 << low), dtype=np.float64 if real else complex)
+    out = np.zeros((len(positions), 1 << low), dtype=np.float64 if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
         for coeff, s in op.terms:
-            rows, factor = _action(s.x, s.z, cols)
-            out[rows, block_cols] += coeff * factor
+            _, factor = _action(s.x, s.z, cols)
+            out[positions ^ s.x, block_cols] += coeff * factor
     if not np.isfinite(out).all():
         raise FloatingPointError(f"dense entries of {op!r} are not finite")
-    return out.reshape(1 << k, 1 << low, 1 << low)
+    return out.reshape(len(sectors), 1 << low, 1 << low)
 
 
 def to_dense(op: OperatorSum) -> np.ndarray:
@@ -546,4 +527,4 @@ def to_dense(op: OperatorSum) -> np.ndarray:
     float64 when every term realizes a real matrix (even number of Y
     letters), complex128 otherwise.
     """
-    return _dense_blocks(op, 0)[0]
+    return _dense_blocks(op, 0, [0])[0]

@@ -1,8 +1,38 @@
-"""Numerical oracles shared by the tests, independent of clusterprep."""
+"""Numerical oracles shared by the tests, independent of clusterprep.
+
+The Pauli oracles read an operator only through its (coefficient,
+string) terms and each string's letters, qubit 0 leftmost.
+"""
 
 import math
 
 import numpy as np
+import scipy.linalg
+
+_ONE_QUBIT = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
+}
+
+
+def kron_matrix(label: str) -> np.ndarray:
+    """Tensor product of a label's letters, qubit 0 on the least significant bit."""
+    out = np.array([[1.0]])
+    for letter in label:  # qubit 0 leftmost in the label
+        out = np.kron(_ONE_QUBIT[letter], out)
+    return out
+
+
+def projected_levels(op, checks, signs) -> np.ndarray:
+    """Levels of op on an orthonormal basis of the joint eigenspace where check j has sign signs[j]."""
+    h = sum(c * kron_matrix(s.letters) for c, s in op.terms)
+    projector = np.eye(h.shape[0])
+    for check, sign in zip(checks, signs):
+        projector = projector @ (0.5 * (np.eye(h.shape[0]) + sign * kron_matrix(check.letters)))
+    cols = scipy.linalg.orth(projector)
+    return scipy.linalg.eigvalsh(cols.conj().T @ h @ cols)
 
 
 def expm_scaled(h: np.ndarray, s: complex) -> np.ndarray:

@@ -42,7 +42,7 @@ from clusterprep.models import (
     stabilizers_1d,
 )
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
-from oracles import gibbs_matrix, ground_resolvent_b, tomography_weights
+from oracles import gibbs_matrix, ground_resolvent_b, projected_levels, tomography_weights
 
 
 def random_density_matrix(rng, dim=16) -> np.ndarray:
@@ -214,6 +214,40 @@ def test_spectrum_of_a_check_breaking_static_part_is_rejected():
     h0 = plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
     with pytest.raises(ValueError, match="mixed check sector"):
         spectrum_scan([0.5], h0)
+
+
+def test_spectrum_labels_of_one_by_one_blocks_match_the_projected_levels():
+    # with H0 = X on spin 1 every term commutes: 16 blocks of 1x1, each labeled by the sign of XXXX on it
+    h0 = OperatorSum(4, [(1.0, PauliString.from_label("XIII"))])
+    assert evolve._sector_blocks(*plaquette_parts(h0))[1].shape[1:] == (16, 1, 1)
+    xxxx = stabilizer_3d_local().terms[0][1]
+    grid = [0.0, 0.4, 1.0, 2.5]
+    table = spectrum_scan(grid, h0)
+    for lam, energies, sectors in zip(grid, table.energies, table.sectors):
+        for sector in (1, -1):
+            reference = projected_levels(plaquette([lam] * 4, h0), [xxxx], [sector])
+            assert np.abs(energies[sectors == sector] - reference).max() <= 1e-12
+        assert np.all(np.diff(energies) >= 0)
+
+
+def test_exact_ties_list_the_minus_sector_first():
+    # at zero coupling the ring is the same in both sectors: each level is an exact tie across them
+    table = spectrum_scan([0.0])
+    energies, sectors = table.energies[0], table.sectors[0]
+    levels = np.unique(energies)
+    assert levels.tolist() == [-4.0, 0.0, 4.0]
+    for level in levels:
+        tied = sectors[energies == level].tolist()
+        assert set(tied) == {-1, 1} and tied == sorted(tied)
+
+
+def test_spectra_never_build_the_frame_basis(monkeypatch):
+    monkeypatch.setattr(evolve, "check_basis", lambda *args: pytest.fail("check_basis called"))
+    evolve._sector_blocks.cache_clear()
+    evolve._sector_basis.cache_clear()
+    spectrum_scan([0.0, 1.0])
+    spectrum_path(linear_rampdown(2.0, 1.0), samples=3)
+    assert evolve._sector_basis.cache_info().currsize == 0
 
 
 def test_spectrum_scan_gap_columns():
@@ -398,7 +432,7 @@ def test_readout_keeps_the_degenerate_ground_space_at_zero_temperature():
 def test_frame_levels_match_the_dense_spectrum(static, block_shape):
     lambda0, tau, tol = 1.7, 2.0, 1e-8
     parts = plaquette_parts(static)
-    assert evolve._sector_frame(*parts)[0].shape[1:] == block_shape
+    assert evolve._sector_blocks(*parts)[1].shape[1:] == block_shape
     energies, vectors = analysis._levels(lambda0, static)
     values, dense = np.linalg.eigh(to_dense(plaquette(lambda0, static)))
     assert np.abs(energies - values).max() <= 1e-13
@@ -426,7 +460,7 @@ def test_readout_builds_no_operator_of_its_own(monkeypatch):
     # the levels come from the propagator's cached frame: a cold readout
     # builds no Hamiltonian and densifies nothing
     plaquette_parts()
-    for name in ("to_dense", "plaquette_ring_term", "plaquette_field_term"):
+    for name in ("check_blocks", "plaquette_ring_term", "plaquette_field_term"):
         monkeypatch.setattr(analysis, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     assert _readout.__wrapped__(1.3, 0.4, None, 1e-6).W.shape == (16, 16)
 

@@ -350,7 +350,7 @@ def test_sweep_byte_identical_across_workers_and_runs(tmp_path):
     grid = ("--T", "0.5,0.1", "--lambda0", "1.0,1.5", "--tau", "1.0,0.5", "--tol", "1e-6")
     outputs = []
     for workers in ("3", "1", "2", "3"):
-        for cached in (analysis._readout, analysis.plaquette_parts, evolve._sector_frame):
+        for cached in (analysis._readout, analysis.plaquette_parts, evolve._sector_blocks, evolve._sector_basis):
             cached.cache_clear()
         path = tmp_path / f"grid-{len(outputs)}.csv"
         assert run_cli("sweep", *grid, "--workers", workers, "--output", str(path))[0] == 0
@@ -467,6 +467,20 @@ def test_grid_syntax_errors():
     assert run_cli("sweep", "--T", "0.1:1.0", "--lambda0", "1", "--tau", "1")[0] == 2
     assert run_cli("sweep", "--T", "0.1", "--lambda0", "1", "--tau", "-1")[0] == 2
     assert run_cli("sweep", "--T", "0.1,,0.5", "--lambda0", "1", "--tau", "1")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(("spectrum", "--lambda-grid"), "--lambda-grid"), (("sweep", "--lambda0", "1", "--tau", "1", "--T"), "--T")],
+    ids=["spectrum", "sweep"],
+)
+def test_grid_too_large_to_allocate_is_a_usage_error(tmp_path, argv, flag):
+    # 1e14 float64 points are 728 TiB, which no allocation can give
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(*argv, "0:1:100000000000000", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag}: grid of 100000000000000 points is too large to allocate\n"
+    assert "Traceback" not in err and not path.exists()
 
 
 NUMERIC_OPTS = [

@@ -347,7 +347,7 @@ def chain_rampdown(N: int, tau: float) -> tuple[OperatorSum, tuple[OperatorSum],
 def test_chain_rampdown_in_sixteen_blocks_matches_dop853():
     # a many-sector frame: N + 1 = 4 checks split the 64-dim space into 16 blocks of 4x4
     h0, parts, sched = chain_rampdown(3, 5.0)
-    assert evolve._sector_frame(h0, parts)[0].shape == (2, 16, 4, 4)
+    assert evolve._sector_blocks(h0, parts)[1].shape == (2, 16, 4, 4)
     tol, ts = 1e-8, [0.0, 1.5, 3.5, 5.0]
     ref = dop853_propagator(lambda t: 0.4 * (1.0 - t / 5.0), ts, model=lambda lam: build_chain_1d(3, 1.0, lam)[1])
     u_final, snaps = schedule_unitary(h0, parts, sched, tol=tol, sample_times=ts[1:3])
@@ -431,7 +431,7 @@ def test_commuting_static_part_runs_as_one_by_one_blocks():
     h0, parts = plaquette_parts(OperatorSum(4, [(1.0, PauliString.from_label("XIII"))]))
     checks = conserved_checks([h0, *parts])
     assert [c.letters for c in checks] == ["XIII", "IXII", "IIXI", "IIIX"]
-    blocks, vb = evolve._sector_frame(h0, parts)
+    blocks, vb = evolve._sector_blocks(h0, parts)[1], evolve._sector_basis(h0, parts)
     assert blocks.shape == (5, 16, 1, 1) and vb.shape == (16, 16, 1)
     # every term commutes, so U = exp(-i (tau H0 + int lam dt sum_mu H_mu)), with tau = int lam dt = 1
     exact = scipy.linalg.expm(-1j * to_dense(h0 + parts[0] + parts[1] + parts[2] + parts[3]))
@@ -439,18 +439,23 @@ def test_commuting_static_part_runs_as_one_by_one_blocks():
     assert np.abs(u - exact).max() <= 1e-12
 
 
-def test_sector_frame_is_built_once_per_parts(monkeypatch):
+def test_sector_blocks_and_basis_are_built_once_per_parts(monkeypatch):
     builds = []
     monkeypatch.setattr(evolve, "check_blocks", lambda ops, checks: builds.append("blocks") or check_blocks(ops, checks))
     monkeypatch.setattr(evolve, "check_basis", lambda n, checks: builds.append("basis") or check_basis(n, checks))
-    evolve._sector_frame.cache_clear()
+    evolve._sector_blocks.cache_clear()
+    evolve._sector_basis.cache_clear()
     for lam0, tau in ((1.5, 2.0), (2.5, 5.0)):
         h0, parts = plaquette_parts.__wrapped__()  # fresh operators, equal to the last ones
         schedule_unitary(h0, parts, linear_rampdown(lam0, tau), tol=1e-6)
-    info = evolve._sector_frame.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 1, 16)
     assert builds == ["blocks", "basis"]  # H0 and the four parts are framed once
-    for array in evolve._sector_frame(h0, parts):
+    # the second propagator hits both caches; building the basis read the blocks' checks once
+    for cached, hits in ((evolve._sector_blocks, 2), (evolve._sector_basis, 1)):
+        info = cached.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, hits, 16)
+    checks, blocks = evolve._sector_blocks(h0, parts)
+    assert isinstance(checks, tuple)
+    for array in (blocks, evolve._sector_basis(h0, parts)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 

@@ -10,7 +10,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from clusterprep.analysis import plaquette_parts
 from clusterprep.models import (
@@ -26,29 +25,14 @@ from clusterprep.pauli import (
     PauliString,
     check_basis,
     check_blocks,
-    check_frame,
     commutator_is_zero,
     commutator_terms,
     commutes,
     conserved_checks,
     multiply,
-    taper,
     to_dense,
 )
-
-_I = np.eye(2)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_ONE_QUBIT = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
-
-
-def kron_matrix(label: str) -> np.ndarray:
-    """Tensor product oracle, qubit 0 on the least significant bit."""
-    out = np.array([[1.0]])
-    for letter in label:  # qubit 0 leftmost in the label
-        out = np.kron(_ONE_QUBIT[letter], out)
-    return out
+from oracles import kron_matrix, projected_levels
 
 
 def string_matrix(p: PauliString) -> np.ndarray:
@@ -309,21 +293,7 @@ def test_conserved_checks_of_a_transverse_field_ring():
         conserved_checks([ring, OperatorSum(2, [(1.0, PauliString.from_label("XX"))])])
 
 
-# ------------------------------------------------------------- tapering
-
-def kron_dense(op: OperatorSum) -> np.ndarray:
-    return sum(c * kron_matrix(s.letters) for c, s in op.terms)
-
-
-def projected_levels(op: OperatorSum, checks, signs) -> np.ndarray:
-    """Levels of op on an orthonormal basis of the checks' joint eigenspace."""
-    h = kron_dense(op)
-    projector = np.eye(h.shape[0])
-    for check, sign in zip(checks, signs):
-        projector = projector @ (0.5 * (np.eye(h.shape[0]) + sign * kron_matrix(check.letters)))
-    cols = scipy.linalg.orth(projector)
-    return scipy.linalg.eigvalsh(cols.conj().T @ h @ cols)
-
+# ------------------------------------------------------- check-sector blocks
 
 def chain_checks(N: int, lam: float):
     inst, ham = build_chain_1d(N, 1.0, lam)
@@ -334,7 +304,7 @@ def chain_checks(N: int, lam: float):
     "case",
     ["chain3", "chain4", "plaquette+", "plaquette-"],
 )
-def test_taper_matches_projected_oracle(case):
+def test_one_sector_block_matches_projected_oracle(case):
     if case.startswith("chain"):
         N = int(case[-1])
         op, checks = chain_checks(N, 0.3)
@@ -343,24 +313,31 @@ def test_taper_matches_projected_oracle(case):
         op = build_plaquette_3d(1.0, [0.3, 0.7, 1.1, 0.2])[1]
         checks = [stabilizer_3d_local().terms[0][1]]
         signs = [1 if case.endswith("+") else -1]
-    tapered = taper(op, checks, signs)
-    assert tapered.n_qubits == op.n_qubits - len(checks)
+    # block a is the sector where check j has sign (-1)^(bit j of a)
+    sector = sum(1 << j for j, sign in enumerate(signs) if sign == -1)
+    blocks = check_blocks([op], checks, sector=sector)
+    d = 1 << (op.n_qubits - len(checks))
+    assert blocks.shape == (1, 1, d, d)
     scale = sum(abs(c) for c, _ in op.terms)
     reference = projected_levels(op, checks, signs)
-    assert np.abs(np.linalg.eigvalsh(to_dense(tapered)) - reference).max() <= 1e-12 * scale
+    assert np.abs(np.linalg.eigvalsh(blocks[0, 0]) - reference).max() <= 1e-12 * scale
 
 
-def test_check_frame_turns_each_check_into_a_top_z():
-    op, checks = chain_checks(4, 0.3)
+@pytest.mark.parametrize("case", ["chain3", "chain4", "plaquette"])
+def test_each_check_is_its_sign_on_each_block(case):
+    if case.startswith("chain"):
+        op, checks = chain_checks(int(case[-1]), 0.3)
+    else:
+        op = build_plaquette_3d(1.0, [0.3, 0.7, 1.1, 0.2])[1]
+        checks = [stabilizer_3d_local().terms[0][1]]
     n, k = op.n_qubits, len(checks)
     for j, check in enumerate(checks):
-        image = check_frame(OperatorSum(n, [(1.0, check)]), checks)
-        assert image.terms == ((1.0, PauliString(n, 0, 1 << (n - k + j))),)
-    # conjugation by a Clifford: the full spectrum is unchanged
-    frame = check_frame(op, checks)
-    np.testing.assert_allclose(
-        np.linalg.eigvalsh(to_dense(frame)), np.linalg.eigvalsh(to_dense(op)), atol=1e-12
-    )
+        blocks = check_blocks([OperatorSum(n, [(1.0, check)])], checks)[0]
+        for a, block in enumerate(blocks):
+            np.testing.assert_array_equal(block, (-1) ** ((a >> j) & 1) * np.eye(1 << (n - k)))
+    # conjugation by a Clifford: the blocks' merged levels are the full spectrum
+    merged = np.sort(np.linalg.eigvalsh(check_blocks([op], checks)[0]).ravel())
+    np.testing.assert_allclose(merged, np.linalg.eigvalsh(to_dense(op)), atol=1e-12)
 
 
 def test_check_blocks_split_the_sectors_and_refuse_a_broken_check():
@@ -372,6 +349,9 @@ def test_check_blocks_split_the_sectors_and_refuse_a_broken_check():
     z0 = OperatorSum(4, [(1.0, PauliString.from_label("ZIII"))])
     with pytest.raises(ValueError, match="ZIII does not commute with check XXXX"):
         check_blocks([stabilizer_3d_local(), z0], xxxx)
+    broken = build_plaquette_3d(1.0, 0.5)[1] + 0.3 * z0
+    with pytest.raises(ValueError, match="ZIII does not commute with check XXXX"):
+        check_blocks([broken], xxxx, sector=0)
 
 
 def basis_cases():
@@ -404,9 +384,8 @@ def test_check_basis_takes_each_op_to_its_check_blocks():
             framed = v.conj().T @ to_dense(op) @ v
             for a, block in enumerate(op_blocks):
                 assert np.abs(framed[a * d : (a + 1) * d, a * d : (a + 1) * d] - block).max() <= 1e-13
-                if n > len(checks):  # block a is the sector where check j has sign (-1)^(bit j of a)
-                    signs = [1 - 2 * ((a >> j) & 1) for j in range(len(checks))]
-                    assert np.abs(to_dense(taper(op, checks, signs)) - block).max() <= 1e-13
+                # building one sector alone gives that block bit for bit
+                assert np.array_equal(check_blocks([op], checks, sector=a)[0, 0], block)
     assert {(n, k) for n in range(2, 7) for k in (0, n)} <= seen
 
 
@@ -446,29 +425,17 @@ def test_check_frame_refuses_past_the_dense_limit():
         check_basis(13, [PauliString.from_ops(13, {0: "Z"})])
 
 
-def test_torus_tapers_symbolically_to_twelve_qubits():
-    _, ham, stabs = build_lattice_2d(2, 2, 1.0, 0.5)
-    checks = [stab.terms[0][1] for stab in stabs]
-    tapered = taper(ham, checks, [1] * 4)
-    assert ham.n_qubits == 16 and tapered.n_qubits == 12
-    # every term survives: distinct strings have distinct logical parts here
-    assert tapered.n_terms == ham.n_terms
-
-
-def test_taper_rejects_dependent_and_anticommuting_checks():
+def test_check_blocks_rejects_bad_checks_sectors_and_empty_ops():
     ring = OperatorSum(4, [(-1.0, PauliString.from_label(l)) for l in ("ZZII", "IZZI", "IIZZ", "ZIIZ")])
     zz = [PauliString.from_label(l) for l in ("ZZII", "IZZI", "ZIZI")]
     with pytest.raises(ValueError, match="depends on the others"):
-        taper(ring, zz, [1, 1, 1])
+        check_blocks([ring], zz)
     with pytest.raises(ValueError, match="anticommute"):
-        taper(ring, [PauliString.from_label("XXXX"), PauliString.from_label("ZIII")], [1, 1])
+        check_blocks([ring], [PauliString.from_label("XXXX"), PauliString.from_label("ZIII")], sector=0)
     with pytest.raises(ValueError, match="phase-free"):
-        taper(ring, [PauliString.from_label("ZZII", phase=2)], [1])
-    with pytest.raises(ValueError, match="one sign"):
-        taper(ring, [PauliString.from_label("ZZII")], [1, 1])
-
-
-def test_taper_rejects_a_term_that_breaks_a_check():
-    broken = build_plaquette_3d(1.0, 0.5)[1] + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
-    with pytest.raises(ValueError, match="ZIII does not commute with check XXXX"):
-        taper(broken, [PauliString.from_label("XXXX")], [1])
+        check_blocks([ring], [PauliString.from_label("ZZII", phase=2)])
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=r"sector .* outside 0\.\.1"):
+            check_blocks([ring], [PauliString.from_label("ZZII")], sector=bad)
+    with pytest.raises(ValueError, match="at least one operator"):
+        check_blocks([], [PauliString.from_label("ZZII")])
