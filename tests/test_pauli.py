@@ -349,9 +349,13 @@ def test_check_blocks_split_the_sectors_and_refuse_a_broken_check():
     z0 = OperatorSum(4, [(1.0, PauliString.from_label("ZIII"))])
     with pytest.raises(ValueError, match="ZIII does not commute with check XXXX"):
         check_blocks([stabilizer_3d_local(), z0], xxxx)
-    broken = build_plaquette_3d(1.0, 0.5)[1] + 0.3 * z0
+
+
+def test_taper_rejects_a_term_that_breaks_a_check():
+    # restricting to one check sector (here XXXX = +1) refuses a term that leaves it
+    broken = build_plaquette_3d(1.0, 0.5)[1] + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])
     with pytest.raises(ValueError, match="ZIII does not commute with check XXXX"):
-        check_blocks([broken], xxxx, sector=0)
+        check_blocks([broken], [PauliString.from_label("XXXX")], sector=0)
 
 
 def basis_cases():
