@@ -465,8 +465,8 @@ def chain_sector_gap(N: int, J: float, lam: float, n_levels: int = 2, seed: int 
     ``n_levels`` must lie in 1..2**N.  ``seed`` has no effect; it stays
     because perfbench/child.py still passes it.
     """
+    inst, ham = build_chain_1d(N, J, lam)
     if not 1 <= n_levels <= 1 << N:
         raise ValueError(f"n_levels must lie in 1..{1 << N}")
-    inst, ham = build_chain_1d(N, J, lam)
     checks = [stab.terms[0][1] for stab in stabilizers_1d(inst)]
     return np.linalg.eigvalsh(check_blocks([ham], checks, sector=0)[0, 0])[:n_levels]

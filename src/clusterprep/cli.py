@@ -408,8 +408,9 @@ def _cmd_verify(ns: SimpleNamespace) -> int:
     elif ns.model == "2d":
         _, ham, checks = build_lattice_2d(ns.L1, ns.L2, ns.J, _single_lambda(ns.lam, "2d"))
     else:
-        lam = ns.lam if len(ns.lam) == 4 else _single_lambda(ns.lam, "3d")
-        _, ham = build_plaquette_3d(ns.J, lam)
+        if len(ns.lam) not in (1, 4):
+            raise _UsageError("model 3d takes one or four --lambda values")
+        _, ham = build_plaquette_3d(ns.J, ns.lam if len(ns.lam) == 4 else ns.lam[0])
         checks = [stabilizer_3d_local()]
     custom = _load_operator(ns.hamiltonian)
     if custom is not None:

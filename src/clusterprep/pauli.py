@@ -16,12 +16,14 @@ Basis-state indexing is little-endian: basis state ``|b>`` has qubit q
 in ``|1>`` iff bit q of ``b`` is set, and ``|0>`` is the +1 eigenstate
 of Z.
 
-Conserved checks are found and fixed with the same GF(2) algebra:
-`conserved_checks` finds them from an operator's terms, and an operator
-is rewritten exactly in a Clifford frame where each check is a
-single-qubit Z.  `check_blocks` gives its dense check-sector blocks,
-all of them or one sector's, and `check_basis` the frame's basis, with
-no full-space Pauli matrix.
+Conserved checks are found and fixed with GF(2) null spaces alone:
+`conserved_checks` finds them from an operator's terms, and with a
+destabilizer per check and logical pairs they form one basis of strings
+(Aaronson & Gottesman, PRA 70, 052328 (2004)).  Read off by symplectic
+products, a term's coordinates in it rewrite an operator exactly in a
+Clifford frame where each check is a single-qubit Z.  `check_blocks`
+gives its dense check-sector blocks, all of them or one sector's, and
+`check_basis` the frame's basis, with no full-space Pauli matrix.
 """
 
 from __future__ import annotations
@@ -353,7 +355,14 @@ def _product(strings: Iterable[PauliString], n: int) -> PauliString:
 
 
 def _frame(checks: Sequence[PauliString], n: int):
-    """The validated checks' echelon rows, each with the checks it combines, and logical pairs."""
+    """Destabilizers D_j and logical pairs (Xbar_l, Zbar_l) completing the k validated checks to a basis.
+
+    D_j anticommutes with check j alone among the checks and logicals
+    (Aaronson & Gottesman, PRA 70, 052328 (2004); here the D_j may
+    anticommute with each other).  With a tag bit on each (z | x) row,
+    free tag bit j's null vector is D_j tagged j alone, and a check with
+    a bound tag bit depends on the checks before it.
+    """
     if any(c.n_qubits != n for c in checks):
         raise ValueError("qubit count mismatch")
     if any(c.phase for c in checks):
@@ -361,38 +370,32 @@ def _frame(checks: Sequence[PauliString], n: int):
     for c1, c2 in itertools.combinations(checks, 2):
         if not commutes(c1, c2):
             raise ValueError(f"checks {c1.letters} and {c2.letters} anticommute")
-    pivots: dict[int, tuple[int, int]] = {}
-    for j, check in enumerate(checks):
-        v, combo = check.x | (check.z << n), 1 << j
-        for bit, (row, used) in pivots.items():
-            if (v >> bit) & 1:
-                v, combo = v ^ row, combo ^ used
-        if not v:
-            raise ValueError(f"check {checks[j].letters} depends on the others")
-        lead = v.bit_length() - 1
-        for bit, (row, used) in pivots.items():
-            if (row >> lead) & 1:
-                pivots[bit] = (row ^ v, used ^ combo)
-        pivots[lead] = (v, combo)
     centralizer = _gf2_null_space([c.z | (c.x << n) for c in checks], 2 * n)
     logicals = [(_string(v, n), _string(w, n)) for v, w in _symplectic_pairs(centralizer, n) if w is not None]
-    return pivots, logicals
+    rows = [s.z | (s.x << n) for s in [*checks, *itertools.chain(*logicals)]]
+    m = len(rows)
+    null = _gf2_null_space([(1 << i) | (row << m) for i, row in enumerate(rows)], m + 2 * n)
+    # null vectors come in ascending free bit, each with no lower bit set
+    for j, check in enumerate(checks):
+        if not (null[j] >> j) & 1:
+            raise ValueError(f"check {check.letters} depends on the others")
+    return [_string(v >> m, n) for v in null[: len(checks)]], logicals
 
 
-def _frame_image(op: OperatorSum, checks: Sequence[PauliString], pivots, logicals) -> OperatorSum:
+def _frame_image(op: OperatorSum, checks: Sequence[PauliString], destabilizers, logicals) -> OperatorSum:
     """``op`` in a Clifford frame where check j acts as Z on qubit n - k + j.
 
-    ``pivots`` and ``logicals`` are the `_frame` of the k ``checks``, and
-    every term of ``op`` must commute with all of them (ValueError
-    otherwise).  A symplectic Gram-Schmidt pass over the checks'
-    centralizer gives logical pairs (Xbar_l, Zbar_l), which map to
-    (X_l, Z_l) on the low n - k qubits.  Each term is factored exactly
-    as i^m (product of checks) Xbar^b Zbar^c and maps to i^m Z^a X^b
-    Z^c, so the map is conjugation by a Clifford and involves no
-    rounding.  The image's dense matrix is block diagonal: the block at
-    offset 2^(n-k) * a belongs to the sign pattern where check j has
-    eigenvalue (-1)^(bit j of a) (Bravyi, Gambetta, Mezzacapo & Temme,
-    arXiv:1701.08213).
+    ``destabilizers`` and ``logicals`` are the `_frame` of the k
+    ``checks``, and every term of ``op`` must commute with all of them
+    (ValueError otherwise).  Logical pairs (Xbar_l, Zbar_l) map to
+    (X_l, Z_l) on the low n - k qubits.  Each term is factored exactly as
+    i^m (product of checks a) Xbar^b Zbar^c, where a_j, b_l and c_l say
+    whether it anticommutes with D_j, Zbar_l and Xbar_l, and maps to
+    i^m Z^a X^b Z^c, so the map is conjugation by a Clifford and
+    involves no rounding.  The image's dense matrix is block diagonal:
+    the block at offset 2^(n-k) * a belongs to the sign pattern where
+    check j has eigenvalue (-1)^(bit j of a) (Bravyi, Gambetta,
+    Mezzacapo & Temme, arXiv:1701.08213).
     """
     n, k = op.n_qubits, len(checks)
     low = n - k
@@ -401,6 +404,7 @@ def _frame_image(op: OperatorSum, checks: Sequence[PauliString], pivots, logical
         broken = next((c for c in checks if not commutes(s, c)), None)
         if broken is not None:
             raise ValueError(f"term {s.letters} does not commute with check {broken.letters}")
+        a = sum(1 << j for j, d in enumerate(destabilizers) if not commutes(s, d))
         b = sum(1 << l for l, (_, zbar) in enumerate(logicals) if not commutes(s, zbar))
         c = sum(1 << l for l, (xbar, _) in enumerate(logicals) if not commutes(s, xbar))
         logical = _product(
@@ -408,11 +412,6 @@ def _frame_image(op: OperatorSum, checks: Sequence[PauliString], pivots, logical
             + [zbar for l, (_, zbar) in enumerate(logicals) if (c >> l) & 1],
             n,
         )
-        rest = (s.x ^ logical.x) | ((s.z ^ logical.z) << n)
-        a = 0
-        for bit, (row, used) in pivots.items():
-            if (rest >> bit) & 1:
-                rest, a = rest ^ row, a ^ used
         # s = i^-q (checks in a) * logical, with q the phase of that product
         q = multiply(_product([checks[j] for j in range(k) if (a >> j) & 1], n), logical).phase
         # the image Z^a X^b Z^c: X Z = -iY on each qubit where b and c overlap
@@ -445,23 +444,17 @@ def check_basis(n_qubits: int, checks: Sequence[PauliString]) -> np.ndarray:
     So V^dagger to_dense(op) V has the diagonal blocks of `check_blocks`.
     V is fixed up to a phase per check sector, which cancels in
     V_a u V_a^dagger.  Column 0 is the joint +1 eigenstate of the checks
-    and the Zbar_l; column b + 2^(n-k) a applies Xbar^b, then D^a, where
-    destabilizer D_j anticommutes with check j only among the checks
-    and logicals.  Entries are exact up to column 0's normalization.
+    and the Zbar_l; column b + 2^(n-k) a applies Xbar^b, then D^a, from
+    `_frame`: D_j anticommutes with check j alone among the checks and
+    logicals.  Entries are exact up to column 0's normalization.
     Strings act as signed row permutations, with no dense Pauli matrix;
     V has 4^n entries, so n > DENSE_QUBIT_LIMIT is refused (ValueError).
     """
     n = n_qubits
     if n > DENSE_QUBIT_LIMIT:
         raise ValueError(f"check basis of {n} qubits exceeds limit {DENSE_QUBIT_LIMIT}")
-    _, logicals = _frame(checks, n)
+    destabilizers, logicals = _frame(checks, n)
     xbars, zbars = [xbar for xbar, _ in logicals], [zbar for _, zbar in logicals]
-    # (z | x) rows; a null vector (x | z | t) with t = 1 anticommutes with row j only
-    rows = [s.z | (s.x << n) for s in [*checks, *xbars, *zbars]]
-    destabilizers = []
-    for j in range(len(checks)):
-        null = _gf2_null_space([row | ((r == j) << 2 * n) for r, row in enumerate(rows)], 2 * n + 1)
-        destabilizers.append(_string(next(v for v in null if v >> 2 * n) ^ (1 << 2 * n), n))
 
     def apply(s: PauliString, m: np.ndarray) -> np.ndarray:  # s @ m: row r is factor(r ^ x) * m[r ^ x]
         image, factor = _action(s.x, s.z, np.arange(len(m), dtype=np.int64))
@@ -469,18 +462,14 @@ def check_basis(n_qubits: int, checks: Sequence[PauliString]) -> np.ndarray:
     strings = [*checks, *zbars, *xbars, *destabilizers]
     # (I + g) keeps v in the +1 eigenspace of the stabilizers before g; where it
     # annihilates v, g's partner (which anticommutes with g alone among them)
-    # moves v into g's +1 eigenspace instead, so v ends proportional to psi
+    # moves v into g's +1 eigenspace instead, so v ends proportional to psi,
+    # its entries one power of 2 times 1, -1, i or -i on psi's support
     v = np.zeros((1 << n, 1), dtype=complex)
     v[0] = 1.0
     for g, partner in zip(strings[:n], [*destabilizers, *xbars]):
         w = v + apply(g, v)
         v = w if w.any() else apply(partner, v)
-    # prod (I + g) over the n stabilizers is 2^n |psi><psi|, in small exact
-    # integers: take its column at the first index of psi's support
-    first = np.zeros_like(v)
-    first[np.flatnonzero(v)[0]] = 1.0
-    psi = functools.reduce(lambda m, g: m + apply(g, m), strings[:n], first)
-    basis = psi / np.linalg.norm(psi)
+    basis = v / np.linalg.norm(v)
     for g in strings[n:]:
         basis = np.concatenate([basis, apply(g, basis)], axis=1)
     return basis

@@ -652,6 +652,12 @@ def test_chain_sector_gap_matches_penalized_eigsh(N):
     assert np.abs(chain_sector_gap(N, 1.0, lam) - reference).max() <= 1e-9
 
 
+@pytest.mark.parametrize("N, n_levels", [(-1, 2), (0, 2), (2, 8)])
+def test_chain_sector_gap_refuses_a_short_chain_before_its_level_count(N, n_levels):
+    with pytest.raises(ValueError, match="need N >= 3"):
+        chain_sector_gap(N, 1.0, 0.3, n_levels=n_levels)
+
+
 def test_chain_sector_gap_seed_has_no_effect():
     a = chain_sector_gap(5, 1.0, 0.3, n_levels=8, seed=1)
     b = chain_sector_gap(5, 1.0, 0.3, n_levels=8, seed=2)

@@ -143,6 +143,12 @@ def test_verify_rejects_coupling_list_for_chain():
     assert "single --lambda" in err
 
 
+def test_verify_rejects_three_couplings_for_plaquette():
+    code, _, err = run_cli("verify", "--model", "3d", "--lambda", "0.1,0.2,0.3")
+    assert code == 2
+    assert "model 3d takes one or four --lambda values" in err
+
+
 def test_verify_rejects_short_chain():
     code, _, err = run_cli("verify", "--model", "1d", "--N", "2")
     assert code == 2

@@ -23,6 +23,7 @@ from clusterprep.pauli import (
     COEFF_CUTOFF,
     OperatorSum,
     PauliString,
+    _frame,
     check_basis,
     check_blocks,
     commutator_is_zero,
@@ -358,6 +359,25 @@ def test_taper_rejects_a_term_that_breaks_a_check():
         check_blocks([broken], [PauliString.from_label("XXXX")], sector=0)
 
 
+def frame_cases():
+    """The plaquette's check, the chain's at N = 3..6 and the 2x2 torus's, with their qubit counts."""
+    yield pytest.param(4, [stabilizer_3d_local().terms[0][1]], id="plaquette")
+    for N in range(3, 7):
+        ham, checks = chain_checks(N, 0.3)
+        yield pytest.param(ham.n_qubits, checks, id=f"chain{N}")
+    _, ham, stabs = build_lattice_2d(2, 2, 1.0, 0.5)
+    yield pytest.param(ham.n_qubits, [stab.terms[0][1] for stab in stabs], id="torus")
+
+
+@pytest.mark.parametrize("n, checks", list(frame_cases()))
+def test_each_destabilizer_anticommutes_with_its_check_alone(n, checks):
+    destabilizers, logicals = _frame(checks, n)
+    assert len(destabilizers) == len(checks) and len(logicals) == n - len(checks)
+    for j, d in enumerate(destabilizers):
+        assert [not commutes(d, c) for c in checks] == [i == j for i in range(len(checks))]
+        assert all(commutes(d, s) for pair in logicals for s in pair)
+
+
 def basis_cases():
     """Seeded random sums on 2 to 6 qubits (0 to n checks), the plaquette and two chains,
     with their conserved checks; and checks XX, YY, whose +1 state has no weight on |00>."""
@@ -432,8 +452,11 @@ def test_check_frame_refuses_past_the_dense_limit():
 def test_check_blocks_rejects_bad_checks_sectors_and_empty_ops():
     ring = OperatorSum(4, [(-1.0, PauliString.from_label(l)) for l in ("ZZII", "IZZI", "IIZZ", "ZIIZ")])
     zz = [PauliString.from_label(l) for l in ("ZZII", "IZZI", "ZIZI")]
-    with pytest.raises(ValueError, match="depends on the others"):
+    # the first check that the ones before it already span is named
+    with pytest.raises(ValueError, match="check ZIZI depends on the others"):
         check_blocks([ring], zz)
+    with pytest.raises(ValueError, match="check ZIZI depends on the others"):
+        check_basis(4, zz)
     with pytest.raises(ValueError, match="anticommute"):
         check_blocks([ring], [PauliString.from_label("XXXX"), PauliString.from_label("ZIII")], sector=0)
     with pytest.raises(ValueError, match="phase-free"):
