@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import ConvergenceError, NumericalCheckError
-from .evolve import Schedule, _sector_basis, _sector_blocks, linear_rampdown, schedule_unitary
+from .evolve import Schedule, _affine, _sector_basis, _sector_blocks, linear_rampdown, schedule_unitary
 from .models import (
     build_chain_1d,
     plaquette_field_term,
@@ -233,12 +233,8 @@ def _plaquette_spectra(
     if not np.array_equal(xxxx, labels[:, None, None] * np.eye(xxxx.shape[-1])):
         raise ValueError("Hamiltonian has mixed check sector: XXXX is not a sign on its conserved check sectors")
     by_label = np.argsort(labels, kind="stable")
-    parts = blocks[:, by_label]
     with np.errstate(over="raise", invalid="raise"):  # an overflowing coupling product is a numerical failure
-        h = np.repeat(parts[0][None], couplings.shape[0], axis=0)
-        for mu, part in enumerate(parts[1:]):
-            h += couplings[:, mu, None, None, None] * part
-        values = np.linalg.eigvalsh(h).reshape(couplings.shape[0], -1)
+        values = np.linalg.eigvalsh(_affine(blocks[:, by_label], couplings)).reshape(couplings.shape[0], -1)
         if not np.isfinite(values).all():
             raise FloatingPointError("plaquette spectrum is not finite")
         order = np.argsort(values, axis=1, kind="stable")
@@ -335,7 +331,7 @@ def _levels(lambda0: float, h0: Optional[OperatorSum]) -> tuple[np.ndarray, np.n
     parts = plaquette_parts(h0)
     blocks = _sector_blocks(*parts)[1].astype(complex)
     with np.errstate(over="raise", invalid="raise"):
-        values, vectors = np.linalg.eigh(blocks[0] + lambda0 * blocks[1:].sum(axis=0))
+        values, vectors = np.linalg.eigh(_affine(blocks, np.full(4, lambda0)))
     if not np.isfinite(values).all():
         raise FloatingPointError("plaquette levels are not finite")
     order = np.argsort(values, axis=None, kind="stable")

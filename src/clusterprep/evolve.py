@@ -6,6 +6,7 @@ is given in its affine form, H(lam) = H0 + sum_mu lam_mu H_mu: the
 propagators take H0 and one part H_mu per coupling column of the
 schedule, as `OperatorSum`s, and make their dense sector blocks once
 per (H0, parts): `_sector_blocks` is cached, and the spectra read it too.
+H(lam) on the blocks, for any rows of couplings, comes from `_affine`.
 
 The conserved Pauli checks are found symbolically from the terms of H0
 and the H_mu (`pauli.conserved_checks`), and H0 and the parts are
@@ -22,8 +23,8 @@ Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
 Phil. Trans. R. Soc. A 357 (1999)) on the whole propagator.  H(t) is
 linear on each smooth piece of the schedule, so the exponent's nested
 commutators are formed once per piece and propagator, and each pass
-and segment only weights them with scalars: a step's exponent is a
-quartic in the step index.  Each step exponential is a truncated Taylor
+only weights them with scalars: a step's exponent is a polynomial in
+the step's centre time.  Each step exponential is a truncated Taylor
 series with scaling and squaring, evaluated with matrix products only
 (Paterson-Stockmeyer), with degree and squarings chosen per batch so
 the truncation error is below unit roundoff (after Al-Mohy & Higham,
@@ -60,6 +61,7 @@ it; one farther outside raises ValueError.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import threading
@@ -89,13 +91,9 @@ _BATCH_ENTRIES = 1 << 14
 _UNIT_ROUNDOFF = 2.0**-53
 _MAX_TAYLOR_DEGREE = 18
 _UNITARITY_ATOL = 1e-10
-# the power of h and the degree in t of each row of `_magnus_terms`; a
-# step's exponent is a polynomial of degree _STEP_DEGREE in its index
+# the power of h and the degree in t of each row of `_magnus_terms`
 _TERM_H_POWERS = np.array([1, 1, 3, 5, 5, 5, 7, 7, 7, 7, 7])
 _TERM_T_DEGREES = np.array([0, 1, 0, 0, 1, 2, 0, 1, 2, 3, 4])
-_STEP_DEGREE = int(_TERM_T_DEGREES.max())
-# binom(j, k) for each term's degree j and each power k of the step index (0 for k > j)
-_TERM_BINOMIALS = np.array([[math.comb(j, k) for j in _TERM_T_DEGREES] for k in range(_STEP_DEGREE + 1)])
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ class Schedule:
     ``times`` are the knot times: they start at 0.0, increase strictly,
     and the last one is the duration.  ``couplings[k]`` holds every
     coupling at ``times[k]``, all finite and >= 0; each coupling is
-    linear between knots.
+    linear between knots, with a finite slope.
     """
 
     times: tuple[float, ...]
@@ -125,6 +123,9 @@ class Schedule:
             raise ValueError("every knot needs the same number of couplings, at least one")
         if any(not math.isfinite(v) or v < 0 for row in rows for v in row):
             raise ValueError("couplings must be finite and >= 0")
+        steps = zip(times, times[1:], rows, rows[1:])
+        if not all(math.isfinite((b - a) / (t1 - t0)) for t0, t1, r0, r1 in steps for a, b in zip(r0, r1)):
+            raise ValueError("every coupling's slope between knots must be finite")
 
     @property
     def duration(self) -> float:
@@ -307,22 +308,16 @@ def _magnus_terms(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return np.concatenate([a0[:, None], b, -c / 12.0, h5, h7], axis=1)
 
 
-def _step_weights(kinks: list[float], boundaries: list[float], counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The piece of each segment, and the scalars that make its step exponents.
+def _step_exponents(terms: np.ndarray, h: float, t: np.ndarray) -> np.ndarray:
+    """Exponents of steps of length h centred at times ``t`` of one piece.
 
-    Step s of a segment that starts c0 into its piece, at step h, is
-    centred at t = c + s h with c = c0 + h/2, so term (w, j) of
-    `_magnus_terms` contributes h^w (c + s h)^j = sum_k binom(j, k)
-    h^(w+k) c^(j-k) s^k.  Returns the piece index of each segment and
-    weights of shape (segments, 5, 11): the exponent of step s is
-    sum_k s^k (weights[g, k] @ terms).
+    ``terms`` are that piece's (11, ...) `_magnus_terms` rows, and ``t``
+    is measured from the piece's start: the exponent of the step at t is
+    sum_r h^_TERM_H_POWERS[r] t^_TERM_T_DEGREES[r] terms[r].
     """
-    start = np.array(boundaries[:-1])
-    piece = np.searchsorted(kinks, start, side="right") - 1
-    h = (np.diff(boundaries) / np.array(counts))[:, None, None]
-    c = (start - np.array(kinks)[piece])[:, None, None] + 0.5 * h
-    j, k = _TERM_T_DEGREES, np.arange(_STEP_DEGREE + 1)[:, None]
-    return piece, _TERM_BINOMIALS * h ** (_TERM_H_POWERS + k) * c ** np.maximum(j - k, 0)
+    scalars = h**_TERM_H_POWERS * t[:, None] ** _TERM_T_DEGREES
+    # one matmul on the flattened rows: np.tensordot's overhead doubles this product's cost at 32 steps
+    return (scalars @ terms.reshape(len(terms), -1)).reshape(len(t), *terms.shape[1:])
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -356,23 +351,23 @@ def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], c
 
     ``terms`` are the real forms of the per-piece `_magnus_terms`;
     returns the real forms of U's (n_blocks, d, d) blocks at every
-    boundary after the first.  Each batch's step exponents come from one
-    Vandermonde product of step indices and segment coefficients.
+    boundary after the first.  Step s of a segment that starts at t0,
+    at step h, is centred c + s h into its piece, with c = t0 + h/2 less
+    the piece's start knot; each batch's exponents are one
+    `_step_exponents` product.
     """
-    piece, weights = _step_weights(kinks, boundaries, counts)
     shape = terms.shape[2:]
-    flat = terms.reshape(*terms.shape[:2], -1)
-    batch = max(1, _BATCH_ENTRIES // flat.shape[-1])
+    batch = max(1, _BATCH_ENTRIES // math.prod(shape))
     work = _taylor_workspace((batch, *shape), threading.get_ident())
     u = np.broadcast_to(np.eye(shape[-1]), shape)
     snapshots = []
-    for p, w, n_steps in zip(piece, weights, counts):
-        coeffs = w @ flat[p]
+    for t0, t1, n_steps in zip(boundaries, boundaries[1:], counts):
+        p = bisect.bisect_right(kinks, t0) - 1
+        h = (t1 - t0) / n_steps
+        c = t0 - kinks[p] + 0.5 * h
         for done in range(0, n_steps, batch):
-            s = np.arange(done, min(done + batch, n_steps), dtype=float)
-            powers = s[:, None] ** np.arange(_STEP_DEGREE + 1)
-            steps = (powers @ coeffs).reshape(-1, *shape)
-            u = _ordered_product(_expm_taylor(steps, work[:, : len(s)])) @ u
+            t = c + np.arange(done, min(done + batch, n_steps)) * h
+            u = _ordered_product(_expm_taylor(_step_exponents(terms[p], h, t), work[:, : len(t)])) @ u
         snapshots.append(u)
     return snapshots
 
@@ -407,6 +402,15 @@ def _sector_basis(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> np.ndarray
     return vb
 
 
+def _affine(blocks: np.ndarray, couplings) -> np.ndarray:
+    """H0 + sum_mu lam_mu H_mu on the sector blocks, for each row of ``couplings``.
+
+    ``blocks`` are `_sector_blocks`' (1 + parts, n_blocks, d, d) blocks
+    of H0 and the parts, and ``couplings`` has one column per part.
+    """
+    return blocks[0] + np.tensordot(couplings, blocks[1:], axes=1)
+
+
 def _spectral_norms_within(diff: np.ndarray, bound: float) -> bool:
     """Whether every (d, d) block of ``diff`` has spectral norm at most ``bound``.
 
@@ -427,9 +431,9 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     Integration, comparison and the unitarity check all run in the
     sector blocks of the checks conserved by H0 and the parts.  Returns
     the distinct sample times in ascending order, each snapped onto [0,
-    duration], the boundary times, and U's complex (n_blocks, d, d) blocks
-    at each of them (None where U is exactly the identity: at the first,
-    and at all of them when the schedule has zero duration).
+    duration], and U's complex (n_blocks, d, d) blocks keyed by each of
+    them and by the duration (None where U is exactly the identity: at
+    0, and everywhere when the schedule has zero duration).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive")
@@ -445,16 +449,16 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     d = blocks.shape[-1]
     kinks = list(schedule.times)
     boundaries = sorted({*kinks, *samples})
+    wanted = [*samples, duration]
     if duration == 0.0:
-        return samples, boundaries, [None] * len(boundaries)
+        return samples, dict.fromkeys(wanted)
     # A = -iH = a0 + t a1 on each piece between knots, t from the piece's start
     lam = np.array(schedule.couplings)
     slope = np.diff(lam, axis=0) / np.diff(kinks)[:, None]
-    a0 = -1j * (blocks[0] + np.tensordot(lam[:-1], blocks[1:], axes=1))
-    a1 = -1j * np.tensordot(slope, blocks[1:], axes=1)
+    knots = _affine(blocks, lam)
+    a0, a1 = -1j * knots[:-1], -1j * np.tensordot(slope, blocks[1:], axes=1)
     terms = _real_form(_magnus_terms(a0, a1))
     # the real-form 1-norm of A at the knots is that of H there: sum_i |Re H_ij| + |Im H_ij|
-    knots = blocks[0] + np.tensordot(lam, blocks[1:], axes=1)
     norm = float((np.abs(knots.real) + np.abs(knots.imag)).sum(axis=-2).max())
 
     h = _start_step(duration, norm, tol)
@@ -477,7 +481,8 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     defect = float(np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - np.eye(d), axis=(1, 2)).max())
     if defect > _UNITARITY_ATOL:
         raise NumericalCheckError(f"propagator is not unitary (defect {defect:.3e})")
-    return samples, boundaries, [None, *cur]
+    at = dict(zip(boundaries, [None, *cur]))
+    return samples, {t: at[t] for t in wanted}
 
 
 def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e-8, sample_times=None):
@@ -491,7 +496,7 @@ def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e
     FloatingPointError.
     """
     with np.errstate(over="raise", invalid="raise"):
-        samples, boundaries, snapshots = _converged_propagators(h0, parts, schedule, tol, sample_times)
+        samples, snapshots = _converged_propagators(h0, parts, schedule, tol, sample_times)
     vb = _sector_basis(h0, tuple(parts))
     dim = vb.shape[1]
     v_dagger = vb.transpose(1, 0, 2).reshape(dim, dim).conj().T
@@ -500,8 +505,7 @@ def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e
         # (vb_s u_s) side by side is V blockdiag(u), a dim x dim matrix; U(0) stays exactly the identity
         return np.eye(dim, dtype=complex) if u is None else (vb @ u).transpose(1, 0, 2).reshape(dim, dim) @ v_dagger
 
-    keep = {*samples, boundaries[-1]}
-    by_time = {t: full(u) for t, u in zip(boundaries, snapshots) if t in keep}
+    u_at = {t: full(u) for t, u in snapshots.items()}
     if sample_times is None:
-        return by_time[boundaries[-1]]
-    return by_time[boundaries[-1]], [(t, by_time[t]) for t in samples]
+        return u_at[schedule.duration]
+    return u_at[schedule.duration], [(t, u_at[t]) for t in samples]

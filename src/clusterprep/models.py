@@ -93,10 +93,11 @@ class ModelInstance:
         return self.site_index(*site) * self.spins_per_site + (m - 1)
 
 
-def _check_couplings(J: float, lam: float):
-    if not (math.isfinite(J) and J > 0):
+def _check_couplings(J: float | None, *lams: float):
+    """Refuse a J that is not positive and finite (None skips it), then any lam that is not >= 0 and finite."""
+    if J is not None and not (math.isfinite(J) and J > 0):
         raise ValueError("J must be positive and finite")
-    if not (math.isfinite(lam) and lam >= 0):
+    if not all(math.isfinite(lam) and lam >= 0 for lam in lams):
         raise ValueError("coupling strength must be >= 0 and finite")
 
 
@@ -195,16 +196,13 @@ def _lam_vector(lam) -> tuple[float, float, float, float]:
         vec = tuple(float(v) for v in lam)
         if len(vec) != 4:
             raise ValueError("per-spin couplings need exactly 4 entries")
-    for v in vec:
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError("coupling strength must be >= 0 and finite")
+    _check_couplings(None, *vec)
     return vec
 
 
 def plaquette_ring_term(J: float) -> OperatorSum:
     """The static four-spin ZZ ring at strength -J."""
-    if not (math.isfinite(J) and J > 0):
-        raise ValueError("J must be positive and finite")
+    _check_couplings(J)
     terms = []
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
         terms.append((-float(J), PauliString.from_ops(4, {a: "Z", b: "Z"})))
@@ -240,10 +238,7 @@ def gap_closed_form(kind: str, J: float, lam: float) -> float:
     The 2D window needs torus extents of 3 or more: at L = 2 the XX bond
     to j + 2e wraps onto the site itself, and the gap goes as lam^2.
     """
-    if not (math.isfinite(J) and J > 0):
-        raise ValueError("J must be positive and finite")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError("coupling strength must be >= 0 and finite")
+    _check_couplings(J, lam)
     if kind == "1d":
         if lam >= J / 2:
             raise ValueError("1D closed form only valid for lam < J/2")

@@ -227,6 +227,24 @@ def test_spectrum_path_requirements():
     assert len(data_lines(out)) == 11 * 16
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--path", "rampdown", "--lambda0", "1", "--tau", "1e-320"),
+        # at three samples every sample falls on a knot, where the couplings are exact
+        ("spectrum", "--path", "sequential", "--lambda-init", "1", "--tau-each", "1e-320", "--samples", "3"),
+        ("spectrum", "--path", "sequential", "--lambda-init", "1", "--tau-each", "1e-320", "--samples", "4"),
+        ("evolve", "--T", "0.3", "--lambda0", "1", "--tau", "1e-320"),
+        ("sweep", "--T", "0.3", "--lambda0", "1", "--tau", "1e-320"),
+        ("phase-diagram", "--lambda0-grid", "1", "--tau", "1e-320"),
+    ],
+)
+def test_schedule_whose_coupling_slope_overflows_is_a_usage_error(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err == "error: every coupling's slope between knots must be finite\n"
+
+
 def test_spectrum_output_file_is_atomic(tmp_path):
     target = tmp_path / "levels.csv"
     code, out, _ = run_cli("spectrum", "--lambda-grid", "1.0", "--output", str(target))

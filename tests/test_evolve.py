@@ -82,6 +82,18 @@ def test_piecewise_linear_validation():
         sched.coupling_matrix([0.5, 1.5])
 
 
+def test_schedule_refuses_a_coupling_slope_that_overflows():
+    # np.interp's slope 1 / 1e-320 would overflow to -inf couplings between the knots
+    for make in (lambda: linear_rampdown(1.0, 1e-320), lambda: sequential_switchoff(1.0, 1e-320, (1, 2, 3, 4))):
+        with pytest.raises(ValueError, match="slope between knots must be finite"):
+            make()
+    with pytest.raises(ValueError, match="slope between knots must be finite"):
+        Schedule((0.0, 1e-300, 1.0), ((0.0,), (1e10,), (0.0,)))
+    # a knot interval of 1e-320 is fine while the couplings do not change across it
+    steady = Schedule((0.0, 1e-320, 1.0), ((1.0,), (1.0,), (0.0,)))
+    np.testing.assert_array_equal(steady.coupling_matrix([5e-321, 0.5]), [[1.0], [0.5]])
+
+
 def test_linear_rampdown_examples():
     sched = linear_rampdown(2.5, 10.0)
     assert sched.duration == 10.0
@@ -203,6 +215,16 @@ def test_schedule_unitary_is_unitary_and_samples():
     assert times == [0.0, 1.0, 2.0]
     np.testing.assert_array_equal(snaps[0][1], np.eye(16, dtype=complex))
     np.testing.assert_array_equal(snaps[-1][1], u_final)
+
+
+def test_repeated_samples_on_interior_knots_come_back_once_each():
+    sched = sequential_switchoff(2.0, 1.0, (1, 2, 3, 4))
+    u_final, snaps = schedule_unitary(*PLAQUETTE, sched, tol=1e-8, sample_times=[2.0, 1.0, 2.0, 4.0, 1.0])
+    ref_final, ref = schedule_unitary(*PLAQUETTE, sched, tol=1e-8, sample_times=[1.0, 2.0, 4.0])
+    assert [t for t, _ in snaps] == [t for t, _ in ref] == [1.0, 2.0, 4.0]
+    for (_, u), (_, v) in zip(snaps, ref):
+        assert u.tobytes() == v.tobytes()
+    assert u_final.tobytes() == ref_final.tobytes() == snaps[-1][1].tobytes()
 
 
 def test_samples_rounding_close_outside_the_schedule_are_snapped_onto_its_ends():
@@ -675,23 +697,25 @@ def direct_exponent(a: np.ndarray, a1: np.ndarray, h: float) -> np.ndarray:
     )
 
 
-def test_step_quartic_matches_the_direct_exponent():
+def test_centre_time_exponent_matches_the_direct_exponent():
     rng = np.random.default_rng(5)
     # two pieces of two sector blocks each; segments split the pieces unevenly
     a0 = -1j * np.array([[random_hermitian(rng, 4) for _ in range(2)] for _ in range(2)])
     a1 = -1j * np.array([[random_hermitian(rng, 4) for _ in range(2)] for _ in range(2)])
     kinks, boundaries, counts = [0.0, 1.5, 4.0], [0.0, 0.7, 1.5, 2.2, 4.0], [3, 5, 4, 6]
     terms = evolve._magnus_terms(a0, a1)
-    piece, weights = evolve._step_weights(kinks, boundaries, counts)
-    assert piece.tolist() == [0, 0, 1, 1]
-    for g, n_steps in enumerate(counts):
+    u, expected = np.eye(4), []
+    for g, (piece, n_steps) in enumerate(zip([0, 0, 1, 1], counts)):
         h = (boundaries[g + 1] - boundaries[g]) / n_steps
-        coeffs = np.tensordot(weights[g], terms[piece[g]], axes=1)
-        for s in range(n_steps):
-            t_mid = boundaries[g] - kinks[piece[g]] + (s + 0.5) * h
-            a = a0[piece[g]] + t_mid * a1[piece[g]]
-            quartic = sum(s**k * coeffs[k] for k in range(5))
-            assert np.abs(quartic - direct_exponent(a, a1[piece[g]], h)).max() <= 1e-13
+        t_mid = boundaries[g] - kinks[piece] + (np.arange(n_steps) + 0.5) * h
+        for t, exponent in zip(t_mid, evolve._step_exponents(terms[piece], h, t_mid)):
+            direct = direct_exponent(a0[piece] + t * a1[piece], a1[piece], h)
+            assert np.abs(exponent - direct).max() <= 1e-13
+            u = scipy.linalg.expm(direct) @ u
+        expected.append(u)
+    # the sweep centres every segment's steps in its own piece
+    r = np.array(evolve._integrate(evolve._real_form(terms), kinks, boundaries, counts))
+    assert np.abs(r[..., :4, :4] + 1j * r[..., 4:, :4] - np.array(expected)).max() <= 1e-12
 
 
 def test_one_step_error_falls_at_ninth_power():
@@ -702,8 +726,7 @@ def test_one_step_error_falls_at_ninth_power():
     errors = []
     for h in (0.8, 0.4, 0.2):
         t0 = 0.3  # the step starts inside its piece
-        _, weights = evolve._step_weights([0.0, 2.0], [t0, t0 + h], [1])
-        step = scipy.linalg.expm(np.tensordot(weights[0, 0], terms[0], axes=1))
+        step = scipy.linalg.expm(evolve._step_exponents(terms[0], h, np.array([t0 + 0.5 * h]))[0])
         ref = solve_ivp(
             lambda t, y: (-1j * (h0 + t * h1) @ y.reshape(6, 6)).ravel(),
             (t0, t0 + h), np.eye(6, dtype=complex).ravel(), method="DOP853", rtol=1e-13, atol=1e-15,
