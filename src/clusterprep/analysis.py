@@ -93,6 +93,10 @@ def _class_rep(e: int) -> int:
     return min(e & 0xF, (~e) & 0xF)
 
 
+# the classes one more single flip away from each class rep, spin 1 to 4
+_NEIGHBOURS = {rep: tuple(_class_rep(rep ^ (1 << mu)) for mu in range(4)) for rep in CLASS_REPS}
+
+
 @functools.cache
 def tomography_basis() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """Orthonormal 16-column basis with (class rep, sector) column labels.
@@ -148,23 +152,15 @@ def _channel_report(weights: np.ndarray) -> ErrorChannelReport:
     class_probs = {rep: raw[(rep, 1)] for rep in CLASS_REPS}
     for rep in CLASS_REPS:
         spill = raw[(rep, -1)] / 4.0
-        for mu in range(4):
-            class_probs[_class_rep(rep ^ (1 << mu))] += spill
-    fidelity = class_probs[0]
+        for neighbour in _NEIGHBOURS[rep]:
+            class_probs[neighbour] += spill
     p_z = sum(class_probs[r] for r in _SINGLE_REPS) / 4.0
     p_c1 = sum(class_probs[r] for r in _ADJACENT_REPS) / 2.0
     p_c2 = class_probs[_DIAGONAL_REP]
-    w_minus = float(sum(raw[(rep, -1)] for rep in CLASS_REPS))
-    return ErrorChannelReport(
-        fidelity=float(fidelity),
-        p_z=float(p_z),
-        p_c1=float(p_c1),
-        p_c2=float(p_c2),
-        e_zeta=float(total_phase_flip_error(p_z, p_c1, p_c2)),
-        w_minus=w_minus,
-        class_probs={k: float(v) for k, v in class_probs.items()},
-        raw=raw,
-    )
+    w_minus = sum(raw[(rep, -1)] for rep in CLASS_REPS)
+    # every value is a Python float already: raw's are, and the rest are sums of them
+    e_zeta = total_phase_flip_error(p_z, p_c1, p_c2)
+    return ErrorChannelReport(class_probs[0], p_z, p_c1, p_c2, e_zeta, w_minus, class_probs, raw)
 
 
 @dataclass(frozen=True)
@@ -274,17 +270,29 @@ class _Readout:
     total phase-flip error of U|k> alone.  The cooled state is
     sum_k w_k(T) |k><k| (`thermal.thermal_weights`), so its basis weights
     after the ramp are ``W @ w(T)`` and its error is ``e @ w(T)``.
+    ``gaps`` is -(E - E0), whose exp at T > 0 gives the weights bit for
+    bit as `thermal.thermal_weights` does, without its per-call setup.
     """
 
     energies: np.ndarray
     W: np.ndarray
     e: np.ndarray
+    gaps: np.ndarray
 
     def report(self, T: float) -> ErrorChannelReport:
         return _channel_report(self.W @ thermal_weights(self.energies, T))
 
-    def e_zeta(self, T: float) -> float:
-        return float(self.e @ thermal_weights(self.energies, T))
+    def e_zeta(self, T):
+        """The error at temperature T, or a list of them at each of an ascending array of temperatures."""
+        if isinstance(T, np.ndarray):
+            # the weights of every T > 0 in one batched exp; each error is one 1-D dot, as for a single T
+            w = np.exp(self.gaps / T[T > 0, None])
+            w /= w.sum(axis=1, keepdims=True)
+            return [self.e_zeta(t) for t in T[T <= 0]] + [float(self.e @ row) for row in w]
+        if not T > 0:
+            return float(self.e @ thermal_weights(self.energies, T))
+        w = np.exp(self.gaps / T)
+        return float(self.e @ (w / w.sum()))
 
 
 @functools.cache
@@ -310,9 +318,10 @@ def _readout_of(energies: np.ndarray, vectors: np.ndarray, u: Optional[np.ndarra
     if defect > max(1e-10, 4.0 * tol):
         raise NumericalCheckError(f"evolved state failed its check: readout sums miss 1 by {defect:.3e}")
     e = _basis_errors() @ W
-    for array in (energies, W, e):
+    gaps = -(energies - energies[0])
+    for array in (energies, W, e, gaps):
         array.flags.writeable = False
-    return _Readout(energies, W, e)
+    return _Readout(energies, W, e, gaps)
 
 
 @functools.lru_cache(maxsize=64)
@@ -396,6 +405,15 @@ def no_evolution_point(T: float, lambda0: float, h0: Optional[OperatorSum] = Non
     return _readout(lambda0, None, h0, 1e-8).report(T)
 
 
+@functools.lru_cache(maxsize=64)
+def _probe_temperatures(lo: float, hi: float) -> np.ndarray:
+    """Read-only nine probes of `threshold_temperature`'s bracket, geometric between its ends."""
+    probes = np.geomspace(max(lo, 1e-12), hi, 9)
+    probes[0], probes[-1] = lo, hi
+    probes.flags.writeable = False
+    return probes
+
+
 def threshold_temperature(
     lambda0: float,
     tau: Optional[float],
@@ -424,9 +442,7 @@ def threshold_temperature(
     if not (0 <= lo < hi):
         raise ValueError("bracket must satisfy 0 <= lo < hi")
     err = _readout(lambda0, tau, h0, tol).e_zeta
-    probes = np.geomspace(max(lo, 1e-12), hi, 9)
-    probes[0], probes[-1] = lo, hi
-    samples = [err(float(T)) for T in probes]
+    samples = err(_probe_temperatures(lo, hi))
     if min(samples) > target:
         return None
     if max(samples) < target:

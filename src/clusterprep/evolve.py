@@ -26,17 +26,18 @@ commutators are formed once per piece and propagator, and each pass
 only weights them with scalars: a step's exponent is a polynomial in
 the step's centre time.  Each step exponential is a truncated Taylor
 series with scaling and squaring, evaluated with matrix products only
-(Paterson-Stockmeyer), with degree and squarings chosen per batch so
-the truncation error is below unit roundoff (after Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 31 (2009)).  Steps run on the real form
-[[Re A, -Im A], [Im A, Re A]] of each complex sector block A, which
-respects sums, real scalings and products; numpy multiplies 8x8 blocks
-about twice as fast in it (the gain shrinks with size and is gone at
-16x16).  U comes back complex.  Steps are processed in batches of
-bounded size and multiplied in a fixed pairwise tree order, so results
-are deterministic for identical inputs and peak memory does not grow
-with the step count.  Each batch's exponentials are written into one
-reused workspace per thread.
+(Paterson & Stockmeyer, SIAM J. Comput. 2 (1973), every block sum in
+one product), with degree and squarings read per batch from a plan
+table built at import so the truncation error is below unit roundoff
+(after Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)).  Steps
+run on the real form [[Re A, -Im A], [Im A, Re A]] of each complex
+sector block A, which respects sums, real scalings and products; numpy
+multiplies 8x8 blocks about twice as fast in it (the gain shrinks with
+size and is gone at 16x16).  U comes back complex.  Steps are processed
+in batches of bounded size and multiplied in a fixed pairwise tree
+order, so results are deterministic for identical inputs and peak
+memory does not grow with the step count.  Each batch's exponentials
+are written into one reused workspace per thread.
 
 Step size is controlled by step doubling.  The first pass takes the
 coarsest step duration / 2^k whose norm h max ||A||_1 is at most
@@ -84,7 +85,7 @@ __all__ = [
 _MAX_STEPS = 1 << 18
 # real entries per batched array, independent of the step count: 32 steps of two
 # 16x16 real forms of 8x8 sector blocks, 128 KB per array, so that a batch's Taylor
-# workspace (1 MB) stays in cache. With 1 MB arrays the sweep grid's nine
+# workspace (nine arrays) stays in cache. With 1 MB arrays the sweep grid's nine
 # propagators ran 10 to 40% slower (2-core VM, three interleaved runs), with no
 # page faults at either size once the workspace is reused
 _BATCH_ENTRIES = 1 << 14
@@ -187,30 +188,49 @@ def _admissible_theta(m: int) -> float:
 _ADMISSIBLE_THETA = {m: _admissible_theta(m) for m in range(1, _MAX_TAYLOR_DEGREE + 1)}
 
 
-def _taylor_plan(norm: float) -> tuple[int, int]:
-    """Cheapest (degree m, squarings s) whose truncation error is below 2^-53.
+def _plan_table() -> tuple[list[float], list[tuple[int, int]]]:
+    """The cheapest (degree m, squarings s) whose truncation error is below 2^-53, tabled by 1-norm.
 
     Degree m needs the fewest squarings s with norm / 2^s at most its
-    admissible theta (tabled at import); the cost counts the matrix
-    products of Paterson-Stockmeyer evaluation plus squarings.
+    admissible theta, read off the binary exponents; the cost counts the
+    matrix products of Paterson-Stockmeyer evaluation plus squarings,
+    and a tie goes to the lower degree.  Every s, so the plan, is
+    constant between the edges theta_m 2^k: plans[i] holds on
+    (edges[i - 1], edges[i]].  Above the largest theta, doubling the norm
+    adds one squaring to every degree, so the edges stop at twice it.
     """
+    degrees, thetas = np.array(list(_ADMISSIBLE_THETA)), np.array(list(_ADMISSIBLE_THETA.values()))
+    # a set, not np.unique, whose first call takes about 18 ms (numpy 2.4) that every CLI start would pay
+    edges = np.array(sorted({math.ldexp(t, k) for t in _ADMISSIBLE_THETA.values() for k in range(64)}))
+    edges = edges[edges <= 2.0 * thetas.max()]
+    (mantissa, exponent), (t_mantissa, t_exponent) = np.frexp(edges[:, None]), np.frexp(thetas)
+    s = np.where(edges[:, None] <= thetas, 0, exponent - t_exponent + (mantissa > t_mantissa))
+    p = np.array([math.isqrt(m - 1) + 1 for m in _ADMISSIBLE_THETA])
+    best = np.argmin(p - 1 + degrees // p + s, axis=1)
+    return edges.tolist(), list(zip(degrees[best].tolist(), s[np.arange(len(edges)), best].tolist()))
+
+
+_PLAN_EDGES, _PLANS = _plan_table()
+_TOP_MANTISSA, _TOP_EXPONENT = math.frexp(_PLAN_EDGES[-1])
+
+
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """`_plan_table`'s (m, s) at this norm, read after the fewest halvings k that
+    bring the norm into the table, each of which is one more squaring."""
     mantissa, exponent = math.frexp(norm)
-    best = None
-    for m, theta in _ADMISSIBLE_THETA.items():
-        # fewest s with norm / 2^s <= theta, read off the binary exponents
-        t_mantissa, t_exponent = math.frexp(theta)
-        s = 0 if norm <= theta else exponent - t_exponent + (mantissa > t_mantissa)
-        p = math.isqrt(m - 1) + 1
-        cost = p - 1 + m // p + s
-        if best is None or cost < best[0]:
-            best = (cost, m, s)
-    return best[1], best[2]
+    k = max(0, exponent - _TOP_EXPONENT + (mantissa > _TOP_MANTISSA))
+    m, s = _PLANS[bisect.bisect_left(_PLAN_EDGES, math.ldexp(norm, -k))]
+    return m, s + k
 
 
-# Paterson-Stockmeyer keeps A^0..A^p with p = isqrt(m - 1) + 1, at most this many
-_MAX_TAYLOR_POWERS = math.isqrt(_MAX_TAYLOR_DEGREE - 1) + 2
-# arrays of one `_expm_taylor` workspace: the powers, the Horner sum and one product
-_TAYLOR_SLOTS = _MAX_TAYLOR_POWERS + 2
+# Paterson-Stockmeyer coefficients of each tabled degree m as (m // p + 1, 1, p) rows: row j holds 1/(jp + i)!,
+# 0 past m.  The 1 makes numpy take each row as its own vector product; one matrix product would round differently.
+_PS_ROWS = {
+    m: np.array([1.0 / math.factorial(i) if i <= m else 0.0 for i in range((m // p + 1) * p)]).reshape(-1, 1, p)
+    for m, p in ((m, math.isqrt(m - 1) + 1) for m in dict.fromkeys(m for m, _ in _PLANS))
+}
+# arrays of one `_expm_taylor` workspace: the powers A^0..A^p and the block sums B_0..B_(m // p)
+_TAYLOR_SLOTS = max(rows.shape[0] + rows.shape[-1] + 1 for rows in _PS_ROWS.values())
 
 
 @functools.lru_cache(maxsize=1)
@@ -226,34 +246,34 @@ def _taylor_workspace(shape: tuple[int, ...], thread: int) -> np.ndarray:
 def _expm_taylor(a: np.ndarray, work=None) -> np.ndarray:
     """exp(A) for a stack of square matrices, by matrix products only.
 
-    The degree and the number of squarings come from the largest 1-norm
-    in the stack (_taylor_plan); the truncated series of A / 2^s is
-    evaluated by Paterson-Stockmeyer (powers A^0..A^(p-1), Horner in
-    A^p) and then squared s times.  ``work`` is a contiguous
-    (_TAYLOR_SLOTS, *a.shape) array of a's dtype that every product is
-    written into, and the result is a view of it; without one, a fresh
-    one is allocated.
+    The degree m and squarings s are read from the plan table at the
+    stack's largest 1-norm (one product of a ones vector with |A|).  The
+    series of A / 2^s is evaluated by Paterson-Stockmeyer: every block
+    sum B_j = sum_(i<p) c_(jp+i) A^i in one product of m's tabled rows
+    with A^0..A^(p-1), then Horner in A^p, then s squarings.  ``work``
+    is a (_TAYLOR_SLOTS, *a.shape) array of a's dtype, each slot
+    contiguous, that every product is written into, and the result is a
+    view of it; without one, a fresh one is allocated.
     """
     if work is None:
         work = np.empty((_TAYLOR_SLOTS, *a.shape), dtype=a.dtype)
-    acc, tmp = work[-2], work[-1]
-    norm = float(np.abs(a, out=tmp.real).sum(axis=-2).max(initial=0.0))
+    norm = float((np.ones(a.shape[-1]) @ np.abs(a, out=work[-1].real)).max(initial=0.0))
     if not math.isfinite(norm):
         raise NumericalCheckError("step generator is not finite")
     m, s = _taylor_plan(norm)
-    p = math.isqrt(m - 1) + 1
-    powers = work[: p + 1]
+    rows = _PS_ROWS[m]
+    top, p = rows.shape[0] - 1, rows.shape[-1]
+    powers, sums = work[: p + 1], work[p + 1 : p + 2 + top]
     powers[0] = np.eye(a.shape[-1])
     np.multiply(a, math.ldexp(1.0, -s), out=powers[1])
     for i in range(2, p + 1):
         np.matmul(powers[i - 1], powers[1], out=powers[i])
-    coeffs = np.array([1.0 / math.factorial(i) for i in range(m + 1)] + [0.0] * p)
-    low = powers[:p].reshape(p, -1)
-    top = m // p
-    np.matmul(coeffs[top * p : top * p + p], low, out=acc.reshape(-1))
+    np.matmul(rows, powers[:p].reshape(p, -1), out=sums.reshape(top + 1, 1, -1))
+    # A^0 is spent, so its slot takes the products
+    acc, tmp = sums[top], powers[0]
     for j in range(top - 1, -1, -1):
         np.matmul(acc, powers[p], out=tmp)
-        np.matmul(coeffs[j * p : j * p + p], low, out=acc.reshape(-1))
+        acc = sums[j]
         acc += tmp
     for _ in range(s):
         np.matmul(acc, acc, out=tmp)
@@ -353,8 +373,8 @@ def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], c
     returns the real forms of U's (n_blocks, d, d) blocks at every
     boundary after the first.  Step s of a segment that starts at t0,
     at step h, is centred c + s h into its piece, with c = t0 + h/2 less
-    the piece's start knot; each batch's exponents are one
-    `_step_exponents` product.
+    the piece's start knot, all formed once per segment; each batch's
+    exponents are one `_step_exponents` product.
     """
     shape = terms.shape[2:]
     batch = max(1, _BATCH_ENTRIES // math.prod(shape))
@@ -364,9 +384,9 @@ def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], c
     for t0, t1, n_steps in zip(boundaries, boundaries[1:], counts):
         p = bisect.bisect_right(kinks, t0) - 1
         h = (t1 - t0) / n_steps
-        c = t0 - kinks[p] + 0.5 * h
+        centres = t0 - kinks[p] + 0.5 * h + np.arange(n_steps) * h
         for done in range(0, n_steps, batch):
-            t = c + np.arange(done, min(done + batch, n_steps)) * h
+            t = centres[done : done + batch]
             u = _ordered_product(_expm_taylor(_step_exponents(terms[p], h, t), work[:, : len(t)])) @ u
         snapshots.append(u)
     return snapshots

@@ -66,6 +66,30 @@ def taylor_plan(norm: float, max_degree: int = 18, unit_roundoff: float = 2.0**-
     return best[1], best[2]
 
 
+def paterson_stockmeyer_expm(a: np.ndarray, m: int, s: int) -> np.ndarray:
+    """exp(a) of one square matrix: the degree-m Taylor series of x = a / 2^s, squared s times.
+
+    Plain Paterson-Stockmeyer with p = isqrt(m - 1) + 1: the powers
+    x^0..x^p, block sums B_j = sum_{i<p, jp+i<=m} x^i / (jp+i)!, and
+    Horner in x^p from B_(m//p) down to B_0.
+    """
+    x = a * 2.0**-s
+    p = math.isqrt(m - 1) + 1
+    powers = [np.eye(a.shape[0])]
+    for _ in range(p):
+        powers.append(powers[-1] @ x)
+
+    def block(j):
+        return sum(powers[i] / math.factorial(j * p + i) for i in range(p) if j * p + i <= m)
+
+    out = block(m // p)
+    for j in range(m // p - 1, -1, -1):
+        out = out @ powers[p] + block(j)
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def gibbs_matrix(h: np.ndarray, T: float, ground_rtol: float = 1e-9) -> np.ndarray:
     """exp(-h/T) / Z for Hermitian h via numpy's eigendecomposition.
 

@@ -42,6 +42,7 @@ from clusterprep.models import (
     stabilizers_1d,
 )
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
+from clusterprep.thermal import thermal_weights
 from oracles import gibbs_matrix, ground_resolvent_b, projected_levels, tomography_weights
 
 
@@ -556,6 +557,57 @@ def test_threshold_is_bounded_by_the_conserved_sector_weight():
                 ratios[lambda0, tau] = t_star / t_bound
     assert len(ratios) == 41  # short strong-coupling ramps have no threshold in the bracket
     assert max(ratios.values()) <= 1.0 + 1e-8
+
+
+def reference_threshold(readout, bracket, target=0.03):
+    """`threshold_temperature`'s search with every error read through `thermal.thermal_weights`.
+
+    Returns T_star, None below the bracket, or "above" above it.
+    """
+    err = lambda T: float(readout.e @ thermal_weights(readout.energies, T))
+    lo, hi = bracket
+    probes = np.geomspace(max(lo, 1e-12), hi, 9)
+    probes[0], probes[-1] = lo, hi
+    samples = [err(float(T)) for T in probes]
+    if min(samples) > target:
+        return None
+    if max(samples) < target:
+        return "above"
+    t_lo, t_hi = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (t_lo + t_hi)
+        if err(mid) <= target:
+            t_lo = mid
+        else:
+            t_hi = mid
+        if t_hi - t_lo <= 1e-9 * max(1.0, t_hi):
+            break
+    return 0.5 * (t_lo + t_hi)
+
+
+def test_threshold_bits_match_a_bisection_on_thermal_weights():
+    # on item 7's grid, from the readouts that the bound test above left cached: the batched
+    # probes and the bisection's errors must decide exactly as thermal_weights does, so every
+    # T_star keeps its bits; a bracket from 0 puts the T = 0 ground-space rule on the first probe
+    found = 0
+    for lambda0 in (0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+        for tau in (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0):
+            readout = _readout(lambda0, tau, None, 1e-8)
+            for bracket in ((1e-3, 3.0), (0.0, 3.0)):
+                probes = analysis._probe_temperatures(*bracket)
+                batched = readout.e_zeta(probes)
+                single = [float(readout.e @ thermal_weights(readout.energies, float(T))) for T in probes]
+                assert [x.hex() for x in batched] == [x.hex() for x in single]
+                assert [readout.e_zeta(float(T)).hex() for T in probes] == [x.hex() for x in single]
+                expected = reference_threshold(readout, bracket)
+                assert expected != "above"
+                t_star = threshold_temperature(lambda0, tau, bracket=bracket)
+                assert (t_star is None) == (expected is None)
+                if t_star is not None:
+                    assert t_star.hex() == expected.hex()
+                    found += 1
+    assert found == 2 * 41
+    assert analysis._probe_temperatures(0.0, 3.0)[0] == 0.0
 
 
 def test_threshold_below_bracket_returns_none():

@@ -33,7 +33,7 @@ from clusterprep.models import (
     stabilizer_3d_local,
 )
 from clusterprep.pauli import OperatorSum, PauliString, check_basis, check_blocks, conserved_checks, to_dense
-from oracles import expm_scaled, gibbs_matrix, taylor_plan
+from oracles import expm_scaled, gibbs_matrix, paterson_stockmeyer_expm, taylor_plan
 
 
 PLAQUETTE = plaquette_parts()
@@ -447,6 +447,51 @@ def test_tabled_taylor_plan_matches_the_degree_loop():
                 norms += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
     mismatches = [n for n in map(float, norms) if evolve._taylor_plan(n) != taylor_plan(n)]
     assert mismatches == []
+    # past the table's top edge the lookup halves the norm into it: the same check on both
+    # sides of each table edge's images 2, 4, ... 2^6 and 2^40 times larger
+    far = [math.ldexp(edge, k) for k in (*range(1, 7), 40) for edge in evolve._PLAN_EDGES]
+    far = [x for edge in far for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
+    assert [n for n in far if evolve._taylor_plan(n) != taylor_plan(n)] == []
+    # the table is small, and every plan in it has its coefficient rows and workspace slots
+    assert len(evolve._PLAN_EDGES) == len(evolve._PLANS) <= 256
+    assert evolve._PLAN_EDGES[-1] == 2.0 * max(evolve._ADMISSIBLE_THETA.values())
+    for m, _ in evolve._PLANS:
+        rows = evolve._PS_ROWS[m]
+        assert rows.shape[0] + rows.shape[-1] + 1 <= evolve._TAYLOR_SLOTS
+
+
+def _stack_at_norm(rng, norm: float) -> np.ndarray:
+    """A (3, 2, 16, 16) stack of real forms of anti-Hermitian 8x8 blocks whose largest 1-norm is ``norm``."""
+    k = rng.standard_normal((3, 2, 8, 8)) + 1j * rng.standard_normal((3, 2, 8, 8))
+    a = evolve._real_form(-1j * (k + k.conj().swapaxes(-1, -2)))
+    return a * (norm / np.abs(a).sum(axis=-2).max())
+
+
+def test_taylor_kernel_matches_expm_and_plain_paterson_stockmeyer_for_every_tabled_plan():
+    # norms just below and just above each edge of the plan table (each theta_m 2^k up to twice
+    # the largest theta), so every (m, s) the table returns is run, and both plans of each edge
+    rng = np.random.default_rng(25)
+    used = set()
+    for edge in evolve._PLAN_EDGES:
+        for norm in (edge * (1 - 1e-9), edge * (1 + 1e-9)):
+            a = _stack_at_norm(rng, norm)
+            # the kernel's own 1-norm of the stack, which picks its plan
+            actual = float((np.ones(16) @ np.abs(a)).max())
+            m, s = evolve._taylor_plan(actual)
+            assert (m, s) == taylor_plan(actual)
+            used.add((m, s))
+            out = evolve._expm_taylor(a)
+            flat = a.reshape(-1, 16, 16)
+            ref = np.array([scipy.linalg.expm(x) for x in flat]).reshape(out.shape)
+            assert np.abs(out - ref).max() <= 1e-13
+            plain = np.array([paterson_stockmeyer_expm(x, m, s) for x in flat]).reshape(out.shape)
+            assert np.abs(out - plain).max() <= 1e-15
+    assert used == set(evolve._PLANS)
+    # past the table the plan takes one more squaring per halving; exp still matches
+    for norm in (5.0, 40.0, 700.0):
+        a = _stack_at_norm(rng, norm)
+        ref = np.array([scipy.linalg.expm(x) for x in a.reshape(-1, 16, 16)]).reshape(a.shape)
+        assert np.abs(evolve._expm_taylor(a) - ref).max() <= 1e-13 * norm
 
 
 def test_commuting_static_part_runs_as_one_by_one_blocks():
