@@ -24,7 +24,9 @@ Phil. Trans. R. Soc. A 357 (1999)) on the whole propagator.  H(t) is
 linear on each smooth piece of the schedule, so the exponent's nested
 commutators are formed once per piece and propagator, and each pass
 only weights them with scalars: a step's exponent is a polynomial in
-the step's centre time.  Each step exponential is a truncated Taylor
+the step's centre time.  They are formed in the piece's own time
+(t - t_k) / dt_k, where no bracket grows with the slope dH/dt, so
+however short the piece they stay finite.  Each step exponential is a truncated Taylor
 series with scaling and squaring, evaluated with matrix products only
 (Paterson & Stockmeyer, SIAM J. Comput. 2 (1973), every block sum in
 one product), with degree and squarings read per batch from a plan
@@ -369,12 +371,14 @@ def _start_step(duration: float, norm: float, tol: float) -> float:
 def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
     """Magnus sweep over each smooth segment, ``counts`` steps each.
 
-    ``terms`` are the real forms of the per-piece `_magnus_terms`;
-    returns the real forms of U's (n_blocks, d, d) blocks at every
-    boundary after the first.  Step s of a segment that starts at t0,
-    at step h, is centred c + s h into its piece, with c = t0 + h/2 less
-    the piece's start knot, all formed once per segment; each batch's
-    exponents are one `_step_exponents` product.
+    ``terms`` are the real forms of the per-piece `_magnus_terms`, in
+    each piece's own time sigma = (t - t_k) / dt_k from its knot t_k
+    over its length dt_k; returns the real forms of U's (n_blocks, d, d)
+    blocks at every boundary after the first.  Step s of a segment that
+    starts at t0, at step h, is centred c + s h into its piece, with
+    c = t0 + h/2 less t_k, all formed once per segment and taken to
+    sigma by dividing by dt_k; each batch's exponents are one
+    `_step_exponents` product.
     """
     shape = terms.shape[2:]
     batch = max(1, _BATCH_ENTRIES // math.prod(shape))
@@ -383,11 +387,12 @@ def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], c
     snapshots = []
     for t0, t1, n_steps in zip(boundaries, boundaries[1:], counts):
         p = bisect.bisect_right(kinks, t0) - 1
+        dt = kinks[p + 1] - kinks[p]
         h = (t1 - t0) / n_steps
-        centres = t0 - kinks[p] + 0.5 * h + np.arange(n_steps) * h
+        centres = (t0 - kinks[p] + 0.5 * h + np.arange(n_steps) * h) / dt
         for done in range(0, n_steps, batch):
             t = centres[done : done + batch]
-            u = _ordered_product(_expm_taylor(_step_exponents(terms[p], h, t), work[:, : len(t)])) @ u
+            u = _ordered_product(_expm_taylor(_step_exponents(terms[p], h / dt, t), work[:, : len(t)])) @ u
         snapshots.append(u)
     return snapshots
 
@@ -472,12 +477,8 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     wanted = [*samples, duration]
     if duration == 0.0:
         return samples, dict.fromkeys(wanted)
-    # A = -iH = a0 + t a1 on each piece between knots, t from the piece's start
     lam = np.array(schedule.couplings)
-    slope = np.diff(lam, axis=0) / np.diff(kinks)[:, None]
     knots = _affine(blocks, lam)
-    a0, a1 = -1j * knots[:-1], -1j * np.tensordot(slope, blocks[1:], axes=1)
-    terms = _real_form(_magnus_terms(a0, a1))
     # the real-form 1-norm of A at the knots is that of H there: sum_i |Re H_ij| + |Im H_ij|
     norm = float((np.abs(knots.real) + np.abs(knots.imag)).sum(axis=-2).max())
 
@@ -489,6 +490,13 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
         spent += sum(counts)
         if spent > _MAX_STEPS:
             raise ConvergenceError(f"step-doubling did not reach tolerance within {_MAX_STEPS} steps")
+        if prev is None:
+            # dU/dsigma = dt (A(t_k) + sigma (A(t_(k+1)) - A(t_k))) in each piece's own time sigma: its
+            # brackets stay finite however short the piece; formed once the first pass is within the budget,
+            # which refuses a generator too large for them
+            dt = np.diff(kinks).reshape(-1, 1, 1, 1)
+            rise = np.tensordot(np.diff(lam, axis=0), blocks[1:], axes=1)
+            terms = _real_form(_magnus_terms(-1j * dt * knots[:-1], -1j * dt * rise))
         # complex blocks at every boundary after the first, where U(0) is the identity in every pass
         r = np.array(_integrate(terms, kinks, boundaries, counts))
         cur = r[..., :d, :d] + 1j * r[..., d:, :d]

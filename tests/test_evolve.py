@@ -585,6 +585,18 @@ def test_enormous_generator_is_refused_by_the_step_budget():
         schedule_unitary(h0, parts, Schedule((0.0, 1e10), ((1.0,) * 4, (1.0,) * 4)))
 
 
+def test_vanishing_ramp_time_runs_and_returns_the_identity(tmp_path):
+    # dH/dt is 1e100 here: in t the h^7 brackets would hold its fourth power and overflow, but
+    # each piece's own time sigma = t / tau scales it to tau dH/dt before any bracket is formed
+    u, snaps = schedule_unitary(*PLAQUETTE, linear_rampdown(1.0, 1e-100), tol=1e-8, sample_times=[5e-101])
+    for v in (u, snaps[0][1]):
+        assert np.abs(v - np.eye(16)).max() <= 1e-13
+    for command in ("evolve", "sweep"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--T", "0.3", "--lambda0", "1", "--tau", "1e-100", "--output", str(tmp_path / command)])
+        assert code == 0, command
+
+
 def test_rampdown_converges_in_three_passes(monkeypatch):
     # eighth order: the 128 -> 256 comparison already meets tol/4 = 2.5e-9, and the
     # norm-scaled start (h max||A||_1 <= 1.6 at tol 1e-8) begins at 128 steps
@@ -758,8 +770,11 @@ def test_centre_time_exponent_matches_the_direct_exponent():
             assert np.abs(exponent - direct).max() <= 1e-13
             u = scipy.linalg.expm(direct) @ u
         expected.append(u)
-    # the sweep centres every segment's steps in its own piece
-    r = np.array(evolve._integrate(evolve._real_form(terms), kinks, boundaries, counts))
+    # the sweep centres every segment's steps in its own piece, whose terms it takes in that piece's
+    # own time sigma = (t - t_k) / dt_k: the generator there is dt a0 + sigma dt^2 a1
+    dt = np.diff(kinks).reshape(-1, 1, 1, 1)
+    sigma_terms = evolve._magnus_terms(dt * a0, dt * dt * a1)
+    r = np.array(evolve._integrate(evolve._real_form(sigma_terms), kinks, boundaries, counts))
     assert np.abs(r[..., :4, :4] + 1j * r[..., 4:, :4] - np.array(expected)).max() <= 1e-12
 
 
