@@ -43,14 +43,20 @@ are written into one reused workspace per thread.
 
 Step size is controlled by step doubling.  The first pass takes the
 coarsest step duration / 2^k whose norm h max ||A||_1 is at most
-theta(tol) = min(2, 16 tol^(1/8)), with ||A||_1 the real-form 1-norm of
+theta(tol) = min(2, 32 tol^(1/8)), with ||A||_1 the real-form 1-norm of
 A = -iH at the knots, where the affine A peaks: the exponent 1/8 is the
-order (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and the cap keeps
-every pass inside the Magnus convergence bound h ||A|| < pi.  The run is
-then repeated at half the step until halving changes no sector block, at
-any boundary, by more than tol/4 in spectral norm, and the finer run is
-returned.  The spectral norm of U's change is the same in every basis,
-and it bounds every entry, so each entry of U is held to tol/4.  The
+order (Hairer, Norsett & Wanner, Solving ODEs I, II.4), the factor 32
+starts about one halving above the step that the rule below accepts,
+and the cap keeps every pass inside the Magnus convergence bound
+h ||A|| < pi.  The run is then repeated at half the step until the
+finer run's estimated error is at most tol/4, and that run is returned.
+At eighth order, halving the step divides the error by 2^8, so the
+finer run's error is about its change from the coarser over
+2^8 - 1 = 255 (Richardson).  The estimate is that change over
+F = 64 < 255, a 4x margin, taken in spectral norm in every sector block
+at every boundary.  The spectral norm of U's change is the same in
+every basis, and it bounds every entry, so each entry of U is held to
+tol/4; the tests check that against scipy's DOP853.  The
 CLI's ``evolve`` and ``sweep`` pass their ``--tol`` here.  A run that
 would exceed a fixed total step budget raises ConvergenceError before
 the pass starts, and a final propagator with a block u_s whose
@@ -83,8 +89,11 @@ __all__ = [
 ]
 
 # total steps over all passes of one step-doubling run; the heaviest
-# in-repo run (tau = 80, tol = 1e-10, in the tests) takes 6144, 42x under it
+# in-repo run (tau = 80, tol = 1e-10, in the tests) takes 3072, 85x under it
 _MAX_STEPS = 1 << 18
+# F: a pass's error is estimated as its change from the pass at twice its step over F, below the
+# 2^8 - 1 = 255 of Richardson's estimate at eighth order, which leaves a 4x margin
+_SAFETY = 64.0
 # real entries per batched array, independent of the step count: 32 steps of two
 # 16x16 real forms of 8x8 sector blocks, 128 KB per array, so that a batch's Taylor
 # workspace (nine arrays) stays in cache. With 1 MB arrays the sweep grid's nine
@@ -357,11 +366,15 @@ def _step_counts(boundaries: list[float], h: float) -> list[int]:
 
 
 def _start_step(duration: float, norm: float, tol: float) -> float:
-    """The coarsest duration / 2^k whose step norm h * norm is at most theta(tol) = min(2, 16 tol^(1/8)).
+    """The coarsest duration / 2^k whose step norm h * norm is at most theta(tol) = min(2, 32 tol^(1/8)).
 
-    Halving stops once the pass would exceed the step budget, which then refuses it.
+    The step that `_converged_propagators` accepts scales as
+    (F tol)^(1/8), so the factor 32 starts about one halving above it;
+    the cap of 2 keeps h * norm below the Magnus bound pi.  Halving
+    stops once the pass would exceed the step budget, which then
+    refuses it.
     """
-    theta = min(2.0, 16.0 * tol**0.125)
+    theta = min(2.0, 32.0 * tol**0.125)
     h = duration
     while h * norm > theta and h * _MAX_STEPS >= duration:
         h *= 0.5
@@ -451,9 +464,11 @@ def _spectral_norms_within(diff: np.ndarray, bound: float) -> bool:
 
 
 def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: float, sample_times):
-    """Step-doubled Magnus until halving moves no sector block more than tol/4 in spectral norm.
+    """Step-doubled Magnus until the finer pass's estimated error is at most tol/4 in spectral norm.
 
-    Integration, comparison and the unitarity check all run in the
+    The estimate is each sector block's change from the coarser pass, at
+    every boundary, over the safety factor F = `_SAFETY` (see the module
+    docstring).  Integration, comparison and the unitarity check all run in the
     sector blocks of the checks conserved by H0 and the parts.  Returns
     the distinct sample times in ascending order, each snapped onto [0,
     duration], and U's complex (n_blocks, d, d) blocks keyed by each of
@@ -501,7 +516,7 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
         r = np.array(_integrate(terms, kinks, boundaries, counts))
         cur = r[..., :d, :d] + 1j * r[..., d:, :d]
         # the largest singular value of the block differences is U's change in any basis; it bounds every entry
-        if prev is not None and _spectral_norms_within(cur - prev, 0.25 * tol):
+        if prev is not None and _spectral_norms_within(cur - prev, _SAFETY * 0.25 * tol):
             break
         prev = cur
         h *= 0.5

@@ -565,15 +565,15 @@ def test_step_budget_stops_before_a_pass_would_exceed_it(monkeypatch):
     budget = 1000
     passes = recorded_passes(monkeypatch)
     monkeypatch.setattr(evolve, "_MAX_STEPS", budget)
-    # tol 1e-14 starts at 512 steps, and 512 + 1024 would pass the budget
+    # tol 1e-16 starts at 512 steps, and 512 + 1024 would pass the budget
     with pytest.raises(ConvergenceError, match="within 1000 steps"):
-        schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-14)
+        schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-16)
     assert sum(passes) <= budget
     assert passes == [512]
-    # tol 1e-15 would start at 1024 steps: no pass runs
+    # tol 1e-17 would start at 1024 steps: no pass runs
     passes.clear()
     with pytest.raises(ConvergenceError, match="within 1000 steps"):
-        schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-15)
+        schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-17)
     assert passes == []
 
 
@@ -598,47 +598,49 @@ def test_vanishing_ramp_time_runs_and_returns_the_identity(tmp_path):
 
 
 def test_rampdown_converges_in_three_passes(monkeypatch):
-    # eighth order: the 128 -> 256 comparison already meets tol/4 = 2.5e-9, and the
-    # norm-scaled start (h max||A||_1 <= 1.6 at tol 1e-8) begins at 128 steps
+    # eighth order: the 128 -> 256 change (7.1e-10) already meets F tol/4 = 1.6e-7, and the
+    # norm-scaled start (h max||A||_1 <= 2 at tol 1e-8) begins at 128 steps
     passes = recorded_passes(monkeypatch)
     schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 10.0), tol=1e-8)
     assert passes == [128, 256]
 
 
 def test_sweep_grid_pass_counts(monkeypatch):
-    # the benchmark's sweep grid at tol 1e-8: 2144 steps in all (2496 from a
-    # fixed duration/64 start, 4800 at sixth order)
+    # the benchmark's sweep grid at tol 1e-8: 1296 steps in all (2144 when a
+    # change had to meet tol/4 itself, 2496 from a fixed duration/64 start,
+    # 4800 at sixth order)
     passes = recorded_passes(monkeypatch)
     expected = {
-        2.0: [[16, 32, 64], [16, 32, 64], [32, 64]],
-        5.0: [[32, 64, 128], [64, 128], [64, 128]],
-        10.0: [[64, 128, 256], [128, 256], [128, 256]],
+        2.0: [[16, 32], [16, 32], [16, 32]],
+        5.0: [[32, 64], [32, 64], [64, 128]],
+        10.0: [[64, 128], [64, 128], [128, 256]],
     }
     for tau, wants in expected.items():
         for lam0, want in zip((1.5, 2.0, 2.5), wants):
             passes.clear()
             schedule_unitary(*PLAQUETTE, linear_rampdown(lam0, tau), tol=1e-8)
             assert passes == want, (tau, lam0)
-    assert sum(sum(map(sum, wants)) for wants in expected.values()) == 2144
+    assert sum(sum(map(sum, wants)) for wants in expected.values()) == 1296
 
 
 def test_long_tight_rampdown_starts_near_its_converged_step(monkeypatch):
-    # from duration/64 this ran 64 + 128 + ... + 4096 = 8128 steps; the
-    # norm-scaled start keeps even the first pass inside h ||A|| < pi
+    # from duration/64 this ran 64 + 128 + ... + 4096 = 8128 steps, and 2048 + 4096
+    # when a change had to meet tol/4 itself; the norm-scaled start keeps even the
+    # first pass inside h ||A|| < pi
     passes = recorded_passes(monkeypatch)
     schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 80.0), tol=1e-10)
-    assert passes == [2048, 4096]
+    assert passes == [1024, 2048]
 
 
 def test_tolerance_bounds_the_spectral_norm_of_each_blocks_change(monkeypatch):
     # the block spectral-norm test is stricter than comparing entries: the
-    # 16 -> 32 change meets tol/4 entrywise but not in spectral norm, so the
-    # run goes on to 64 steps; its entries hold to tol/4
+    # 32 -> 64 change meets F tol/4 entrywise (0.60 of it) but not in spectral
+    # norm (1.18 of it), so the run goes on to 128 steps; its entries hold to tol/4
     tol = 1e-8
     passes = recorded_passes(monkeypatch)
-    u = schedule_unitary(*PLAQUETTE, linear_rampdown(1.0, 2.0), tol=tol)
-    assert passes == [16, 32, 64]
-    ref = schedule_unitary(*PLAQUETTE, linear_rampdown(1.0, 2.0), tol=1e-12)
+    u = schedule_unitary(*PLAQUETTE, linear_rampdown(0.5, 10.0), tol=tol)
+    assert passes == [32, 64, 128]
+    ref = schedule_unitary(*PLAQUETTE, linear_rampdown(0.5, 10.0), tol=1e-12)
     assert np.abs(u - ref).max() <= tol / 4
 
 
@@ -682,9 +684,9 @@ def test_step_doubling_screens_decide_as_the_svd_does(monkeypatch, kind):
                           "one-entry": [None] * 7}[kind]
 
 
-def test_sweep_grid_compares_passes_with_one_svd(monkeypatch):
-    # the benchmark's sweep grid makes 13 step-doubling comparisons; the
-    # screens decide all but one of them (13 SVDs without them)
+def test_sweep_grid_compares_passes_with_two_svds(monkeypatch):
+    # the benchmark's sweep grid makes 9 step-doubling comparisons; the
+    # screens decide all but two of them (9 SVDs without them)
     calls = counted_svds(monkeypatch)
     compare = evolve._spectral_norms_within
     decisions = []
@@ -697,8 +699,8 @@ def test_sweep_grid_compares_passes_with_one_svd(monkeypatch):
     for tau in (2.0, 5.0, 10.0):
         for lam0 in (1.5, 2.0, 2.5):
             schedule_unitary(*PLAQUETTE, linear_rampdown(lam0, tau), tol=1e-8)
-    assert (len(decisions), sum(decisions)) == (13, 9)
-    assert len(calls) <= 1
+    assert (len(decisions), sum(decisions)) == (9, 9)
+    assert len(calls) <= 2
 
 
 def fixed_step_unitary(monkeypatch, schedule: Schedule, n: int) -> np.ndarray:
