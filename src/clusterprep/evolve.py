@@ -89,7 +89,7 @@ __all__ = [
 ]
 
 # total steps over all passes of one step-doubling run; the heaviest
-# in-repo run (tau = 80, tol = 1e-10, in the tests) takes 3072, 85x under it
+# in-repo run (a tau = 80 rampdown at tol 1e-10, in the tests) takes 3584, 73x under it
 _MAX_STEPS = 1 << 18
 # F: a pass's error is estimated as its change from the pass at twice its step over F, below the
 # 2^8 - 1 = 255 of Richardson's estimate at eighth order, which leaves a 4x margin

@@ -379,6 +379,72 @@ def test_chain_rampdown_in_sixteen_blocks_matches_dop853():
         assert np.abs(u - u_ref).max() <= tol / 4 + 5e-11
 
 
+def dop853_in_sectors(h0: OperatorSum, parts, couplings, knots) -> list[np.ndarray]:
+    """U(t, 0) at each knot after the first by DOP853 at rtol 1e-13, atol 1e-15, restarted at every knot.
+
+    It integrates each joint eigenspace of the conserved checks on its
+    own, with H(t) = H0 + sum_mu couplings(t)_mu H_mu formed densely.  The
+    eigenspaces come from a dense eigh of a random combination of the
+    checks, each checked to commute with H0 and every part, not from the
+    integrator's Clifford frame.
+    """
+    ops = np.array([to_dense(op) for op in (h0, *parts)])
+    dim = ops.shape[-1]
+    checks = [to_dense(OperatorSum(h0.n_qubits, [(1.0, c)])) for c in conserved_checks([h0, *parts])]
+    assert all(np.abs(c @ op - op @ c).max() == 0.0 for c in checks for op in ops)
+    rng = np.random.default_rng(3)
+    values, v = np.linalg.eigh(sum((rng.uniform(1.0, 2.0) * c for c in checks), np.zeros((dim, dim))))
+    n = 1 << len(checks)
+    assert np.ptp(values.reshape(n, -1), axis=1).max() <= 1e-12  # each sector is one degenerate eigenvalue
+    v = v.reshape(dim, n, -1).transpose(1, 0, 2)
+    blocks = v.conj().transpose(0, 2, 1)[None] @ ops[:, None] @ v[None]
+    shape = blocks.shape[1:]
+
+    def rhs(t, y):
+        h = blocks[0] + np.tensordot(couplings(t), blocks[1:], axes=1)
+        return (-1j * (h @ y.reshape(shape))).ravel()
+
+    u, out = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).ravel(), []
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        sol = solve_ivp(rhs, (t0, t1), u, method="DOP853", rtol=1e-13, atol=1e-15)
+        assert sol.success
+        u = sol.y[:, -1]
+        vu = (v @ u.reshape(shape)).transpose(1, 0, 2).reshape(dim, dim)
+        out.append(vu @ v.transpose(1, 0, 2).reshape(dim, dim).conj().T)
+    return out
+
+
+def test_every_returned_propagator_is_within_a_quarter_tolerance_of_dop853():
+    # step doubling accepts a pass on its estimated error, the change from
+    # the pass before over F; this checks the tol/4 promise on rampdowns,
+    # a sequential switch-off and the chain at N = 3 and 4, final U and
+    # sample times alike, at three tolerances
+    order = (2, 4, 1, 3)
+
+    def staged(t):
+        return np.array([2.0 * (1.0 - min(max(t - order.index(i + 1), 0.0), 1.0)) for i in range(4)])
+
+    def ramp(lam0, tau, columns=4):
+        return lambda t: np.full(columns, lam0 * (1.0 - t / tau))
+
+    cases = [
+        (PLAQUETTE, linear_rampdown(3.0, 10.0), ramp(3.0, 10.0), [3.7]),
+        (PLAQUETTE, linear_rampdown(1.0, 40.0), ramp(1.0, 40.0), [13.0, 29.0]),
+        (PLAQUETTE, linear_rampdown(0.3, 2.0), ramp(0.3, 2.0), [0.7]),
+        (PLAQUETTE, sequential_switchoff(2.0, 1.0, order), staged, [1.5, 2.5]),
+        (chain_rampdown(3, 5.0)[:2], chain_rampdown(3, 5.0)[2], ramp(0.4, 5.0, 1), [2.0]),
+        (chain_rampdown(4, 2.0)[:2], chain_rampdown(4, 2.0)[2], ramp(0.4, 2.0, 1), [1.0]),
+    ]
+    for (h0, parts), sched, couplings, ts in cases:
+        knots = sorted({*sched.times, *ts})
+        at = dict(zip(knots[1:], dop853_in_sectors(h0, parts, couplings, knots)))
+        for tol in (1e-6, 1e-8, 1e-10):
+            u, snaps = schedule_unitary(h0, parts, sched, tol=tol, sample_times=ts)
+            for t, v in [*snaps, (sched.duration, u)]:
+                # the oracle's own error: at most 1.7e-12, at tau 40 (against tol-1e-13 propagators)
+                assert np.abs(v - at[t]).max() <= tol / 4 + 2e-12, (sched, tol, t)
+
+
 def test_chain_propagator_peak_memory_stays_block_sized():
     # N = 5: 64 blocks of 16x16 in a 1024-dim space. A (64, 1024, 1024)
     # stack of per-sector terms of U is 1 GiB; the run peaks at 69 MiB,
