@@ -25,9 +25,9 @@ linear on each smooth piece of the schedule, so the exponent's nested
 commutators are formed once per piece and propagator, and each pass
 only weights them with scalars: a step's exponent is a polynomial in
 the step's centre time.  They are formed in the piece's own time
-(t - t_k) / dt_k, where no bracket grows with the slope dH/dt, so
-however short the piece they stay finite.  Each step exponential is a truncated Taylor
-series with scaling and squaring, evaluated with matrix products only
+(t - t_k) / dt_k, where they stay finite however short the piece.  Each
+step exponential is a truncated Taylor series with scaling and squaring,
+evaluated with matrix products only
 (Paterson & Stockmeyer, SIAM J. Comput. 2 (1973), every block sum in
 one product), with degree and squarings read per batch from a plan
 table built at import so the truncation error is below unit roundoff
@@ -45,27 +45,24 @@ Step size is controlled by step doubling.  The first pass takes the
 coarsest step duration / 2^k whose norm h max ||A||_1 is at most
 theta(tol) = min(2, 32 tol^(1/8)), with ||A||_1 the real-form 1-norm of
 A = -iH at the knots, where the affine A peaks: the exponent 1/8 is the
-order (Hairer, Norsett & Wanner, Solving ODEs I, II.4), the factor 32
-starts about one halving above the step that the rule below accepts,
-and the cap keeps every pass inside the Magnus convergence bound
-h ||A|| < pi.  The run is then repeated at half the step until the
-finer run's estimated error is at most tol/4, and that run is returned.
-At eighth order, halving the step divides the error by 2^8, so the
-finer run's error is about its change from the coarser over
-2^8 - 1 = 255 (Richardson).  The estimate is that change over
-F = 64 < 255, a 4x margin, taken in spectral norm in every sector block
-at every boundary.  The spectral norm of U's change is the same in
-every basis, and it bounds every entry, so each entry of U is held to
-tol/4; the tests check that against scipy's DOP853.  The
-CLI's ``evolve`` and ``sweep`` pass their ``--tol`` here.  A run that
-would exceed a fixed total step budget raises ConvergenceError before
-the pass starts, and a final propagator with a block u_s whose
-||u_s^dagger u_s - I||_F exceeds 1e-10 raises NumericalCheckError.
-Integration is split at the schedule's knots and at requested sample
-times, which keeps the scheme at full order on each smooth piece.  A
-sample time up to 1e-12 before 0, or up to 1e-12 (1 + duration) after
-the duration, is snapped onto that end of the schedule and returned at
-it; one farther outside raises ValueError.
+order (Hairer, Norsett & Wanner, Solving ODEs I, II.4), 32 starts about
+one halving above the step accepted below, and the cap keeps every pass
+inside the Magnus convergence bound h ||A|| < pi.  The run is then
+repeated at half the step until the finer run's estimated error is at
+most tol/4 in spectral norm, in every sector block at any boundary, and
+the finer run is returned.  Halving divides an eighth-order error by 2^8,
+so that error is about the change from the coarser run over 255
+(Richardson); the estimate is the change over F = 64, a 4x margin.  The
+spectral norm of U's change is the same in every basis, and it bounds
+every entry, so each entry of U is held to tol/4.  The CLI's ``evolve``
+and ``sweep`` pass their ``--tol`` here.  A run that would exceed a fixed
+total step budget raises ConvergenceError before the pass starts, and a
+final propagator with a block u_s whose ||u_s^dagger u_s - I||_F exceeds
+1e-10 raises NumericalCheckError.  Integration is split at the schedule's
+knots and at requested sample times, which keeps the scheme at full
+order on each smooth piece.  A sample time up to 1e-12 before 0, or up to
+1e-12 (1 + duration) after the duration, is snapped onto that end of the
+schedule and returned at it; one farther outside raises ValueError.
 """
 
 from __future__ import annotations
@@ -91,8 +88,7 @@ __all__ = [
 # total steps over all passes of one step-doubling run; the heaviest
 # in-repo run (a tau = 80 rampdown at tol 1e-10, in the tests) takes 3584, 73x under it
 _MAX_STEPS = 1 << 18
-# F: a pass's error is estimated as its change from the pass at twice its step over F, below the
-# 2^8 - 1 = 255 of Richardson's estimate at eighth order, which leaves a 4x margin
+# F: the finer pass's error is estimated as its change over F, a 4x margin on Richardson's 2^8 - 1 = 255
 _SAFETY = 64.0
 # real entries per batched array, independent of the step count: 32 steps of two
 # 16x16 real forms of 8x8 sector blocks, 128 KB per array, so that a batch's Taylor
@@ -368,11 +364,7 @@ def _step_counts(boundaries: list[float], h: float) -> list[int]:
 def _start_step(duration: float, norm: float, tol: float) -> float:
     """The coarsest duration / 2^k whose step norm h * norm is at most theta(tol) = min(2, 32 tol^(1/8)).
 
-    The step that `_converged_propagators` accepts scales as
-    (F tol)^(1/8), so the factor 32 starts about one halving above it;
-    the cap of 2 keeps h * norm below the Magnus bound pi.  Halving
-    stops once the pass would exceed the step budget, which then
-    refuses it.
+    Halving stops once the pass would exceed the step budget, which then refuses it.
     """
     theta = min(2.0, 32.0 * tol**0.125)
     h = duration
@@ -384,14 +376,12 @@ def _start_step(duration: float, norm: float, tol: float) -> float:
 def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
     """Magnus sweep over each smooth segment, ``counts`` steps each.
 
-    ``terms`` are the real forms of the per-piece `_magnus_terms`, in
-    each piece's own time sigma = (t - t_k) / dt_k from its knot t_k
-    over its length dt_k; returns the real forms of U's (n_blocks, d, d)
-    blocks at every boundary after the first.  Step s of a segment that
-    starts at t0, at step h, is centred c + s h into its piece, with
-    c = t0 + h/2 less t_k, all formed once per segment and taken to
-    sigma by dividing by dt_k; each batch's exponents are one
-    `_step_exponents` product.
+    ``terms`` are the real forms of the per-piece `_magnus_terms` in the
+    piece's own time sigma = (t - t_k) / dt_k; returns the real forms of
+    U's (n_blocks, d, d) blocks at every boundary after the first.  Step s
+    of a segment that starts at t0, at step h, is centred c + s h into its
+    piece, with c = t0 + h/2 - t_k, all formed once per segment and divided
+    by dt_k; each batch's exponents are one `_step_exponents` product.
     """
     shape = terms.shape[2:]
     batch = max(1, _BATCH_ENTRIES // math.prod(shape))
@@ -464,11 +454,9 @@ def _spectral_norms_within(diff: np.ndarray, bound: float) -> bool:
 
 
 def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: float, sample_times):
-    """Step-doubled Magnus until the finer pass's estimated error is at most tol/4 in spectral norm.
+    """Step-doubled Magnus until each sector block's change over F = `_SAFETY` is at most tol/4 in spectral norm.
 
-    The estimate is each sector block's change from the coarser pass, at
-    every boundary, over the safety factor F = `_SAFETY` (see the module
-    docstring).  Integration, comparison and the unitarity check all run in the
+    Integration, comparison and the unitarity check all run in the
     sector blocks of the checks conserved by H0 and the parts.  Returns
     the distinct sample times in ascending order, each snapped onto [0,
     duration], and U's complex (n_blocks, d, d) blocks keyed by each of
@@ -506,9 +494,8 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
         if spent > _MAX_STEPS:
             raise ConvergenceError(f"step-doubling did not reach tolerance within {_MAX_STEPS} steps")
         if prev is None:
-            # dU/dsigma = dt (A(t_k) + sigma (A(t_(k+1)) - A(t_k))) in each piece's own time sigma: its
-            # brackets stay finite however short the piece; formed once the first pass is within the budget,
-            # which refuses a generator too large for them
+            # dU/dsigma = dt A in each piece's own time sigma, whose brackets stay finite however short the piece;
+            # formed once the first pass is within the budget, which refuses a generator too large for them
             dt = np.diff(kinks).reshape(-1, 1, 1, 1)
             rise = np.tensordot(np.diff(lam, axis=0), blocks[1:], axes=1)
             terms = _real_form(_magnus_terms(-1j * dt * knots[:-1], -1j * dt * rise))
