@@ -10,7 +10,7 @@ bracket when even the cold limit misses the target.
 
 import time
 
-from clusterprep import no_evolution_point, threshold_temperature
+from clusterprep import run_point, threshold_temperature
 
 TARGET = 0.03
 BRACKET = (1e-4, 3.0)
@@ -30,7 +30,7 @@ print()
 print("without any evolution the cold thermal state already misses the")
 print("target once the coupling dresses the ground state appreciably:")
 for lam0 in (0.3, 1.5, 2.5):
-    cold = no_evolution_point(1e-4, lam0)
+    cold = run_point(1e-4, lam0, None)
     t_raw = threshold_temperature(lam0, None, bracket=BRACKET)
     shown = "none in bracket" if t_raw is None else "%.6f" % t_raw
     print("  lam0=%.1f  cold e_zeta=%.4f  raw T*=%s" % (lam0, cold.e_zeta, shown))

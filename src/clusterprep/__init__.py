@@ -28,7 +28,6 @@ from .analysis import (
     ErrorChannelReport,
     SectorSpectrumTable,
     chain_sector_gap,
-    no_evolution_point,
     plaquette_parts,
     rampdown_series,
     run_point,
@@ -76,7 +75,6 @@ __all__ = [
     "spectrum_path",
     "run_point",
     "rampdown_series",
-    "no_evolution_point",
     "plaquette_parts",
     "threshold_temperature",
     "chain_sector_gap",

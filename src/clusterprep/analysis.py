@@ -20,9 +20,9 @@ The levels and eigenstates at the initial coupling, like the spectra,
 come from the propagator's cached sector blocks (`evolve._sector_blocks`),
 diagonalized at lambda0; the frame's basis (`evolve._sector_basis`) takes
 the eigenvectors back, so a readout builds no operator of its own.
-`run_point`, `no_evolution_point` and `threshold_temperature` all read
-from that cache, and `rampdown_series` reads each sample time of one
-ramp the same way.
+`run_point` and `threshold_temperature` read from that cache, with or
+without a ramp, and `rampdown_series` reads each sample time of one ramp
+the same way.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "spectrum_path",
     "run_point",
     "rampdown_series",
-    "no_evolution_point",
     "threshold_temperature",
     "chain_sector_gap",
 ]
@@ -360,13 +359,15 @@ def _readout(lambda0: float, tau: Optional[float], h0: Optional[OperatorSum], to
 
 
 def run_point(
-    T: float, lambda0: float, tau: float, h0: Optional[OperatorSum] = None, tol: float = 1e-8
+    T: float, lambda0: float, tau: Optional[float], h0: Optional[OperatorSum] = None, tol: float = 1e-8
 ) -> ErrorChannelReport:
     """Cool at the initial coupling, ramp it down, read out error classes.
 
-    ``h0`` is the static part, as in `plaquette_parts`.  The readout of
-    each (lambda0, tau, h0, tol) is cached, so other temperatures on the
-    same schedule reuse its propagator and eigenpairs.
+    ``tau=None`` reads out the cooled state with no ramp at all, where
+    ``tol`` only sets the readout check's tolerance.  ``h0`` is the
+    static part, as in `plaquette_parts`.  The readout of each (lambda0,
+    tau, h0, tol) is cached, so other temperatures on the same schedule
+    reuse its propagator and eigenpairs.
     """
     return _readout(lambda0, tau, h0, tol).report(T)
 
@@ -399,12 +400,6 @@ def rampdown_series(
     return rows, _readout_of(energies, vectors, u_final, tol).report(T)
 
 
-def no_evolution_point(T: float, lambda0: float, h0: Optional[OperatorSum] = None) -> ErrorChannelReport:
-    """Error classes of the cooled state read out with no rampdown at all."""
-    # with no ramp, tol only sets the readout check's tolerance
-    return _readout(lambda0, None, h0, 1e-8).report(T)
-
-
 @functools.lru_cache(maxsize=64)
 def _probe_temperatures(lo: float, hi: float) -> np.ndarray:
     """Read-only nine probes of `threshold_temperature`'s bracket, geometric between its ends."""
@@ -424,8 +419,7 @@ def threshold_temperature(
 ) -> Optional[float]:
     """Highest temperature with total phase-flip error at the target.
 
-    ``tau=None`` evaluates the no-evolution pipeline, and ``h0`` is the
-    static part, as in `plaquette_parts`.  The error at each
+    ``tau`` and ``h0`` are as in `run_point`.  The error at each
     temperature is read from the cached per-eigenstate errors (see
     `run_point`), so the search integrates at most one propagator.
 

@@ -97,7 +97,8 @@ _SAFETY = 64.0
 # page faults at either size once the workspace is reused
 _BATCH_ENTRIES = 1 << 14
 _UNIT_ROUNDOFF = 2.0**-53
-_MAX_TAYLOR_DEGREE = 18
+# the highest degree any plan takes: the plans are the same at every norm with degrees up to 18
+_MAX_TAYLOR_DEGREE = 15
 _UNITARITY_ATOL = 1e-10
 # the power of h and the degree in t of each row of `_magnus_terms`
 _TERM_H_POWERS = np.array([1, 1, 3, 5, 5, 5, 7, 7, 7, 7, 7])
@@ -230,14 +231,13 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return m, s + k
 
 
-# Paterson-Stockmeyer coefficients of each tabled degree m as (m // p + 1, 1, p) rows: row j holds 1/(jp + i)!,
-# 0 past m.  The 1 makes numpy take each row as its own vector product; one matrix product would round differently.
+# Paterson-Stockmeyer coefficients of each tabled degree m as (m // p + 1, p) rows: row j holds 1/(jp + i)!, 0 past m
 _PS_ROWS = {
-    m: np.array([1.0 / math.factorial(i) if i <= m else 0.0 for i in range((m // p + 1) * p)]).reshape(-1, 1, p)
+    m: np.array([1.0 / math.factorial(i) if i <= m else 0.0 for i in range((m // p + 1) * p)]).reshape(-1, p)
     for m, p in ((m, math.isqrt(m - 1) + 1) for m in dict.fromkeys(m for m, _ in _PLANS))
 }
 # arrays of one `_expm_taylor` workspace: the powers A^0..A^p and the block sums B_0..B_(m // p)
-_TAYLOR_SLOTS = max(rows.shape[0] + rows.shape[-1] + 1 for rows in _PS_ROWS.values())
+_TAYLOR_SLOTS = max(rows.shape[0] + rows.shape[1] + 1 for rows in _PS_ROWS.values())
 
 
 @functools.lru_cache(maxsize=1)
@@ -250,7 +250,7 @@ def _taylor_workspace(shape: tuple[int, ...], thread: int) -> np.ndarray:
     return np.empty((_TAYLOR_SLOTS, *shape))
 
 
-def _expm_taylor(a: np.ndarray, work=None) -> np.ndarray:
+def _expm_taylor(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     """exp(A) for a stack of square matrices, by matrix products only.
 
     The degree m and squarings s are read from the plan table at the
@@ -260,22 +260,20 @@ def _expm_taylor(a: np.ndarray, work=None) -> np.ndarray:
     with A^0..A^(p-1), then Horner in A^p, then s squarings.  ``work``
     is a (_TAYLOR_SLOTS, *a.shape) array of a's dtype, each slot
     contiguous, that every product is written into, and the result is a
-    view of it; without one, a fresh one is allocated.
+    view of it.
     """
-    if work is None:
-        work = np.empty((_TAYLOR_SLOTS, *a.shape), dtype=a.dtype)
     norm = float((np.ones(a.shape[-1]) @ np.abs(a, out=work[-1].real)).max(initial=0.0))
     if not math.isfinite(norm):
         raise NumericalCheckError("step generator is not finite")
     m, s = _taylor_plan(norm)
     rows = _PS_ROWS[m]
-    top, p = rows.shape[0] - 1, rows.shape[-1]
+    top, p = rows.shape[0] - 1, rows.shape[1]
     powers, sums = work[: p + 1], work[p + 1 : p + 2 + top]
     powers[0] = np.eye(a.shape[-1])
     np.multiply(a, math.ldexp(1.0, -s), out=powers[1])
     for i in range(2, p + 1):
         np.matmul(powers[i - 1], powers[1], out=powers[i])
-    np.matmul(rows, powers[:p].reshape(p, -1), out=sums.reshape(top + 1, 1, -1))
+    np.matmul(rows, powers[:p].reshape(p, -1), out=sums.reshape(top + 1, -1))
     # A^0 is spent, so its slot takes the products
     acc, tmp = sums[top], powers[0]
     for j in range(top - 1, -1, -1):

@@ -16,7 +16,6 @@ import pytest
 from clusterprep import cli
 from clusterprep.analysis import (
     _channel_report,
-    no_evolution_point,
     plaquette_parts,
     rampdown_series,
     run_point,
@@ -115,7 +114,7 @@ def test_acceptance_05_propagation_matches_oracles_and_conserves():
 
     # conservation along the production rampdown: unit weight, fixed sector weights
     rows, _ = rampdown_series(0.5, 2.5, 10.0, np.linspace(0.0, 10.0, 12))
-    w0 = no_evolution_point(0.5, 2.5).w_minus
+    w0 = run_point(0.5, 2.5, None).w_minus
     for _, _, _, w_plus, w_minus in rows:
         assert abs(w_plus + w_minus - 1.0) <= 1e-8
         assert abs(w_minus - w0) <= 1e-8
@@ -145,7 +144,7 @@ def test_acceptance_07_slower_ramps_raise_the_threshold():
     # beats the unevolved one by a factor of at least 100
     assert threshold_temperature(2.5, None, bracket=(1e-5, 3.0)) is None
     for t_star in stars.values():
-        assert no_evolution_point(t_star / 100.0, 2.5).e_zeta > 0.03
+        assert run_point(t_star / 100.0, 2.5, None).e_zeta > 0.03
         assert t_star / 1e-5 > 100.0
     _report(7, "threshold temperature rises with ramp duration", t0, 600.0)
 

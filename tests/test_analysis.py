@@ -21,7 +21,6 @@ from clusterprep.analysis import (
     _readout,
     _readout_of,
     chain_sector_gap,
-    no_evolution_point,
     plaquette_parts,
     rampdown_series,
     run_point,
@@ -41,7 +40,7 @@ from clusterprep.models import (
     stabilizer_3d_local,
     stabilizers_1d,
 )
-from clusterprep.pauli import OperatorSum, PauliString, to_dense
+from clusterprep.pauli import OperatorSum, PauliString, check_basis, to_dense
 from clusterprep.thermal import thermal_weights
 from oracles import gibbs_matrix, ground_resolvent_b, projected_levels, tomography_weights
 
@@ -96,6 +95,59 @@ def test_tomography_basis_is_cached_and_read_only():
         basis[0, 0] = 0.0
 
 
+def test_tomography_basis_is_the_stabilizer_basis_of_the_check_and_the_ring_bonds():
+    # column a of check_basis has XXXX = (-1)^(bit 0 of a) and bond (mu, mu + 1) = (-1)^(bit mu of a);
+    # with spin 1 unflipped the bonds' running parities give the flip pattern, and XXXX the sector
+    basis, labels = tomography_basis()
+    v = check_basis(4, [PauliString.from_label(s) for s in ("XXXX", "ZZII", "IZZI", "IIZZ")])
+    for a in range(16):
+        e = 0
+        for mu in range(1, 4):
+            e |= ((e >> (mu - 1) & 1) ^ (a >> mu & 1)) << mu
+        column = basis[:, labels.index((analysis._class_rep(e), 1 - 2 * (a & 1)))]
+        sign = (column.conj() @ v[:, a]).real.round()
+        assert sign in (1.0, -1.0)
+        assert np.abs(v[:, a] - sign * column).max() <= 1e-15
+
+
+def frame_overlaps(h0: OperatorSum) -> np.ndarray:
+    """<b_i|V|j>: each tomography basis state b_i on each column of the rampdown's frame basis V."""
+    vb = evolve._sector_basis(*plaquette_parts(h0))
+    return tomography_basis()[0].conj().T @ vb.transpose(1, 0, 2).reshape(16, 16)
+
+
+@pytest.mark.parametrize("J", [1.0, 2.0])
+def test_ring_readout_is_a_relabelling_of_the_propagator_blocks(J):
+    # on the ring the frame basis is the readout basis up to a signed permutation,
+    # so W is |u_s E_s|^2 per sector with its rows relabelled, and needs no V
+    overlaps = frame_overlaps(plaquette_ring_term(J))
+    rows, frame = np.nonzero(np.abs(overlaps) > 0.5)
+    assert np.array_equal(rows, np.arange(16)) and sorted(frame) == list(range(16))
+    assert np.abs(np.abs(overlaps.real[rows, frame]) - 1.0).max() <= 1e-15
+    assert np.abs(overlaps[np.abs(overlaps) <= 0.5]).max() <= 1e-15
+    h0, parts = plaquette_parts(plaquette_ring_term(J))
+    _, blocks_at = evolve._converged_propagators(h0, parts, linear_rampdown(2.5, 10.0), 1e-8, None)
+    blocks = evolve._sector_blocks(h0, parts)[1].astype(complex)
+    values, vectors = np.linalg.eigh(evolve._affine(blocks, np.full(4, 2.5)))
+    per_sector = scipy.linalg.block_diag(*(np.abs(blocks_at[10.0] @ vectors) ** 2))
+    order = np.argsort(values, axis=None, kind="stable")
+    W = _readout(2.5, 10.0, plaquette_ring_term(J), 1e-8).W
+    assert np.abs(per_sector[frame][:, order] - W).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "h0, per_state",
+    [
+        # no check survives ZIII: one 16x16 block in the computational basis
+        (plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))]), 2),
+        # XIII keeps the four single X checks: sixteen 1x1 blocks in the X basis
+        (OperatorSum(4, [(1.0, PauliString.from_label("XIII"))]), 8),
+    ],
+)
+def test_readout_of_a_check_breaking_static_part_needs_the_frame_basis(h0, per_state):
+    assert ((np.abs(frame_overlaps(h0)) > 1e-12).sum(axis=1) == per_state).all()
+
+
 def test_tomography_completeness_random_states():
     rng = np.random.default_rng(99)
     for _ in range(100):
@@ -145,7 +197,7 @@ def test_tomography_rejects_wrong_dimension():
     # the readout is four-spin only: a static part on three spins is refused before any work
     narrow = OperatorSum(3, [(1.0, PauliString.from_label("ZZI"))])
     with pytest.raises(ValueError, match="four spins"):
-        no_evolution_point(0.5, 1.0, h0=narrow)
+        run_point(0.5, 1.0, None, h0=narrow)
     with pytest.raises(ValueError, match="four spins"):
         rampdown_series(0.5, 1.0, 0.5, [0.0, 0.5], h0=narrow)
 
@@ -324,7 +376,7 @@ def test_plaquette_hamiltonian_static_replacement():
         lambda h0: spectrum_path(linear_rampdown(1.0, 1.0), h0),
         lambda h0: run_point(0.5, 1.0, 0.5, h0),
         lambda h0: rampdown_series(0.5, 1.0, 0.5, [0.5], h0),
-        lambda h0: no_evolution_point(0.5, 1.0, h0),
+        lambda h0: run_point(0.5, 1.0, None, h0),
         lambda h0: threshold_temperature(1.0, 0.5, h0),
     )
     for bad in (narrow, 1.0):
@@ -348,7 +400,7 @@ def test_plaquette_parts_rebuild_the_hamiltonian(static):
 # ------------------------------------------------------------- pipelines
 
 def test_no_evolution_point_cold_limit():
-    report = no_evolution_point(1e-12, 2.5)
+    report = run_point(1e-12, 2.5, None)
     assert report.fidelity == pytest.approx(0.2771686062749825, abs=1e-9)
     assert report.e_zeta == pytest.approx(0.6452783552206455, abs=1e-9)
     plus, _ = ghz_states()
@@ -360,7 +412,7 @@ def test_no_evolution_point_cold_limit():
 
 def test_run_point_sudden_limit():
     report = run_point(0.0, 2.5, tau=1e-3, tol=1e-6)
-    frozen = no_evolution_point(0.0, 2.5)
+    frozen = run_point(0.0, 2.5, None)
     assert report.fidelity == pytest.approx(frozen.fidelity, abs=1e-4)
 
 
@@ -409,7 +461,7 @@ def test_readout_matches_the_density_matrix_path(lambda0, tau):
     for T in (0.0, 1e-3, 0.37, 3.0):
         rho = gibbs_matrix(to_dense(h), T)
         oracle = tomography(u @ rho @ u.conj().T)
-        report = no_evolution_point(T, lambda0) if tau is None else run_point(T, lambda0, tau)
+        report = run_point(T, lambda0, tau)
         assert_same_report(report, oracle, 1e-12)
         assert abs(readout.e_zeta(T) - oracle.e_zeta) <= 1e-12
 
@@ -418,7 +470,7 @@ def test_readout_keeps_the_degenerate_ground_space_at_zero_temperature():
     h = plaquette(1e-3)
     levels = np.linalg.eigvalsh(to_dense(h))
     assert levels[1] - levels[0] <= 1e-9  # the T = 0 state mixes a degenerate ground space
-    assert_same_report(no_evolution_point(0.0, 1e-3), tomography(gibbs_matrix(to_dense(h), 0.0)), 1e-12)
+    assert_same_report(run_point(0.0, 1e-3, None), tomography(gibbs_matrix(to_dense(h), 0.0)), 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -472,7 +524,7 @@ def test_ramp_keeps_each_check_sector_weight(lambda0, tau):
     # every check commutes with H(t), so the ramp moves weight only inside a
     # sector: the minus-sector weight stays as cooled (measured within 3.9e-15)
     for T in (0.0, 0.1, 0.5, 1.0, 3.0):
-        assert abs(run_point(T, lambda0, tau).w_minus - no_evolution_point(T, lambda0).w_minus) <= 1e-13
+        assert abs(run_point(T, lambda0, tau).w_minus - run_point(T, lambda0, None).w_minus) <= 1e-13
 
 
 @pytest.mark.parametrize("tau", [20.0, 40.0, 80.0])
@@ -510,8 +562,8 @@ def test_non_unitary_propagator_fails_the_readout_check(monkeypatch, fresh_reado
 
 
 def test_no_evolution_static_ring_matches_default():
-    a = no_evolution_point(0.4, 1.2)
-    b = no_evolution_point(0.4, 1.2, h0=plaquette_ring_term(1.0))
+    a = run_point(0.4, 1.2, None)
+    b = run_point(0.4, 1.2, None, h0=plaquette_ring_term(1.0))
     assert a == b
 
 
@@ -519,9 +571,9 @@ def test_error_grows_with_temperature():
     # below T ~ 0.3 the curve is flat at the cold limit (the gap at this
     # coupling is ~3J), with wiggles of order 1e-7; growth is unambiguous
     # once thermal occupation turns on
-    values = [no_evolution_point(T, 2.5).e_zeta for T in (0.5, 1.0, 3.0)]
+    values = [run_point(T, 2.5, None).e_zeta for T in (0.5, 1.0, 3.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
-    cold = no_evolution_point(0.05, 2.5).e_zeta
+    cold = run_point(0.05, 2.5, None).e_zeta
     assert abs(cold - 0.6452783552206455) <= 1e-9
 
 
@@ -530,12 +582,12 @@ def test_error_grows_with_temperature():
 def test_threshold_of_unevolved_state():
     t_star = threshold_temperature(0.3, tau=None)
     assert t_star == pytest.approx(0.0020237417569151147, abs=1e-6)
-    assert abs(no_evolution_point(t_star, 0.3).e_zeta - 0.03) <= 1e-4
+    assert abs(run_point(t_star, 0.3, None).e_zeta - 0.03) <= 1e-4
 
 
 def sector_bound_temperature(lambda0: float, target: float = 0.03) -> float:
     """T_b with 0.25 w_minus(T_b) = target, w_minus the cooled state's minus-sector weight."""
-    excess = lambda T: 0.25 * no_evolution_point(T, lambda0).w_minus - target
+    excess = lambda T: 0.25 * run_point(T, lambda0, None).w_minus - target
     lo, hi = 1e-4, 100.0
     assert excess(lo) < 0.0 < excess(hi)
     while hi - lo > 1e-13 * hi:
@@ -640,7 +692,7 @@ def test_threshold_with_evolution_beats_no_evolution():
     t_ramp = threshold_temperature(1.5, tau=2.0, tol=1e-6)
     assert t_ramp is not None and 0.2 < t_ramp < 0.3
     assert threshold_temperature(1.5, tau=None, bracket=(1e-4, 3.0)) is None
-    assert no_evolution_point(1e-4, 1.5).e_zeta > 0.03
+    assert run_point(1e-4, 1.5, None).e_zeta > 0.03
 
 
 # ------------------------------------------------------------ chain gaps
@@ -736,7 +788,7 @@ def test_chain_sector_gap_refuses_beyond_the_dense_limit():
 
 
 def test_report_is_frozen():
-    report = no_evolution_point(0.5, 1.0)
+    report = run_point(0.5, 1.0, None)
     assert isinstance(report, ErrorChannelReport)
     with pytest.raises(AttributeError):
         report.fidelity = 0.0

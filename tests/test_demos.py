@@ -1,21 +1,34 @@
 """The demo scripts run against the current package and print what they claim."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import clusterprep
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(clusterprep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env)
 
 
 def run_demo(name: str) -> subprocess.CompletedProcess:
-    src = str(Path(clusterprep.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, str(DEMOS / name)], capture_output=True, text=True, timeout=120, env=env
-    )
+    return run_python(str(DEMOS / name))
+
+
+def test_readme_python_quick_start():
+    block = re.search(r"## Python quick start\n\n```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    proc = run_python("-X", "dev", "-W", "error", "-c", block.group(1))
+    assert proc.returncode == 0, proc.stderr
+    sector_gap, global_gap, channel = proc.stdout.splitlines()
+    assert float(sector_gap) > 0.0 and float(global_gap) == 0.0
+    assert len(channel.split()) == 5
 
 
 def test_chain_gap_scaling_demo():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clusterprep.analysis import no_evolution_point
+from clusterprep.analysis import run_point
 from clusterprep.models import build_plaquette_3d, plaquette_ring_term
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
 from clusterprep.thermal import DensityMatrix, thermal_weights
@@ -60,7 +60,7 @@ def test_negative_temperature_rejected():
     with pytest.raises(ValueError, match=">= 0"):
         thermal_weights(levels(h), -0.1)
     with pytest.raises(ValueError, match=">= 0"):
-        no_evolution_point(-0.1, 1.0)
+        run_point(-0.1, 1.0, None)
 
 
 def test_energy_nondecreasing_in_temperature():
@@ -71,7 +71,7 @@ def test_energy_nondecreasing_in_temperature():
 
 
 def test_minus_sector_weight_vanishes_with_temperature():
-    weights = [no_evolution_point(T, 2.5).w_minus for T in (1.0, 0.3, 0.1, 0.02)]
+    weights = [run_point(T, 2.5, None).w_minus for T in (1.0, 0.3, 0.1, 0.02)]
     assert all(w > 0 for w in weights[:-1])
     assert all(b < a for a, b in zip(weights, weights[1:]))
     assert weights[-1] < 1e-10
