@@ -21,9 +21,15 @@ cached apart in `_sector_basis`), as V blockdiag(u) V^dagger.
 Propagation uses the eighth-order Magnus integrator (Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
 Phil. Trans. R. Soc. A 357 (1999)) on the whole propagator.  H(t) is
-linear on each smooth piece of the schedule, so the exponent's nested
-commutators are formed once per piece and propagator, and each pass
-only weights them with scalars: a step's exponent is a polynomial in
+linear on each smooth piece of the schedule, so the exponent's terms are
+fixed combinations of the 33 words of a generator pair (X, Y): X, Y and
+the nested commutators [x1, [x2, ... [X, Y]]] to depth 4, weighted by
+monomials in three scalars.  When every knot's couplings lie on one ray
+c, every piece's pair is the model's (P, Q) = (-i H0, -i sum_mu c_mu
+H_mu), whose words are formed once per (H0, parts, c) and cached, and a
+propagator's terms are one product of its coefficients with them; any
+other piece's pair is its own generator and slope.  Each pass only
+weights the terms with scalars: a step's exponent is a polynomial in
 the step's centre time.  They are formed in the piece's own time
 (t - t_k) / dt_k, where they stay finite however short the piece.  Each
 step exponential is a truncated Taylor series with scaling and squaring,
@@ -69,6 +75,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -291,6 +298,83 @@ def _real_form(a: np.ndarray) -> np.ndarray:
     return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 
+def _words(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The 33 words of a generator pair: X, Y and the 31 nested brackets [x1, [x2, ... [X, Y]]].
+
+    Each x_i is X or Y, and a bracket nests at most four letters around
+    [X, Y], in the order of `_BRACKET_LETTERS`.  For x and y of shape
+    (pieces, ..., d, d) returns (pieces, 33, ..., d, d); each depth's
+    brackets are formed together, so the words cost 62 products.
+    """
+    x, y = x[:, None], y[:, None]
+    words = np.empty((x.shape[0], 33, *x.shape[2:]), dtype=np.result_type(x, y))
+    words[:, :1], words[:, 1:2], words[:, 2:3] = x, y, x @ y - y @ x
+    # the n = 2^k brackets of depth k sit at n + 1 .. 2n; [X, w] for each of them follows, then [Y, w]
+    for n in (1, 2, 4, 8):
+        level = words[:, n + 1 : 2 * n + 1]
+        words[:, 2 * n + 1 : 3 * n + 1] = x @ level - level @ x
+        words[:, 3 * n + 1 : 4 * n + 1] = y @ level - level @ y
+    return words
+
+
+# the letters x1..xk of each bracket word after X and Y, outermost first, as `_words` stacks them
+_BRACKET_LETTERS = [w for k in range(5) for w in itertools.product("XY", repeat=k)]
+# Blanes et al.'s eighth-order brackets past alpha1 as (power of h, weight, letters around D): A is
+# alpha1 = h A(t) and B is b = h^2 a1, so "BAA" is [b, [alpha1, [alpha1, D]]] (see `_magnus_terms`)
+_MAGNUS_BRACKETS = (
+    (3, -1 / 12, ""), (5, 1 / 720, "AA"), (5, -1 / 240, "B"),
+    (7, -1 / 30240, "AAAA"), (7, 1 / 7560, "BAA"), (7, -1 / 30240, "ABA"), (7, -1 / 6720, "BB"),
+)
+
+
+def _word_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Weights (11, 33) and powers (3, 11, 33) of `_magnus_terms`' rows over the `_words` of (X, Y).
+
+    On a piece with a0 = g_X X + g_Y Y and a1 = d_Y Y, each letter A of
+    a bracket is X with g_X, or Y with g_Y, or Y with d_Y and one more
+    power of t, and each letter B is Y with d_Y; D is g_X d_Y [X, Y].  A
+    word with p X-letters and q Y-letters in A's places thus takes, at
+    t^j, weight C(q, j) times g_X^(p+1) g_Y^(q-j) d_Y^(j+1+n_B).  Row r,
+    word w is weights[r, w] g_X^powers[0, r, w] g_Y^powers[1, r, w]
+    d_Y^powers[2, r, w]: brackets that share a row and a word share
+    their letter counts, so one monomial serves each entry.
+    """
+    row = {(w, j): r for r, (w, j) in enumerate(zip(_TERM_H_POWERS.tolist(), _TERM_T_DEGREES.tolist()))}
+    index = {letters: w for w, letters in enumerate(_BRACKET_LETTERS, start=2)}
+    # (row, word, weight, powers): a0 = g_X X + g_Y Y and a1 = d_Y Y
+    entries = [(0, 0, 1.0, (1, 0, 0)), (0, 1, 1.0, (0, 1, 0)), (1, 1, 1.0, (0, 0, 1))]
+    for h, weight, pattern in _MAGNUS_BRACKETS:
+        n_b = pattern.count("B")
+        for letters in itertools.product(*("XY" if a == "A" else "Y" for a in pattern)):
+            p = letters.count("X")
+            q = len(pattern) - n_b - p
+            for j in range(q + 1):
+                entries.append((row[h, j], index[letters], weight * math.comb(q, j), (p + 1, q - j, j + 1 + n_b)))
+    rows, words, values, monomials = zip(*entries)
+    weights, powers = np.zeros((11, 33)), np.zeros((3, 11, 33), dtype=int)
+    np.add.at(weights, (rows, words), values)
+    powers[:, rows, words] = np.array(monomials).T
+    return weights, powers
+
+
+_WORD_WEIGHTS, _WORD_POWERS = _word_rule()
+_EXPONENTS = np.arange(_WORD_POWERS.max() + 1)
+
+
+def _rows(words: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """`_magnus_terms` rows of pieces a0 = g_X X + g_Y Y, a1 = d_Y Y, from the `_words` of (X, Y).
+
+    ``words`` is (pieces or 1, 33, ...) and ``g`` holds (g_X, g_Y, d_Y)
+    per piece as (pieces or 1, 3); returns (pieces, 11, ...), every
+    piece's rows in one product of its coefficients with the words.
+    """
+    # each of g's powers 0..5 once, read at every entry's exponents
+    gx, gy, dy = (g[:, i, None] ** _EXPONENTS for i in range(3))
+    coefs = _WORD_WEIGHTS * gx[:, _WORD_POWERS[0]] * gy[:, _WORD_POWERS[1]] * dy[:, _WORD_POWERS[2]]
+    rows = coefs @ words.reshape(*words.shape[:2], -1)
+    return rows.reshape(*rows.shape[:2], *words.shape[2:])
+
+
 def _magnus_terms(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """Matrix coefficients of the eighth-order Magnus exponent on linear pieces.
 
@@ -308,29 +392,12 @@ def _magnus_terms(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     brackets of a0 and a1.  For a0 and a1 of shape (pieces, ..., d, d)
     returns those coefficients as (pieces, 11, ..., d, d), row r being
     the t^_TERM_T_DEGREES[r] coefficient of the h^_TERM_H_POWERS[r] term.
-    Commutators of sector-block matrices stay in the blocks.
+    They are the `_rows` of the pair's own `_words` at (g_X, g_Y, d_Y) =
+    (1, 0, 1); a piece whose pair is a fixed (X, Y) takes the same rows
+    from X and Y's words.  Commutators of sector-block matrices stay in
+    the blocks.
     """
-
-    def bracket(x, y):
-        return x @ y - y @ x
-
-    def ad(poly):
-        # [a0 + t a1, poly] for a polynomial in t with coefficients along axis 1
-        out = np.zeros((poly.shape[0], poly.shape[1] + 1, *poly.shape[2:]), dtype=complex)
-        out[:, :-1] += bracket(a0[:, None], poly)
-        out[:, 1:] += bracket(a1[:, None], poly)
-        return out
-
-    b = a1[:, None]
-    c = bracket(a0, a1)[:, None]
-    ac = ad(c)
-    aac = ad(ac)
-    h5 = aac / 720.0
-    h5[:, :1] -= bracket(b, c) / 240.0
-    h7 = -ad(ad(aac)) / 30240.0
-    h7[:, :3] += bracket(b, aac) / 7560.0 - ad(bracket(b, ac)) / 30240.0
-    h7[:, :1] -= bracket(b, bracket(b, c)) / 6720.0
-    return np.concatenate([a0[:, None], b, -c / 12.0, h5, h7], axis=1)
+    return _rows(_words(a0, a1), np.array([[1.0, 0.0, 1.0]]))
 
 
 def _step_exponents(terms: np.ndarray, h: float, t: np.ndarray) -> np.ndarray:
@@ -428,6 +495,31 @@ def _sector_basis(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> np.ndarray
     return vb
 
 
+@functools.lru_cache(maxsize=16)
+def _word_table(h0: OperatorSum, parts: tuple[OperatorSum, ...], ray: tuple[float, ...]) -> np.ndarray:
+    """Read-only real-form `_words` of (P, Q), (1, 33, n_blocks, 2d, 2d), built once per (h0, parts, ray).
+
+    P = -i H0 and Q = -i sum_mu c_mu H_mu on `_sector_blocks`, for the
+    coupling ray c.  Every piece whose couplings stay on that ray takes
+    its Magnus rows from these words (`_rows`), whose coefficients are
+    real, so the real form is taken here, once.
+    """
+    blocks = _sector_blocks(h0, parts)[1]
+    pair = _real_form(-1j * np.stack([blocks[0], np.tensordot(ray, blocks[1:], axes=1)]))
+    words = _words(pair[:1], pair[1:])
+    words.flags.writeable = False
+    return words
+
+
+def _ray(lam: np.ndarray):
+    """(c, s) with every knot's couplings lam[k] exactly s_k c and max(c) = 1, or None if no ray holds them all."""
+    s = lam.max(axis=1)
+    if not s.any():
+        return None
+    c = lam[s.argmax()] / s.max()
+    return (c, s) if np.array_equal(s[:, None] * c, lam) else None
+
+
 def _affine(blocks: np.ndarray, couplings) -> np.ndarray:
     """H0 + sum_mu lam_mu H_mu on the sector blocks, for each row of ``couplings``.
 
@@ -494,9 +586,17 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
         if prev is None:
             # dU/dsigma = dt A in each piece's own time sigma, whose brackets stay finite however short the piece;
             # formed once the first pass is within the budget, which refuses a generator too large for them
-            dt = np.diff(kinks).reshape(-1, 1, 1, 1)
-            rise = np.tensordot(np.diff(lam, axis=0), blocks[1:], axes=1)
-            terms = _real_form(_magnus_terms(-1j * dt * knots[:-1], -1j * dt * rise))
+            dt = np.diff(kinks)
+            on_ray = _ray(lam)
+            if on_ray is None:
+                # each piece's own pair: dt A at its start and dt^2 dA/dt
+                rise = np.tensordot(np.diff(lam, axis=0), blocks[1:], axes=1)
+                terms = _magnus_terms(*_real_form(-1j * dt[:, None, None, None] * np.stack([knots[:-1], rise])))
+            else:
+                # A = dt (P + s_k Q) + sigma dt (s_(k+1) - s_k) Q on piece k, from the model's cached words
+                c, s = on_ray
+                words = _word_table(h0, tuple(parts), tuple(c.tolist()))
+                terms = _rows(words, np.stack([dt, dt * s[:-1], dt * np.diff(s)], axis=1))
         # complex blocks at every boundary after the first, where U(0) is the identity in every pass
         r = np.array(_integrate(terms, kinks, boundaries, counts))
         cur = r[..., :d, :d] + 1j * r[..., d:, :d]

@@ -369,12 +369,13 @@ def test_sweep_byte_identical_across_workers_and_runs(tmp_path):
     assert run_cli("sweep", *SWEEP_ARGS, "--workers", "1", "--output", str(c))[0] == 0
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
     assert "workers=" not in a.read_text().splitlines()[0]
-    # four (tau, lambda0) groups; each run starts with the model, frame and readout
-    # caches cold, so every worker builds its own
+    # four (tau, lambda0) groups; each run starts with the model, frame, Magnus word
+    # and readout caches cold, so every worker builds its own
     grid = ("--T", "0.5,0.1", "--lambda0", "1.0,1.5", "--tau", "1.0,0.5", "--tol", "1e-6")
+    caches = (analysis._readout, analysis.plaquette_parts, evolve._sector_blocks, evolve._sector_basis, evolve._word_table)
     outputs = []
     for workers in ("3", "1", "2", "3"):
-        for cached in (analysis._readout, analysis.plaquette_parts, evolve._sector_blocks, evolve._sector_basis):
+        for cached in caches:
             cached.cache_clear()
         path = tmp_path / f"grid-{len(outputs)}.csv"
         assert run_cli("sweep", *grid, "--workers", workers, "--output", str(path))[0] == 0

@@ -447,8 +447,9 @@ def test_every_returned_propagator_is_within_a_quarter_tolerance_of_dop853():
 
 def test_chain_propagator_peak_memory_stays_block_sized():
     # N = 5: 64 blocks of 16x16 in a 1024-dim space. A (64, 1024, 1024)
-    # stack of per-sector terms of U is 1 GiB; the run peaks at 69 MiB,
-    # mostly the frame's V and the returned U (16 MiB each)
+    # stack of per-sector terms of U is 1 GiB; the run peaks at 86 MiB,
+    # mostly the frame's V and the returned U (16 MiB each) and the
+    # cached Magnus words (17 MiB)
     h0, parts, sched = chain_rampdown(5, 2.0)
     tracemalloc.start()
     try:
@@ -583,19 +584,22 @@ def test_sector_blocks_and_basis_are_built_once_per_parts(monkeypatch):
     builds = []
     monkeypatch.setattr(evolve, "check_blocks", lambda ops, checks: builds.append("blocks") or check_blocks(ops, checks))
     monkeypatch.setattr(evolve, "check_basis", lambda n, checks: builds.append("basis") or check_basis(n, checks))
-    evolve._sector_blocks.cache_clear()
-    evolve._sector_basis.cache_clear()
+    words = evolve._words
+    monkeypatch.setattr(evolve, "_words", lambda x, y: builds.append("words") or words(x, y))
+    for cached in (evolve._sector_blocks, evolve._sector_basis, evolve._word_table):
+        cached.cache_clear()
     for lam0, tau in ((1.5, 2.0), (2.5, 5.0)):
         h0, parts = plaquette_parts.__wrapped__()  # fresh operators, equal to the last ones
         schedule_unitary(h0, parts, linear_rampdown(lam0, tau), tol=1e-6)
-    assert builds == ["blocks", "basis"]  # H0 and the four parts are framed once
-    # the second propagator hits both caches; building the basis read the blocks' checks once
-    for cached, hits in ((evolve._sector_blocks, 2), (evolve._sector_basis, 1)):
+    # H0 and the four parts are framed once, and both rampdowns lie on the ray c = (1, 1, 1, 1)
+    assert builds == ["blocks", "words", "basis"]
+    # the second propagator hits every cache; building the words and the basis read the blocks once each
+    for cached, hits in ((evolve._sector_blocks, 3), (evolve._sector_basis, 1), (evolve._word_table, 1)):
         info = cached.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (1, hits, 16)
     checks, blocks = evolve._sector_blocks(h0, parts)
     assert isinstance(checks, tuple)
-    for array in (blocks, evolve._sector_basis(h0, parts)):
+    for array in (blocks, evolve._sector_basis(h0, parts), evolve._word_table(h0, parts, (1.0,) * 4)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -656,6 +660,10 @@ def test_enormous_generator_is_refused_by_the_step_budget():
     h0, parts = plaquette_parts(OperatorSum(4, [(1e300, PauliString.from_label("ZZZZ"))]))
     with pytest.raises(ConvergenceError, match="within 262144 steps"):
         schedule_unitary(h0, parts, Schedule((0.0, 1e10), ((1.0,) * 4, (1.0,) * 4)))
+    # a rampdown's Magnus words are formed only once a pass is within the budget: formed
+    # first, the words of P = -i H0 with five letters P would overflow at 1e1500
+    with pytest.raises(ConvergenceError, match="within 262144 steps"):
+        schedule_unitary(h0, parts, linear_rampdown(1.0, 10.0))
 
 
 def test_vanishing_ramp_time_runs_and_returns_the_identity(tmp_path):
@@ -851,6 +859,32 @@ def test_centre_time_exponent_matches_the_direct_exponent():
     sigma_terms = evolve._magnus_terms(dt * a0, dt * dt * a1)
     r = np.array(evolve._integrate(evolve._real_form(sigma_terms), kinks, boundaries, counts))
     assert np.abs(r[..., :4, :4] + 1j * r[..., 4:, :4] - np.array(expected)).max() <= 1e-12
+
+
+def test_cached_word_rows_match_each_cells_own_terms(monkeypatch):
+    # every cell on one coupling ray takes its rows from the model's words of (P, Q); they must be
+    # the rows of the cell's own pair (G, D) = (dt A(0), dt^2 dA/dt), which any other piece takes
+    captured = []
+    integrate = evolve._integrate
+    monkeypatch.setattr(evolve, "_integrate", lambda terms, *args: captured.append(terms) or integrate(terms, *args))
+    grid = [(lam0, tau) for lam0 in (0.3, 1, 1.5, 2, 2.5, 3) for tau in (2, 5, 10, 20, 40, 80)]
+    cells = [*((*PLAQUETTE, linear_rampdown(lam0, tau)) for lam0, tau in grid), chain_rampdown(3, 5.0)]
+    evolve._word_table.cache_clear()
+    for h0, parts, sched in cells:
+        captured.clear()
+        schedule_unitary(h0, parts, sched, tol=1e-6)
+        blocks = evolve._sector_blocks(h0, parts)[1].astype(complex)
+        lam = np.array(sched.couplings)
+        dt = np.diff(sched.times).reshape(-1, 1, 1, 1)
+        g = -1j * dt * evolve._affine(blocks, lam)[:-1]
+        d = -1j * dt * np.tensordot(np.diff(lam, axis=0), blocks[1:], axes=1)
+        own = evolve._real_form(evolve._magnus_terms(g, d))
+        assert captured[0].shape == own.shape
+        for r in range(11):
+            assert np.abs(captured[0][:, r] - own[:, r]).max() <= 1e-13 * np.abs(own[:, r]).max(), (sched, r)
+    # one table for the plaquette's ray (1, 1, 1, 1) and one for the chain's single column
+    info = evolve._word_table.cache_info()
+    assert (info.misses, info.hits) == (2, len(cells) - 2)
 
 
 def test_one_step_error_falls_at_ninth_power():
