@@ -18,6 +18,30 @@ the blocks too: only the U that `schedule_unitary` returns is taken
 back to the original basis, by the frame's basis V (`pauli.check_basis`,
 cached apart in `_sector_basis`), as V blockdiag(u) V^dagger.
 
+A schedule on one coupling ray c (below) may keep a symmetry that the
+checks do not use: a cyclic qubit shift q -> q + k (mod n) that maps
+H0, sum_mu c_mu H_mu and every check to themselves, such as the
+plaquette ring's rotation.  Such a shift keeps every check sector, and
+in each sector of the frame basis it is a signed permutation S_s, exact
+once rounded to its entries 0, +-1, +-i; it is taken only when S_s
+commutes exactly (entry for entry) with the sector blocks of -i H0 and
+-i sum_mu c_mu H_mu.  Then the Fourier vectors of S_s's orbits split
+each sector into momentum sub-blocks, which `_momentum_bins` packs
+first fit into equal bins: the ring's two 8x8 sectors (sub-blocks 4, 1,
+2, 1 and 2, 2, 2, 2) become four 4x4 bins.  The split is exact: S_s
+commutes with the generator at every time, so U keeps the sub-blocks,
+and the dropped entries between them are rounding of the basis change.
+Step doubling, its comparison and the unitarity check run on the bins,
+the spectral norm being the same in any unitary basis; the knot norms,
+and so the step counts, still come from the sector blocks.  The
+converged bins are taken back to the sector blocks, T blockdiag(u) T^H
+per sector, at every boundary at once.  No split is made off the ray,
+when no shift keeps the pair and each check (the chain, whose
+translation permutes check sectors, or a check-breaking static part),
+when the frame basis is refused, or when a sub-block fills a sector;
+the integration then runs on the sector blocks, as it would without the
+bins.
+
 Propagation uses the eighth-order Magnus integrator (Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
 Phil. Trans. R. Soc. A 357 (1999)) on the whole propagator.  H(t) is
@@ -39,7 +63,7 @@ one product), with degree and squarings read per batch from a plan
 table built at import so the truncation error is below unit roundoff
 (after Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)).  Steps
 run on the real form [[Re A, -Im A], [Im A, Re A]] of each complex
-sector block A, which respects sums, real scalings and products; numpy
+sector block or bin A, which respects sums, real scalings and products; numpy
 multiplies 8x8 blocks about twice as fast in it (the gain shrinks with
 size and is gone at 16x16).  U comes back complex.  Steps are processed
 in batches of bounded size and multiplied in a fixed pairwise tree
@@ -55,7 +79,7 @@ order (Hairer, Norsett & Wanner, Solving ODEs I, II.4), 32 starts about
 one halving above the step accepted below, and the cap keeps every pass
 inside the Magnus convergence bound h ||A|| < pi.  The run is then
 repeated at half the step until the finer run's estimated error is at
-most tol/4 in spectral norm, in every sector block at any boundary, and
+most tol/4 in spectral norm, in every sector block (or bin) at any boundary, and
 the finer run is returned.  Halving divides an eighth-order error by 2^8,
 so that error is about the change from the coarser run over 255
 (Richardson); the estimate is the change over F = 64, a 4x margin.  The
@@ -63,7 +87,7 @@ spectral norm of U's change is the same in every basis, and it bounds
 every entry, so each entry of U is held to tol/4.  The CLI's ``evolve``
 and ``sweep`` pass their ``--tol`` here.  A run that would exceed a fixed
 total step budget raises ConvergenceError before the pass starts, and a
-final propagator with a block u_s whose ||u_s^dagger u_s - I||_F exceeds
+final propagator with a block (or bin) u_s whose ||u_s^dagger u_s - I||_F exceeds
 1e-10 raises NumericalCheckError.  Integration is split at the schedule's
 knots and at requested sample times, which keeps the scheme at full
 order on each smooth piece.  A sample time up to 1e-12 before 0, or up to
@@ -74,6 +98,7 @@ schedule and returned at it; one farther outside raises ValueError.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import itertools
 import math
@@ -97,8 +122,8 @@ __all__ = [
 _MAX_STEPS = 1 << 18
 # F: the finer pass's error is estimated as its change over F, a 4x margin on Richardson's 2^8 - 1 = 255
 _SAFETY = 64.0
-# real entries per batched array, independent of the step count: 32 steps of two
-# 16x16 real forms of 8x8 sector blocks, 128 KB per array, so that a batch's Taylor
+# real entries per batched array, independent of the step count: 64 steps of the four
+# 8x8 real forms of the ring's 4x4 momentum bins, 128 KB per array, so that a batch's Taylor
 # workspace (nine arrays) stays in cache. With 1 MB arrays the sweep grid's nine
 # propagators ran 10 to 40% slower (2-core VM, three interleaved runs), with no
 # page faults at either size once the workspace is reused
@@ -295,7 +320,12 @@ def _expm_taylor(a: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 def _real_form(a: np.ndarray) -> np.ndarray:
     """[[Re A, -Im A], [Im A, Re A]]: the real 2d x 2d form of each complex d x d A."""
-    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+    d = a.shape[-1]
+    out = np.empty((*a.shape[:-2], 2 * d, 2 * d))
+    out[..., :d, :d] = out[..., d:, d:] = a.real
+    out[..., d:, :d] = a.imag
+    np.negative(a.imag, out=out[..., :d, d:])
+    return out
 
 
 def _words(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -371,7 +401,8 @@ def _rows(words: np.ndarray, g: np.ndarray) -> np.ndarray:
     # each of g's powers 0..5 once, read at every entry's exponents
     gx, gy, dy = (g[:, i, None] ** _EXPONENTS for i in range(3))
     coefs = _WORD_WEIGHTS * gx[:, _WORD_POWERS[0]] * gy[:, _WORD_POWERS[1]] * dy[:, _WORD_POWERS[2]]
-    rows = coefs @ words.reshape(*words.shape[:2], -1)
+    # complex words as their (Re, Im) floats: the coefficients are real, so one real product takes them
+    rows = (coefs @ words.reshape(*words.shape[:2], -1).view(np.float64)).view(words.dtype)
     return rows.reshape(*rows.shape[:2], *words.shape[2:])
 
 
@@ -495,20 +526,150 @@ def _sector_basis(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> np.ndarray
     return vb
 
 
+def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Entries ``index`` of x's flattened last three axes, for each leading index; one past their end reads 0."""
+    lead = x.shape[:-3]
+    return np.concatenate([x.reshape(*lead, -1), np.zeros((*lead, 1), x.dtype)], axis=-1)[..., index]
+
+
+@dataclass(frozen=True)
+class _Bins:
+    """Equal momentum bins of the (n_sectors, d, d) check-sector blocks, and the maps between them.
+
+    ``basis`` holds each sector's unitary T_s, whose columns are the
+    Fourier vectors of the sector's momentum sub-blocks, one sub-block
+    after another.  ``into`` (n_bins, b, b) indexes each bin entry in
+    the flattened T^H X T, and ``back`` (n_sectors, d, d) each entry of
+    the momentum-basis blocks in the flattened bins; a bin's padding and
+    the entries between sub-blocks read 0.
+    """
+
+    basis: np.ndarray
+    into: np.ndarray
+    back: np.ndarray
+
+    def pack(self, x: np.ndarray) -> np.ndarray:
+        """The bins (..., n_bins, b, b) of sector blocks (..., n_sectors, d, d): the sub-blocks of T^H x T."""
+        return _gather(self.basis.conj().swapaxes(-1, -2) @ x @ self.basis, self.into)
+
+    def unpack(self, u: np.ndarray) -> np.ndarray:
+        """The sector blocks T blockdiag(u) T^H of bins (..., n_bins, b, b): one gather, two batched products."""
+        return self.basis @ _gather(u, self.back) @ self.basis.conj().swapaxes(-1, -2)
+
+
+def _shifted(mask: int, n: int, k: int) -> int:
+    """Bit q of ``mask`` moved to bit (q + k) mod n: a string's qubit shift by k."""
+    return sum(((mask >> q) & 1) << ((q + k) % n) for q in range(n))
+
+
+def _momentum_bins(h0: OperatorSum, parts, checks, pair: np.ndarray):
+    """`_Bins` of the pair's sector blocks (2, n_sectors, d, d) under a qubit shift that keeps them, or None.
+
+    A shift q -> q + k (mod n) that keeps every check keeps every check
+    sector, and in sector s of the frame basis vb it is the signed
+    permutation S_s = vb_s^dagger vb_s[shifted rows], whose entries are
+    0, +-1 or +-i up to vb's normalization and are rounded to them.  The
+    shift is taken, among those of highest order L, only when S_s
+    commutes exactly with both blocks of the pair in every sector.  Each
+    orbit i_0 -> ... -> i_(m-1) -> i_0 of S_s, with S_s^j e_(i_0) =
+    sigma_j e_(i_j) and closing sign phi, gives one Fourier vector of
+    each momentum p with w^(pm) = phi, w = exp(2 pi i / L): the column
+    (1/L) sum_j w^(-jp) S_s^j e_(i_0) of S_s's eigenprojector, normalized,
+    sum_(j<m) w^(-jp) sigma_j e_(i_j) / sqrt(m).  The sub-blocks, one
+    per sector and momentum, are packed first fit, in sector and
+    momentum order, into bins as wide as the widest.  No split (None)
+    when no shift keeps the checks and the pair, when the frame basis is
+    refused, or when some sub-block is a whole sector.
+    """
+    n, (n_sectors, d) = h0.n_qubits, pair.shape[1:3]
+    for k in sorted(range(1, n), key=lambda k: math.gcd(n, k)):
+        if any(_shifted(c.x, n, k) != c.x or _shifted(c.z, n, k) != c.z for c in checks):
+            continue
+        try:
+            vb = _sector_basis(h0, parts)
+        except ValueError:
+            return None
+        # the shift applied to each column of vb: its row r is row r shifted by -k
+        qubits = np.arange(n)
+        s = vb.conj().swapaxes(-1, -2) @ vb[:, ((np.arange(1 << n)[:, None] >> qubits) & 1) @ (1 << (qubits - k) % n)]
+        exact = np.round(s.real) + 1j * np.round(s.imag)
+        if (
+            np.abs(s - exact).max() <= 1e-12
+            and (np.abs(exact).sum(axis=-2) == 1.0).all()
+            and np.array_equal(exact @ pair, pair @ exact)
+        ):
+            break
+    else:
+        return None
+    order = n // math.gcd(n, k)
+    # w^t, exact where it is a power of i, as every closing sign phi is: the orbits match it by equality
+    roots = [1j ** (4 * t // order) if 4 * t % order == 0 else cmath.exp(2j * math.pi * t / order)
+             for t in range(order)]
+    # the width of each sub-block, sector by sector, and the columns of every T_s
+    sizes, columns = [], []
+    for perm, image in zip(exact.tolist(), np.abs(exact).argmax(axis=-2).tolist()):
+        spaces, seen = [[] for _ in range(order)], set()
+        for i0 in range(d):
+            if i0 in seen:
+                continue
+            orbit, sigma = [i0], [1.0]
+            while (i := image[orbit[-1]]) != i0:
+                sigma.append(sigma[-1] * perm[i][orbit[-1]])
+                orbit.append(i)
+            phi, m = sigma[-1] * perm[i0][orbit[-1]], len(orbit)
+            seen.update(orbit)
+            for p in range(order):
+                if roots[p * m % order] == phi:
+                    v = [0j] * d
+                    for j, (i, sg) in enumerate(zip(orbit, sigma)):
+                        v[i] = roots[-j * p % order] * sg / math.sqrt(m)
+                    spaces[p].append(v)
+        for vectors in filter(None, spaces):
+            sizes.append(len(vectors))
+            columns.extend(vectors)
+    width = max(sizes)
+    if width == d:
+        return None
+    # first fit; every column of the T_s gets its sub-block, and its bin times width plus its place there
+    fill, sub, place = [], [], []
+    for i, size in enumerate(sizes):
+        b = next((b for b, used in enumerate(fill) if used + size <= width), len(fill))
+        fill += [0] * (b == len(fill))
+        sub += [i] * size
+        place += range(b * width + fill[b], b * width + fill[b] + size)
+        fill[b] += size
+    sub = np.reshape(sub, (n_sectors, d))
+    bin_of, slot = np.divmod(np.reshape(place, (n_sectors, d)), width)
+    zero = len(fill) * width * width
+    flat = (bin_of * width + slot)[:, :, None] * width + slot[:, None, :]
+    back = np.where(sub[:, :, None] == sub[:, None, :], flat, zero)
+    into = np.full(zero + 1, n_sectors * d * d)
+    into[back.ravel()] = np.arange(back.size)
+    basis = np.array(columns).reshape(n_sectors, d, d).swapaxes(-1, -2)
+    bins = _Bins(basis, into[:-1].reshape(len(fill), width, width), back)
+    for array in (bins.basis, bins.into, bins.back):
+        array.flags.writeable = False
+    return bins
+
+
 @functools.lru_cache(maxsize=16)
-def _word_table(h0: OperatorSum, parts: tuple[OperatorSum, ...], ray: tuple[float, ...]) -> np.ndarray:
-    """Read-only real-form `_words` of (P, Q), (1, 33, n_blocks, 2d, 2d), built once per (h0, parts, ray).
+def _word_table(h0: OperatorSum, parts: tuple[OperatorSum, ...], ray: tuple[float, ...]):
+    """``(bins, words)``: the `_momentum_bins` of (P, Q), or None, and their read-only complex `_words`.
 
     P = -i H0 and Q = -i sum_mu c_mu H_mu on `_sector_blocks`, for the
-    coupling ray c.  Every piece whose couplings stay on that ray takes
-    its Magnus rows from these words (`_rows`), whose coefficients are
-    real, so the real form is taken here, once.
+    coupling ray c; the words, (1, 33, n_bins, b, b) or (1, 33,
+    n_sectors, d, d), are formed on the bins when there are any.  Built
+    once per (h0, parts, ray).  Every piece whose couplings stay on that
+    ray takes its Magnus rows from these words (`_rows`).
     """
-    blocks = _sector_blocks(h0, parts)[1]
-    pair = _real_form(-1j * np.stack([blocks[0], np.tensordot(ray, blocks[1:], axes=1)]))
+    checks, blocks = _sector_blocks(h0, parts)
+    pair = -1j * np.stack([blocks[0], np.tensordot(ray, blocks[1:], axes=1)])
+    bins = _momentum_bins(h0, parts, checks, pair)
+    if bins is not None:
+        pair = bins.pack(pair)
     words = _words(pair[:1], pair[1:])
     words.flags.writeable = False
-    return words
+    return bins, words
 
 
 def _ray(lam: np.ndarray):
@@ -547,7 +708,9 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     """Step-doubled Magnus until each sector block's change over F = `_SAFETY` is at most tol/4 in spectral norm.
 
     Integration, comparison and the unitarity check all run in the
-    sector blocks of the checks conserved by H0 and the parts.  Returns
+    sector blocks of the checks conserved by H0 and the parts, or in
+    their momentum bins (`_word_table`), which are taken back to the
+    sector blocks at the end.  Returns
     the distinct sample times in ascending order, each snapped onto [0,
     duration], and U's complex (n_blocks, d, d) blocks keyed by each of
     them and by the duration (None where U is exactly the identity: at
@@ -564,7 +727,6 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     if len(parts) != columns:
         raise ValueError(f"schedule drives {columns} couplings but {len(parts)} Hamiltonian parts were given")
     blocks = _sector_blocks(h0, tuple(parts))[1].astype(complex)
-    d = blocks.shape[-1]
     kinks = list(schedule.times)
     boundaries = sorted({*kinks, *samples})
     wanted = [*samples, duration]
@@ -577,7 +739,7 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
 
     h = _start_step(duration, norm, tol)
     spent = 0
-    prev = None
+    prev = bins = None
     while True:
         counts = _step_counts(boundaries, h)
         spent += sum(counts)
@@ -595,10 +757,11 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
             else:
                 # A = dt (P + s_k Q) + sigma dt (s_(k+1) - s_k) Q on piece k, from the model's cached words
                 c, s = on_ray
-                words = _word_table(h0, tuple(parts), tuple(c.tolist()))
-                terms = _rows(words, np.stack([dt, dt * s[:-1], dt * np.diff(s)], axis=1))
-        # complex blocks at every boundary after the first, where U(0) is the identity in every pass
+                bins, words = _word_table(h0, tuple(parts), tuple(c.tolist()))
+                terms = _real_form(_rows(words, np.stack([dt, dt * s[:-1], dt * np.diff(s)], axis=1)))
+        # complex blocks (or bins) at every boundary after the first, where U(0) is the identity in every pass
         r = np.array(_integrate(terms, kinks, boundaries, counts))
+        d = r.shape[-1] // 2
         cur = r[..., :d, :d] + 1j * r[..., d:, :d]
         # the largest singular value of the block differences is U's change in any basis; it bounds every entry
         if prev is not None and _spectral_norms_within(cur - prev, _SAFETY * 0.25 * tol):
@@ -609,6 +772,8 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     defect = float(np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - np.eye(d), axis=(1, 2)).max())
     if defect > _UNITARITY_ATOL:
         raise NumericalCheckError(f"propagator is not unitary (defect {defect:.3e})")
+    if bins is not None:
+        cur = bins.unpack(cur)
     at = dict(zip(boundaries, [None, *cur]))
     return samples, {t: at[t] for t in wanted}
 

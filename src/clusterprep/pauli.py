@@ -161,10 +161,12 @@ class OperatorSum:
     ``|c| < COEFF_CUTOFF`` are dropped.  Real coefficients on phase-free
     strings guarantee a Hermitian dense realization.  A merged
     coefficient that is not finite, such as an overflowing product of a
-    coupling and a coefficient, raises FloatingPointError.
+    coupling and a coefficient, raises FloatingPointError.  The hash
+    is computed once, here: the caches keyed by operators hash them on
+    every lookup.
     """
 
-    __slots__ = ("n_qubits", "terms")
+    __slots__ = ("n_qubits", "terms", "_hash")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliString]] = ()):
         if n_qubits < 1:
@@ -187,6 +189,7 @@ class OperatorSum:
                 canon.append((c, PauliString(n_qubits, x, z)))
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "terms", tuple(canon))
+        object.__setattr__(self, "_hash", hash((n_qubits, tuple((c, s.x, s.z) for c, s in canon))))
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorSum is immutable")
@@ -221,7 +224,7 @@ class OperatorSum:
         ) and len(self.terms) == len(other.terms)
 
     def __hash__(self):
-        return hash((self.n_qubits, tuple((c, s.x, s.z) for c, s in self.terms)))
+        return self._hash
 
     def __repr__(self) -> str:
         body = " ".join(f"{c:+g}*{s.letters}" for c, s in self.terms[:4])

@@ -447,9 +447,9 @@ def test_every_returned_propagator_is_within_a_quarter_tolerance_of_dop853():
 
 def test_chain_propagator_peak_memory_stays_block_sized():
     # N = 5: 64 blocks of 16x16 in a 1024-dim space. A (64, 1024, 1024)
-    # stack of per-sector terms of U is 1 GiB; the run peaks at 86 MiB,
+    # stack of per-sector terms of U is 1 GiB; the run peaks at 78 MiB,
     # mostly the frame's V and the returned U (16 MiB each) and the
-    # cached Magnus words (17 MiB)
+    # cached complex Magnus words (8 MiB)
     h0, parts, sched = chain_rampdown(5, 2.0)
     tracemalloc.start()
     try:
@@ -591,15 +591,18 @@ def test_sector_blocks_and_basis_are_built_once_per_parts(monkeypatch):
     for lam0, tau in ((1.5, 2.0), (2.5, 5.0)):
         h0, parts = plaquette_parts.__wrapped__()  # fresh operators, equal to the last ones
         schedule_unitary(h0, parts, linear_rampdown(lam0, tau), tol=1e-6)
-    # H0 and the four parts are framed once, and both rampdowns lie on the ray c = (1, 1, 1, 1)
-    assert builds == ["blocks", "words", "basis"]
-    # the second propagator hits every cache; building the words and the basis read the blocks once each
-    for cached, hits in ((evolve._sector_blocks, 3), (evolve._sector_basis, 1), (evolve._word_table, 1)):
+    # H0 and the four parts are framed once, and both rampdowns lie on the ray c = (1, 1, 1, 1); the
+    # ring's momentum bins read the frame basis, so it is built before the words of the bins
+    assert builds == ["blocks", "basis", "words"]
+    # the second propagator hits every cache; building the words and the basis read the blocks once each,
+    # and the basis is read by the bins and by each propagator's way back to the original basis
+    for cached, hits in ((evolve._sector_blocks, 3), (evolve._sector_basis, 2), (evolve._word_table, 1)):
         info = cached.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (1, hits, 16)
     checks, blocks = evolve._sector_blocks(h0, parts)
     assert isinstance(checks, tuple)
-    for array in (blocks, evolve._sector_basis(h0, parts), evolve._word_table(h0, parts, (1.0,) * 4)):
+    bins, words = evolve._word_table(h0, parts, (1.0,) * 4)
+    for array in (blocks, evolve._sector_basis(h0, parts), words, bins.basis, bins.into, bins.back):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -863,7 +866,8 @@ def test_centre_time_exponent_matches_the_direct_exponent():
 
 def test_cached_word_rows_match_each_cells_own_terms(monkeypatch):
     # every cell on one coupling ray takes its rows from the model's words of (P, Q); they must be
-    # the rows of the cell's own pair (G, D) = (dt A(0), dt^2 dA/dt), which any other piece takes
+    # the rows of the cell's own pair (G, D) = (dt A(0), dt^2 dA/dt), which any other piece takes,
+    # on the model's momentum bins where it has them (the ring) and on its sector blocks otherwise
     captured = []
     integrate = evolve._integrate
     monkeypatch.setattr(evolve, "_integrate", lambda terms, *args: captured.append(terms) or integrate(terms, *args))
@@ -878,13 +882,17 @@ def test_cached_word_rows_match_each_cells_own_terms(monkeypatch):
         dt = np.diff(sched.times).reshape(-1, 1, 1, 1)
         g = -1j * dt * evolve._affine(blocks, lam)[:-1]
         d = -1j * dt * np.tensordot(np.diff(lam, axis=0), blocks[1:], axes=1)
+        bins = evolve._word_table(h0, parts, (1.0,) * len(parts))[0]
+        if bins is not None:
+            g, d = bins.pack(g), bins.pack(d)
         own = evolve._real_form(evolve._magnus_terms(g, d))
         assert captured[0].shape == own.shape
         for r in range(11):
             assert np.abs(captured[0][:, r] - own[:, r]).max() <= 1e-13 * np.abs(own[:, r]).max(), (sched, r)
-    # one table for the plaquette's ray (1, 1, 1, 1) and one for the chain's single column
+    # one table for the plaquette's ray (1, 1, 1, 1) and one for the chain's single column; every
+    # cell also reads its table's bins here once
     info = evolve._word_table.cache_info()
-    assert (info.misses, info.hits) == (2, len(cells) - 2)
+    assert (info.misses, info.hits) == (2, 2 * len(cells) - 2)
 
 
 def test_one_step_error_falls_at_ninth_power():
@@ -915,7 +923,7 @@ def test_long_tight_propagation_has_bounded_peak_memory(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    steps_per_batch = evolve._BATCH_ENTRIES // (2 * 16 * 16)  # real forms of two 8x8 sector blocks per step
+    steps_per_batch = evolve._BATCH_ENTRIES // (4 * 8 * 8)  # real forms of four 4x4 momentum bins per step
     assert passes[-1] >= 4 * steps_per_batch
     assert peak <= 16 * 2**20
 
@@ -934,9 +942,115 @@ def test_real_form_keeps_its_structure_over_a_long_tight_run(monkeypatch):
     schedule_unitary(*PLAQUETTE, linear_rampdown(2.5, 40.0), tol=1e-10)
     r = np.array(snapshots)
     d = r.shape[-1] // 2
-    assert r.dtype == float and r.shape[1:] == (2, 16, 16)
+    # the ring's four 4 x 4 momentum bins, each as its real 8 x 8 form
+    assert r.dtype == float and r.shape[1:] == (4, 8, 8)
     assert np.abs(r[..., :d, :d] - r[..., d:, d:]).max() <= 1e-13
     assert np.abs(r[..., d:, :d] + r[..., :d, d:]).max() <= 1e-13
+
+
+# ---------------------------------------------------------- momentum bins
+
+# the ring with its qubits 1 and 2 swapped: its own shift is q -> q + 2, of order 2
+RELABELLED_RING = OperatorSum(
+    4, [(-1.0, PauliString.from_ops(4, {a: "Z", b: "Z"})) for a, b in ((0, 2), (2, 1), (1, 3), (3, 0))]
+)
+
+
+def unsplit(monkeypatch, run):
+    """``run()`` with every momentum split refused, on word tables built for it alone."""
+    evolve._word_table.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(evolve, "_momentum_bins", lambda *args: None)
+        out = run()
+    evolve._word_table.cache_clear()
+    return out
+
+
+@pytest.mark.parametrize(
+    "h0, parts, sched",
+    [
+        (*PLAQUETTE, sequential_switchoff(2.0, 1.0, (2, 4, 1, 3))),
+        (*plaquette_parts(plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))])),
+         linear_rampdown(2.5, 10.0)),
+        (*plaquette_parts(OperatorSum(4, [(1.0, PauliString.from_label("XIII"))])), linear_rampdown(2.0, 1.0)),
+        chain_rampdown(3, 5.0),
+    ],
+    ids=["switch-off", "ring+ZIII", "XIII", "chain"],
+)
+def test_schedules_with_no_kept_shift_integrate_unsplit_bit_for_bit(monkeypatch, h0, parts, sched):
+    # off the coupling ray there is no word table; on it, no qubit shift keeps these pairs and checks
+    run = lambda: schedule_unitary(h0, parts, sched, tol=1e-8, sample_times=[0.5 * sched.duration])
+    u, snaps = run()
+    on_ray = evolve._ray(np.array(sched.couplings))
+    if on_ray is not None:
+        assert evolve._word_table(h0, parts, tuple(on_ray[0].tolist()))[0] is None
+    ref, ref_snaps = unsplit(monkeypatch, run)
+    assert u.tobytes() == ref.tobytes() and snaps[0][1].tobytes() == ref_snaps[0][1].tobytes()
+
+
+def test_ring_rampdowns_on_bins_match_the_unsplit_integration(monkeypatch):
+    grid = [(lam0, tau) for lam0 in (0.3, 1, 1.5, 2, 2.5, 3) for tau in (2, 5, 10, 20, 40, 80)]
+    run = lambda: np.array([schedule_unitary(*PLAQUETTE, linear_rampdown(lam0, tau), tol=1e-8) for lam0, tau in grid])
+    split = run()
+    assert evolve._word_table(*PLAQUETTE, (1.0,) * 4)[0].into.shape == (4, 4, 4)
+    # measured 2.8e-14; the bins change U's rounding, so it is not bit for bit
+    assert 0 < np.abs(split - unsplit(monkeypatch, run)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("h0, n_bins, widths", [
+    (None, 4, [[4, 4, 4, 4, 1, 2, 2, 1], [2] * 8]),
+    (RELABELLED_RING, 3, [[6, 6, 6, 6, 6, 6, 2, 2], [4] * 8]),
+])
+def test_momentum_bins_reproduce_each_sector_block(h0, n_bins, widths):
+    h0, parts = plaquette_parts(h0)
+    bins = evolve._word_table(h0, parts, (1.0,) * 4)[0]
+    blocks = evolve._sector_blocks(h0, parts)[1]
+    pair = -1j * np.stack([blocks[0], blocks[1:].sum(axis=0)])
+    t, t_dagger = bins.basis, bins.basis.conj().swapaxes(-1, -2)
+    assert np.abs(t_dagger @ t - np.eye(8)).max() <= 1e-15
+    # in the Fourier basis T_s each sector is its momentum sub-blocks, and each bin holds whole ones
+    kept = bins.back < bins.into.size
+    assert bins.into.shape[0] == n_bins and kept.sum(axis=-1).tolist() == widths
+    assert np.abs((t_dagger @ pair @ t)[:, ~kept]).max() <= 1e-15
+    assert not evolve._gather(bins.pack(pair), bins.back)[:, ~kept].any()
+    # T blockdiag(T^H P T) T^H is P again (measured: 2.2e-16 or less)
+    assert np.abs(bins.unpack(bins.pack(pair)) - pair).max() <= 1e-15
+
+
+def test_relabelled_ring_reads_out_as_the_ring_with_qubits_1_and_2_swapped():
+    h0, parts = plaquette_parts(RELABELLED_RING)
+    p = np.zeros((16, 16))
+    swap = [b & 0b1001 | (b >> 1 & 1) << 2 | (b >> 2 & 1) << 1 for b in range(16)]
+    p[swap, range(16)] = 1.0
+    assert np.array_equal(p @ to_dense(h0) @ p.T, to_dense(PLAQUETTE[0]))
+    temps = (0.1, 0.3, 0.5)
+    for tau in (2.0, 5.0, 10.0):
+        for lam0 in (1.5, 2.0, 2.5):
+            u = schedule_unitary(h0, parts, linear_rampdown(lam0, tau), tol=1e-8)
+            ring_u = schedule_unitary(*PLAQUETTE, linear_rampdown(lam0, tau), tol=1e-8)
+            assert np.abs(p @ u @ p.T - ring_u).max() <= 1e-13
+            # sweep rows: fidelity, p_z, w_minus and e_zeta name no qubit; p_c1 and p_c2 count flips of
+            # the natural ring's adjacent and opposite pairs, so the relabelled ring's class weights are compared
+            ring = cli._sweep_group((tau, lam0, temps, None, 1e-8))
+            relabelled = cli._sweep_group((tau, lam0, temps, RELABELLED_RING, 1e-8))
+            columns = [3, 4, 7, 8]
+            assert np.abs(np.array(ring)[:, columns] - np.array(relabelled)[:, columns]).max() <= 1e-13
+            for T in temps:
+                probs = run_point(T, lam0, tau, RELABELLED_RING).class_probs
+                swapped = {analysis._class_rep(swap[rep]): w for rep, w in run_point(T, lam0, tau).class_probs.items()}
+                assert max(abs(probs[rep] - swapped[rep]) for rep in probs) <= 1e-13
+
+
+def test_sweep_grid_runs_on_the_bins_in_25_taylor_calls(monkeypatch):
+    # 42 calls on (32, 2, 16, 16) real forms of the two 8 x 8 sectors before; the 1296 steps are unchanged
+    shapes = []
+    kernel = evolve._expm_taylor
+    monkeypatch.setattr(evolve, "_expm_taylor", lambda a, work: shapes.append(a.shape) or kernel(a, work))
+    for tau in (2.0, 5.0, 10.0):
+        for lam0 in (1.5, 2.0, 2.5):
+            schedule_unitary(*PLAQUETTE, linear_rampdown(lam0, tau), tol=1e-8)
+    assert len(shapes) == 25 and sum(shape[0] for shape in shapes) == 1296
+    assert max(shapes) == (64, 4, 8, 8)
 
 
 def test_per_spin_schedule_drives_separate_couplings():

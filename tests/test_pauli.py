@@ -182,6 +182,20 @@ def test_operator_sum_arithmetic_and_immutability():
         a + OperatorSum(2)
 
 
+def test_equal_operator_sums_hash_equal_and_keep_their_hash():
+    z, x = PauliString.from_label("ZI"), PauliString.from_label("IX")
+    a = OperatorSum(2, [(1.0, z), (2.0, x)])
+    # built in another order, from merged terms and by arithmetic: the same canonical sum
+    for b in (OperatorSum(2, [(2.0, x), (1.0, z)]), OperatorSum(2, [(1.0, x), (1.0, z), (1.0, x)]), a + OperatorSum(2)):
+        assert b == a and b is not a and hash(b) == hash(a)
+    assert {a: 1}[OperatorSum(2, [(2.0, x), (1.0, z)])] == 1
+    assert hash(a) == hash((2, tuple((c, s.x, s.z) for c, s in a.terms)))
+    for name in ("_hash", "terms", "n_qubits", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    assert hash(a) == hash(OperatorSum(2, [(1.0, z), (2.0, x)]))
+
+
 def test_non_finite_coefficients_and_entries_are_refused():
     z, zz = PauliString.from_label("ZI"), PauliString.from_label("ZZ")
     huge = OperatorSum(2, [(1e308, z), (1e308, zz)])
