@@ -127,6 +127,10 @@ class ErrorChannelReport:
     per-class weights after minus-sector weight is reassigned to the
     class with one extra single flip (spread uniformly over the four
     neighbors).  fidelity + 4 p_z + 2 p_c1 + p_c2 telescopes to 1.
+
+    The classes name spins 1..4 (qubits 0..3) as labelled, whatever the
+    static part: ``p_c1`` counts flips of the ring 1-2-3-4-1's adjacent
+    pairs and ``p_c2`` of its opposite pair 1-3, so a relabelled ring reads other values.
     """
 
     fidelity: float

@@ -98,6 +98,19 @@ class _Grid:
         return points
 
 
+@dataclass(frozen=True)
+class _Samples(_Number):
+    """A count whose float64 sample times can be allocated, as a grid's points must be."""
+
+    def __call__(self, s: str) -> int:
+        n = super().__call__(s)
+        try:
+            np.empty(n)
+        except MemoryError:
+            raise ValueError(f"{n} samples are too large to allocate") from None
+        return n
+
+
 def _conv_order(s: str) -> tuple[int, ...]:
     try:
         order = tuple(int(p) for p in s.split(","))
@@ -178,7 +191,7 @@ _SPECTRUM_OPTS = [
     _Opt("--lambda-init", _POSITIVE, None, "initial coupling of the sequential path"),
     _Opt("--tau-each", _POSITIVE, 1.0, "per-spin switch-off duration of the sequential path"),
     _Opt("--order", _conv_order, (1, 2, 3, 4), "spin switch-off order for the sequential path"),
-    _Opt("--samples", _Number(2, kind=int), 201, "sample count along the path"),
+    _Opt("--samples", _Samples(2, kind=int), 201, "sample count along the path"),
     _Opt("--hamiltonian", str, None, "replace the static ZZ ring with this operator file"),
     _Opt("--output", str, None, "CSV path (default: stdout)"),
 ]
@@ -189,7 +202,7 @@ _EVOLVE_OPTS = [
     _Opt("--tau", _POSITIVE, _REQUIRED, "rampdown duration"),
     _Opt("--J", _POSITIVE, 1.0, "Ising bond strength (unused with --hamiltonian, which replaces the ring)"),
     _Opt("--tol", _POSITIVE, 1e-8, "integrator step-doubling tolerance (propagator entries to tol/4)"),
-    _Opt("--samples", _Number(2, kind=int), 101, "time-series sample count"),
+    _Opt("--samples", _Samples(2, kind=int), 101, "time-series sample count"),
     _Opt("--hamiltonian", str, None, "replace the static ZZ ring with this operator file"),
     _Opt("--output", str, None, "time-series CSV path (default: stdout)"),
 ]

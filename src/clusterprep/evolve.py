@@ -59,8 +59,9 @@ the step's centre time.  They are formed in the piece's own time
 step exponential is a truncated Taylor series with scaling and squaring,
 evaluated with matrix products only
 (Paterson & Stockmeyer, SIAM J. Comput. 2 (1973), every block sum in
-one product), with degree and squarings read per batch from a plan
-table built at import so the truncation error is below unit roundoff
+one product), per batch at the fewest squarings that bring its norm
+under the top degree's theta and the lowest degree whose theta covers
+the scaled norm, so the truncation error is below unit roundoff
 (after Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)).  Steps
 run on the real form [[Re A, -Im A], [Im A, Re A]] of each complex
 sector block or bin A, which respects sums, real scalings and products; numpy
@@ -129,7 +130,7 @@ _SAFETY = 64.0
 # page faults at either size once the workspace is reused
 _BATCH_ENTRIES = 1 << 14
 _UNIT_ROUNDOFF = 2.0**-53
-# the highest degree any plan takes: the plans are the same at every norm with degrees up to 18
+# the top Taylor degree: `_taylor_plan` takes the products of the cheapest plan of degree <= 18 at every norm
 _MAX_TAYLOR_DEGREE = 15
 _UNITARITY_ATOL = 1e-10
 # the power of h and the degree in t of each row of `_magnus_terms`
@@ -225,48 +226,26 @@ def _admissible_theta(m: int) -> float:
     return lo
 
 
-_ADMISSIBLE_THETA = {m: _admissible_theta(m) for m in range(1, _MAX_TAYLOR_DEGREE + 1)}
-
-
-def _plan_table() -> tuple[list[float], list[tuple[int, int]]]:
-    """The cheapest (degree m, squarings s) whose truncation error is below 2^-53, tabled by 1-norm.
-
-    Degree m needs the fewest squarings s with norm / 2^s at most its
-    admissible theta, read off the binary exponents; the cost counts the
-    matrix products of Paterson-Stockmeyer evaluation plus squarings,
-    and a tie goes to the lower degree.  Every s, so the plan, is
-    constant between the edges theta_m 2^k: plans[i] holds on
-    (edges[i - 1], edges[i]].  Above the largest theta, doubling the norm
-    adds one squaring to every degree, so the edges stop at twice it.
-    """
-    degrees, thetas = np.array(list(_ADMISSIBLE_THETA)), np.array(list(_ADMISSIBLE_THETA.values()))
-    # a set, not np.unique, whose first call takes about 18 ms (numpy 2.4) that every CLI start would pay
-    edges = np.array(sorted({math.ldexp(t, k) for t in _ADMISSIBLE_THETA.values() for k in range(64)}))
-    edges = edges[edges <= 2.0 * thetas.max()]
-    (mantissa, exponent), (t_mantissa, t_exponent) = np.frexp(edges[:, None]), np.frexp(thetas)
-    s = np.where(edges[:, None] <= thetas, 0, exponent - t_exponent + (mantissa > t_mantissa))
-    p = np.array([math.isqrt(m - 1) + 1 for m in _ADMISSIBLE_THETA])
-    best = np.argmin(p - 1 + degrees // p + s, axis=1)
-    return edges.tolist(), list(zip(degrees[best].tolist(), s[np.arange(len(edges)), best].tolist()))
-
-
-_PLAN_EDGES, _PLANS = _plan_table()
-_TOP_MANTISSA, _TOP_EXPONENT = math.frexp(_PLAN_EDGES[-1])
+_THETAS = [_admissible_theta(m) for m in range(1, _MAX_TAYLOR_DEGREE + 1)]  # ascending
+_TOP_MANTISSA, _TOP_EXPONENT = math.frexp(_THETAS[-1])
 
 
 def _taylor_plan(norm: float) -> tuple[int, int]:
-    """`_plan_table`'s (m, s) at this norm, read after the fewest halvings k that
-    bring the norm into the table, each of which is one more squaring."""
+    """The Taylor (degree m, squarings s) whose truncation error at this 1-norm is below 2^-53.
+
+    s is the fewest squarings with norm / 2^s at most the top degree's
+    theta, read off the binary exponents; m is the lowest degree whose
+    theta covers norm / 2^s.
+    """
     mantissa, exponent = math.frexp(norm)
-    k = max(0, exponent - _TOP_EXPONENT + (mantissa > _TOP_MANTISSA))
-    m, s = _PLANS[bisect.bisect_left(_PLAN_EDGES, math.ldexp(norm, -k))]
-    return m, s + k
+    s = max(0, exponent - _TOP_EXPONENT + (mantissa > _TOP_MANTISSA))
+    return bisect.bisect_left(_THETAS, math.ldexp(norm, -s)) + 1, s
 
 
-# Paterson-Stockmeyer coefficients of each tabled degree m as (m // p + 1, p) rows: row j holds 1/(jp + i)!, 0 past m
+# Paterson-Stockmeyer coefficients of each degree m as (m // p + 1, p) rows: row j holds 1/(jp + i)!, 0 past m
 _PS_ROWS = {
     m: np.array([1.0 / math.factorial(i) if i <= m else 0.0 for i in range((m // p + 1) * p)]).reshape(-1, p)
-    for m, p in ((m, math.isqrt(m - 1) + 1) for m in dict.fromkeys(m for m, _ in _PLANS))
+    for m, p in ((m, math.isqrt(m - 1) + 1) for m in range(1, _MAX_TAYLOR_DEGREE + 1))
 }
 # arrays of one `_expm_taylor` workspace: the powers A^0..A^p and the block sums B_0..B_(m // p)
 _TAYLOR_SLOTS = max(rows.shape[0] + rows.shape[1] + 1 for rows in _PS_ROWS.values())
@@ -285,10 +264,10 @@ def _taylor_workspace(shape: tuple[int, ...], thread: int) -> np.ndarray:
 def _expm_taylor(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     """exp(A) for a stack of square matrices, by matrix products only.
 
-    The degree m and squarings s are read from the plan table at the
-    stack's largest 1-norm (one product of a ones vector with |A|).  The
+    The degree m and squarings s are `_taylor_plan`'s at the stack's
+    largest 1-norm (one product of a ones vector with |A|).  The
     series of A / 2^s is evaluated by Paterson-Stockmeyer: every block
-    sum B_j = sum_(i<p) c_(jp+i) A^i in one product of m's tabled rows
+    sum B_j = sum_(i<p) c_(jp+i) A^i in one product of m's `_PS_ROWS`
     with A^0..A^(p-1), then Horner in A^p, then s squarings.  ``work``
     is a (_TAYLOR_SLOTS, *a.shape) array of a's dtype, each slot
     contiguous, that every product is written into, and the result is a

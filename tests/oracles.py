@@ -44,23 +44,32 @@ def expm_scaled(h: np.ndarray, s: complex) -> np.ndarray:
     return (vectors * np.exp(s * values)) @ vectors.conj().T
 
 
+def taylor_admissible(norm: float, m: int, s: int, unit_roundoff: float = 2.0**-53) -> bool:
+    """Whether theta = norm / 2^s satisfies theta^(m+1) / (m+1)! / (1 - theta/(m+2)) <= unit_roundoff,
+    the bound on the degree-m Taylor remainder of exp at a matrix of this 1-norm, scaled by 2^-s."""
+    theta = math.ldexp(norm, -s)
+    return theta < m + 2 and theta ** (m + 1) / math.factorial(m + 1) / (1.0 - theta / (m + 2)) <= unit_roundoff
+
+
+def taylor_products(m: int, s: int) -> int:
+    """Matrix products of degree-m Paterson-Stockmeyer evaluation with p = isqrt(m - 1) + 1,
+    the powers x^2..x^p and m // p Horner steps, plus s squarings."""
+    p = math.isqrt(m - 1) + 1
+    return p - 1 + m // p + s
+
+
 def taylor_plan(norm: float, max_degree: int = 18, unit_roundoff: float = 2.0**-53) -> tuple[int, int]:
     """Cheapest Taylor (degree m, squarings s) for exp of a matrix of this 1-norm.
 
-    For each degree, s grows until theta = norm / 2^s satisfies
-    theta^(m+1) / (m+1)! / (1 - theta/(m+2)) <= unit_roundoff; the cost
-    is the Paterson-Stockmeyer product count plus s, ties to lower m.
+    For each degree, s grows until `taylor_admissible`; the cost is
+    `taylor_products`, ties to lower m.
     """
     best = None
     for m in range(1, max_degree + 1):
         s = 0
-        while True:
-            theta = math.ldexp(norm, -s)
-            if theta < m + 2 and theta ** (m + 1) / math.factorial(m + 1) / (1.0 - theta / (m + 2)) <= unit_roundoff:
-                break
+        while not taylor_admissible(norm, m, s, unit_roundoff):
             s += 1
-        p = math.isqrt(m - 1) + 1
-        cost = p - 1 + m // p + s
+        cost = taylor_products(m, s)
         if best is None or cost < best[0]:
             best = (cost, m, s)
     return best[1], best[2]

@@ -508,6 +508,23 @@ def test_grid_too_large_to_allocate_is_a_usage_error(tmp_path, argv, flag):
     assert "Traceback" not in err and not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evolve", "--T", "0", "--lambda0", "1", "--tau", "1"),
+        ("spectrum", "--path", "rampdown", "--lambda0", "1"),
+        ("spectrum", "--path", "sequential", "--lambda-init", "1"),
+    ],
+    ids=["evolve", "spectrum-rampdown", "spectrum-sequential"],
+)
+def test_sample_count_too_large_to_allocate_is_a_usage_error(tmp_path, argv):
+    # 1e14 float64 sample times are 728 TiB, which no allocation can give
+    code, out, err = run_cli(*argv, "--samples", "100000000000000", "--output", str(tmp_path / "out.csv"))
+    assert (code, out) == (2, "")
+    assert err == "error: --samples: 100000000000000 samples are too large to allocate\n"
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
 NUMERIC_OPTS = [
     (command, opt)
     for command, (opts, _, _) in cli._COMMANDS.items()

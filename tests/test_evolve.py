@@ -33,7 +33,8 @@ from clusterprep.models import (
     stabilizer_3d_local,
 )
 from clusterprep.pauli import OperatorSum, PauliString, check_basis, check_blocks, conserved_checks, to_dense
-from oracles import expm_scaled, gibbs_matrix, paterson_stockmeyer_expm, taylor_plan
+from oracles import (expm_scaled, gibbs_matrix, paterson_stockmeyer_expm, taylor_admissible, taylor_plan,
+                     taylor_products)
 
 
 PLAQUETTE = plaquette_parts()
@@ -508,28 +509,33 @@ def test_propagators_are_never_views_of_the_taylor_workspace(monkeypatch):
     assert [x.tobytes() for x in (u, *(s for _, s in snaps))] == kept
 
 
-def test_tabled_taylor_plan_matches_the_degree_loop():
+def _plan_edges() -> list[float]:
+    """Each theta_m 2^k (k >= 0) up to twice the top theta: the rule's plan is constant between
+    them, and past the last it repeats with one more squaring per doubling of the norm."""
+    top = 2.0 * evolve._THETAS[-1]
+    return sorted({math.ldexp(theta, k) for theta in evolve._THETAS for k in range(64) if math.ldexp(theta, k) <= top})
+
+
+def test_taylor_plan_takes_as_many_products_as_the_cheapest_plan():
     norms = [0.0, *np.geomspace(1e-6, 1e3, 4001)]
     # each degree's admissible theta scaled by powers of two is a boundary
     # between squaring counts; take it and both neighbouring doubles
-    for theta in evolve._ADMISSIBLE_THETA.values():
+    for theta in evolve._THETAS:
         for k in range(-40, 40):
             edge = math.ldexp(theta, k)
             if 1e-6 <= edge <= 1e3:
                 norms += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
-    mismatches = [n for n in map(float, norms) if evolve._taylor_plan(n) != taylor_plan(n)]
+    # past the top theta each doubling adds one squaring: the same check on both sides
+    # of the edges' images 2, 4, ... 2^6 and 2^40 times larger
+    far = [math.ldexp(edge, k) for k in (*range(1, 7), 40) for edge in _plan_edges()]
+    norms += [x for edge in far for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
+    # the rule's plan is admissible, and it takes the products of the cheapest plan with degrees up to 18
+    mismatches = [
+        n for n in map(float, norms)
+        if not taylor_admissible(n, *evolve._taylor_plan(n))
+        or taylor_products(*evolve._taylor_plan(n)) != taylor_products(*taylor_plan(n))
+    ]
     assert mismatches == []
-    # past the table's top edge the lookup halves the norm into it: the same check on both
-    # sides of each table edge's images 2, 4, ... 2^6 and 2^40 times larger
-    far = [math.ldexp(edge, k) for k in (*range(1, 7), 40) for edge in evolve._PLAN_EDGES]
-    far = [x for edge in far for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
-    assert [n for n in far if evolve._taylor_plan(n) != taylor_plan(n)] == []
-    # the table is small, and every plan in it has its coefficient rows and workspace slots
-    assert len(evolve._PLAN_EDGES) == len(evolve._PLANS) <= 256
-    assert evolve._PLAN_EDGES[-1] == 2.0 * max(evolve._ADMISSIBLE_THETA.values())
-    for m, _ in evolve._PLANS:
-        rows = evolve._PS_ROWS[m]
-        assert rows.shape[0] + rows.shape[-1] + 1 <= evolve._TAYLOR_SLOTS
 
 
 def _stack_at_norm(rng, norm: float) -> np.ndarray:
@@ -539,29 +545,33 @@ def _stack_at_norm(rng, norm: float) -> np.ndarray:
     return a * (norm / np.abs(a).sum(axis=-2).max())
 
 
-def test_taylor_kernel_matches_expm_and_plain_paterson_stockmeyer_for_every_tabled_plan():
-    # norms just below and just above each edge of the plan table (each theta_m 2^k up to twice
-    # the largest theta), so every (m, s) the table returns is run, and both plans of each edge
+def test_taylor_kernel_matches_expm_and_plain_paterson_stockmeyer_for_every_plan():
+    # norms just below and just above each edge theta_m 2^k up to twice the top theta,
+    # so every (m, s) the rule returns is run, and the plans on both sides of each edge
     rng = np.random.default_rng(25)
     used = set()
-    for edge in evolve._PLAN_EDGES:
+    for edge in _plan_edges():
         for norm in (edge * (1 - 1e-9), edge * (1 + 1e-9)):
             a = _stack_at_norm(rng, norm)
             # the kernel's own 1-norm of the stack, which picks its plan
             actual = float((np.ones(16) @ np.abs(a)).max())
             m, s = evolve._taylor_plan(actual)
-            assert (m, s) == taylor_plan(actual)
-            # just above the top edge the norm is past the table, and its plan is a tabled one plus a squaring
-            if actual <= evolve._PLAN_EDGES[-1]:
-                used.add((m, s))
+            assert taylor_admissible(actual, m, s)
+            assert taylor_products(m, s) == taylor_products(*taylor_plan(actual))
+            used.add((m, s))
             out = expm_taylor(a)
             flat = a.reshape(-1, 16, 16)
             ref = np.array([scipy.linalg.expm(x) for x in flat]).reshape(out.shape)
             assert np.abs(out - ref).max() <= 1e-13
             plain = np.array([paterson_stockmeyer_expm(x, m, s) for x in flat]).reshape(out.shape)
             assert np.abs(out - plain).max() <= 1e-15
-    assert used == set(evolve._PLANS)
-    # past the table the plan takes one more squaring per halving; exp still matches
+    # every degree is run, at 0 to 2 squarings, and each has its rows within the workspace
+    degrees = range(1, evolve._MAX_TAYLOR_DEGREE + 1)
+    assert {m for m, _ in used} == set(degrees) == set(evolve._PS_ROWS)
+    assert {s for _, s in used} == {0, 1, 2}
+    for rows in evolve._PS_ROWS.values():
+        assert rows.shape[0] + rows.shape[-1] + 1 <= evolve._TAYLOR_SLOTS
+    # far past the edges the plan takes one more squaring per doubling; exp still matches
     for norm in (5.0, 40.0, 700.0):
         a = _stack_at_norm(rng, norm)
         ref = np.array([scipy.linalg.expm(x) for x in a.reshape(-1, 16, 16)]).reshape(a.shape)
@@ -1043,14 +1053,17 @@ def test_relabelled_ring_reads_out_as_the_ring_with_qubits_1_and_2_swapped():
 
 def test_sweep_grid_runs_on_the_bins_in_25_taylor_calls(monkeypatch):
     # 42 calls on (32, 2, 16, 16) real forms of the two 8 x 8 sectors before; the 1296 steps are unchanged
-    shapes = []
-    kernel = evolve._expm_taylor
+    shapes, plans = [], []
+    kernel, rule = evolve._expm_taylor, evolve._taylor_plan
     monkeypatch.setattr(evolve, "_expm_taylor", lambda a, work: shapes.append(a.shape) or kernel(a, work))
+    monkeypatch.setattr(evolve, "_taylor_plan", lambda norm: plans.append(rule(norm)) or plans[-1])
     for tau in (2.0, 5.0, 10.0):
         for lam0 in (1.5, 2.0, 2.5):
             schedule_unitary(*PLAQUETTE, linear_rampdown(lam0, tau), tol=1e-8)
     assert len(shapes) == 25 and sum(shape[0] for shape in shapes) == 1296
     assert max(shapes) == (64, 4, 8, 8)
+    # one plan per call; its products as `taylor_products` counts them (the block-sum product apart)
+    assert len(plans) == 25 and sum(taylor_products(m, s) for m, s in plans) == 170
 
 
 def test_per_spin_schedule_drives_separate_couplings():
