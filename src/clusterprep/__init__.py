@@ -34,7 +34,6 @@ from .analysis import (
     spectrum_path,
     spectrum_scan,
     threshold_temperature,
-    tomography_basis,
     total_phase_flip_error,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "schedule_unitary",
     "ErrorChannelReport",
     "SectorSpectrumTable",
-    "tomography_basis",
     "total_phase_flip_error",
     "spectrum_scan",
     "spectrum_path",

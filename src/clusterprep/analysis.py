@@ -2,8 +2,8 @@
 thresholds for the four-spin plaquette pipeline.
 
 The plaquette's final state is decomposed in the sixteen flip/parity
-basis states built from the two maximally correlated states
-``(|0000> +- |1111>)/sqrt(2)`` by flipping subsets of spins.  Flip
+readout states ``(|e> + s|~e>)/sqrt(2)`` (labelled (e, s) in `_LABELS`),
+which flip the spins of pattern e in ``(|0000> +- |1111>)/sqrt(2)``.  Flip
 patterns that differ by the full complement are the same physical error
 class (the all-spin flip is the conserved check), leaving eight classes
 across two check sectors.  Class weights map onto an error channel of
@@ -53,7 +53,6 @@ __all__ = [
     "ThresholdBracketError",
     "NumericalCheckError",
     "SectorSpectrumTable",
-    "tomography_basis",
     "plaquette_parts",
     "total_phase_flip_error",
     "spectrum_scan",
@@ -96,26 +95,13 @@ def _class_rep(e: int) -> int:
 _NEIGHBOURS = {rep: tuple(_class_rep(rep ^ (1 << mu)) for mu in range(4)) for rep in CLASS_REPS}
 
 
-@functools.cache
-def tomography_basis() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """Orthonormal 16-column basis with (class rep, sector) column labels.
-
-    Column for (e, s) is the state ``(|e> + s|~e>)/sqrt(2)``; columns run
-    over CLASS_REPS, + sector before - sector for each class.  The basis
-    is built once and returned read-only.
-    """
-    cols = []
-    labels = []
-    for rep in CLASS_REPS:
-        for sector in (1, -1):
-            v = np.zeros(16, dtype=complex)
-            v[rep] = 1.0 / math.sqrt(2.0)
-            v[(~rep) & 0xF] = sector / math.sqrt(2.0)
-            cols.append(v)
-            labels.append((rep, sector))
-    basis = np.stack(cols, axis=1)
-    basis.flags.writeable = False
-    return basis, tuple(labels)
+# the sixteen readout states (|e> + s|~e>)/sqrt(2), one per (class rep e, sector s), + sector first
+_LABELS = tuple((rep, sector) for rep in CLASS_REPS for sector in (1, -1))
+# their read-only rows <b_i| in _LABELS order: real, stored complex so that W is one complex product
+_READOUT_ROWS = np.zeros((16, 16), dtype=complex)
+_READOUT_ROWS[range(16), [rep for rep, _ in _LABELS]] = 1.0 / math.sqrt(2.0)
+_READOUT_ROWS[range(16), [~rep & 0xF for rep, _ in _LABELS]] = [sector / math.sqrt(2.0) for _, sector in _LABELS]
+_READOUT_ROWS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -149,9 +135,8 @@ def total_phase_flip_error(p_z: float, p_c1: float, p_c2: float) -> float:
 
 
 def _channel_report(weights: np.ndarray) -> ErrorChannelReport:
-    """The error channel of the sixteen tomography basis weights."""
-    _, labels = tomography_basis()
-    raw = {label: float(w) for label, w in zip(labels, weights)}
+    """The error channel of the sixteen readout weights, in `_LABELS` order."""
+    raw = {label: float(w) for label, w in zip(_LABELS, weights)}
     class_probs = {rep: raw[(rep, 1)] for rep in CLASS_REPS}
     for rep in CLASS_REPS:
         spill = raw[(rep, -1)] / 4.0
@@ -269,7 +254,7 @@ class _Readout:
 
     ``energies`` are the levels at lambda0, ascending, with eigenvectors
     |k>; ``W[i, k] = |<b_i|U|k>|^2`` is the weight that the evolved
-    eigenstate U|k> puts on tomography basis state b_i; ``e[k]`` is the
+    eigenstate U|k> puts on readout state b_i (row i of `_READOUT_ROWS`); ``e[k]`` is the
     total phase-flip error of U|k> alone.  The cooled state is
     sum_k w_k(T) |k><k| (`thermal.thermal_weights`), so its basis weights
     after the ramp are ``W @ w(T)`` and its error is ``e @ w(T)``.
@@ -289,7 +274,8 @@ class _Readout:
         """The error at temperature T, or a list of them at each of an ascending array of temperatures."""
         if isinstance(T, np.ndarray):
             # the weights of every T > 0 in one batched exp; each error is one 1-D dot, as for a single T
-            w = np.exp(self.gaps / T[T > 0, None])
+            with np.errstate(over="ignore"):  # a gap over a tiny T is -inf: exp(-inf) = 0 is its T -> 0+ limit
+                w = np.exp(self.gaps / T[T > 0, None])
             w /= w.sum(axis=1, keepdims=True)
             return [self.e_zeta(t) for t in T[T <= 0]] + [float(self.e @ row) for row in w]
         if not T > 0:
@@ -300,7 +286,7 @@ class _Readout:
 
 @functools.cache
 def _basis_errors() -> np.ndarray:
-    """Read-only e_zeta of each of the sixteen tomography basis states alone."""
+    """Read-only e_zeta of each of the sixteen readout states alone."""
     e = np.array([_channel_report(unit).e_zeta for unit in np.eye(16)])
     e.flags.writeable = False
     return e
@@ -315,8 +301,7 @@ def _readout_of(energies: np.ndarray, vectors: np.ndarray, u: Optional[np.ndarra
     """
     if u is not None:
         vectors = u @ vectors
-    basis, _ = tomography_basis()
-    W = np.abs(basis.conj().T @ vectors) ** 2
+    W = np.abs(_READOUT_ROWS @ vectors) ** 2
     defect = max(np.abs(W.sum(axis=0) - 1.0).max(), np.abs(W.sum(axis=1) - 1.0).max())
     if defect > max(1e-10, 4.0 * tol):
         raise NumericalCheckError(f"evolved state failed its check: readout sums miss 1 by {defect:.3e}")
@@ -432,13 +417,14 @@ def threshold_temperature(
     if any, lies below the bracket) and raises ThresholdBracketError
     when every probe is below it.  Otherwise the probes straddle the
     target, and they must be nondecreasing (a dip beyond 1e-6 raises
-    NumericalCheckError, since it could move the crossing).  The
-    bisected temperature must reproduce the target error to within
-    1e-4 (ConvergenceError otherwise).
+    NumericalCheckError, since it could move the crossing).  The bracket
+    must be finite; the bisection halves it until its stop rule holds,
+    and the bisected temperature must reproduce the target error to
+    within 1e-4 (ConvergenceError otherwise).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0 <= lo < hi):
-        raise ValueError("bracket must satisfy 0 <= lo < hi")
+    if not (0 <= lo < hi < math.inf):
+        raise ValueError("bracket must satisfy 0 <= lo < hi, both finite")
     err = _readout(lambda0, tau, h0, tol).e_zeta
     samples = err(_probe_temperatures(lo, hi))
     if min(samples) > target:
@@ -452,7 +438,7 @@ def threshold_temperature(
         if b < a - slack:
             raise NumericalCheckError("error is not monotone over the bracket")
     t_lo, t_hi = lo, hi
-    for _ in range(200):
+    for _ in range(1100):  # a finite width (< 2^1024) meets the stop rule (>= 1e-9 > 2^-30) in 1054 halvings
         mid = 0.5 * (t_lo + t_hi)
         if err(mid) <= target:
             t_lo = mid

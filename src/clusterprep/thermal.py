@@ -39,7 +39,8 @@ class DensityMatrix:
 def thermal_weights(energies: np.ndarray, T: float) -> np.ndarray:
     """Occupation of each level of an ascending spectrum at temperature T.
 
-    T > 0 gives Boltzmann weights exp(-(E_k - E_0)/T), normalized.  T = 0
+    T > 0 gives Boltzmann weights exp(-(E_k - E_0)/T), normalized (0, the
+    T -> 0+ limit, where a gap over T overflows).  T = 0
     gives the uniform mixture over the (numerically degenerate) ground
     space: levels within 1e-9 of the ground energy, relative to
     max(1, |E0|).  Temperatures are in energy units (Boltzmann constant
@@ -51,6 +52,9 @@ def thermal_weights(energies: np.ndarray, T: float) -> np.ndarray:
     if T == 0.0:
         tol = _DEGENERACY_RTOL * max(1.0, abs(float(energies[0])))
         weights = (shifted <= tol).astype(float)
-    else:
+    elif shifted[-1] < 1e308 * T:
         weights = np.exp(-shifted / T)
+    else:  # a gap over T overflows to inf, and exp(-inf) = 0 is its T -> 0+ limit
+        with np.errstate(over="ignore"):
+            weights = np.exp(-shifted / T)
     return weights / weights.sum()

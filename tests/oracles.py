@@ -114,6 +114,24 @@ def gibbs_matrix(h: np.ndarray, T: float, ground_rtol: float = 1e-9) -> np.ndarr
     return (vectors * (weights / weights.sum())) @ vectors.conj().T
 
 
+def readout_basis() -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """The plaquette's sixteen readout states as columns, with their (flip pattern e, sector s) labels.
+
+    Column (e, s) is (|e> + s|~e>)/sqrt(2), where e is a 4-bit flip
+    pattern (spin mu on bit mu - 1) and ~e = 15 - e its complement.  The
+    patterns are the eight class representatives: no flip, spins 1, 2, 3
+    alone, spin 4 alone written as 0111 (its complement), the adjacent
+    pairs 1-2 and 2-3, and the diagonal pair 1-3; each takes s = +1, then -1.
+    """
+    patterns = (0b0000, 0b0001, 0b0010, 0b0100, 0b0111, 0b0011, 0b0110, 0b0101)
+    labels = tuple((e, s) for e in patterns for s in (1, -1))
+    basis = np.zeros((16, 16), dtype=complex)
+    for col, (e, s) in enumerate(labels):
+        basis[e, col] = 1.0 / math.sqrt(2.0)
+        basis[15 - e, col] = s / math.sqrt(2.0)
+    return basis, labels
+
+
 def tomography_weights(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The weight of rho on each basis column: diag(B^dagger rho B), real part."""
     return np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho, basis))

