@@ -439,14 +439,14 @@ def threshold_temperature(
             raise NumericalCheckError("error is not monotone over the bracket")
     t_lo, t_hi = lo, hi
     for _ in range(1100):  # a finite width (< 2^1024) meets the stop rule (>= 1e-9 > 2^-30) in 1054 halvings
-        mid = 0.5 * (t_lo + t_hi)
+        mid = 0.5 * t_lo + 0.5 * t_hi
         if err(mid) <= target:
             t_lo = mid
         else:
             t_hi = mid
         if t_hi - t_lo <= 1e-9 * max(1.0, t_hi):
             break
-    t_star = 0.5 * (t_lo + t_hi)
+    t_star = 0.5 * t_lo + 0.5 * t_hi
     if abs(err(t_star) - target) > _THRESHOLD_ERROR_TOL:
         raise ConvergenceError("bisection did not pin the target error")
     return float(t_star)

@@ -23,6 +23,7 @@ numerical failure.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import sys
@@ -69,11 +70,11 @@ _FINITE, _POSITIVE, _NONNEG = _Number(), _Number(0, above=True), _Number(0)
 
 @dataclass(frozen=True)
 class _Grid:
-    """Grid syntax: 'a:b:n' (inclusive, n points), 'x,y,z', or a single value, each checked by ``element``."""
+    """Grid syntax: 'a:b:n' (a `_Span`: n points, ends included), 'x,y,z', or one value; ``element`` checks each."""
 
     element: _Number
 
-    def __call__(self, s: str) -> list[float]:
+    def __call__(self, s: str) -> list[float] | _Span:
         text = s.strip()
         if not text:
             raise ValueError("empty value list")
@@ -90,12 +91,24 @@ class _Grid:
         if n < 1:
             raise ValueError("grid needs n >= 1 points")
         try:
-            points = np.linspace(a, b, n).tolist()
+            np.empty(n)  # allocated, never written: a count no memory holds is refused before --cap counts it
         except MemoryError:
             raise ValueError(f"grid of {n} points is too large to allocate") from None
-        # the rule is a lower bound: it holds for every point when it holds for the smallest
-        self.element(repr(min(points)))
-        return points
+        # the rule is a lower bound: it holds for every point when it holds for the smallest, an end (a alone at n = 1)
+        self.element(repr(a if n == 1 else min(a, b)))
+        return _Span(a, b, n)
+
+
+@dataclass(frozen=True)
+class _Span:
+    """Grid syntax a:b:n by its ends and count; `_parse` builds its points once --cap has counted them."""
+
+    a: float
+    b: float
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
 
 
 @dataclass(frozen=True)
@@ -266,7 +279,8 @@ def _parse(argv: list[str]):
 
     A flag is ``--flag value`` or ``--flag=value``, named in full or by a
     prefix of it alone; a value never starts with ``--``, and the last of
-    repeated flags wins.
+    repeated flags wins.  A command with --cap refuses a grid whose axes
+    hold more points together, counted before any a:b:n axis is built.
     """
     if not argv:
         raise _UsageError("missing command (see clusterprep --help)")
@@ -310,6 +324,12 @@ def _parse(argv: list[str]):
         if value is _REQUIRED:
             raise _UsageError(f"missing required option {opt.flag}")
         setattr(ns, opt.dest, value)
+    grids = [opt.dest for opt in opts.values() if isinstance(opt.conv, _Grid)]
+    if hasattr(ns, "cap") and (size := math.prod(len(getattr(ns, dest)) for dest in grids)) > ns.cap:
+        raise _UsageError(f"grid has {size} points, above the cap of {ns.cap}")
+    for dest in grids:
+        if isinstance(span := getattr(ns, dest), _Span):
+            setattr(ns, dest, np.linspace(span.a, span.b, span.n).tolist())
     return ns
 
 
@@ -609,9 +629,6 @@ def _cmd_sweep(ns: SimpleNamespace) -> int:
     temps = sorted(ns.T)
     lam0s = sorted(ns.lambda0)
     taus = sorted(ns.tau)
-    size = len(temps) * len(lam0s) * len(taus)
-    if size > ns.cap:
-        raise _UsageError(f"grid has {size} points, above the cap of {ns.cap}")
     if ns.workers > 1 and not hasattr(os, "fork"):
         raise _UsageError("--workers above 1 needs os.fork, which this platform lacks")
     h0 = _static_part(ns)

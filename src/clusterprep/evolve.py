@@ -50,27 +50,27 @@ fixed combinations of the 33 words of a generator pair (X, Y): X, Y and
 the nested commutators [x1, [x2, ... [X, Y]]] to depth 4, weighted by
 monomials in three scalars.  When every knot's couplings lie on one ray
 c, every piece's pair is the model's (P, Q) = (-i H0, -i sum_mu c_mu
-H_mu), whose words are formed once per (H0, parts, c) and cached, and a
-propagator's terms are one product of its coefficients with them; any
-other piece's pair is its own generator and slope.  Each pass only
-weights the terms with scalars: a step's exponent is a polynomial in
-the step's centre time.  They are formed in the piece's own time
-(t - t_k) / dt_k, where they stay finite however short the piece.  Each
-step exponential is a truncated Taylor series with scaling and squaring,
-evaluated with matrix products only
-(Paterson & Stockmeyer, SIAM J. Comput. 2 (1973), every block sum in
-one product), per batch at the fewest squarings that bring its norm
-under the top degree's theta and the lowest degree whose theta covers
-the scaled norm, so the truncation error is below unit roundoff
-(after Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)).  Steps
-run on the real form [[Re A, -Im A], [Im A, Re A]] of each complex
-sector block or bin A, which respects sums, real scalings and products; numpy
+H_mu), whose words are formed once per (H0, parts, c) and cached; any
+other piece's pair is its own generator and slope, whose words it forms.
+Either way a propagator's terms are one product of its coefficients with
+the words (`_rows`).  Each pass only weights the terms with scalars: a
+step's exponent is a polynomial in the step's centre time.  They are
+formed in the piece's own time (t - t_k) / dt_k, where they stay finite
+however short the piece.  Each step exponential is a truncated Taylor
+series with scaling and squaring, evaluated with matrix products only
+(Paterson & Stockmeyer, SIAM J. Comput. 2 (1973), every block sum in one
+product), per batch at the fewest squarings that bring its norm under
+the top degree's theta and the lowest degree whose theta covers the
+scaled norm, so the truncation error is below unit roundoff (after
+Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)).  Steps run on
+the real form [[Re A, -Im A], [Im A, Re A]] of each complex sector block
+or bin A, which respects sums, real scalings and products; numpy
 multiplies 8x8 blocks about twice as fast in it (the gain shrinks with
 size and is gone at 16x16).  U comes back complex.  Steps are processed
 in batches of bounded size and multiplied in a fixed pairwise tree
-order, so results are deterministic for identical inputs and peak
-memory does not grow with the step count.  Each batch's exponentials
-are written into one reused workspace per thread.
+order, so results are deterministic for identical inputs and peak memory
+does not grow with the step count.  Each batch's exponentials are
+written into one reused workspace per thread.
 
 Step size is controlled by step doubling.  The first pass takes the
 coarsest step duration / 2^k whose norm h max ||A||_1 is at most
@@ -133,7 +133,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 # the top Taylor degree: `_taylor_plan` takes the products of the cheapest plan of degree <= 18 at every norm
 _MAX_TAYLOR_DEGREE = 15
 _UNITARITY_ATOL = 1e-10
-# the power of h and the degree in t of each row of `_magnus_terms`
+# the power of h and the degree in t of each row of `_rows`
 _TERM_H_POWERS = np.array([1, 1, 3, 5, 5, 5, 7, 7, 7, 7, 7])
 _TERM_T_DEGREES = np.array([0, 1, 0, 0, 1, 2, 0, 1, 2, 3, 4])
 
@@ -329,7 +329,7 @@ def _words(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # the letters x1..xk of each bracket word after X and Y, outermost first, as `_words` stacks them
 _BRACKET_LETTERS = [w for k in range(5) for w in itertools.product("XY", repeat=k)]
 # Blanes et al.'s eighth-order brackets past alpha1 as (power of h, weight, letters around D): A is
-# alpha1 = h A(t) and B is b = h^2 a1, so "BAA" is [b, [alpha1, [alpha1, D]]] (see `_magnus_terms`)
+# alpha1 = h A(t) and B is b = h^2 a1, so "BAA" is [b, [alpha1, [alpha1, D]]] (see `_rows`)
 _MAGNUS_BRACKETS = (
     (3, -1 / 12, ""), (5, 1 / 720, "AA"), (5, -1 / 240, "B"),
     (7, -1 / 30240, "AAAA"), (7, 1 / 7560, "BAA"), (7, -1 / 30240, "ABA"), (7, -1 / 6720, "BB"),
@@ -337,7 +337,7 @@ _MAGNUS_BRACKETS = (
 
 
 def _word_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Weights (11, 33) and powers (3, 11, 33) of `_magnus_terms`' rows over the `_words` of (X, Y).
+    """Weights (11, 33) and powers (3, 11, 33) of `_rows`' rows over the `_words` of (X, Y).
 
     On a piece with a0 = g_X X + g_Y Y and a1 = d_Y Y, each letter A of
     a bracket is X with g_X, or Y with g_Y, or Y with d_Y and one more
@@ -371,22 +371,7 @@ _EXPONENTS = np.arange(_WORD_POWERS.max() + 1)
 
 
 def _rows(words: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """`_magnus_terms` rows of pieces a0 = g_X X + g_Y Y, a1 = d_Y Y, from the `_words` of (X, Y).
-
-    ``words`` is (pieces or 1, 33, ...) and ``g`` holds (g_X, g_Y, d_Y)
-    per piece as (pieces or 1, 3); returns (pieces, 11, ...), every
-    piece's rows in one product of its coefficients with the words.
-    """
-    # each of g's powers 0..5 once, read at every entry's exponents
-    gx, gy, dy = (g[:, i, None] ** _EXPONENTS for i in range(3))
-    coefs = _WORD_WEIGHTS * gx[:, _WORD_POWERS[0]] * gy[:, _WORD_POWERS[1]] * dy[:, _WORD_POWERS[2]]
-    # complex words as their (Re, Im) floats: the coefficients are real, so one real product takes them
-    rows = (coefs @ words.reshape(*words.shape[:2], -1).view(np.float64)).view(words.dtype)
-    return rows.reshape(*rows.shape[:2], *words.shape[2:])
-
-
-def _magnus_terms(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Matrix coefficients of the eighth-order Magnus exponent on linear pieces.
+    """Matrix coefficients of the eighth-order Magnus exponent on linear pieces, from the `_words` of (X, Y).
 
     On a piece A(t) = -iH(t) = a0 + t a1 (t from the piece's start), a
     step of length h centred at t has alpha1 = h A(t), b = h^2 a1 and
@@ -399,22 +384,25 @@ def _magnus_terms(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
         - [b, [b, D]]/6720,
 
     a sum of h^w times polynomials in t whose coefficients are nested
-    brackets of a0 and a1.  For a0 and a1 of shape (pieces, ..., d, d)
-    returns those coefficients as (pieces, 11, ..., d, d), row r being
-    the t^_TERM_T_DEGREES[r] coefficient of the h^_TERM_H_POWERS[r] term.
-    They are the `_rows` of the pair's own `_words` at (g_X, g_Y, d_Y) =
-    (1, 0, 1); a piece whose pair is a fixed (X, Y) takes the same rows
-    from X and Y's words.  Commutators of sector-block matrices stay in
-    the blocks.
+    brackets of a0 and a1: row r is the t^_TERM_T_DEGREES[r] coefficient
+    of the h^_TERM_H_POWERS[r] term.  For ``words`` (pieces or 1, 33, ...)
+    and pieces a0 = g_X X + g_Y Y, a1 = d_Y Y, with (g_X, g_Y, d_Y) in
+    ``g`` (pieces or 1, 3), returns (pieces, 11, ...) in one product of
+    the coefficients with the words; a piece's own pair is (1, 0, 1).
     """
-    return _rows(_words(a0, a1), np.array([[1.0, 0.0, 1.0]]))
+    # each of g's powers 0..5 once, read at every entry's exponents
+    gx, gy, dy = (g[:, i, None] ** _EXPONENTS for i in range(3))
+    coefs = _WORD_WEIGHTS * gx[:, _WORD_POWERS[0]] * gy[:, _WORD_POWERS[1]] * dy[:, _WORD_POWERS[2]]
+    # complex words as their (Re, Im) floats: the coefficients are real, so one real product takes them
+    rows = (coefs @ words.reshape(*words.shape[:2], -1).view(np.float64)).view(words.dtype)
+    return rows.reshape(*rows.shape[:2], *words.shape[2:])
 
 
 def _step_exponents(terms: np.ndarray, h: float, t: np.ndarray) -> np.ndarray:
     """Exponents of steps of length h centred at times ``t`` of one piece.
 
-    ``terms`` are that piece's (11, ...) `_magnus_terms` rows, and ``t``
-    is measured from the piece's start: the exponent of the step at t is
+    ``terms`` are that piece's (11, ...) `_rows`, and ``t`` is measured
+    from the piece's start: the exponent of the step at t is
     sum_r h^_TERM_H_POWERS[r] t^_TERM_T_DEGREES[r] terms[r].
     """
     scalars = h**_TERM_H_POWERS * t[:, None] ** _TERM_T_DEGREES
@@ -451,7 +439,7 @@ def _start_step(duration: float, norm: float, tol: float) -> float:
 def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
     """Magnus sweep over each smooth segment, ``counts`` steps each.
 
-    ``terms`` are the real forms of the per-piece `_magnus_terms` in the
+    ``terms`` are the real forms of the per-piece `_rows` in the
     piece's own time sigma = (t - t_k) / dt_k; returns the real forms of
     U's (n_blocks, d, d) blocks at every boundary after the first.  Step s
     of a segment that starts at t0, at step h, is centred c + s h into its
@@ -730,14 +718,16 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
             dt = np.diff(kinks)
             on_ray = _ray(lam)
             if on_ray is None:
-                # each piece's own pair: dt A at its start and dt^2 dA/dt
+                # each piece's own pair (X, Y): dt A at its start and dt^2 dA/dt
                 rise = np.tensordot(np.diff(lam, axis=0), blocks[1:], axes=1)
-                terms = _magnus_terms(*_real_form(-1j * dt[:, None, None, None] * np.stack([knots[:-1], rise])))
+                words = _words(*(-1j * dt[:, None, None, None] * np.stack([knots[:-1], rise])))
+                g = np.array([[1.0, 0.0, 1.0]])
             else:
                 # A = dt (P + s_k Q) + sigma dt (s_(k+1) - s_k) Q on piece k, from the model's cached words
                 c, s = on_ray
                 bins, words = _word_table(h0, tuple(parts), tuple(c.tolist()))
-                terms = _real_form(_rows(words, np.stack([dt, dt * s[:-1], dt * np.diff(s)], axis=1)))
+                g = np.stack([dt, dt * s[:-1], dt * np.diff(s)], axis=1)
+            terms = _real_form(_rows(words, g))
         # complex blocks (or bins) at every boundary after the first, where U(0) is the identity in every pass
         r = np.array(_integrate(terms, kinks, boundaries, counts))
         d = r.shape[-1] // 2

@@ -717,6 +717,15 @@ def test_threshold_bisects_a_wide_bracket_until_its_stop_rule_holds(hi):
     assert abs(t_star / threshold_temperature(2.0, 5.0, bracket=(1e-3, 3.0)) - 1.0) <= 2e-9
 
 
+def test_threshold_near_the_largest_double_stays_inside_its_bracket():
+    # the target is the error's high-temperature plateau, met at every probe, so the bisection climbs
+    # to the top of the bracket, where a midpoint summed before halving overflows to inf
+    lo, hi, target = 1e308, 1.7e308, 0.8749999999999987
+    t_star = threshold_temperature(2.0, 5.0, target=target, bracket=(lo, hi))
+    assert np.isfinite(t_star) and lo <= t_star <= hi
+    assert abs(_readout(2.0, 5.0, None, 1e-8).e_zeta(t_star) - target) <= 1e-4
+
+
 def test_threshold_refuses_an_infinite_bracket_end_before_any_readout():
     before = _readout.cache_info()
     with pytest.raises(ValueError, match="finite"):

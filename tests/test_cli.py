@@ -487,6 +487,26 @@ def test_sweep_cap():
     assert "above the cap" in err
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_sweep_cap_refuses_a_grid_before_building_its_points():
+    # 5,000,000 temperatures as Python floats peak at about 266 MB; counted first, the run stays near
+    # a bare import's 31 MB. VmHWM is this process's own peak (a fork's ru_maxrss carries the parent's)
+    script = (
+        "import contextlib, io, re, clusterprep.cli as cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(['sweep', '--T', '0:1:5000000', '--lambda0', '1', '--tau', '1'])\n"
+        "hwm = int(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
+        "print(code, hwm, repr(err.getvalue()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    code, hwm_kb, err = proc.stdout.split(" ", 2)
+    assert (code, err.strip()) == ("2", repr("error: grid has 5000000 points, above the cap of 100000\n"))
+    assert int(hwm_kb) < 100 * 1024
+
+
 def test_grid_syntax_errors():
     assert run_cli("sweep", "--T", "", "--lambda0", "1", "--tau", "1")[0] == 2
     assert run_cli("sweep", "--T", "0.1:1.0", "--lambda0", "1", "--tau", "1")[0] == 2
@@ -727,6 +747,17 @@ def test_phase_diagram_from_a_tiny_temperature_runs_without_a_warning():
         code, out, _ = run_cli("phase-diagram", "--lambda0-grid", "2", "--tau", "5", "--T-bracket", "1e-320:3")
     assert code == 0
     assert len(data_lines(out)) == 1
+
+
+def test_phase_diagram_threshold_near_the_largest_double_is_a_finite_row():
+    lo, hi, target = 1e308, 1.7e308, 0.8749999999999987
+    code, out, _ = run_cli("phase-diagram", "--lambda0-grid", "2", "--tau", "5",
+                           "--T-bracket", f"{lo!r}:{hi!r}", "--target", repr(target))
+    assert code == 0
+    [row] = data_lines(out)
+    t_star = float(row.split(",")[2])
+    assert np.isfinite(t_star) and lo <= t_star <= hi
+    assert abs(analysis._readout(2.0, 5.0, plaquette_ring_term(1.0), 1e-8).e_zeta(t_star) - target) <= 1e-4
 
 
 def test_phase_diagram_computes_each_no_evolution_threshold_once():

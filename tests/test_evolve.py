@@ -850,13 +850,18 @@ def direct_exponent(a: np.ndarray, a1: np.ndarray, h: float) -> np.ndarray:
     )
 
 
+def own_rows(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """The Magnus rows of each piece's own pair (a0, a1), as every piece off a coupling ray takes them."""
+    return evolve._rows(evolve._words(a0, a1), np.array([[1.0, 0.0, 1.0]]))
+
+
 def test_centre_time_exponent_matches_the_direct_exponent():
     rng = np.random.default_rng(5)
     # two pieces of two sector blocks each; segments split the pieces unevenly
     a0 = -1j * np.array([[random_hermitian(rng, 4) for _ in range(2)] for _ in range(2)])
     a1 = -1j * np.array([[random_hermitian(rng, 4) for _ in range(2)] for _ in range(2)])
     kinks, boundaries, counts = [0.0, 1.5, 4.0], [0.0, 0.7, 1.5, 2.2, 4.0], [3, 5, 4, 6]
-    terms = evolve._magnus_terms(a0, a1)
+    terms = own_rows(a0, a1)
     u, expected = np.eye(4), []
     for g, (piece, n_steps) in enumerate(zip([0, 0, 1, 1], counts)):
         h = (boundaries[g + 1] - boundaries[g]) / n_steps
@@ -869,7 +874,7 @@ def test_centre_time_exponent_matches_the_direct_exponent():
     # the sweep centres every segment's steps in its own piece, whose terms it takes in that piece's
     # own time sigma = (t - t_k) / dt_k: the generator there is dt a0 + sigma dt^2 a1
     dt = np.diff(kinks).reshape(-1, 1, 1, 1)
-    sigma_terms = evolve._magnus_terms(dt * a0, dt * dt * a1)
+    sigma_terms = own_rows(dt * a0, dt * dt * a1)
     r = np.array(evolve._integrate(evolve._real_form(sigma_terms), kinks, boundaries, counts))
     assert np.abs(r[..., :4, :4] + 1j * r[..., 4:, :4] - np.array(expected)).max() <= 1e-12
 
@@ -895,7 +900,7 @@ def test_cached_word_rows_match_each_cells_own_terms(monkeypatch):
         bins = evolve._word_table(h0, parts, (1.0,) * len(parts))[0]
         if bins is not None:
             g, d = bins.pack(g), bins.pack(d)
-        own = evolve._real_form(evolve._magnus_terms(g, d))
+        own = evolve._real_form(own_rows(g, d))
         assert captured[0].shape == own.shape
         for r in range(11):
             assert np.abs(captured[0][:, r] - own[:, r]).max() <= 1e-13 * np.abs(own[:, r]).max(), (sched, r)
@@ -909,7 +914,7 @@ def test_one_step_error_falls_at_ninth_power():
     # local error of an eighth-order step is O(h^9): 512 per halving of h
     rng = np.random.default_rng(11)
     h0, h1 = random_hermitian(rng, 6), random_hermitian(rng, 6)
-    terms = evolve._magnus_terms(-1j * h0[None], -1j * h1[None])
+    terms = own_rows(-1j * h0[None], -1j * h1[None])
     errors = []
     for h in (0.8, 0.4, 0.2):
         t0 = 0.3  # the step starts inside its piece
