@@ -21,8 +21,8 @@ come from the propagator's cached sector blocks (`evolve._sector_blocks`),
 diagonalized at lambda0; the frame's basis (`evolve._sector_basis`) takes
 the eigenvectors back, so a readout builds no operator of its own.
 `run_point` and `threshold_temperature` read from that cache, with or
-without a ramp, and `rampdown_series` reads each sample time of one ramp
-the same way.
+without a ramp, and `rampdown_series` reads every sample time of one
+ramp in one stacked readout of their propagators.
 """
 
 from __future__ import annotations
@@ -295,14 +295,15 @@ def _basis_errors() -> np.ndarray:
 def _readout_of(energies: np.ndarray, vectors: np.ndarray, u: Optional[np.ndarray], tol: float) -> _Readout:
     """Read-only readout of eigenstates ``vectors`` evolved by ``u`` (none for ``u=None``).
 
-    W must be doubly stochastic: its rows and columns sum to 1 within
-    max(1e-10, 4 tol), which holds when U is unitary (NumericalCheckError
-    otherwise).
+    ``u`` may be one propagator or a stack of them, which gives a stack
+    of W.  Each W must be doubly stochastic: its rows and columns sum to
+    1 within max(1e-10, 4 tol), which holds when U is unitary
+    (NumericalCheckError, with the largest miss, otherwise).
     """
     if u is not None:
         vectors = u @ vectors
     W = np.abs(_READOUT_ROWS @ vectors) ** 2
-    defect = max(np.abs(W.sum(axis=0) - 1.0).max(), np.abs(W.sum(axis=1) - 1.0).max())
+    defect = max(np.abs(W.sum(axis=-2) - 1.0).max(), np.abs(W.sum(axis=-1) - 1.0).max())
     if defect > max(1e-10, 4.0 * tol):
         raise NumericalCheckError(f"evolved state failed its check: readout sums miss 1 by {defect:.3e}")
     e = _basis_errors() @ W
@@ -374,19 +375,18 @@ def rampdown_series(
     Returns ``(rows, report)``: one ``(t, lambda, fidelity, w_plus,
     w_minus)`` row per distinct time, ascending, and the final error
     channel.  fidelity is the weight on ``(|0000> + |1111>)/sqrt(2)``,
-    and w_plus and w_minus are the check-sector weights.  Each sample
-    has its own (uncached) readout and readout check.
+    and w_plus and w_minus are the check-sector weights.  The samples and
+    the final U share one uncached, stacked readout and its check.
     """
     energies, vectors = _levels(lambda0, h0)
     schedule = linear_rampdown(lambda0, tau)
     u_final, snaps = schedule_unitary(*plaquette_parts(h0), schedule, tol, sample_times=times)
     lams = schedule.coupling_matrix([t for t, _ in snaps])[:, 0]
-    rows = []
-    for (t, u), lam in zip(snaps, lams):
-        raw = _readout_of(energies, vectors, u, tol).report(T).raw
-        w_plus, w_minus = (sum(raw[(rep, sector)] for rep in CLASS_REPS) for sector in (1, -1))
-        rows.append((t, float(lam), raw[(0, 1)], w_plus, w_minus))
-    return rows, _readout_of(energies, vectors, u_final, tol).report(T)
+    stack = np.stack([u for _, u in snaps] + [u_final])
+    weights = _readout_of(energies, vectors, stack, tol).W @ thermal_weights(energies, T)
+    # _LABELS holds each class's + state at an even place and its - state just after it
+    rows = [(t, float(lam), w[0], sum(w[0::2]), sum(w[1::2])) for (t, _), lam, w in zip(snaps, lams, weights.tolist())]
+    return rows, _channel_report(weights[-1])
 
 
 @functools.lru_cache(maxsize=64)

@@ -405,11 +405,13 @@ def _emit(path: Optional[str], chunks) -> None:
         with open(tmp, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError) and exc.filename == tmp:  # creating or renaming it: name the path given
+            raise _UsageError(f"--output {path}: {exc.strerror}") from None
         raise
 
 
@@ -689,8 +691,13 @@ def main(argv=None) -> int:
         ns = _parse(sys.argv[1:] if argv is None else list(argv))
         if isinstance(ns, str):
             sys.stdout.write(ns)
-            return 0
-        return _COMMANDS[ns.command][1](ns)
+            code = 0
+        else:
+            code = _COMMANDS[ns.command][1](ns)
+        sys.stdout.flush()  # a closed stdout raises here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # the reader stopped early: exit as SIGPIPE would, with nothing on stderr
+        return 141
     # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (linalg.ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -704,7 +711,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    if code == 141:  # the interpreter flushes stdout once more at exit; send what is left nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from clusterprep.analysis import (
     ThresholdBracketError,
     _basis_errors,
     _channel_report,
+    _levels,
     _readout,
     _readout_of,
     chain_sector_gap,
@@ -228,6 +229,71 @@ def test_tomography_negative_weight_is_a_numerical_failure():
     for scale in (1.0 + 5.0 * tol, 1.0 - 5.0 * tol):
         with pytest.raises(NumericalCheckError, match="readout sums miss 1"):
             _readout_of(energies, vectors, np.sqrt(scale) * vectors, tol)
+
+
+def test_stacked_readout_checks_every_propagator_in_the_stack():
+    # one call reads a stack of propagators: each W is the one its own call gives, bit for bit,
+    # and the check reports the largest miss over the whole stack
+    tol = 1e-6
+    energies, vectors = np.arange(16.0), np.eye(16, dtype=complex)
+    scales = [1.0, 1.0 + 3.0 * tol, 1.0 - 2.0 * tol]
+    stack = np.stack([np.sqrt(scale) * vectors for scale in scales])
+    W = _readout_of(energies, vectors, stack, tol).W
+    assert W.shape == (3, 16, 16)
+    for u, w in zip(stack, W):
+        assert np.array_equal(w, _readout_of(energies, vectors, u, tol).W)
+    bad = np.stack([stack[0], np.sqrt(1.0 + 5.0 * tol) * vectors, np.sqrt(1.0 - 7.0 * tol) * vectors])
+    with pytest.raises(NumericalCheckError, match="readout sums miss 1 by 7.000e-06"):
+        _readout_of(energies, vectors, bad, tol)
+
+
+@pytest.mark.parametrize("samples", [2, 11, 101])
+def test_rampdown_series_reads_every_sample_in_one_readout(monkeypatch, samples):
+    _basis_errors()  # its first call reads sixteen reports of its own
+    calls = dict.fromkeys(["_readout_of", "_channel_report"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(analysis, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(analysis, name, counted)
+    rows, _ = rampdown_series(0.3, 1.5, 5.0, np.linspace(0.0, 5.0, samples))
+    assert len(rows) == samples
+    assert calls == {"_readout_of": 1, "_channel_report": 1}
+
+
+@pytest.mark.parametrize("T", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "h0",
+    [
+        plaquette_ring_term(1.0),
+        plaquette_ring_term(1.0) + OperatorSum(4, [(0.3, PauliString.from_label("ZIII"))]),
+        OperatorSum(4, [(1.0, PauliString.from_label("XIII"))]),
+    ],
+    ids=["ring", "ring+ZIII", "XIII"],
+)
+def test_rampdown_series_matches_one_readout_per_sample_bit_for_bit(h0, T):
+    # the reference reads each sample time and the final U alone, through its own readout's report
+    lambda0, tau, tol = 1.5, 5.0, 1e-8
+    times = np.linspace(0.0, tau, 13)
+    rows, final = rampdown_series(T, lambda0, tau, times, h0, tol)
+    energies, vectors = _levels(lambda0, h0)
+    schedule = linear_rampdown(lambda0, tau)
+    u_final, snaps = schedule_unitary(*plaquette_parts(h0), schedule, tol, sample_times=times)
+    lams = schedule.coupling_matrix([t for t, _ in snaps])[:, 0]
+    expected = []
+    for (t, u), lam in zip(snaps, lams):
+        raw = _readout_of(energies, vectors, u, tol).report(T).raw
+        w_plus, w_minus = (sum(raw[(rep, sector)] for rep in CLASS_REPS) for sector in (1, -1))
+        expected.append((t, float(lam), raw[(0, 1)], w_plus, w_minus))
+    assert [tuple(map(float.hex, row)) for row in rows] == [tuple(map(float.hex, row)) for row in expected]
+    reference = _readout_of(energies, vectors, u_final, tol).report(T)
+
+    def hexed(report):
+        fields = [report.fidelity, report.p_z, report.p_c1, report.p_c2, report.e_zeta, report.w_minus]
+        return ([float.hex(v) for v in fields], {k: float.hex(v) for k, v in report.class_probs.items()},
+                {k: float.hex(v) for k, v in report.raw.items()})
+
+    assert hexed(final) == hexed(reference)
 
 
 def test_sector_projectors_resolve_identity():

@@ -938,3 +938,30 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "clusterprep" in proc.stdout
+
+
+def test_reader_that_stops_early_ends_the_command_with_sigpipe_status_and_no_message():
+    # the reader takes one line of a spectrum far larger than a pipe buffer, then closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clusterprep.cli", "spectrum", "--lambda-grid", "0:2.5:801"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_package_env(),
+    )
+    assert proc.stdout.readline().startswith(b"# clusterprep")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+def test_output_that_cannot_be_written_is_a_usage_error_naming_the_path_given(tmp_path):
+    # the temporary file beside --output is never named, and none is left behind
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli("sweep", "--T", "0.1", "--lambda0", "1", "--tau", "1", "--output", str(target))
+    assert (code, out, err) == (2, "", f"error: --output {target}: No such file or directory\n")
+    # a directory: the temporary file is written beside it, and renaming it over the directory fails
+    code, out, err = run_cli("spectrum", "--lambda-grid", "1.0", "--output", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: --output {tmp_path}: Is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.parent.glob(f"{tmp_path.name}.tmp.*")) == []
