@@ -322,18 +322,20 @@ def _levels(lambda0: float, h0: Optional[OperatorSum]) -> tuple[np.ndarray, np.n
     lambda0 sum_mu H_mu, whose eigenvectors the frame's basis
     (`evolve._sector_basis`) takes back to the original basis; levels
     merge by a stable sort.  The readout's weights are squared moduli,
-    so the eigenvectors' phases do not matter.  An overflowing or
-    non-finite level raises FloatingPointError.  Cached: the rampdowns
-    and the no-evolution readout of one lambda0 share them.
+    so the eigenvectors' phases do not matter.  A lambda0 that is not
+    finite and positive raises ValueError, and an overflowing or
+    non-finite level FloatingPointError.  Cached: the rampdowns and the
+    no-evolution readout of one lambda0 share them.
     """
+    if not (math.isfinite(lambda0) and lambda0 > 0):
+        raise ValueError("lambda0 must be positive")
     parts = plaquette_parts(h0)
-    blocks = _sector_blocks(*parts)[1].astype(complex)
     with np.errstate(over="raise", invalid="raise"):
-        values, vectors = np.linalg.eigh(_affine(blocks, np.full(4, lambda0)))
+        values, vectors = np.linalg.eigh(_affine(_sector_blocks(*parts)[1], np.full(4, lambda0)).astype(complex))
     if not np.isfinite(values).all():
         raise FloatingPointError("plaquette levels are not finite")
     order = np.argsort(values, axis=None, kind="stable")
-    vb = _sector_basis(*parts)
+    vb = _sector_basis(*parts)[0]
     vectors = (vb @ vectors).transpose(1, 0, 2).reshape(vb.shape[1], -1)
     energies, vectors = values.ravel()[order], vectors[:, order]
     energies.flags.writeable = vectors.flags.writeable = False
@@ -354,7 +356,8 @@ def run_point(
     """Cool at the initial coupling, ramp it down, read out error classes.
 
     ``tau=None`` reads out the cooled state with no ramp at all, where
-    ``tol`` only sets the readout check's tolerance.  ``h0`` is the
+    ``tol`` only sets the readout check's tolerance; either way lambda0
+    must be finite and positive (ValueError otherwise).  ``h0`` is the
     static part, as in `plaquette_parts`.  The readout of each (lambda0,
     tau, h0, tol) is cached, so other temperatures on the same schedule
     reuse its propagator and eigenpairs.
@@ -408,7 +411,8 @@ def threshold_temperature(
 ) -> Optional[float]:
     """Highest temperature with total phase-flip error at the target.
 
-    ``tau`` and ``h0`` are as in `run_point`.  The error at each
+    ``tau`` and ``h0`` are as in `run_point`; the target and the bracket
+    must be finite (ValueError before any readout).  The error at each
     temperature is read from the cached per-eigenstate errors (see
     `run_point`), so the search integrates at most one propagator.
 
@@ -417,11 +421,13 @@ def threshold_temperature(
     if any, lies below the bracket) and raises ThresholdBracketError
     when every probe is below it.  Otherwise the probes straddle the
     target, and they must be nondecreasing (a dip beyond 1e-6 raises
-    NumericalCheckError, since it could move the crossing).  The bracket
-    must be finite; the bisection halves it until its stop rule holds,
-    and the bisected temperature must reproduce the target error to
-    within 1e-4 (ConvergenceError otherwise).
+    NumericalCheckError, since it could move the crossing).  The
+    bisection halves the bracket until its stop rule holds, and the
+    bisected temperature must reproduce the target error to within 1e-4
+    (ConvergenceError otherwise).
     """
+    if not math.isfinite(target):
+        raise ValueError("target must be finite")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 <= lo < hi < math.inf):
         raise ValueError("bracket must satisfy 0 <= lo < hi, both finite")

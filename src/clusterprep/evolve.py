@@ -16,31 +16,22 @@ taken exactly into the Clifford frame where each check is one Z
 when there are none).  Step doubling and the unitarity check stay in
 the blocks too: only the U that `schedule_unitary` returns is taken
 back to the original basis, by the frame's basis V (`pauli.check_basis`,
-cached apart in `_sector_basis`), as V blockdiag(u) V^dagger.
+cached apart in `_sector_basis` with its V^dagger), as V blockdiag(u)
+V^dagger.
 
 A schedule on one coupling ray c (below) may keep a symmetry that the
-checks do not use: a cyclic qubit shift q -> q + k (mod n) that maps
-H0, sum_mu c_mu H_mu and every check to themselves, such as the
-plaquette ring's rotation.  Such a shift keeps every check sector, and
-in each sector of the frame basis it is a signed permutation S_s, exact
-once rounded to its entries 0, +-1, +-i; it is taken only when S_s
-commutes exactly (entry for entry) with the sector blocks of -i H0 and
--i sum_mu c_mu H_mu.  Then the Fourier vectors of S_s's orbits split
-each sector into momentum sub-blocks, which `_momentum_bins` packs
-first fit into equal bins: the ring's two 8x8 sectors (sub-blocks 4, 1,
-2, 1 and 2, 2, 2, 2) become four 4x4 bins.  The split is exact: S_s
-commutes with the generator at every time, so U keeps the sub-blocks,
-and the dropped entries between them are rounding of the basis change.
-Step doubling, its comparison and the unitarity check run on the bins,
-the spectral norm being the same in any unitary basis; the knot norms,
-and so the step counts, still come from the sector blocks.  The
-converged bins are taken back to the sector blocks, T blockdiag(u) T^H
-per sector, at every boundary at once.  No split is made off the ray,
-when no shift keeps the pair and each check (the chain, whose
-translation permutes check sectors, or a check-breaking static part),
-when the frame basis is refused, or when a sub-block fills a sector;
-the integration then runs on the sector blocks, as it would without the
-bins.
+checks do not use, such as the plaquette ring's rotation: a cyclic qubit
+shift that maps H0, sum_mu c_mu H_mu and every check to themselves.
+`_momentum_bins` then splits each check sector into its momentum
+sub-blocks, packed into equal bins: the ring's two 8x8 sectors become
+four 4x4 bins.  The split is exact, since the shift commutes with the
+generator at every time.  Step doubling, its comparison and the
+unitarity check run on the bins, the spectral norm being the same in
+any unitary basis; the knot norms, and so the step counts, still come
+from the sector blocks, and the converged bins are taken back to them
+at every boundary at once.  Off the ray, or where no shift keeps the
+pair and each check (the chain, a check-breaking static part), the
+integration runs on the sector blocks.
 
 Propagation uses the eighth-order Magnus integrator (Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470 (2009), arXiv:0810.5488; Iserles & Norsett,
@@ -49,9 +40,10 @@ linear on each smooth piece of the schedule, so the exponent's terms are
 fixed combinations of the 33 words of a generator pair (X, Y): X, Y and
 the nested commutators [x1, [x2, ... [X, Y]]] to depth 4, weighted by
 monomials in three scalars.  When every knot's couplings lie on one ray
-c, every piece's pair is the model's (P, Q) = (-i H0, -i sum_mu c_mu
-H_mu), whose words are formed once per (H0, parts, c) and cached; any
-other piece's pair is its own generator and slope, whose words it forms.
+c (`_ray`, read off the schedule's rows), every piece's pair is the
+model's (P, Q) = (-i H0, -i sum_mu c_mu H_mu), whose words are formed
+once per (H0, parts, c) and cached; any other piece's pair is its own
+generator and slope, whose words it forms from complex blocks.
 Either way a propagator's terms are one product of its coefficients with
 the words (`_rows`).  Each pass only weights the terms with scalars: a
 step's exponent is a polynomial in the step's centre time.  They are
@@ -70,7 +62,8 @@ size and is gone at 16x16).  U comes back complex.  Steps are processed
 in batches of bounded size and multiplied in a fixed pairwise tree
 order, so results are deterministic for identical inputs and peak memory
 does not grow with the step count.  Each batch's exponentials are
-written into one reused workspace per thread.
+written into one reused workspace per thread, and the running product
+starts as the first batch's product.
 
 Step size is controlled by step doubling.  The first pass takes the
 coarsest step duration / 2^k whose norm h max ||A||_1 is at most
@@ -391,8 +384,9 @@ def _rows(words: np.ndarray, g: np.ndarray) -> np.ndarray:
     the coefficients with the words; a piece's own pair is (1, 0, 1).
     """
     # each of g's powers 0..5 once, read at every entry's exponents
-    gx, gy, dy = (g[:, i, None] ** _EXPONENTS for i in range(3))
-    coefs = _WORD_WEIGHTS * gx[:, _WORD_POWERS[0]] * gy[:, _WORD_POWERS[1]] * dy[:, _WORD_POWERS[2]]
+    gx, gy, dy = (g[:, :, None] ** _EXPONENTS).transpose(1, 0, 2)
+    px, py, pd = _WORD_POWERS
+    coefs = _WORD_WEIGHTS * gx.take(px, axis=1) * gy.take(py, axis=1) * dy.take(pd, axis=1)
     # complex words as their (Re, Im) floats: the coefficients are real, so one real product takes them
     rows = (coefs @ words.reshape(*words.shape[:2], -1).view(np.float64)).view(words.dtype)
     return rows.reshape(*rows.shape[:2], *words.shape[2:])
@@ -436,30 +430,32 @@ def _start_step(duration: float, norm: float, tol: float) -> float:
     return h
 
 
-def _integrate(terms: np.ndarray, kinks: list[float], boundaries: list[float], counts: list[int]) -> list[np.ndarray]:
+def _integrate(terms: np.ndarray, kinks: tuple[float, ...], boundaries: list[float], counts: list[int]) -> np.ndarray:
     """Magnus sweep over each smooth segment, ``counts`` steps each.
 
     ``terms`` are the real forms of the per-piece `_rows` in the
     piece's own time sigma = (t - t_k) / dt_k; returns the real forms of
-    U's (n_blocks, d, d) blocks at every boundary after the first.  Step s
-    of a segment that starts at t0, at step h, is centred c + s h into its
-    piece, with c = t0 + h/2 - t_k, all formed once per segment and divided
-    by dt_k; each batch's exponents are one `_step_exponents` product.
+    U's (n_blocks, d, d) blocks, stacked, at every boundary after the first.
+    Step s of a segment that starts at t0, at step h, is centred c + s h
+    into its piece, with c = t0 + h/2 - t_k, all formed once per segment and
+    divided by dt_k; each batch's exponents are one `_step_exponents` product.
     """
     shape = terms.shape[2:]
     batch = max(1, _BATCH_ENTRIES // math.prod(shape))
     work = _taylor_workspace((batch, *shape), threading.get_ident())
-    u = np.broadcast_to(np.eye(shape[-1]), shape)
-    snapshots = []
-    for t0, t1, n_steps in zip(boundaries, boundaries[1:], counts):
+    snapshots = np.empty((len(counts), *shape))
+    u = None
+    for snapshot, t0, t1, n_steps in zip(snapshots, boundaries, boundaries[1:], counts):
         p = bisect.bisect_right(kinks, t0) - 1
         dt = kinks[p + 1] - kinks[p]
         h = (t1 - t0) / n_steps
         centres = (t0 - kinks[p] + 0.5 * h + np.arange(n_steps) * h) / dt
         for done in range(0, n_steps, batch):
             t = centres[done : done + batch]
-            u = _ordered_product(_expm_taylor(_step_exponents(terms[p], h / dt, t), work[:, : len(t)])) @ u
-        snapshots.append(u)
+            step = _ordered_product(_expm_taylor(_step_exponents(terms[p], h / dt, t), work[:, : len(t)]))
+            # a one-step batch's product is a view of the workspace, which the next batch overwrites
+            u = step.copy() if u is None else step @ u
+        snapshot[...] = u
     return snapshots
 
 
@@ -480,8 +476,8 @@ def _sector_blocks(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> tuple[tup
 
 
 @functools.lru_cache(maxsize=16)
-def _sector_basis(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> np.ndarray:
-    """Read-only sector columns vb of `_sector_blocks`' frame, (n_blocks, dim, d), built once per (h0, parts).
+def _sector_basis(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sector columns vb (n_blocks, dim, d) of `_sector_blocks`' frame, and V^dagger, once per (h0, parts).
 
     vb_s spans sector s in `pauli.check_basis` V, which takes blocks u_s
     back to the original basis as V blockdiag(u) V^dagger.
@@ -489,8 +485,9 @@ def _sector_basis(h0: OperatorSum, parts: tuple[OperatorSum, ...]) -> np.ndarray
     checks, blocks = _sector_blocks(h0, parts)
     v = check_basis(h0.n_qubits, checks)
     vb = np.ascontiguousarray(v.reshape(v.shape[0], blocks.shape[1], -1).transpose(1, 0, 2))
-    vb.flags.writeable = False
-    return vb
+    v_dagger = v.conj().T
+    vb.flags.writeable = v_dagger.flags.writeable = False
+    return vb, v_dagger
 
 
 def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -553,7 +550,7 @@ def _momentum_bins(h0: OperatorSum, parts, checks, pair: np.ndarray):
         if any(_shifted(c.x, n, k) != c.x or _shifted(c.z, n, k) != c.z for c in checks):
             continue
         try:
-            vb = _sector_basis(h0, parts)
+            vb = _sector_basis(h0, parts)[0]
         except ValueError:
             return None
         # the shift applied to each column of vb: its row r is row r shifted by -k
@@ -625,9 +622,8 @@ def _word_table(h0: OperatorSum, parts: tuple[OperatorSum, ...], ray: tuple[floa
 
     P = -i H0 and Q = -i sum_mu c_mu H_mu on `_sector_blocks`, for the
     coupling ray c; the words, (1, 33, n_bins, b, b) or (1, 33,
-    n_sectors, d, d), are formed on the bins when there are any.  Built
-    once per (h0, parts, ray).  Every piece whose couplings stay on that
-    ray takes its Magnus rows from these words (`_rows`).
+    n_sectors, d, d), are formed on the bins when there are any, once
+    per (h0, parts, ray), for the Magnus rows (`_rows`) of every piece on it.
     """
     checks, blocks = _sector_blocks(h0, parts)
     pair = -1j * np.stack([blocks[0], np.tensordot(ray, blocks[1:], axes=1)])
@@ -639,22 +635,25 @@ def _word_table(h0: OperatorSum, parts: tuple[OperatorSum, ...], ray: tuple[floa
     return bins, words
 
 
-def _ray(lam: np.ndarray):
-    """(c, s) with every knot's couplings lam[k] exactly s_k c and max(c) = 1, or None if no ray holds them all."""
-    s = lam.max(axis=1)
-    if not s.any():
+def _ray(couplings: tuple[tuple[float, ...], ...]):
+    """(c, s), a tuple and a list, with `Schedule` row k exactly s_k c and max(c) = 1, or None off any ray."""
+    s = [max(row) for row in couplings]
+    if not (top := max(s)):
         return None
-    c = lam[s.argmax()] / s.max()
-    return (c, s) if np.array_equal(s[:, None] * c, lam) else None
+    c = tuple(v / top for v in couplings[s.index(top)])
+    return (c, s) if all(sk * ck == v for sk, row in zip(s, couplings) for ck, v in zip(c, row)) else None
 
 
 def _affine(blocks: np.ndarray, couplings) -> np.ndarray:
     """H0 + sum_mu lam_mu H_mu on the sector blocks, for each row of ``couplings``.
 
     ``blocks`` are `_sector_blocks`' (1 + parts, n_blocks, d, d) blocks
-    of H0 and the parts, and ``couplings`` has one column per part.
+    of H0 and the parts, and ``couplings`` has one column per part: one
+    product with the flattened parts, the one that ``np.tensordot`` forms.
     """
-    return blocks[0] + np.tensordot(couplings, blocks[1:], axes=1)
+    lam = np.asarray(couplings)
+    product = np.dot(lam.reshape(-1, lam.shape[-1]), blocks[1:].reshape(lam.shape[-1], -1))
+    return blocks[0] + product.reshape(*lam.shape[:-1], *blocks.shape[1:])
 
 
 def _spectral_norms_within(diff: np.ndarray, bound: float) -> bool:
@@ -674,14 +673,10 @@ def _spectral_norms_within(diff: np.ndarray, bound: float) -> bool:
 def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: float, sample_times):
     """Step-doubled Magnus until each sector block's change over F = `_SAFETY` is at most tol/4 in spectral norm.
 
-    Integration, comparison and the unitarity check all run in the
-    sector blocks of the checks conserved by H0 and the parts, or in
-    their momentum bins (`_word_table`), which are taken back to the
-    sector blocks at the end.  Returns
-    the distinct sample times in ascending order, each snapped onto [0,
-    duration], and U's complex (n_blocks, d, d) blocks keyed by each of
-    them and by the duration (None where U is exactly the identity: at
-    0, and everywhere when the schedule has zero duration).
+    Returns the distinct sample times in ascending order, each snapped
+    onto [0, duration], and U's complex (n_blocks, d, d) blocks keyed by
+    each of them and by the duration (None where U is exactly the
+    identity: at 0, and everywhere when the schedule has zero duration).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive")
@@ -693,13 +688,16 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     columns = len(schedule.couplings[0])
     if len(parts) != columns:
         raise ValueError(f"schedule drives {columns} couplings but {len(parts)} Hamiltonian parts were given")
-    blocks = _sector_blocks(h0, tuple(parts))[1].astype(complex)
-    kinks = list(schedule.times)
+    blocks = _sector_blocks(h0, tuple(parts))[1]
+    kinks = schedule.times
     boundaries = sorted({*kinks, *samples})
     wanted = [*samples, duration]
     if duration == 0.0:
         return samples, dict.fromkeys(wanted)
-    lam = np.array(schedule.couplings)
+    lam = schedule.couplings
+    on_ray = _ray(lam)
+    if on_ray is None:
+        blocks = blocks.astype(complex)
     knots = _affine(blocks, lam)
     # the real-form 1-norm of A at the knots is that of H there: sum_i |Re H_ij| + |Im H_ij|
     norm = float((np.abs(knots.real) + np.abs(knots.imag)).sum(axis=-2).max())
@@ -715,21 +713,20 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
         if prev is None:
             # dU/dsigma = dt A in each piece's own time sigma, whose brackets stay finite however short the piece;
             # formed once the first pass is within the budget, which refuses a generator too large for them
-            dt = np.diff(kinks)
-            on_ray = _ray(lam)
+            dt = [t1 - t0 for t0, t1 in zip(kinks, kinks[1:])]
             if on_ray is None:
                 # each piece's own pair (X, Y): dt A at its start and dt^2 dA/dt
                 rise = np.tensordot(np.diff(lam, axis=0), blocks[1:], axes=1)
-                words = _words(*(-1j * dt[:, None, None, None] * np.stack([knots[:-1], rise])))
+                words = _words(*(-1j * np.array(dt)[:, None, None, None] * np.stack([knots[:-1], rise])))
                 g = np.array([[1.0, 0.0, 1.0]])
             else:
                 # A = dt (P + s_k Q) + sigma dt (s_(k+1) - s_k) Q on piece k, from the model's cached words
                 c, s = on_ray
-                bins, words = _word_table(h0, tuple(parts), tuple(c.tolist()))
-                g = np.stack([dt, dt * s[:-1], dt * np.diff(s)], axis=1)
+                bins, words = _word_table(h0, tuple(parts), c)
+                g = np.array([(w, w * s0, w * (s1 - s0)) for w, s0, s1 in zip(dt, s, s[1:])])
             terms = _real_form(_rows(words, g))
         # complex blocks (or bins) at every boundary after the first, where U(0) is the identity in every pass
-        r = np.array(_integrate(terms, kinks, boundaries, counts))
+        r = _integrate(terms, kinks, boundaries, counts)
         d = r.shape[-1] // 2
         cur = r[..., :d, :d] + 1j * r[..., d:, :d]
         # the largest singular value of the block differences is U's change in any basis; it bounds every entry
@@ -759,9 +756,8 @@ def schedule_unitary(h0: OperatorSum, parts, schedule: Schedule, tol: float = 1e
     """
     with np.errstate(over="raise", invalid="raise"):
         samples, snapshots = _converged_propagators(h0, parts, schedule, tol, sample_times)
-    vb = _sector_basis(h0, tuple(parts))
+    vb, v_dagger = _sector_basis(h0, tuple(parts))
     dim = vb.shape[1]
-    v_dagger = vb.transpose(1, 0, 2).reshape(dim, dim).conj().T
 
     def full(u):
         # (vb_s u_s) side by side is V blockdiag(u), a dim x dim matrix; U(0) stays exactly the identity

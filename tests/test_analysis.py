@@ -1,5 +1,6 @@
 """Error-channel tomography, sector-labeled spectra, and thresholds."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -129,7 +130,7 @@ def test_tomography_basis_is_the_stabilizer_basis_of_the_check_and_the_ring_bond
 
 def frame_overlaps(h0: OperatorSum) -> np.ndarray:
     """<b_i|V|j>: each readout state b_i of the oracle on each column of the rampdown's frame basis V."""
-    vb = evolve._sector_basis(*plaquette_parts(h0))
+    vb = evolve._sector_basis(*plaquette_parts(h0))[0]
     return readout_basis()[0].conj().T @ vb.transpose(1, 0, 2).reshape(16, 16)
 
 
@@ -797,6 +798,27 @@ def test_threshold_refuses_an_infinite_bracket_end_before_any_readout():
     with pytest.raises(ValueError, match="finite"):
         threshold_temperature(1.0, 2.0, bracket=(1e-3, np.inf))
     assert _readout.cache_info() == before
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_threshold_refuses_a_non_finite_target_before_any_readout(target):
+    # every comparison with NaN is False, so a NaN target used to return the bracket's low end as T*
+    before = (_readout.cache_info(), _levels.cache_info())
+    for tau in (None, 2.0):
+        with pytest.raises(ValueError, match="target must be finite"):
+            threshold_temperature(2.0, tau, target=target)
+    assert (_readout.cache_info(), _levels.cache_info()) == before
+
+
+@pytest.mark.parametrize("lambda0", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_lambda0_is_refused_alike_with_and_without_a_ramp(lambda0):
+    # without a ramp, -1 used to read out (e_zeta 0.236), NaN raised LinAlgError and inf FloatingPointError
+    for tau in (None, 2.0):
+        for call in (lambda: run_point(0.3, lambda0, tau), lambda: threshold_temperature(lambda0, tau)):
+            with pytest.raises(ValueError, match="lambda0 must be positive"):
+                call()
+    with pytest.raises(ValueError, match="lambda0 must be positive"):
+        rampdown_series(0.3, lambda0, 2.0, [0.0, 1.0])
 
 
 def test_threshold_with_evolution_beats_no_evolution():

@@ -582,7 +582,7 @@ def test_commuting_static_part_runs_as_one_by_one_blocks():
     h0, parts = plaquette_parts(OperatorSum(4, [(1.0, PauliString.from_label("XIII"))]))
     checks = conserved_checks([h0, *parts])
     assert [c.letters for c in checks] == ["XIII", "IXII", "IIXI", "IIIX"]
-    blocks, vb = evolve._sector_blocks(h0, parts)[1], evolve._sector_basis(h0, parts)
+    blocks, vb = evolve._sector_blocks(h0, parts)[1], evolve._sector_basis(h0, parts)[0]
     assert blocks.shape == (5, 16, 1, 1) and vb.shape == (16, 16, 1)
     # every term commutes, so U = exp(-i (tau H0 + int lam dt sum_mu H_mu)), with tau = int lam dt = 1
     exact = scipy.linalg.expm(-1j * to_dense(h0 + parts[0] + parts[1] + parts[2] + parts[3]))
@@ -612,14 +612,14 @@ def test_sector_blocks_and_basis_are_built_once_per_parts(monkeypatch):
     checks, blocks = evolve._sector_blocks(h0, parts)
     assert isinstance(checks, tuple)
     bins, words = evolve._word_table(h0, parts, (1.0,) * 4)
-    for array in (blocks, evolve._sector_basis(h0, parts), words, bins.basis, bins.into, bins.back):
+    for array in (blocks, *evolve._sector_basis(h0, parts), words, bins.basis, bins.into, bins.back):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
 
 def test_non_unitary_propagator_is_a_numerical_failure(monkeypatch):
     integrate = evolve._integrate
-    monkeypatch.setattr(evolve, "_integrate", lambda *args: [1.001 * u for u in integrate(*args)])
+    monkeypatch.setattr(evolve, "_integrate", lambda *args: 1.001 * integrate(*args))
     with pytest.raises(NumericalCheckError, match="not unitary"):
         schedule_unitary(*PLAQUETTE, linear_rampdown(1.0, 1.0), tol=1e-6)
 
@@ -996,9 +996,9 @@ def test_schedules_with_no_kept_shift_integrate_unsplit_bit_for_bit(monkeypatch,
     # off the coupling ray there is no word table; on it, no qubit shift keeps these pairs and checks
     run = lambda: schedule_unitary(h0, parts, sched, tol=1e-8, sample_times=[0.5 * sched.duration])
     u, snaps = run()
-    on_ray = evolve._ray(np.array(sched.couplings))
+    on_ray = evolve._ray(sched.couplings)
     if on_ray is not None:
-        assert evolve._word_table(h0, parts, tuple(on_ray[0].tolist()))[0] is None
+        assert evolve._word_table(h0, parts, on_ray[0])[0] is None
     ref, ref_snaps = unsplit(monkeypatch, run)
     assert u.tobytes() == ref.tobytes() and snaps[0][1].tobytes() == ref_snaps[0][1].tobytes()
 
@@ -1010,6 +1010,59 @@ def test_ring_rampdowns_on_bins_match_the_unsplit_integration(monkeypatch):
     assert evolve._word_table(*PLAQUETTE, (1.0,) * 4)[0].into.shape == (4, 4, 4)
     # measured 2.8e-14; the bins change U's rounding, so it is not bit for bit
     assert 0 < np.abs(split - unsplit(monkeypatch, run)).max() <= 1e-13
+
+
+# ------------------------------------------------------------ coupling ray
+
+def formed_words(monkeypatch) -> list[int]:
+    """The number of pieces of every pair whose words are formed, as the run goes."""
+    formed = []
+    words = evolve._words
+    monkeypatch.setattr(evolve, "_words", lambda x, y: formed.append(x.shape[0]) or words(x, y))
+    return formed
+
+
+def test_all_zero_knots_take_the_off_ray_path(monkeypatch):
+    sched = Schedule((0.0, 1.5), ((0.0,) * 4, (0.0,) * 4))
+    assert evolve._ray(sched.couplings) is None
+    formed = formed_words(monkeypatch)
+    monkeypatch.setattr(evolve, "_word_table", lambda *args: pytest.fail("no ray holds all-zero knots"))
+    u = schedule_unitary(*PLAQUETTE, sched, tol=1e-10)
+    assert formed == [1]
+    # H is H0 throughout
+    assert np.abs(u - expm_scaled(to_dense(PLAQUETTE[0]), -1.5j)).max() <= 1e-10
+
+
+def test_a_ray_with_zero_entries_keeps_the_cached_words(monkeypatch):
+    # only spins 1 and 3 are driven: both knots lie on the ray c = (1, 0, 1, 0)
+    sched = Schedule((0.0, 2.0), ((1.5, 0.0, 1.5, 0.0), (0.0,) * 4))
+    assert evolve._ray(sched.couplings) == ((1.0, 0.0, 1.0, 0.0), [1.5, 0.0])
+    evolve._word_table.cache_clear()
+    formed = formed_words(monkeypatch)
+    u = schedule_unitary(*PLAQUETTE, sched, tol=1e-8)
+    assert schedule_unitary(*PLAQUETTE, sched, tol=1e-8).tobytes() == u.tobytes()
+    # the model's words of the ray are formed once, and the second run forms none
+    assert len(formed) == 1
+    info = evolve._word_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    ref = dop853_propagator(lambda t: np.array([1.5, 0.0, 1.5, 0.0]) * (1.0 - t / 2.0), [0.0, 2.0])[-1]
+    assert np.abs(u - ref).max() <= 2.5e-9
+
+
+def test_a_knot_one_ulp_off_the_ray_takes_its_own_words(monkeypatch):
+    def schedule(last: float) -> Schedule:
+        return Schedule((0.0, 1.0, 2.0), ((1.5,) * 4, (0.75, 0.75, 0.75, last), (0.0,) * 4))
+
+    on, off = schedule(0.75), schedule(np.nextafter(0.75, 1.0))
+    assert evolve._ray(on.couplings) == ((1.0,) * 4, [1.5, 0.75, 0.0])
+    assert evolve._ray(off.couplings) is None
+    u_on = schedule_unitary(*PLAQUETTE, on, tol=1e-8)
+    formed = formed_words(monkeypatch)
+    monkeypatch.setattr(evolve, "_word_table", lambda *args: pytest.fail("no ray holds these knots"))
+    u_off = schedule_unitary(*PLAQUETTE, off, tol=1e-8)
+    # one set of words for the two pieces' own pairs; the two propagators differ by their tolerances
+    assert formed == [2]
+    assert np.abs(u_off - u_on).max() <= 5e-9
 
 
 @pytest.mark.parametrize("h0, n_bins, widths", [
