@@ -385,8 +385,7 @@ def _rows(words: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     # each of g's powers 0..5 once, read at every entry's exponents
     gx, gy, dy = (g[:, :, None] ** _EXPONENTS).transpose(1, 0, 2)
-    px, py, pd = _WORD_POWERS
-    coefs = _WORD_WEIGHTS * gx.take(px, axis=1) * gy.take(py, axis=1) * dy.take(pd, axis=1)
+    coefs = _WORD_WEIGHTS * gx.take(_WORD_POWERS[0], 1) * gy.take(_WORD_POWERS[1], 1) * dy.take(_WORD_POWERS[2], 1)
     # complex words as their (Re, Im) floats: the coefficients are real, so one real product takes them
     rows = (coefs @ words.reshape(*words.shape[:2], -1).view(np.float64)).view(words.dtype)
     return rows.reshape(*rows.shape[:2], *words.shape[2:])
@@ -695,8 +694,7 @@ def _converged_propagators(h0: OperatorSum, parts, schedule: Schedule, tol: floa
     if duration == 0.0:
         return samples, dict.fromkeys(wanted)
     lam = schedule.couplings
-    on_ray = _ray(lam)
-    if on_ray is None:
+    if (on_ray := _ray(lam)) is None:
         blocks = blocks.astype(complex)
     knots = _affine(blocks, lam)
     # the real-form 1-norm of A at the knots is that of H there: sum_i |Re H_ij| + |Im H_ij|

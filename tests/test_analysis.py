@@ -812,7 +812,7 @@ def test_threshold_refuses_a_non_finite_target_before_any_readout(target):
 
 @pytest.mark.parametrize("lambda0", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
 def test_lambda0_is_refused_alike_with_and_without_a_ramp(lambda0):
-    # without a ramp, -1 used to read out (e_zeta 0.236), NaN raised LinAlgError and inf FloatingPointError
+    # without a ramp, -1 and 0 used to read out, NaN raised LinAlgError and inf FloatingPointError
     for tau in (None, 2.0):
         for call in (lambda: run_point(0.3, lambda0, tau), lambda: threshold_temperature(lambda0, tau)):
             with pytest.raises(ValueError, match="lambda0 must be positive"):
